@@ -33,11 +33,27 @@ func Reference(C, A, B []float32, n, k, m int) {
 			if a == 0 {
 				continue
 			}
-			bk := B[kk*m : kk*m+m]
-			for j, bv := range bk {
-				ci[j] += a * bv
-			}
+			axpy(ci, B[kk*m:kk*m+m], a)
 		}
+	}
+}
+
+// axpy adds a*src to dst, element by element: dst[j] += a * src[j]. It is
+// the inner loop of Reference and of TileKernel's groups. Unrolling it four
+// wide keeps its speed steady wherever the linker places it, and every
+// element still gets the same multiply and add, so results stay bit-exact.
+func axpy(dst, src []float32, a float32) {
+	src = src[:len(dst)]
+	j := 0
+	for ; j+4 <= len(dst); j += 4 {
+		d, s := dst[j:j+4:j+4], src[j:j+4:j+4]
+		d[0] += a * s[0]
+		d[1] += a * s[1]
+		d[2] += a * s[2]
+		d[3] += a * s[3]
+	}
+	for ; j < len(dst); j++ {
+		dst[j] += a * src[j]
 	}
 }
 
@@ -98,10 +114,7 @@ func TileKernel(C, A, B []float32, n, k, m int, accumulate bool) (gpu.Kernel, in
 					if a == 0 {
 						continue
 					}
-					brow := B[kk*m+j0 : kk*m+j1]
-					for j, bv := range brow {
-						out[j] += a * bv
-					}
+					axpy(out, B[kk*m+j0:kk*m+j1], a)
 				}
 			}
 		}

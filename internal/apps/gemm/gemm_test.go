@@ -251,6 +251,65 @@ func TestReferenceProperties(t *testing.T) {
 	}
 }
 
+// textbookGEMM is the oracle for bit-exactness: the plain triple loop, each
+// C element summed over k in order, starting from C's value when
+// accumulating and from zero otherwise.
+func textbookGEMM(C, A, B []float32, n, k, m int, accumulate bool) {
+	for i := 0; i < n; i++ {
+		for j := 0; j < m; j++ {
+			var s float32
+			if accumulate {
+				s = C[i*m+j]
+			}
+			for kk := 0; kk < k; kk++ {
+				s += A[i*k+kk] * B[kk*m+j]
+			}
+			C[i*m+j] = s
+		}
+	}
+}
+
+// TestKernelsBitExact holds Reference and TileKernel to the textbook loop
+// bit for bit, on shapes that are multiples of neither the inner loop's
+// unroll width nor TileDim nor KTile, with zeros in A on the skip path.
+func TestKernelsBitExact(t *testing.T) {
+	same := func(got, want []float32) bool {
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, sh := range []struct{ n, k, m int }{{70, 37, 131}, {65, 19, 3}, {3, 1, 67}} {
+		n, k, m := sh.n, sh.k, sh.m
+		A := workload.Dense(n, k, 7)
+		for i := 0; i < len(A); i += 5 {
+			A[i] = 0
+		}
+		B := workload.Dense(k, m, 8)
+		want := make([]float32, n*m)
+		textbookGEMM(want, A, B, n, k, m, false)
+		got := make([]float32, n*m)
+		Reference(got, A, B, n, k, m)
+		if !same(got, want) {
+			t.Errorf("%dx%dx%d: Reference differs from the textbook loop", n, k, m)
+		}
+		for _, acc := range []bool{false, true} {
+			C := workload.Dense(n, m, 9)
+			want := append([]float32(nil), C...)
+			textbookGEMM(want, A, B, n, k, m, acc)
+			kern, groups := TileKernel(C, A, B, n, k, m, acc)
+			for g := 0; g < groups; g++ {
+				kern.Run(g)
+			}
+			if !same(C, want) {
+				t.Errorf("%dx%dx%d accumulate=%v: TileKernel differs from the textbook loop", n, k, m, acc)
+			}
+		}
+	}
+}
+
 func TestChooseShardDim(t *testing.T) {
 	// Plenty of room: whole matrix in one shard.
 	s, err := chooseShardDim(256, 2, 1<<30)

@@ -136,7 +136,7 @@ func PerfSuite(o Options) (*PerfProfile, error) {
 	})
 	// Sixth entry: the DES engine's own dispatch speed on the paper-scale
 	// event mix, so a scheduling regression — a slower heap, a lost batch
-	// path, callbacks falling back to goroutine handoffs — fails the gate
+	// path, callbacks falling back to process resumptions — fails the gate
 	// even when the virtual-time results it produces are still correct.
 	simPerf, floors, err := simEnginePerf(o)
 	if err != nil {

@@ -16,23 +16,24 @@ import (
 // path, an accidental allocation storm) without flaking on machine speed.
 
 // simEngineSpeedupFloor is the committed floor for the callback-over-proc
-// dispatch speedup. It is the PR's headline claim — the fast path must stay
-// at least one order of magnitude cheaper than goroutine handoffs — kept
-// below the ~25-30x typically measured so slower machines don't flake.
-const simEngineSpeedupFloor = 10.0
+// dispatch speedup. Proc resumptions are coroutine switches, 6-7x the cost
+// of an inline callback (5-7x under the race detector), so the floor sits
+// well below that and still fails on the cliff it guards: callback work
+// falling back onto procs, a ratio near 1.
+const simEngineSpeedupFloor = 3.0
 
 // simEngineRateMargin divides measured events/sec rates into their committed
 // floors: wide enough to absorb the race detector (bench-check runs race-
-// instrumented) and slower hardware, tight enough that falling back to
-// goroutine handoffs for callback work (a ~25x cliff) still fails.
+// instrumented) and slower hardware, so a rate floor fails only when a
+// dispatch path collapses; the speedup floor catches the smaller cliff.
 const simEngineRateMargin = 50.0
 
 // simEngineConfig is the paper-scale dispatch mix at a figures scale: 256
 // concurrent chains (the per-hop transfer / device-charge population of the
 // GEMM+HotSpot+SpMV profile) and 64-wide wake bursts (the serve tier's WFQ
 // storms). The proc path runs a cost-identical but smaller slice of the
-// same mix — rates are workload-size independent, and a million goroutine
-// handoffs under the race detector would dominate the whole suite's wall
+// same mix — rates are workload-size independent, and a million coroutine
+// switches under the race detector would dominate the whole suite's wall
 // time.
 func simEngineConfig(scale int, path sim.DispatchPath) sim.DispatchConfig {
 	if scale < 1 {

@@ -6,7 +6,7 @@ import (
 )
 
 // BenchmarkEventThroughput measures raw engine speed: one process sleeping
-// repeatedly (two context handoffs per event).
+// repeatedly (a coroutine switch there and back per event).
 func BenchmarkEventThroughput(b *testing.B) {
 	e := NewEngine()
 	e.Spawn("ticker", func(p *Proc) {
@@ -58,7 +58,7 @@ func BenchmarkResourceContention(b *testing.B) {
 }
 
 // BenchmarkCallbackThroughput measures the inline fast path: one callback
-// chain rescheduling itself (zero goroutine handoffs per event).
+// chain rescheduling itself (no coroutine switch per event).
 func BenchmarkCallbackThroughput(b *testing.B) {
 	e := NewEngine()
 	n := 0
@@ -103,7 +103,7 @@ func BenchmarkCallbackFanOut(b *testing.B) {
 
 // BenchmarkSpawnChurn measures short-lived process turnover: spawn, one
 // sleep, finish — the per-hop transfer proc shape — exercising the
-// finished-proc release path and the ID free list.
+// finished-proc release path, the ID free list and coroutine reuse.
 func BenchmarkSpawnChurn(b *testing.B) {
 	e := NewEngine()
 	const width = 8

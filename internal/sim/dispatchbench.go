@@ -18,10 +18,10 @@ type DispatchPath int
 
 const (
 	// PathCallback drives the workload with Engine.After timer chains:
-	// every event is an inline callback, zero goroutine handoffs.
+	// every event is an inline callback, no coroutine switch.
 	PathCallback DispatchPath = iota
 	// PathProc drives the identical workload with full processes: every
-	// event is a goroutine resumption, the engine's legacy-shaped cost.
+	// event is a process resumption, a coroutine switch there and back.
 	PathProc
 )
 

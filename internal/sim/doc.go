@@ -12,9 +12,9 @@
 //
 // # Model
 //
-// A Proc is a goroutine that cooperates with a single-threaded Engine:
-// exactly one Proc runs at any instant, and it hands control back to the
-// Engine whenever it sleeps or blocks on a synchronization primitive. Events
+// A Proc is a coroutine that cooperates with a single-threaded Engine:
+// exactly one Proc runs at any instant, and it switches back to the Engine
+// whenever it sleeps or blocks on a synchronization primitive. Events
 // with equal timestamps fire in the order they were scheduled (a strictly
 // increasing sequence number breaks ties), so a simulation is a pure function
 // of its inputs.
@@ -26,16 +26,17 @@
 //
 // # Dispatch fast path
 //
-// Blocking is what a Proc's goroutine buys; leaf work that never blocks can
-// skip the goroutine entirely. Engine.At and Engine.After schedule a bare
-// callback that the dispatch loop runs inline — zero handoffs, roughly 25x
+// Blocking is what a Proc's coroutine buys; leaf work that never blocks can
+// skip the coroutine entirely. Engine.At and Engine.After schedule a bare
+// callback that the dispatch loop runs inline — no switch, roughly 7x
 // cheaper per event — under the same (time, seq) ordering as process
 // wakeups. Callbacks may Spawn, fire latches and use the Try* primitives,
 // but must not block, and SetTrace does not report them (they are not
 // resumptions). Internally the engine keeps pending events in an
 // allocation-free 4-ary heap of concrete values, dispatches all events
-// sharing an instant as one batch, and recycles the IDs of finished
-// processes through a free list; Stats reports event counts, live/spawned
+// sharing an instant as one batch, and recycles finished processes' IDs
+// through a free list and their coroutines through an idle list, which every
+// Run empties before it returns; Stats reports event counts, live/spawned
 // processes and wall-clock dispatch throughput, and RunDispatch measures
 // both dispatch paths on a paper-shaped event mix.
 package sim

@@ -23,9 +23,12 @@ import (
 // appended directly to the ring and never touch the heap at all — the wake
 // storms of FIFO resources, barriers and fair queues cost one append each.
 // Timed callbacks (Engine.At / Engine.After) run inline in the dispatch
-// loop with no goroutine and no channel handoff; only full processes pay
-// the two context switches of a resumption. None of this changes observable
-// semantics: events still fire in exactly (time, sequence) order.
+// loop; only full processes pay a resumption, a switch to the process's
+// coroutine and back on the same thread. A process's coroutine is bound at
+// its first resumption and, once the body returns, waits on a LIFO idle
+// list for the next process to start; RunUntil ends every idle coroutine
+// before it returns, so none outlives the run. None of this changes
+// observable semantics: events still fire in exactly (time, sequence) order.
 type Engine struct {
 	now    Time
 	seq    uint64
@@ -37,8 +40,8 @@ type Engine struct {
 	ready   []event
 	readyAt int
 
-	yield   chan yieldMsg
 	procs   []*Proc // live (spawned but not finished) processes
+	idle    []*coro // coroutines whose body returned, reused LIFO
 	freeIDs []int   // recycled IDs of finished processes
 	nextID  int
 	spawned int64
@@ -58,7 +61,7 @@ type Engine struct {
 
 // NewEngine returns an empty engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{yield: make(chan yieldMsg)}
+	return &Engine{}
 }
 
 // Now returns the current virtual time.
@@ -75,7 +78,7 @@ type Stats struct {
 	// inline callbacks.
 	Events int64
 	// Callbacks is how many of those ran on the inline callback fast path
-	// (no goroutine, no channel handoff).
+	// (no coroutine switch).
 	Callbacks int64
 	// Procs is the number of processes spawned over the engine's lifetime.
 	// Finished processes are released, so this exceeds Live.
@@ -106,6 +109,8 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
+// yieldKind is what a process's coroutine reports when it switches back to
+// the engine.
 type yieldKind int
 
 const (
@@ -113,12 +118,6 @@ const (
 	yieldDone                     // process function returned
 	yieldPanic                    // process panicked
 )
-
-type yieldMsg struct {
-	kind yieldKind
-	p    *Proc
-	err  error
-}
 
 // event is one scheduled dispatch: a process wakeup (p != nil) or an inline
 // callback (fn != nil). Events order by (t, seq); seq is strictly increasing
@@ -234,12 +233,12 @@ func (e *Engine) schedule(p *Proc, t Time) {
 func (e *Engine) wake(p *Proc) { e.schedule(p, e.now) }
 
 // At schedules fn to run at virtual time t (clamped to now), inline in the
-// dispatch loop: no goroutine, no channel handoff, just a heap pop and a
-// call. It is the fast path for leaf, non-blocking work — timer chains,
-// arrival generators, completion notifications. fn must not block: it has
-// no Proc, so it may read Now, schedule further callbacks, Spawn processes,
-// Fire latches or use TrySend/TryRecv, but never Sleep, Acquire, Wait,
-// Send or Recv. Code that blocks keeps full Proc semantics.
+// dispatch loop: no coroutine switch, just a heap pop and a call. It is the
+// fast path for leaf, non-blocking work — timer chains, arrival generators,
+// completion notifications. fn must not block: it has no Proc, so it may
+// read Now, schedule further callbacks, Spawn processes, Fire latches or use
+// TrySend/TryRecv, but never Sleep, Acquire, Wait, Send or Recv. Code that
+// blocks keeps full Proc semantics.
 func (e *Engine) At(t Time, fn func()) {
 	if fn == nil {
 		panic("sim: Engine.At with nil callback")
@@ -297,6 +296,7 @@ func (e *Engine) RunUntil(deadline Time) error {
 	start := time.Now()
 	defer func() {
 		e.running = false
+		e.stopIdle()
 		e.wall += time.Since(start)
 	}()
 
@@ -343,8 +343,9 @@ func (e *Engine) RunUntil(deadline Time) error {
 	return nil
 }
 
-// dispatch fires one event: an inline callback, or a process resumption
-// through the goroutine handoff pair.
+// dispatch fires one event: an inline callback, or a process resumption,
+// a switch to the process's coroutine that returns when the process parks
+// or finishes.
 func (e *Engine) dispatch(ev event) error {
 	e.fired++
 	if ev.fn != nil {
@@ -358,26 +359,51 @@ func (e *Engine) dispatch(ev event) error {
 	if e.trace != nil {
 		e.trace(e.now, p)
 	}
-	p.resume <- struct{}{}
-	msg := <-e.yield
-	switch msg.kind {
+	if p.co == nil {
+		e.bind(p)
+	}
+	switch kind, _ := p.co.next(); kind {
 	case yieldBlocked:
 		// The process parked itself; its next wakeup (if any) is already
 		// queued or held by a primitive's wait list.
 	case yieldDone:
-		e.release(msg.p)
+		e.release(p)
 	case yieldPanic:
-		e.release(msg.p)
-		e.fatal = msg.err
+		e.fatal = p.co.err
+		e.release(p)
 		return e.fatal
 	}
 	return nil
 }
 
-// release retires a finished process: it leaves the live table and its ID
-// returns to the free list, so a long run spawning short-lived processes
-// (per-hop transfer procs, serve-tier jobs) holds memory proportional to
-// the processes alive, not to every process that ever existed.
+// bind gives p, at its first resumption, the most recently idled coroutine,
+// or a new one when none is idle.
+func (e *Engine) bind(p *Proc) {
+	if n := len(e.idle); n > 0 {
+		p.co = e.idle[n-1]
+		e.idle[n-1] = nil
+		e.idle = e.idle[:n-1]
+	} else {
+		p.co = newCoro()
+	}
+	p.co.p = p
+}
+
+// stopIdle ends every idle coroutine. A coroutine still running a body (a
+// process blocked past the deadline or in a deadlock) is left suspended.
+func (e *Engine) stopIdle() {
+	for i, c := range e.idle {
+		c.stop()
+		e.idle[i] = nil
+	}
+	e.idle = e.idle[:0]
+}
+
+// release retires a finished process: it leaves the live table, its ID
+// returns to the free list and its coroutine to the idle list, so a long run
+// spawning short-lived processes (per-hop transfer procs, serve-tier jobs)
+// holds memory proportional to the processes alive, not to every process
+// that ever existed.
 func (e *Engine) release(p *Proc) {
 	p.state = procFinished
 	e.live--
@@ -388,4 +414,7 @@ func (e *Engine) release(p *Proc) {
 	e.procs = e.procs[:last]
 	e.freeIDs = append(e.freeIDs, p.id)
 	p.slot = -1
+	p.co.p = nil
+	e.idle = append(e.idle, p.co)
+	p.co, p.fn = nil, nil
 }

@@ -86,14 +86,15 @@ func goldenWorkload(e *Engine) {
 	})
 }
 
-// goldenTrace runs the workload and renders every resumption as "t:name;".
-func goldenTrace(t testing.TB) string {
+// goldenTrace runs the workload to completion with run and renders every
+// resumption as "t:name;".
+func goldenTrace(t testing.TB, run func(e *Engine) error) string {
 	t.Helper()
 	e := NewEngine()
 	var sb strings.Builder
 	e.SetTrace(func(tm Time, p *Proc) { fmt.Fprintf(&sb, "%d:%s;", tm, p.Name()) })
 	goldenWorkload(e)
-	if err := e.Run(); err != nil {
+	if err := run(e); err != nil {
 		t.Fatal(err)
 	}
 	return sb.String()
@@ -102,8 +103,8 @@ func goldenTrace(t testing.TB) string {
 // TestGoldenResumptionOrder holds the engine to the legacy dispatch path's
 // exact resumption sequence, and to reproducing it across repeated runs.
 func TestGoldenResumptionOrder(t *testing.T) {
-	a := goldenTrace(t)
-	b := goldenTrace(t)
+	a := goldenTrace(t, (*Engine).Run)
+	b := goldenTrace(t, (*Engine).Run)
 	if a != b {
 		t.Fatal("repeated runs produced different resumption traces")
 	}
@@ -115,5 +116,26 @@ func TestGoldenResumptionOrder(t *testing.T) {
 		}
 		t.Fatalf("resumption trace diverged from the legacy dispatch path:\n got sha256 %s\nwant sha256 %s\n(%d resumptions, trace ends %q)",
 			got, goldenTraceSHA256, strings.Count(a, ";"), tail)
+	}
+}
+
+// TestGoldenSlicedRun drives the golden workload in 3ns RunUntil slices, as
+// the paced serve driver does. Each slice ends by stopping the idle
+// coroutines and the next creates them afresh, which must not move a single
+// resumption.
+func TestGoldenSlicedRun(t *testing.T) {
+	trace := goldenTrace(t, func(e *Engine) error {
+		for {
+			if _, ok := e.Peek(); !ok {
+				return e.Run()
+			}
+			if err := e.RunUntil(e.Now() + 3); err != nil {
+				return err
+			}
+		}
+	})
+	sum := sha256.Sum256([]byte(trace))
+	if got := hex.EncodeToString(sum[:]); got != goldenTraceSHA256 {
+		t.Fatalf("sliced run diverged: got sha256 %s, want %s", got, goldenTraceSHA256)
 	}
 }

@@ -10,15 +10,18 @@ const (
 	procFinished
 )
 
-// Proc is a simulated process: a goroutine whose blocking operations take
-// virtual time instead of real time. All Proc methods must be called from
-// the process's own goroutine (the function passed to Spawn).
+// Proc is a simulated process: a function whose blocking operations take
+// virtual time instead of real time. It runs on a coroutine that the engine
+// switches to and back from, so the engine and its processes take turns on
+// one thread. All Proc methods must be called from the process's own
+// function (the one passed to Spawn).
 type Proc struct {
 	e       *Engine
 	name    string
 	id      int
-	slot    int // index in the engine's live-process table; -1 once finished
-	resume  chan struct{}
+	slot    int           // index in the engine's live-process table; -1 once finished
+	fn      func(p *Proc) // the body, run on co
+	co      *coro         // bound at the first resumption, idled at the finish
 	state   procState
 	pending bool // a wakeup event for this proc is queued in the engine
 }
@@ -35,26 +38,15 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 		e.nextID++
 	}
 	p := &Proc{
-		e:      e,
-		name:   name,
-		id:     id,
-		slot:   len(e.procs),
-		resume: make(chan struct{}),
+		e:    e,
+		name: name,
+		id:   id,
+		slot: len(e.procs),
+		fn:   fn,
 	}
 	e.procs = append(e.procs, p)
 	e.spawned++
 	e.live++
-	go func() {
-		<-p.resume // wait for the engine to start us
-		defer func() {
-			if r := recover(); r != nil {
-				e.yield <- yieldMsg{kind: yieldPanic, p: p,
-					err: fmt.Errorf("sim: process %q panicked: %v", p.name, r)}
-			}
-		}()
-		fn(p)
-		e.yield <- yieldMsg{kind: yieldDone, p: p}
-	}()
 	e.schedule(p, e.now)
 	return p
 }
@@ -93,10 +85,47 @@ func (p *Proc) Yield() { p.Sleep(0) }
 // membership in a primitive's wait list); otherwise the run ends in deadlock.
 func (p *Proc) park() {
 	p.state = procBlocked
-	p.e.yield <- yieldMsg{kind: yieldBlocked, p: p}
-	<-p.resume
+	p.co.yield(yieldBlocked)
 }
 
 // block parks the process with no scheduled wakeup. Primitives call it after
 // adding p to their wait list.
 func (p *Proc) block() { p.park() }
+
+// coro is a reusable coroutine that runs process bodies one after another.
+// The engine switches to it with next; the body switches back through yield
+// each time it parks. When a body returns, the coroutine yields yieldDone
+// (yieldPanic if it panicked) and stays suspended on the engine's idle list
+// until the next process to start binds it, or until stop ends it.
+type coro struct {
+	next  func() (yieldKind, bool)
+	stop  func()
+	yield func(yieldKind) bool
+	p     *Proc // the process whose body runs on it; nil while idle
+	err   error // the last body's panic, after a yieldPanic
+}
+
+func newCoro() *coro {
+	c := new(coro)
+	c.next, c.stop = pull(func(yield func(yieldKind) bool) {
+		c.yield = yield
+		for yield(c.run()) {
+		}
+	})
+	return c
+}
+
+// run executes the bound process's body. A panic is recovered on the
+// coroutine, so it stays reusable, and reported as an error naming the
+// process.
+func (c *coro) run() (kind yieldKind) {
+	p := c.p
+	defer func() {
+		if r := recover(); r != nil {
+			c.err = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
+			kind = yieldPanic
+		}
+	}()
+	p.fn(p)
+	return yieldDone
+}
