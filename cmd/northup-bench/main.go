@@ -3,7 +3,7 @@
 // Usage:
 //
 //	northup-bench [-fig 6|7|8|8disk|9|11|overhead|cache|affinity|stream|serve|perf|all] [-scale 1|2|4|8]
-//	              [-format table|csv|json] [-affinity on|off]
+//	              [-format table|csv|json]
 //	northup-bench -baseline BENCH_perf.json [-scale 1|2|4|8]
 //	northup-bench -check BENCH_perf.json
 //
@@ -14,11 +14,6 @@
 // (timing-only) mode at the paper's input sizes and prints the rows/series
 // the corresponding figure plots. -scale shrinks every dimension coherently
 // for quick looks.
-//
-// -affinity off skips the data-affinity scheduler ablation and omits the
-// affinity entry from the perf suite, so a baseline comparable to
-// pre-scheduler documents can still be produced; the default (on) includes
-// both.
 //
 // -baseline runs the perf suite (GEMM, HotSpot, SpMV out-of-core on the SSD
 // tree with the metrics registry attached) and writes the profile to the
@@ -45,7 +40,6 @@ func main() {
 	format := flag.String("format", "table", "output format: table, csv, or json")
 	baseline := flag.String("baseline", "", "run the perf suite and write the baseline profile to this file")
 	check := flag.String("check", "", "re-run the perf suite and diff against this baseline; exit 1 on regression")
-	affinity := flag.String("affinity", "on", "include the data-affinity scheduler figure and perf-suite entry: on or off")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile at exit to this file")
 	flag.Parse()
@@ -58,11 +52,7 @@ func main() {
 		os.Exit(code)
 	}
 
-	if *affinity != "on" && *affinity != "off" {
-		fmt.Fprintf(os.Stderr, "northup-bench: -affinity %q: want on or off\n", *affinity)
-		exit(2)
-	}
-	o := figures.Options{Scale: *scale, NoAffinity: *affinity == "off"}
+	o := figures.Options{Scale: *scale}
 
 	if *baseline != "" {
 		writeBaseline(*baseline, o, exit)
@@ -129,11 +119,8 @@ func main() {
 	if want("cache") {
 		run("staging-cache ablation", func() (figures.Renderer, error) { return figures.CacheAblation(o) })
 	}
-	if want("affinity") && !o.NoAffinity {
+	if want("affinity") {
 		run("data-affinity scheduler ablation", func() (figures.Renderer, error) { return figures.AffinityAblation(o) })
-	} else if *fig == "affinity" {
-		fmt.Fprintln(os.Stderr, "northup-bench: -fig affinity conflicts with -affinity off")
-		exit(2)
 	}
 	if want("stream") {
 		run("streamed-transfer overlap", func() (figures.Renderer, error) { return figures.StreamOverlap(o) })

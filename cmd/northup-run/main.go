@@ -42,7 +42,7 @@
 // to the worker whose estimated compute-plus-move cost is lowest, with
 // cache-resident input bytes scoring zero. The report gains a scheduler line
 // (placements, affinity picks, bytes served from residency). The default
-// (off) keeps the legacy recursive path untouched.
+// (off) runs the recursive schedule of the same problem.
 //
 // With -streamed the gemm and hotspot staging moves route through the
 // streaming transfer engine: each multi-hop move is split into sub-chunks
@@ -77,7 +77,7 @@ func main() {
 	phantom := flag.Bool("phantom", false, "timing-only mode (no payloads; paper-scale capable)")
 	streamed := flag.Bool("streamed", false, "route gemm/hotspot staging moves through the streaming transfer engine")
 	affinity := flag.String("affinity", "off",
-		"gemm/spmv task-graph scheduling: off (legacy recursive path) or on (extent-declared tasks, residency-aware placement)")
+		"gemm/spmv task-graph scheduling: off (recursive schedule) or on (extent-declared tasks, residency-aware placement)")
 	subchunks := flag.Int("subchunks", 0, "streamed sub-chunks per move (0 = adaptive sizer)")
 	storageMiB := flag.Int64("storage-mib", 1024, "preset storage capacity")
 	dramMiB := flag.Int64("dram-mib", 16, "preset staging capacity")

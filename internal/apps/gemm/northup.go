@@ -89,64 +89,17 @@ func chooseShardDim(n, depth int, free int64) (int, error) {
 // shard product is further decomposed into k-panels accumulated in GPU
 // device memory.
 func RunNorthup(rt *core.Runtime, cfg Config) (*Result, error) {
-	if err := cfg.setDefaults(); err != nil {
-		return nil, err
-	}
-	root := rt.Tree().Root()
-	if root.Store == nil {
-		return nil, fmt.Errorf("gemm: tree root %v is not storage", root)
-	}
-	if len(root.Children) != 1 {
-		return nil, fmt.Errorf("gemm: expected a single staging child under the root")
-	}
-	dram := root.Children[0]
-
-	n := cfg.N
-	elems := int64(n) * int64(n)
-	freeForShards := dram.Mem.Free()
+	var reserved int64
 	if cfg.StageB {
-		freeForShards -= elems * 4
-		if freeForShards <= 0 {
-			return nil, fmt.Errorf("gemm: StageB needs %d bytes at %v on top of the shard working set",
-				elems*4, dram)
-		}
+		reserved = int64(cfg.N) * int64(cfg.N) * 4
 	}
-	s := cfg.ShardDim
-	if s == 0 {
-		var err error
-		if s, err = chooseShardDim(n, cfg.Depth, freeForShards); err != nil {
-			return nil, err
-		}
-	}
-	if n%s != 0 {
-		return nil, fmt.Errorf("gemm: shard %d does not divide N=%d", s, n)
-	}
-	cb := n / s // chunk grid is cb x cb
-
-	// Inputs resident on storage. B is presharded (the paper's one-time
-	// preprocessing); in phantom mode only the file extents exist.
-	var aData, bPre []float32
-	functional := !rt.Phantom()
-	if functional {
-		aData = workload.Dense(n, n, cfg.Seed)
-		b := workload.Dense(n, n, cfg.Seed+1)
-		bPre = PreshardB(b, n, s)
-	}
-	fa, err := rt.CreateInput(root, "gemm-A", elems*4, view.F32Bytes(aData))
+	p, err := newProblem(rt, cfg, reserved)
 	if err != nil {
 		return nil, err
 	}
-	fb, err := rt.CreateInput(root, "gemm-B", elems*4, view.F32Bytes(bPre))
-	if err != nil {
-		return nil, err
-	}
-	fc, err := rt.CreateInput(root, "gemm-C", elems*4, nil)
-	if err != nil {
-		return nil, err
-	}
-
-	shardBytes := int64(s) * int64(n) * 4
-	blockBytes := int64(s) * int64(s) * 4
+	cfg = p.cfg
+	dram, cb := p.dram, p.cb
+	shardBytes, blockBytes := p.shardBytes, p.blockBytes
 
 	stats, err := rt.Run("gemm-northup", func(c *core.Ctx) error {
 		// §VI staging: read B from storage once and keep it resident at
@@ -155,9 +108,9 @@ func RunNorthup(rt *core.Runtime, cfg Config) (*Result, error) {
 		// a pinned whole-B fetch through the staging cache; with the cache
 		// disabled the fetch degrades to a private staged copy with the
 		// same bytes and timing.
-		colSrc := fb
+		colSrc := p.fb
 		if cfg.StageB {
-			bRes, err := c.MoveDataDownCached(dram, fb, 0, elems*4)
+			bRes, err := c.MoveDataDownCached(dram, p.fb, 0, p.elems*4)
 			if err != nil {
 				return err
 			}
@@ -174,11 +127,7 @@ func RunNorthup(rt *core.Runtime, cfg Config) (*Result, error) {
 		for i := 0; i < cb; i++ {
 			// Load the row shard once; it is reused by every column shard
 			// of this block row (the §IV-A reuse optimization).
-			if cfg.Streamed {
-				if err := c.MoveDataDownStreamed(rowShard, fa, 0, int64(i)*shardBytes, shardBytes, cfg.StreamOpts); err != nil {
-					return err
-				}
-			} else if err := c.MoveDataDown(rowShard, fa, 0, int64(i)*shardBytes, shardBytes); err != nil {
+			if err := p.moveDown(c, rowShard, p.fa, 0, int64(i)*shardBytes, shardBytes); err != nil {
 				return err
 			}
 			depth := cfg.Depth
@@ -207,13 +156,13 @@ func RunNorthup(rt *core.Runtime, cfg Config) (*Result, error) {
 						// each shard (one per block row) into hits, and the
 						// pipeline's deterministic schedule makes j+1 the next
 						// load — prefetch it behind this one.
-						buf, err := sub.MoveDataDownCached(dram, fb, int64(j)*shardBytes, shardBytes)
+						buf, err := sub.MoveDataDownCached(dram, p.fb, int64(j)*shardBytes, shardBytes)
 						if err != nil {
 							return err
 						}
 						colShards[j] = buf
 						if j+1 < cb {
-							sub.Prefetch(dram, fb, int64(j+1)*shardBytes, shardBytes)
+							sub.Prefetch(dram, p.fb, int64(j+1)*shardBytes, shardBytes)
 						}
 						return nil
 					})
@@ -225,9 +174,7 @@ func RunNorthup(rt *core.Runtime, cfg Config) (*Result, error) {
 							return err
 						}
 						cBlocks[j] = buf
-						err = sub.Descend(dram, func(dc *core.Ctx) error {
-							return multiplyShard(dc, rowShard, colShards[j], buf, s, n, s, functional, cfg)
-						})
+						err = p.multiply(sub, rowShard, colShards[j], buf)
 						if cfg.StageB {
 							sub.Release(colShards[j])
 						} else {
@@ -239,13 +186,7 @@ func RunNorthup(rt *core.Runtime, cfg Config) (*Result, error) {
 				},
 				func(sub *core.Ctx, j int) error { // store result block
 					return sub.Task("store-block", blockBytes, func(sub *core.Ctx) error {
-						var err error
-						off := (int64(i)*int64(cb) + int64(j)) * blockBytes
-						if cfg.Streamed {
-							err = sub.MoveDataUpStreamed(fc, cBlocks[j], off, 0, blockBytes, cfg.StreamOpts)
-						} else {
-							err = sub.MoveData(fc, cBlocks[j], off, 0, blockBytes)
-						}
+						err := p.moveUp(sub, p.fc, cBlocks[j], p.blockOff(i, j), 0, blockBytes)
 						sub.Release(cBlocks[j])
 						cBlocks[j] = nil
 						return err
@@ -261,11 +202,11 @@ func RunNorthup(rt *core.Runtime, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	res := &Result{Stats: stats, ShardDim: s, BStaged: cfg.StageB}
-	if functional {
-		res.C = assembleBlockMajor(fcPeek(rt, fc, elems), n, s)
+	res, err := p.result(stats)
+	if err != nil {
+		return nil, err
 	}
+	res.BStaged = cfg.StageB
 	return res, nil
 }
 
@@ -274,10 +215,10 @@ func RunNorthup(rt *core.Runtime, cfg Config) (*Result, error) {
 // otherwise it decomposes along k into panels sized for the child level and
 // accumulates there — the recursive step of Listing 3 applied one level
 // further down (the discrete-GPU case of §V-C).
-func multiplyShard(c *core.Ctx, aBuf, bBuf, cBuf *core.Buffer, n, k, m int, functional bool, cfg Config) error {
+func (p *problem) multiplyShard(c *core.Ctx, aBuf, bBuf, cBuf *core.Buffer, n, k, m int) error {
 	if c.IsLeaf() {
 		var cv, av, bv []float32
-		if functional {
+		if p.functional {
 			cv, av, bv = view.F32(cBuf.Bytes()), view.F32(aBuf.Bytes()), view.F32(bBuf.Bytes())
 		}
 		kern, groups := TileKernel(cv, av, bv, n, k, m, false)
@@ -291,7 +232,7 @@ func multiplyShard(c *core.Ctx, aBuf, bBuf, cBuf *core.Buffer, n, k, m int, func
 	}
 	// Two panel slots implement the paper's stream overlap at the leaf
 	// (§III-C: "overlapping computation and communications (i.e.,
-	// OpenCL/CUDA streams)"): while the kernel consumes slot p%2 the PCIe
+	// OpenCL/CUDA streams)"): while the kernel consumes slot panel%2 the PCIe
 	// link fills the other.
 	var gA, gB [2]*core.Buffer
 	for s := 0; s < 2; s++ {
@@ -315,32 +256,28 @@ func multiplyShard(c *core.Ctx, aBuf, bBuf, cBuf *core.Buffer, n, k, m int, func
 	}()
 	panels := k / kp
 	err = c.Pipeline(panels, 2,
-		func(sub *core.Ctx, p int) error { // stream the panel pair down
-			s := p % 2
+		func(sub *core.Ctx, panel int) error { // stream the panel pair down
+			s := panel % 2
 			// A panel: n rows of kp floats, strided by the row length k.
 			if err := sub.MoveData2D(gA[s], aBuf, 0, int64(kp)*4,
-				int64(p)*int64(kp)*4, int64(k)*4, n, kp*4); err != nil {
+				int64(panel)*int64(kp)*4, int64(k)*4, n, kp*4); err != nil {
 				return err
 			}
 			// B panel: kp full rows, contiguous — the streamed path
 			// sub-chunks it so the PCIe hop overlaps itself across
 			// sub-chunks (and degenerates to one chunk when not worth it).
-			if cfg.Streamed {
-				return sub.MoveDataDownStreamed(gB[s], bBuf, 0,
-					int64(p)*int64(kp)*int64(m)*4, int64(kp)*int64(m)*4, cfg.StreamOpts)
-			}
-			return sub.MoveData(gB[s], bBuf, 0,
-				int64(p)*int64(kp)*int64(m)*4, int64(kp)*int64(m)*4)
+			return p.moveDown(sub, gB[s], bBuf, 0,
+				int64(panel)*int64(kp)*int64(m)*4, int64(kp)*int64(m)*4)
 		},
-		func(sub *core.Ctx, p int) error { // accumulate on the GPU
-			s := p % 2
-			accumulate := p > 0
+		func(sub *core.Ctx, panel int) error { // accumulate on the GPU
+			s := panel % 2
+			accumulate := panel > 0
 			return sub.Descend(child, func(lc *core.Ctx) error {
 				if !lc.IsLeaf() {
 					return fmt.Errorf("gemm: trees deeper than 3 levels need recursive panels")
 				}
 				var cv, av, bv []float32
-				if functional {
+				if p.functional {
 					cv, av, bv = view.F32(gC.Bytes()), view.F32(gA[s].Bytes()), view.F32(gB[s].Bytes())
 				}
 				kern, groups := TileKernel(cv, av, bv, n, kp, m, accumulate)
@@ -352,10 +289,7 @@ func multiplyShard(c *core.Ctx, aBuf, bBuf, cBuf *core.Buffer, n, k, m int, func
 	if err != nil {
 		return err
 	}
-	if cfg.Streamed {
-		return c.MoveDataUpStreamed(cBuf, gC, 0, 0, int64(n)*int64(m)*4, cfg.StreamOpts)
-	}
-	return c.MoveDataUp(cBuf, gC, 0, 0, int64(n)*int64(m)*4)
+	return p.moveUp(c, cBuf, gC, 0, 0, int64(n)*int64(m)*4)
 }
 
 // choosePanelDepth picks the largest k-panel depth (multiple of KTile,
@@ -372,15 +306,6 @@ func choosePanelDepth(n, k, m int, free int64) (int, error) {
 		}
 	}
 	return 0, fmt.Errorf("gemm: no k-panel fits %d free bytes (n=%d k=%d m=%d)", free, n, k, m)
-}
-
-// fcPeek reads the whole C file functionally (untimed verification path).
-func fcPeek(rt *core.Runtime, fc *core.Buffer, elems int64) []float32 {
-	out := make([]float32, elems)
-	if err := fc.File().Peek(view.F32Bytes(out), 0); err != nil {
-		panic(err)
-	}
-	return out
 }
 
 // assembleBlockMajor converts the block-major C file layout (block (i,j) of

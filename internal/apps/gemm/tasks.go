@@ -5,8 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/taskgraph"
-	"repro/internal/view"
-	"repro/internal/workload"
 )
 
 // RunTasks executes out-of-core GEMM as an extent-declared task graph: one
@@ -19,95 +17,50 @@ import (
 // reuse); with affinity off, locality-blind stealing reloads whatever the
 // deque order happens to evict first.
 func RunTasks(rt *core.Runtime, cfg Config, opts taskgraph.Options) (*Result, *taskgraph.Stats, error) {
-	if err := cfg.setDefaults(); err != nil {
-		return nil, nil, err
-	}
-	root := rt.Tree().Root()
-	if root.Store == nil {
-		return nil, nil, fmt.Errorf("gemm: tree root %v is not storage", root)
-	}
-	if len(root.Children) != 1 {
-		return nil, nil, fmt.Errorf("gemm: expected a single staging child under the root")
-	}
-	dram := root.Children[0]
-
-	n := cfg.N
-	elems := int64(n) * int64(n)
-	s := cfg.ShardDim
-	if s == 0 {
-		var err error
-		if s, err = chooseShardDim(n, cfg.Depth, dram.Mem.Free()); err != nil {
-			return nil, nil, err
-		}
-	}
-	if n%s != 0 {
-		return nil, nil, fmt.Errorf("gemm: shard %d does not divide N=%d", s, n)
-	}
-	cb := n / s
-
-	var aData, bPre []float32
-	functional := !rt.Phantom()
-	if functional {
-		aData = workload.Dense(n, n, cfg.Seed)
-		b := workload.Dense(n, n, cfg.Seed+1)
-		bPre = PreshardB(b, n, s)
-	}
-	fa, err := rt.CreateInput(root, "gemm-A", elems*4, view.F32Bytes(aData))
+	p, err := newProblem(rt, cfg, 0)
 	if err != nil {
 		return nil, nil, err
 	}
-	fb, err := rt.CreateInput(root, "gemm-B", elems*4, view.F32Bytes(bPre))
-	if err != nil {
-		return nil, nil, err
-	}
-	fc, err := rt.CreateInput(root, "gemm-C", elems*4, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	shardBytes := int64(s) * int64(n) * 4
-	blockBytes := int64(s) * int64(s) * 4
+	shardBytes, blockBytes := p.shardBytes, p.blockBytes
 
 	// One task per C block. A row shards live at row-major offsets of the A
 	// file; B column shards at shard-major offsets of the presharded B file.
 	g := taskgraph.New()
-	for i := 0; i < cb; i++ {
-		for j := 0; j < cb; j++ {
+	for i := 0; i < p.cb; i++ {
+		for j := 0; j < p.cb; j++ {
 			i, j := i, j
-			cOff := (int64(i)*int64(cb) + int64(j)) * blockBytes
+			cOff := p.blockOff(i, j)
 			g.Add(&taskgraph.Task{
 				Name: fmt.Sprintf("gemm-block[%d,%d]", i, j),
 				Kind: "gemm-block",
 				Reads: []taskgraph.Extent{
-					{Buf: fa, Off: int64(i) * shardBytes, Len: shardBytes},
-					{Buf: fb, Off: int64(j) * shardBytes, Len: shardBytes},
+					{Buf: p.fa, Off: int64(i) * shardBytes, Len: shardBytes},
+					{Buf: p.fb, Off: int64(j) * shardBytes, Len: shardBytes},
 				},
 				Writes: []taskgraph.Extent{
-					{Buf: fc, Off: cOff, Len: blockBytes},
+					{Buf: p.fc, Off: cOff, Len: blockBytes},
 				},
-				Cost: 2 * float64(s) * float64(s) * float64(n),
+				Cost: 2 * float64(p.s) * float64(p.s) * float64(p.n),
 				Run: func(sub *core.Ctx) error {
-					aShard, err := sub.MoveDataDownCached(dram, fa, int64(i)*shardBytes, shardBytes)
+					aShard, err := sub.MoveDataDownCached(p.dram, p.fa, int64(i)*shardBytes, shardBytes)
 					if err != nil {
 						return err
 					}
 					defer sub.Unpin(aShard)
-					bShard, err := sub.MoveDataDownCached(dram, fb, int64(j)*shardBytes, shardBytes)
+					bShard, err := sub.MoveDataDownCached(p.dram, p.fb, int64(j)*shardBytes, shardBytes)
 					if err != nil {
 						return err
 					}
 					defer sub.Unpin(bShard)
-					blk, err := sub.AllocAt(dram, blockBytes)
+					blk, err := sub.AllocAt(p.dram, blockBytes)
 					if err != nil {
 						return err
 					}
 					defer sub.Release(blk)
-					if err := sub.Descend(dram, func(dc *core.Ctx) error {
-						return multiplyShard(dc, aShard, bShard, blk, s, n, s, functional, cfg)
-					}); err != nil {
+					if err := p.multiply(sub, aShard, bShard, blk); err != nil {
 						return err
 					}
-					return sub.MoveData(fc, blk, cOff, 0, blockBytes)
+					return sub.MoveData(p.fc, blk, cOff, 0, blockBytes)
 				},
 			})
 		}
@@ -116,7 +69,7 @@ func RunTasks(rt *core.Runtime, cfg Config, opts taskgraph.Options) (*Result, *t
 	var tstats *taskgraph.Stats
 	stats, err := rt.Run("gemm-tasks", func(c *core.Ctx) error {
 		if opts.Node == nil {
-			opts.Node = dram
+			opts.Node = p.dram
 		}
 		var gerr error
 		tstats, gerr = g.Run(c, opts)
@@ -125,10 +78,6 @@ func RunTasks(rt *core.Runtime, cfg Config, opts taskgraph.Options) (*Result, *t
 	if err != nil {
 		return nil, tstats, err
 	}
-
-	res := &Result{Stats: stats, ShardDim: s}
-	if functional {
-		res.C = assembleBlockMajor(fcPeek(rt, fc, elems), n, s)
-	}
-	return res, tstats, nil
+	res, err := p.result(stats)
+	return res, tstats, err
 }

@@ -83,11 +83,11 @@ func TestTasksAffinityDeterministic(t *testing.T) {
 	}
 }
 
-func TestTasksAffinityOffLegacyByteIdentical(t *testing.T) {
-	// The -affinity off contract: the legacy recursive path is untouched by
-	// the scheduler work, so for any seed repeated runs on fresh engines
-	// reproduce the schedule bit for bit (identical virtual time and moved
-	// bytes — the byte-identity the CLI's off route relies on).
+func TestNorthupRepeatsBitForBit(t *testing.T) {
+	// The recursive schedule is deterministic: for any seed, repeated runs
+	// on fresh engines reproduce it bit for bit (identical virtual time and
+	// moved bytes). It is a different schedule from RunTasks with affinity
+	// off, so this compares RunNorthup only with itself.
 	f := func(seed int64) bool {
 		cfg := Config{N: 128, Seed: seed}
 		run := func() (sim.Time, float64) {

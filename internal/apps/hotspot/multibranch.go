@@ -1,14 +1,13 @@
 package hotspot
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/topo"
-	"repro/internal/view"
-	"repro/internal/workload"
 )
 
 // This file exercises the asymmetric, multi-branch trees of the paper's
@@ -61,10 +60,11 @@ type MultiBranchResult struct {
 
 // RunMultiBranch executes one out-of-core pass with chunks spread across
 // all of the root's staging branches. Each branch must be a memory node
-// with a GPU leaf context (the branch node itself may be the leaf).
-// Borders are taken from the pass-start state, as in RunNorthup; the result
-// is identical to the single-branch blocked execution regardless of policy
-// or branch count.
+// with a GPU at or one level below it (the branch node itself may be the
+// leaf). Borders are taken from the pass-start state, as in RunNorthup; the
+// result is identical to the single-branch blocked execution regardless of
+// policy or branch count. A branch that fails (a chunk it cannot stage, a
+// missing processor) fails the run.
 func RunMultiBranch(rt *core.Runtime, cfg MultiBranchConfig) (*MultiBranchResult, error) {
 	if cfg.N <= 0 || cfg.ChunkDim <= 0 || cfg.N%cfg.ChunkDim != 0 || cfg.ChunkDim%BlockDim != 0 {
 		return nil, fmt.Errorf("hotspot: invalid multibranch config N=%d chunk=%d", cfg.N, cfg.ChunkDim)
@@ -81,34 +81,21 @@ func RunMultiBranch(rt *core.Runtime, cfg MultiBranchConfig) (*MultiBranchResult
 		return nil, fmt.Errorf("hotspot: no staging branches under the root")
 	}
 
-	n, d := cfg.N, cfg.ChunkDim
-	cb := n / d
-	chunks := cb * cb
-	chunkBytes := int64(d) * int64(d) * 4
-	borderBytes := int64(4*d) * 4
-	gridBytes := int64(n) * int64(n) * 4
-	functional := !rt.Phantom()
-
-	var tempPre, powerPre, border0 []byte
-	if functional {
-		grid := workload.HotSpotGrid(n, cfg.Seed)
-		tempPre = view.F32Bytes(toChunkMajor(grid.Temp, n, d))
-		powerPre = view.F32Bytes(toChunkMajor(grid.Power, n, d))
-		border0 = view.F32Bytes(packAllBorders(grid.Temp, n, d))
-	}
-	fIn, err := rt.CreateInput(root, "mb-temp-in", gridBytes, tempPre)
+	p := newProblem(rt, Config{N: cfg.N, Seed: cfg.Seed, Iters: cfg.Iters}, cfg.ChunkDim, launchSteps)
+	temp, power, border := p.inputs()
+	fIn, err := rt.CreateInput(root, "mb-temp-in", p.gridBytes, temp)
 	if err != nil {
 		return nil, err
 	}
-	fOut, err := rt.CreateInput(root, "mb-temp-out", gridBytes, nil)
+	fOut, err := rt.CreateInput(root, "mb-temp-out", p.gridBytes, nil)
 	if err != nil {
 		return nil, err
 	}
-	fP, err := rt.CreateInput(root, "mb-power", gridBytes, powerPre)
+	fP, err := rt.CreateInput(root, "mb-power", p.gridBytes, power)
 	if err != nil {
 		return nil, err
 	}
-	fB, err := rt.CreateInput(root, "mb-border", int64(chunks)*borderBytes, border0)
+	fB, err := rt.CreateInput(root, "mb-border", int64(p.chunks)*p.borderBytes, border)
 	if err != nil {
 		return nil, err
 	}
@@ -120,7 +107,7 @@ func RunMultiBranch(rt *core.Runtime, cfg MultiBranchConfig) (*MultiBranchResult
 		// static policy each branch gets its own pre-filled queue instead.
 		var shared *sched.Deque[int]
 		var perBranch []*sched.Deque[int]
-		ids := make([]int, chunks)
+		ids := make([]int, p.chunks)
 		for i := range ids {
 			ids[i] = i
 		}
@@ -140,6 +127,7 @@ func RunMultiBranch(rt *core.Runtime, cfg MultiBranchConfig) (*MultiBranchResult
 		}
 
 		wg := sim.NewWaitGroup(c.Runtime().Engine())
+		errs := make([]error, len(branches))
 		for bi, branch := range branches {
 			bi, branch := bi, branch
 			wg.Add(1)
@@ -156,8 +144,8 @@ func RunMultiBranch(rt *core.Runtime, cfg MultiBranchConfig) (*MultiBranchResult
 					if !ok {
 						return nil
 					}
-					if err := processBranchChunk(sub, branch, cfg, ci, cb,
-						chunkBytes, borderBytes, fIn, fOut, fP, fB, functional); err != nil {
+					if err := p.branchChunk(sub, branch, ci, fIn, fOut, fP, fB); err != nil {
+						errs[bi] = err
 						return err
 					}
 					res.ChunksByBranch[bi]++
@@ -165,87 +153,42 @@ func RunMultiBranch(rt *core.Runtime, cfg MultiBranchConfig) (*MultiBranchResult
 			})
 		}
 		wg.Wait(c.Proc())
-		return nil
+		return errors.Join(errs...)
 	})
 	if err != nil {
 		return nil, err
 	}
 	res.Stats = stats
-	if functional {
-		final := make([]float32, n*n)
-		if err := fOut.File().Peek(view.F32Bytes(final), 0); err != nil {
+	if p.functional {
+		if res.Temp, err = p.readBack(fOut); err != nil {
 			return nil, err
 		}
-		res.Temp = fromChunkMajor(final, n, d)
 	}
 	return res, nil
 }
 
-// processBranchChunk runs one chunk through one branch: load into the
-// branch's staging memory, iterate at its leaf, store back.
-func processBranchChunk(sub *core.Ctx, branch *topo.Node, cfg MultiBranchConfig,
-	ci, cb int, chunkBytes, borderBytes int64,
-	fIn, fOut, fP, fB *core.Buffer, functional bool) error {
-
-	d := cfg.ChunkDim
-	tin, err := sub.AllocAt(branch, chunkBytes)
+// branchChunk runs chunk ci through one branch: load it into the branch's
+// staging memory, run the leaf step below it, store it back.
+func (p *problem) branchChunk(sub *core.Ctx, branch *topo.Node, ci int, fIn, fOut, fP, fB *core.Buffer) error {
+	b, err := p.allocChunk(sub, branch)
 	if err != nil {
 		return err
 	}
-	tout, err := sub.AllocAt(branch, chunkBytes)
-	if err != nil {
+	defer b.release(sub)
+	if err := sub.MoveData(b.tin, fIn, 0, int64(ci)*p.chunkBytes, p.chunkBytes); err != nil {
 		return err
 	}
-	pow, err := sub.AllocAt(branch, chunkBytes)
-	if err != nil {
+	if err := sub.MoveData(b.pow, fP, 0, int64(ci)*p.chunkBytes, p.chunkBytes); err != nil {
 		return err
 	}
-	bord, err := sub.AllocAt(branch, borderBytes)
-	if err != nil {
+	if err := sub.MoveData(b.bord, fB, 0, borderOff(ci, p.d), p.borderBytes); err != nil {
 		return err
 	}
-	defer func() {
-		sub.Release(tin)
-		sub.Release(tout)
-		sub.Release(pow)
-		sub.Release(bord)
-	}()
-	if err := sub.MoveData(tin, fIn, 0, int64(ci)*chunkBytes, chunkBytes); err != nil {
-		return err
-	}
-	if err := sub.MoveData(pow, fP, 0, int64(ci)*chunkBytes, chunkBytes); err != nil {
-		return err
-	}
-	if err := sub.MoveData(bord, fB, 0, borderOff(ci, d), borderBytes); err != nil {
-		return err
-	}
-	err = sub.Descend(branch, func(lc *core.Ctx) error {
-		var blk *Block
-		if functional {
-			blk = &Block{
-				D:     d,
-				In:    view.F32(tin.Bytes()),
-				Out:   view.F32(tout.Bytes()),
-				Power: view.F32(pow.Bytes()),
-				B:     unpackBorders(view.F32(bord.Bytes()), d, cb, ci),
-			}
-		}
-		for it := 0; it < cfg.Iters; it++ {
-			kern, groups := TileKernelFor(blk, d)
-			if _, err := lc.LaunchKernel(kern, groups); err != nil {
-				return err
-			}
-			if blk != nil {
-				blk.Swap()
-			}
-		}
-		if functional && cfg.Iters%2 == 1 {
-			copy(view.F32(tin.Bytes()), view.F32(tout.Bytes()))
-		}
-		return nil
+	err = sub.Descend(branch, func(dc *core.Ctx) error {
+		return p.computeChunk(dc, b, ci)
 	})
 	if err != nil {
 		return err
 	}
-	return sub.MoveData(fOut, tin, int64(ci)*chunkBytes, 0, chunkBytes)
+	return sub.MoveData(fOut, b.tin, int64(ci)*p.chunkBytes, 0, p.chunkBytes)
 }

@@ -1,9 +1,13 @@
 package hotspot
 
 import (
+	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/device"
 	"repro/internal/sim"
 	"repro/internal/topo"
 	"repro/internal/workload"
@@ -104,5 +108,68 @@ func TestMultiBranchValidation(t *testing.T) {
 	rt := newMultiBranchRuntime(true, []bool{false}, 8)
 	if _, err := RunMultiBranch(rt, MultiBranchConfig{N: 100, ChunkDim: 30}); err == nil {
 		t.Fatal("invalid config accepted")
+	}
+}
+
+// TestMultiBranchReachesGPUBelowBranch runs the committed asymmetric spec,
+// whose nvm-b branch has its GPU one level down at hbm-b: chunks that land
+// there must be staged into hbm-b and computed by its GPU, so both policies
+// match the blocked reference and use both branches.
+func TestMultiBranchReachesGPUBelowBranch(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "..", "specs", "asymmetric.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := topo.ParseSpec(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := workload.HotSpotGrid(256, 3)
+	want, err := ReferenceBlocked(g.Temp, g.Power, 256, 64, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, policy := range []BranchPolicy{StaticPartition, DynamicQueue} {
+		e := sim.NewEngine()
+		tree, err := topo.BuildSpec(e, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt := core.NewRuntime(e, tree, core.DefaultOptions())
+		cfg := MultiBranchConfig{N: 256, Seed: 3, ChunkDim: 64, Iters: 3, Policy: policy}
+		res, err := RunMultiBranch(rt, cfg)
+		if err != nil {
+			t.Fatalf("%v: %v", policy, err)
+		}
+		if !almostEqual(res.Temp, want) {
+			t.Fatalf("%v: result differs from the blocked reference", policy)
+		}
+		for bi, n := range res.ChunksByBranch {
+			if n == 0 {
+				t.Fatalf("%v: branch %d took no chunks (%v)", policy, bi, res.ChunksByBranch)
+			}
+		}
+	}
+}
+
+// TestMultiBranchReportsBranchFailure gives one branch too little memory
+// to stage a single chunk: the run must fail with that branch's
+// allocation error instead of returning a partial grid.
+func TestMultiBranchReportsBranchFailure(t *testing.T) {
+	e := sim.NewEngine()
+	tree := topo.MultiBranch(e, topo.MultiBranchConfig{
+		Storage: topo.SSD, StorageMiB: 512,
+		BranchDRAMMiB: []int64{16, 1},
+	})
+	opts := core.DefaultOptions()
+	opts.Phantom = true
+	rt := core.NewRuntime(e, tree, opts)
+	res, err := RunMultiBranch(rt, MultiBranchConfig{N: 1024, ChunkDim: 512, Policy: StaticPartition})
+	if err == nil {
+		t.Fatalf("run with an unstageable branch succeeded (chunks by branch %v)", res.ChunksByBranch)
+	}
+	var capErr *device.ErrCapacity
+	if !errors.As(err, &capErr) {
+		t.Fatalf("error %q is not the branch's allocation failure", err)
 	}
 }

@@ -107,39 +107,15 @@ func TileKernelFor(blk *Block, d int) (gpu.Kernel, int) {
 // steps on the GPU with pass-start border vectors, writes results back, and
 // regenerates the border file for the next pass from chunk edges.
 func RunNorthup(rt *core.Runtime, cfg Config) (*Result, error) {
-	return runChunked(rt, cfg, func(lc *core.Ctx, blk *Block, d int) error {
-		for it := 0; it < cfg.itersResolved(); it++ {
-			kern, groups := TileKernelFor(blk, d)
-			if _, err := lc.LaunchKernel(kern, groups); err != nil {
-				return err
-			}
-			if blk != nil {
-				blk.Swap()
-			}
-		}
-		return nil
-	})
+	return runChunked(rt, cfg, launchSteps)
 }
-
-// itersResolved returns the per-pass iteration count after defaulting.
-func (cfg *Config) itersResolved() int {
-	if cfg.Iters <= 0 {
-		return 60
-	}
-	return cfg.Iters
-}
-
-// chunkComputeFn advances one chunk by the configured iteration count.
-// blk is nil in phantom mode; implementations must call blk.Swap() after
-// every iteration so the final state lands per the odd/even convention
-// runChunked folds up.
-type chunkComputeFn func(lc *core.Ctx, blk *Block, d int) error
 
 // runChunked is the shared out-of-core skeleton: preprocessing, the
 // load / compute / store pipeline over chunks, border regeneration between
 // passes, and result assembly. RunNorthup plugs in the kernel-launch
-// compute; RunSteal plugs in the queue-based CPU+GPU scheduler.
-func runChunked(rt *core.Runtime, cfg Config, compute chunkComputeFn) (*Result, error) {
+// step; RunSteal the queue-based CPU+GPU scheduler; RunProfiled the
+// profile-guided processor choice.
+func runChunked(rt *core.Runtime, cfg Config, step chunkStep) (*Result, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
@@ -159,47 +135,32 @@ func runChunked(rt *core.Runtime, cfg Config, compute chunkComputeFn) (*Result, 
 	if n%d != 0 || d%BlockDim != 0 {
 		return nil, fmt.Errorf("hotspot: chunk %d invalid for N=%d", d, n)
 	}
-	cb := n / d
-	chunks := cb * cb
-	chunkBytes := int64(d) * int64(d) * 4
-	borderBytes := int64(4*d) * 4
+	p := newProblem(rt, cfg, d, step)
+	chunks, chunkBytes, borderBytes := p.chunks, p.chunkBytes, p.borderBytes
 
-	// Preprocess inputs (untimed, as in the paper): chunk-major temp and
-	// power files, plus the initial border file.
-	functional := !rt.Phantom()
-	var tempPre, powerPre, border0 []byte
-	var grid *workload.Grid
-	if functional {
-		grid = workload.HotSpotGrid(n, cfg.Seed)
-		tempPre = view.F32Bytes(toChunkMajor(grid.Temp, n, d))
-		powerPre = view.F32Bytes(toChunkMajor(grid.Power, n, d))
-		border0 = view.F32Bytes(packAllBorders(grid.Temp, n, d))
-	}
-	gridBytes := int64(n) * int64(n) * 4
+	// Chunk-major temp and power files, plus the initial border file.
+	temp, power, border := p.inputs()
 	fT := [2]*core.Buffer{}
 	var err error
-	if fT[0], err = rt.CreateInput(root, "hs-temp-0", gridBytes, tempPre); err != nil {
+	if fT[0], err = rt.CreateInput(root, "hs-temp-0", p.gridBytes, temp); err != nil {
 		return nil, err
 	}
-	if fT[1], err = rt.CreateInput(root, "hs-temp-1", gridBytes, nil); err != nil {
+	if fT[1], err = rt.CreateInput(root, "hs-temp-1", p.gridBytes, nil); err != nil {
 		return nil, err
 	}
-	fP, err := rt.CreateInput(root, "hs-power", gridBytes, powerPre)
+	fP, err := rt.CreateInput(root, "hs-power", p.gridBytes, power)
 	if err != nil {
 		return nil, err
 	}
 	fB := [2]*core.Buffer{}
-	if fB[0], err = rt.CreateInput(root, "hs-border-0", int64(chunks)*borderBytes, border0); err != nil {
+	if fB[0], err = rt.CreateInput(root, "hs-border-0", int64(chunks)*borderBytes, border); err != nil {
 		return nil, err
 	}
 	if fB[1], err = rt.CreateInput(root, "hs-border-1", int64(chunks)*borderBytes, nil); err != nil {
 		return nil, err
 	}
 
-	type inflight struct {
-		tin, tout, pow, bord *core.Buffer
-	}
-	slots := make([]inflight, chunks)
+	slots := make([]chunkBufs, chunks)
 
 	stats, err := rt.Run("hotspot-northup", func(c *core.Ctx) error {
 		for pass := 0; pass < cfg.Passes; pass++ {
@@ -210,7 +171,7 @@ func runChunked(rt *core.Runtime, cfg Config, compute chunkComputeFn) (*Result, 
 			err := c.Pipeline(chunks, cfg.Depth,
 				func(sub *core.Ctx, ci int) error { // load chunk + borders
 					return sub.Task("load-chunk", chunkBytes, func(sub *core.Ctx) error {
-						var s inflight
+						var s chunkBufs
 						var err error
 						if s.tin, err = sub.AllocAt(dram, chunkBytes); err != nil {
 							return err
@@ -233,24 +194,17 @@ func runChunked(rt *core.Runtime, cfg Config, compute chunkComputeFn) (*Result, 
 							return err
 						}
 						slots[ci] = s
-						if cfg.Streamed {
-							if err := sub.MoveDataDownStreamed(s.tin, src, 0, int64(ci)*chunkBytes, chunkBytes, cfg.StreamOpts); err != nil {
-								return err
-							}
-							return sub.MoveDataDownStreamed(s.bord, bSrc, 0, borderOff(ci, d), borderBytes, cfg.StreamOpts)
-						}
-						if err := sub.MoveData(s.tin, src, 0, int64(ci)*chunkBytes, chunkBytes); err != nil {
+						if err := p.moveDown(sub, s.tin, src, 0, int64(ci)*chunkBytes, chunkBytes); err != nil {
 							return err
 						}
-						return sub.MoveData(s.bord, bSrc, 0, borderOff(ci, d), borderBytes)
+						return p.moveDown(sub, s.bord, bSrc, 0, borderOff(ci, d), borderBytes)
 					})
 				},
 				func(sub *core.Ctx, ci int) error { // compute at the leaf, then store
 					return sub.Task("compute-store", chunkBytes, func(sub *core.Ctx) error {
 						s := slots[ci]
 						err := sub.Descend(dram, func(dc *core.Ctx) error {
-							return computeChunk(dc, cfg, compute, s.tin, s.tout, s.pow, s.bord,
-								d, cb, ci, functional)
+							return p.computeChunk(dc, s, ci)
 						})
 						if err != nil {
 							return err
@@ -260,21 +214,17 @@ func runChunked(rt *core.Runtime, cfg Config, compute chunkComputeFn) (*Result, 
 						// bounds in-flight chunks to depth+1, which is what a
 						// 2 GiB staging buffer admits at the paper's 8k
 						// blocking.
-						if cfg.Streamed {
-							if err := sub.MoveDataUpStreamed(dst, s.tin, int64(ci)*chunkBytes, 0, chunkBytes, cfg.StreamOpts); err != nil {
-								return err
-							}
-						} else if err := sub.MoveData(dst, s.tin, int64(ci)*chunkBytes, 0, chunkBytes); err != nil {
+						if err := p.moveUp(sub, dst, s.tin, int64(ci)*chunkBytes, 0, chunkBytes); err != nil {
 							return err
 						}
-						if err := writeNeighborBorders(sub, bDst, s.tin, d, cb, ci); err != nil {
+						if err := writeNeighborBorders(sub, bDst, s.tin, d, p.cb, ci); err != nil {
 							return err
 						}
 						sub.Release(s.tin)
 						sub.Release(s.tout)
 						sub.Unpin(s.pow)
 						sub.Release(s.bord)
-						slots[ci] = inflight{}
+						slots[ci] = chunkBufs{}
 						return nil
 					})
 				},
@@ -290,108 +240,12 @@ func runChunked(rt *core.Runtime, cfg Config, compute chunkComputeFn) (*Result, 
 	}
 
 	res := &Result{Stats: stats, ChunkDim: d}
-	if functional {
-		final := make([]float32, n*n)
-		if err := fT[cfg.Passes%2].File().Peek(view.F32Bytes(final), 0); err != nil {
+	if p.functional {
+		if res.Temp, err = p.readBack(fT[cfg.Passes%2]); err != nil {
 			return nil, err
 		}
-		res.Temp = fromChunkMajor(final, n, d)
 	}
 	return res, nil
-}
-
-// computeChunk runs the per-chunk iterations at the leaf. On the 2-level
-// APU tree dc already is the leaf; on the 3-level discrete tree (Figure 8)
-// the chunk and its borders move one more level down into GPU device
-// memory, compute there, and the result moves back up over PCIe.
-func computeChunk(dc *core.Ctx, cfg Config, compute chunkComputeFn,
-	tin, tout, pow, bord *core.Buffer, d, cb, ci int, functional bool) error {
-
-	foldOdd := func(in, out *core.Buffer) {
-		if functional && cfg.itersResolved()%2 == 1 {
-			// An odd iteration count leaves the result in the out backing
-			// array; fold it back so the store path always reads in.
-			copy(view.F32(in.Bytes()), view.F32(out.Bytes()))
-		}
-	}
-	mkBlock := func(in, out, power, borders *core.Buffer) *Block {
-		if !functional {
-			return nil
-		}
-		return &Block{
-			D:     d,
-			In:    view.F32(in.Bytes()),
-			Out:   view.F32(out.Bytes()),
-			Power: view.F32(power.Bytes()),
-			B:     unpackBorders(view.F32(borders.Bytes()), d, cb, ci),
-		}
-	}
-
-	if dc.IsLeaf() {
-		if err := compute(dc, mkBlock(tin, tout, pow, bord), d); err != nil {
-			return err
-		}
-		foldOdd(tin, tout)
-		return nil
-	}
-
-	// 3-level path: stage the chunk into the child (GPU device) memory.
-	child := dc.Children()[0]
-	chunkBytes := tin.Size()
-	gin, err := dc.AllocAt(child, chunkBytes)
-	if err != nil {
-		return err
-	}
-	gout, err := dc.AllocAt(child, chunkBytes)
-	if err != nil {
-		return err
-	}
-	gpow, err := dc.AllocAt(child, chunkBytes)
-	if err != nil {
-		return err
-	}
-	gbord, err := dc.AllocAt(child, bord.Size())
-	if err != nil {
-		return err
-	}
-	defer func() {
-		dc.Release(gin)
-		dc.Release(gout)
-		dc.Release(gpow)
-		dc.Release(gbord)
-	}()
-	moveDown := func(dst, src *core.Buffer, n int64) error {
-		if cfg.Streamed {
-			return dc.MoveDataDownStreamed(dst, src, 0, 0, n, cfg.StreamOpts)
-		}
-		return dc.MoveDataDown(dst, src, 0, 0, n)
-	}
-	if err := moveDown(gin, tin, chunkBytes); err != nil {
-		return err
-	}
-	if err := moveDown(gpow, pow, chunkBytes); err != nil {
-		return err
-	}
-	if err := moveDown(gbord, bord, bord.Size()); err != nil {
-		return err
-	}
-	err = dc.Descend(child, func(lc *core.Ctx) error {
-		if !lc.IsLeaf() {
-			return fmt.Errorf("hotspot: trees deeper than 3 levels are not supported")
-		}
-		if err := compute(lc, mkBlock(gin, gout, gpow, gbord), d); err != nil {
-			return err
-		}
-		foldOdd(gin, gout)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if cfg.Streamed {
-		return dc.MoveDataUpStreamed(tin, gin, 0, 0, chunkBytes, cfg.StreamOpts)
-	}
-	return dc.MoveDataUp(tin, gin, 0, 0, chunkBytes)
 }
 
 // writeNeighborBorders packs the result chunk's edge rows/columns and
@@ -545,7 +399,6 @@ func RunInMemory(rt *core.Runtime, cfg Config) (*Result, error) {
 	n := cfg.N
 	gridBytes := int64(n) * int64(n) * 4
 	functional := !rt.Phantom()
-	iters := cfg.Iters * cfg.Passes
 
 	var res *Result
 	stats, err := rt.Run("hotspot-inmemory", func(c *core.Ctx) error {
@@ -569,14 +422,8 @@ func RunInMemory(rt *core.Runtime, cfg Config) (*Result, error) {
 			copy(blk.In, grid.Temp)
 			copy(blk.Power, grid.Power)
 		}
-		for it := 0; it < iters; it++ {
-			kern, groups := TileKernelFor(blk, n)
-			if _, err := c.LaunchKernel(kern, groups); err != nil {
-				return err
-			}
-			if blk != nil {
-				blk.Swap()
-			}
+		if err := launchSteps(c, blk, n, cfg.Iters*cfg.Passes); err != nil {
+			return err
 		}
 		res = &Result{ChunkDim: n}
 		if functional {

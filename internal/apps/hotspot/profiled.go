@@ -54,13 +54,12 @@ func RunProfiledWarm(rt *core.Runtime, cfg Config, warm *sched.ProfileScheduler)
 		}
 	})
 	defer remove()
-	compute := func(lc *core.Ctx, blk *Block, d int) error {
+	step := func(lc *core.Ctx, blk *Block, d, iters int) error {
 		g := lc.GPUModel()
 		cpu := lc.CPUModel()
 		if g == nil || cpu == nil {
 			return fmt.Errorf("hotspot: profiled mapping needs both CPU and GPU at %v", lc.Node())
 		}
-		iters := cfg.itersResolved()
 		size := float64(d) * float64(d) * float64(iters)
 		pick, err := profiler.Pick([]string{g.ProcName(), cpu.ProcName()}, size)
 		if err != nil {
@@ -69,16 +68,7 @@ func RunProfiledWarm(rt *core.Runtime, cfg Config, warm *sched.ProfileScheduler)
 		return lc.Task(pick, int64(size), func(lc *core.Ctx) error {
 			if pick == g.ProcName() {
 				res.ChunksOnGPU++
-				for it := 0; it < iters; it++ {
-					kern, groups := TileKernelFor(blk, d)
-					if _, err := lc.LaunchKernel(kern, groups); err != nil {
-						return err
-					}
-					if blk != nil {
-						blk.Swap()
-					}
-				}
-				return nil
+				return launchSteps(lc, blk, d, iters)
 			}
 			res.ChunksOnCPU++
 			tiles := (d + BlockDim - 1) / BlockDim
@@ -105,7 +95,7 @@ func RunProfiledWarm(rt *core.Runtime, cfg Config, warm *sched.ProfileScheduler)
 			return nil
 		})
 	}
-	r, err := runChunked(rt, cfg, compute)
+	r, err := runChunked(rt, cfg, step)
 	if err != nil {
 		return nil, err
 	}

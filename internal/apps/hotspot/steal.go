@@ -125,10 +125,10 @@ func RunSteal(rt *core.Runtime, cfg StealConfig) (*StealResult, error) {
 		return nil, fmt.Errorf("hotspot: steal run needs a storage root")
 	}
 	res := &StealResult{}
-	compute := func(lc *core.Ctx, blk *Block, d int) error {
+	step := func(lc *core.Ctx, blk *Block, d, _ int) error {
 		return stealCompute(lc, blk, d, cfg, res)
 	}
-	r, err := runChunked(rt, inner, compute)
+	r, err := runChunked(rt, inner, step)
 	if err != nil {
 		return nil, err
 	}
@@ -189,56 +189,15 @@ func stealCompute(lc *core.Ctx, blk *Block, d int, cfg StealConfig, res *StealRe
 	gpuQueues := queues[:cfg.GPUQueues]
 	cpuQueues := queues[cfg.GPUQueues:]
 
-	// Expose the queues on the tree node so subtree load is observable, as
-	// Listing 1's work_queue links intend. Attach/detach (rather than an
-	// assignment) keeps the registration correct when several jobs schedule
-	// on this node concurrently, and removes the monitors when the chunk is
-	// done so no stale queues linger on the shared tree.
-	monitors := make([]sched.Monitor, len(queues))
-	for i, q := range queues {
-		monitors[i] = q
-	}
-	detach := lc.Node().AttachQueues(monitors...)
-	defer detach()
-
-	// With tracing active, every steal becomes an instant on the victim
-	// queue's lane; with metrics active, pushes/pops/steals maintain the
-	// node's live depth gauge and the pop/steal totals. The depth goes
-	// through this scheduler's own additive slot, so concurrent jobs on
-	// the node sum instead of overwriting each other; Close withdraws the
-	// contribution when the chunk is done. Hook closures are only built
-	// when someone listens.
-	rtm := lc.Runtime()
-	traceOn := rtm.TraceRecorder() != nil
-	metricsOn := rtm.MetricsEnabled()
-	depthSlot := rtm.NewQueueDepthSlot(nodeID)
+	// Expose the queues on the tree node with the standard deque
+	// telemetry. The depth goes through this scheduler's own additive
+	// slot, so concurrent jobs on the node sum instead of overwriting each
+	// other; detaching and closing when the chunk is done leaves nothing
+	// stale on the shared tree.
+	depthSlot := lc.Runtime().NewQueueDepthSlot(nodeID)
 	defer depthSlot.Close()
-	if traceOn || metricsOn {
-		noteDepth := func() {
-			if metricsOn {
-				depthSlot.Set(int64(sched.TotalLen(queues)))
-			}
-		}
-		for i, q := range queues {
-			qi := int64(i)
-			q.OnSteal = func() {
-				if traceOn {
-					lc.TraceInstant(trace.TrackQueue, "steal", qi)
-				}
-				if metricsOn {
-					rtm.NoteSteals(1)
-				}
-				noteDepth()
-			}
-			if metricsOn {
-				q.OnPush = noteDepth
-				q.OnPop = func() {
-					rtm.NotePops(1)
-					noteDepth()
-				}
-			}
-		}
-	}
+	detach := core.WatchDeques(lc, lc.Node(), depthSlot, queues)
+	defer detach()
 
 	runRow := func(t rowTask) {
 		if blk != nil {

@@ -5,8 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gpu"
-	"repro/internal/topo"
-	"repro/internal/view"
 	"repro/internal/workload"
 )
 
@@ -135,355 +133,59 @@ func Kernel(blocks []RowBlock, rowPtr []int32, col []int32, val, x, y []float32)
 // hierarchy, splitting recursively when a shard's non-zeros exceed the next
 // level's capacity.
 func RunNorthup(rt *core.Runtime, cfg Config) (*Result, error) {
-	if err := cfg.setDefaults(); err != nil {
-		return nil, err
-	}
-	root := rt.Tree().Root()
-	if root.Store == nil {
-		return nil, fmt.Errorf("spmv: tree root %v is not storage", root)
-	}
-	dram := root.Children[0]
-	n := cfg.N
-	functional := !rt.Phantom()
-
-	// Host-side planning data: the row structure exists even in phantom
-	// mode (64 MiB at 16M rows); columns and values only functionally.
-	var m *workload.CSR
-	var rowPtrHost []int32
-	switch {
-	case cfg.Matrix != nil:
-		if !functional {
-			return nil, fmt.Errorf("spmv: provided matrices need a functional runtime")
-		}
-		m = cfg.Matrix
-		rowPtrHost = m.RowPtr
-	case functional:
-		m = workload.Sparse(cfg.Kind, n, cfg.AvgNNZ, cfg.Seed)
-		rowPtrHost = m.RowPtr
-	default:
-		rowPtrHost = workload.SparseRowPtr(cfg.Kind, n, cfg.AvgNNZ, cfg.Seed)
-	}
-	nnz := int64(rowPtrHost[n])
-
-	var xHost []float32
-	if functional {
-		xHost = workload.Vector(n, cfg.Seed+1)
-	}
-	var colBytes, valBytes []byte
-	if functional {
-		colBytes, valBytes = view.I32Bytes(m.ColIdx), view.F32Bytes(m.Val)
-	}
-	fRow, err := rt.CreateInput(root, "sp-rowptr", int64(n+1)*4, view.I32Bytes(rowPtrHost))
+	p, err := newProblem(rt, cfg)
 	if err != nil {
 		return nil, err
 	}
-	fCol, err := rt.CreateInput(root, "sp-colidx", nnz*4, colBytes)
-	if err != nil {
+	if err := p.planShards(p.cfg.Depth); err != nil {
 		return nil, err
 	}
-	fVal, err := rt.CreateInput(root, "sp-val", nnz*4, valBytes)
-	if err != nil {
-		return nil, err
-	}
-	fX, err := rt.CreateInput(root, "sp-x", int64(n)*4, view.F32Bytes(xHost))
-	if err != nil {
-		return nil, err
-	}
-	fY, err := rt.CreateInput(root, "sp-y", int64(n)*4, nil)
-	if err != nil {
-		return nil, err
-	}
-
-	// Shard budget: the tightest non-root level, after the resident
-	// vectors, shared among the in-flight pipeline slots.
-	vecBytes := int64(n) * 4
-	budget := int64(1) << 62
-	for node := dram; node != nil; node = childOf(node) {
-		free := node.Mem.Free()
-		resident := vecBytes // x everywhere on the path
-		if node == dram {
-			resident += vecBytes // y stays at the staging level
-		}
-		b := (free*9/10 - resident) / int64(cfg.Depth+1)
-		if b < budget {
-			budget = b
-		}
-	}
-	if budget <= 0 {
-		return nil, fmt.Errorf("spmv: vectors alone exceed the hierarchy's capacity")
-	}
-
-	// The recursion's planning pass: split ranges by nnz until they fit.
-	var shards []shardRange
-	splits := 0
-	var expand func(r0, r1 int) error
-	expand = func(r0, r1 int) error {
-		if shardBytes(rowPtrHost, r0, r1) <= budget {
-			shards = append(shards, shardRange{r0, r1})
-			return nil
-		}
-		if r1-r0 <= 1 {
-			return fmt.Errorf("spmv: row %d alone (%d nnz) exceeds the level budget %d",
-				r0, rowPtrHost[r0+1]-rowPtrHost[r0], budget)
-		}
-		splits++
-		mid := splitByNNZ(rowPtrHost, r0, r1)
-		if err := expand(r0, mid); err != nil {
-			return err
-		}
-		return expand(mid, r1)
-	}
-	for c := 0; c < cfg.Chunks; c++ {
-		r0 := n * c / cfg.Chunks
-		r1 := n * (c + 1) / cfg.Chunks
-		if r0 == r1 {
-			continue
-		}
-		if err := expand(r0, r1); err != nil {
-			return nil, err
-		}
-	}
-
-	type inflight struct {
-		row, col, val *core.Buffer
-	}
-	slots := make([]inflight, len(shards))
-
-	var yView []float32
+	shards := p.shards
+	slots := make([]shardBufs, len(shards))
 	stats, err := rt.Run("spmv-northup", func(c *core.Ctx) error {
-		// Vectors down the tree: x to every level on the leaf path, y at
-		// the staging level.
-		xStage, err := c.AllocAt(dram, vecBytes)
-		if err != nil {
-			return err
-		}
-		defer c.Release(xStage)
-		if err := c.MoveDataDown(xStage, fX, 0, 0, vecBytes); err != nil {
-			return err
-		}
-		yStage, err := c.AllocAt(dram, vecBytes)
-		if err != nil {
-			return err
-		}
-		defer c.Release(yStage)
-		xLeafBuf := xStage
-		leaf := dram
-		for !leaf.IsLeaf() {
-			child := leaf.Children[0]
-			xChild, err := c.AllocAt(child, vecBytes)
-			if err != nil {
-				return err
-			}
-			defer c.Release(xChild)
-			if err := c.MoveData(xChild, xLeafBuf, 0, 0, vecBytes); err != nil {
-				return err
-			}
-			xLeafBuf = xChild
-			leaf = child
-		}
-		if functional {
-			yView = view.F32(yStage.Bytes())
-		}
-
-		for iter := 0; iter < cfg.Iters; iter++ {
-			err = c.Pipeline(len(shards), cfg.Depth,
-				func(sub *core.Ctx, si int) error { // load shard from storage
-					sh := shards[si]
-					rows := sh.r1 - sh.r0
-					shardNNZ := int64(rowPtrHost[sh.r1] - rowPtrHost[sh.r0])
-					off := int64(rowPtrHost[sh.r0]) * 4
-					// The matrix extents are read-only and re-read on every
-					// power iteration, so they go through the staging cache:
-					// iteration 1 streams from storage, later iterations hit
-					// resident shards (capacity permitting).
-					var s inflight
-					var err error
-					if s.row, err = sub.MoveDataDownCached(dram, fRow, int64(sh.r0)*4, int64(rows+1)*4); err != nil {
-						return err
-					}
-					if s.col, err = sub.MoveDataDownCached(dram, fCol, off, shardNNZ*4); err != nil {
-						return err
-					}
-					if s.val, err = sub.MoveDataDownCached(dram, fVal, off, shardNNZ*4); err != nil {
-						return err
-					}
-					slots[si] = s
-					// The pipeline schedule is deterministic: shard si+1 loads
-					// next. Hint its extents behind this shard's fetches.
-					if nx := si + 1; nx < len(shards) {
-						nsh := shards[nx]
-						noff := int64(rowPtrHost[nsh.r0]) * 4
-						nNNZ := int64(rowPtrHost[nsh.r1] - rowPtrHost[nsh.r0])
-						sub.Prefetch(dram, fRow, int64(nsh.r0)*4, int64(nsh.r1-nsh.r0+1)*4)
-						sub.Prefetch(dram, fCol, noff, nNNZ*4)
-						sub.Prefetch(dram, fVal, noff, nNNZ*4)
-					}
-					return nil
-				},
-				func(sub *core.Ctx, si int) error { // bin on CPU, compute at leaf
-					sh := shards[si]
-					s := slots[si]
-					err := sub.Descend(dram, func(dc *core.Ctx) error {
-						return computeShard(dc, cfg, sh, s.row, s.col, s.val,
-							xLeafBuf, yStage, yView, rowPtrHost, functional)
-					})
-					sub.Unpin(s.row)
-					sub.Unpin(s.col)
-					sub.Unpin(s.val)
-					slots[si] = inflight{}
-					return err
-				},
-			)
-			if err != nil {
-				return err
-			}
-			if iter < cfg.Iters-1 {
-				// Power-iteration step: x <- y / ||y||_inf on the CPU, then
-				// refresh the leaf-resident copy of x.
-				if _, err := c.RunCPUParallel(4*float64(n), 8*float64(n), func() {
-					if !functional {
-						return
-					}
-					xv := view.F32(xStage.Bytes())
-					norm := float32(0)
-					for _, v := range yView {
-						if v < 0 {
-							v = -v
+		return p.withVectors(c, func(v vectors) error {
+			for iter := 0; iter < p.cfg.Iters; iter++ {
+				err := c.Pipeline(len(shards), p.cfg.Depth,
+					func(sub *core.Ctx, si int) error { // load shard from storage
+						s, err := p.loadShard(sub, shards[si])
+						if err != nil {
+							return err
 						}
-						if v > norm {
-							norm = v
+						slots[si] = s
+						// The pipeline schedule is deterministic: shard si+1
+						// loads next. Hint its extents behind this shard's
+						// fetches.
+						if nx := si + 1; nx < len(shards) {
+							p.prefetchShard(sub, shards[nx])
 						}
-					}
-					if norm == 0 {
-						norm = 1
-					}
-					for i, v := range yView {
-						xv[i] = v / norm
-					}
-				}); err != nil {
+						return nil
+					},
+					func(sub *core.Ctx, si int) error { // bin on CPU, compute at leaf
+						s := slots[si]
+						err := p.shardStep(sub, shards[si], s, v)
+						sub.Unpin(s.row)
+						sub.Unpin(s.col)
+						sub.Unpin(s.val)
+						slots[si] = shardBufs{}
+						return err
+					},
+				)
+				if err != nil {
 					return err
 				}
-				// The staging copy changed; charge its propagation to the
-				// deeper levels (3-level trees keep x in device memory).
-				if xLeafBuf != xStage {
-					if err := c.MoveData(xLeafBuf, xStage, 0, 0, vecBytes); err != nil {
+				if iter < p.cfg.Iters-1 {
+					if err := p.normalize(c, v); err != nil {
 						return err
 					}
 				}
-				// On 2-level trees the leaf reads xStage directly.
 			}
-		}
-		// Result vector back to storage (b is one sequential write).
-		return c.MoveData(fY, yStage, 0, 0, vecBytes)
+			return nil
+		})
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	res := &Result{Stats: stats, Shards: len(shards), Splits: splits}
-	if functional {
-		y := make([]float32, n)
-		if err := fY.File().Peek(view.F32Bytes(y), 0); err != nil {
-			return nil, err
-		}
-		res.Y = y
-	}
-	return res, nil
-}
-
-// childOf returns a node's only child, or nil at a leaf.
-func childOf(n *topo.Node) *topo.Node {
-	if n.IsLeaf() {
-		return nil
-	}
-	return n.Children[0]
-}
-
-// computeShard bins the shard's rows on the CPU, then launches the
-// CSR-Adaptive kernels on the leaf GPU, descending one more level first on
-// 3-level trees (shard data to GPU device memory, y segment back up).
-func computeShard(dc *core.Ctx, cfg Config, sh shardRange,
-	rowBuf, colBuf, valBuf, xLeaf, yStage *core.Buffer,
-	yView []float32, rowPtrHost []int32, functional bool) error {
-
-	rows := sh.r1 - sh.r0
-	// CPU binning (charged; functional work is the same host call).
-	var blocks []RowBlock
-	shardRowPtr := rowPtrHost[sh.r0 : sh.r1+1]
-	if _, err := dc.RunCPU(BinFlopsPerRow*float64(rows), BinBytesPerRow*float64(rows),
-		func() { blocks = BuildRowBlocks(shardRowPtr) }); err != nil {
-		return err
-	}
-	if blocks == nil {
-		// Phantom runs still need block shapes for the cost model.
-		blocks = BuildRowBlocks(shardRowPtr)
-	}
-
-	if dc.IsLeaf() {
-		var col []int32
-		var val, x, y []float32
-		if functional {
-			col = view.I32(colBuf.Bytes())
-			val = view.F32(valBuf.Bytes())
-			x = view.F32(xLeaf.Bytes())
-			y = yView[sh.r0:sh.r1]
-		}
-		kern := Kernel(blocks, shardRowPtr, col, val, x, y)
-		_, err := dc.LaunchKernel(kern, len(blocks))
-		return err
-	}
-
-	// 3-level path: shard data and a y segment move to the child level.
-	child := dc.Children()[0]
-	shardNNZ := int64(shardRowPtr[rows] - shardRowPtr[0])
-	gRow, err := dc.AllocAt(child, int64(rows+1)*4)
-	if err != nil {
-		return err
-	}
-	gCol, err := dc.AllocAt(child, shardNNZ*4)
-	if err != nil {
-		return err
-	}
-	gVal, err := dc.AllocAt(child, shardNNZ*4)
-	if err != nil {
-		return err
-	}
-	gY, err := dc.AllocAt(child, int64(rows)*4)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		dc.Release(gRow)
-		dc.Release(gCol)
-		dc.Release(gVal)
-		dc.Release(gY)
-	}()
-	if err := dc.MoveDataDown(gRow, rowBuf, 0, 0, int64(rows+1)*4); err != nil {
-		return err
-	}
-	if err := dc.MoveDataDown(gCol, colBuf, 0, 0, shardNNZ*4); err != nil {
-		return err
-	}
-	if err := dc.MoveDataDown(gVal, valBuf, 0, 0, shardNNZ*4); err != nil {
-		return err
-	}
-	err = dc.Descend(child, func(lc *core.Ctx) error {
-		var col []int32
-		var val, x, y []float32
-		if functional {
-			col = view.I32(gCol.Bytes())
-			val = view.F32(gVal.Bytes())
-			x = view.F32(xLeaf.Bytes())
-			y = view.F32(gY.Bytes())
-		}
-		kern := Kernel(blocks, shardRowPtr, col, val, x, y)
-		_, kerr := lc.LaunchKernel(kern, len(blocks))
-		return kerr
-	})
-	if err != nil {
-		return err
-	}
-	return dc.MoveDataUp(yStage, gY, int64(sh.r0)*4, 0, int64(rows)*4)
+	return p.result(stats)
 }
 
 // RunInMemory executes the in-memory baseline: matrix and vectors resident
@@ -498,20 +200,9 @@ func RunInMemory(rt *core.Runtime, cfg Config) (*Result, error) {
 	}
 	n := cfg.N
 	functional := !rt.Phantom()
-	var m *workload.CSR
-	var rowPtrHost []int32
-	switch {
-	case cfg.Matrix != nil:
-		if !functional {
-			return nil, fmt.Errorf("spmv: provided matrices need a functional runtime")
-		}
-		m = cfg.Matrix
-		rowPtrHost = m.RowPtr
-	case functional:
-		m = workload.Sparse(cfg.Kind, n, cfg.AvgNNZ, cfg.Seed)
-		rowPtrHost = m.RowPtr
-	default:
-		rowPtrHost = workload.SparseRowPtr(cfg.Kind, n, cfg.AvgNNZ, cfg.Seed)
+	m, rowPtrHost, err := hostMatrix(cfg, functional)
+	if err != nil {
+		return nil, err
 	}
 	nnz := int64(rowPtrHost[n])
 

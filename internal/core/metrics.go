@@ -4,7 +4,9 @@ import (
 	"strconv"
 
 	"repro/internal/obs"
+	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/topo"
 	"repro/internal/trace"
 )
 
@@ -99,11 +101,10 @@ type runtimeMetrics struct {
 	// The gauge publishes the sum over live QueueDepthSlots, so concurrent
 	// schedulers on one node compose additively instead of overwriting
 	// each other's absolute depth.
-	queueDepth  map[int]*obs.Gauge
-	depthTotal  map[int]int64           // node -> sum of live slot depths
-	legacySlots map[int]*QueueDepthSlot // NoteQueueDepth's implicit slots
-	queuePops   *obs.Counter
-	queueSteal  *obs.Counter
+	queueDepth map[int]*obs.Gauge
+	depthTotal map[int]int64 // node -> sum of live slot depths
+	queuePops  *obs.Counter
+	queueSteal *obs.Counter
 
 	// Task-graph placement instruments (internal/taskgraph): per-policy
 	// decision counts, the task total, and the per-node bytes affinity
@@ -128,7 +129,6 @@ func newRuntimeMetrics(rt *Runtime, reg *obs.Registry, sampler *obs.Sampler) *ru
 		nominalBW:   map[int]float64{},
 		queueDepth:  map[int]*obs.Gauge{},
 		depthTotal:  map[int]int64{},
-		legacySlots: map[int]*QueueDepthSlot{},
 		streamRing:  map[int]*obs.Gauge{},
 		streamHopBW: map[int]*obs.Gauge{},
 		schedPlace:  map[string]*obs.Counter{},
@@ -331,9 +331,9 @@ func (m *runtimeMetrics) depthGauge(node int) *obs.Gauge {
 // QueueDepthSlot is one scheduler's contribution to a node's queue-depth
 // gauge. The gauge always publishes the sum of all live slots on the node,
 // which is what makes the metric correct when several jobs run leaf
-// schedulers on the same node concurrently: the old absolute-set form
-// (NoteQueueDepth) made the last writer win, so one job finishing could
-// freeze another job's stale depth into the gauge forever.
+// schedulers on the same node concurrently: an absolute-set gauge would
+// let the last writer win, so one job finishing could freeze another
+// job's stale depth into the gauge forever.
 //
 // A scheduler obtains a slot at setup (NewQueueDepthSlot), calls Set with
 // its own total on every queue event, and must Close the slot when it
@@ -373,23 +373,52 @@ func (s *QueueDepthSlot) Close() {
 	s.closed = true
 }
 
-// NoteQueueDepth publishes a leaf scheduler's queue depth for node as a
-// gauge (the sampler's subject). No-op without metrics.
-//
-// It writes through a per-node slot owned by the runtime, so a single
-// scheduler per node behaves exactly as before; schedulers that can run
-// concurrently on one node must hold their own slot (NewQueueDepthSlot)
-// instead, or their depths overwrite each other within the shared slot.
-func (rt *Runtime) NoteQueueDepth(node int, depth int64) {
-	if rt.met == nil {
-		return
+// WatchDeques is the standard telemetry of a leaf scheduler's deques. It
+// attaches them to node's queue monitors, so subtree load is observable as
+// Listing 1's work_queue links intend, and wires their hooks when anyone
+// listens: with a trace recorder each steal is an instant on c's queue
+// lane naming the victim queue; with metrics, pops and steals feed the
+// runtime totals and every push, pop and steal republishes the deques'
+// total length through depth. The caller owns depth (it may also Set it at
+// its own barriers) and calls detach when the deques retire.
+func WatchDeques[T any](c *Ctx, node *topo.Node, depth *QueueDepthSlot, queues []*sched.Deque[T]) (detach func()) {
+	monitors := make([]sched.Monitor, len(queues))
+	for i, q := range queues {
+		monitors[i] = q
 	}
-	s, ok := rt.met.legacySlots[node]
-	if !ok {
-		s = rt.NewQueueDepthSlot(node)
-		rt.met.legacySlots[node] = s
+	detach = node.AttachQueues(monitors...)
+
+	rt := c.rt
+	traceOn := rt.TraceRecorder() != nil
+	metricsOn := rt.MetricsEnabled()
+	if !traceOn && !metricsOn {
+		return detach
 	}
-	s.Set(depth)
+	noteDepth := func() {
+		if metricsOn {
+			depth.Set(int64(sched.TotalLen(queues)))
+		}
+	}
+	for i, q := range queues {
+		qi := int64(i)
+		q.OnSteal = func() {
+			if traceOn {
+				c.TraceInstant(trace.TrackQueue, "steal", qi)
+			}
+			if metricsOn {
+				rt.NoteSteals(1)
+			}
+			noteDepth()
+		}
+		if metricsOn {
+			q.OnPush = noteDepth
+			q.OnPop = func() {
+				rt.NotePops(1)
+				noteDepth()
+			}
+		}
+	}
+	return detach
 }
 
 // NoteSchedPlacement records one task-graph placement decision: policy is

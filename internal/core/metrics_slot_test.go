@@ -59,29 +59,6 @@ func TestQueueDepthSlotsAreAdditive(t *testing.T) {
 	}
 }
 
-// TestNoteQueueDepthCompatibleWithSlots pins the legacy absolute-set entry
-// point's coexistence with slots: NoteQueueDepth publishes through its own
-// per-node slot, so it composes additively with scheduler slots instead of
-// clobbering them.
-func TestNoteQueueDepthCompatibleWithSlots(t *testing.T) {
-	rt, _ := newMetricsRuntime(t, 0)
-
-	s := rt.NewQueueDepthSlot(1)
-	s.Set(4)
-	rt.NoteQueueDepth(1, 10)
-	if got := depthValue(t, rt); got != 14 {
-		t.Fatalf("slot 4 + legacy 10: gauge = %v, want 14", got)
-	}
-	rt.NoteQueueDepth(1, 2) // legacy path replaces its own contribution
-	if got := depthValue(t, rt); got != 6 {
-		t.Fatalf("slot 4 + legacy 2: gauge = %v, want 6", got)
-	}
-	s.Close()
-	if got := depthValue(t, rt); got != 2 {
-		t.Fatalf("legacy 2 after slot close: gauge = %v, want 2", got)
-	}
-}
-
 // TestQueueDepthSlotMetricsOff checks slots are safe no-ops on a runtime
 // without a metrics registry.
 func TestQueueDepthSlotMetricsOff(t *testing.T) {

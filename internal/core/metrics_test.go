@@ -56,9 +56,10 @@ func TestMetricsDisabledZeroAlloc(t *testing.T) {
 		t.Fatal("metrics enabled on a default runtime")
 	}
 	lane := trace.Lane{Node: 1, Track: trace.TrackXfer}
+	depth := rt.NewQueueDepthSlot(1)
 	allocs := testing.AllocsPerRun(200, func() {
 		rt.chargeSpan(nil, lane, trace.Transfer, spanMove, 0, 10, 64)
-		rt.NoteQueueDepth(1, 5)
+		depth.Set(5)
 		rt.NotePops(1)
 		rt.NoteSteals(1)
 		rt.SyncMetrics()

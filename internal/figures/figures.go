@@ -84,10 +84,6 @@ type Options struct {
 	// SSDRead/SSDWrite override the SSD bandwidth in MB/s (Figure 9's
 	// native-rerun validation); zero keeps the paper's 1400/600.
 	SSDRead, SSDWrite float64
-	// NoAffinity omits the data-affinity scheduler entry from the perf
-	// suite (northup-bench -affinity off), so a baseline comparable to
-	// pre-scheduler documents can still be produced.
-	NoAffinity bool
 }
 
 func (o Options) norm() (Options, error) {

@@ -148,23 +148,21 @@ func PerfSuite(o Options) (*PerfProfile, error) {
 	// stops seeing resident extents, placements drifting back to the
 	// stealing order, moved bytes creeping up — fails the gate even while
 	// the numerical result stays correct.
-	if !o.NoAffinity {
-		reg = obs.NewRegistry()
-		rt := o.newAffinityRuntime(reg, o.affinityGemmCache())
-		affRes, affStats, err := gemm.RunTasks(rt, o.affinityGemmConfig(), taskgraph.Options{Affinity: true})
-		if err != nil {
-			return nil, fmt.Errorf("figures: perf suite: affinity: %w", err)
-		}
-		rt.SyncMetrics()
-		affMetrics := reg.Flatten()
-		affMetrics["northup_sched_tasks_executed"] = float64(affStats.Tasks)
-		affMetrics["northup_sched_affinity_picks"] = float64(affStats.AffinityPicks)
-		prof.Apps = append(prof.Apps, AppPerf{
-			Name:      "affinity",
-			ElapsedNS: int64(affRes.Stats.Elapsed),
-			Metrics:   affMetrics,
-		})
+	reg = obs.NewRegistry()
+	rt := o.newAffinityRuntime(reg, o.affinityGemmCache())
+	affRes, affStats, err := gemm.RunTasks(rt, o.affinityGemmConfig(), taskgraph.Options{Affinity: true})
+	if err != nil {
+		return nil, fmt.Errorf("figures: perf suite: affinity: %w", err)
 	}
+	rt.SyncMetrics()
+	affMetrics := reg.Flatten()
+	affMetrics["northup_sched_tasks_executed"] = float64(affStats.Tasks)
+	affMetrics["northup_sched_affinity_picks"] = float64(affStats.AffinityPicks)
+	prof.Apps = append(prof.Apps, AppPerf{
+		Name:      "affinity",
+		ElapsedNS: int64(affRes.Stats.Elapsed),
+		Metrics:   affMetrics,
+	})
 	// Per-hop bandwidth is a last-value gauge: the final sub-chunk's size
 	// (and so its instantaneous rate) shifts with any resizing rework even
 	// when the pipeline is healthy, so it gets a wider band than the

@@ -333,40 +333,8 @@ func (g *Graph) runStealing(c *core.Ctx, o Options, st *Stats, node *topo.Node,
 	for i := range queues {
 		queues[i] = sched.NewDeque[int](fmt.Sprintf("tg%d", i))
 	}
-	monitors := make([]sched.Monitor, len(queues))
-	for i, q := range queues {
-		monitors[i] = q
-	}
-	detach := node.AttachQueues(monitors...)
+	detach := core.WatchDeques(c, node, depthSlot, queues)
 	defer detach()
-
-	rtm := c.Runtime()
-	if traceOn || metricsOn {
-		noteDepth := func() {
-			if metricsOn {
-				depthSlot.Set(int64(sched.TotalLen(queues)))
-			}
-		}
-		for i, q := range queues {
-			qi := int64(i)
-			q.OnSteal = func() {
-				if traceOn {
-					c.TraceInstant(trace.TrackQueue, "steal", qi)
-				}
-				if metricsOn {
-					rtm.NoteSteals(1)
-				}
-				noteDepth()
-			}
-			if metricsOn {
-				q.OnPush = noteDepth
-				q.OnPop = func() {
-					rtm.NotePops(1)
-					noteDepth()
-				}
-			}
-		}
-	}
 
 	// Initially ready tasks spread round-robin in program order, the layout
 	// sched.Partition gives the apps' hand-wired queues.
