@@ -1,6 +1,7 @@
 # Build and test gates for the Northup reproduction.
 #
-#   make check        tier-1 gate: build + full test suite (the CI floor)
+#   make check        tier-1 gate: build + full test suite, plus vet and tests
+#                     of the benchmark module (the CI floor)
 #   make strict       tier-2 gate: lint + race tests + demos + perf gate
 #   make lint         gofmt -l (fail on unformatted files) + go vet
 #   make ops-demo     live admin-plane smoke: burn-rate scenario over HTTP
@@ -19,7 +20,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race lint check strict bench bench-json bench-stream bench-serve bench-affinity bench-sim bench-check trace-demo serve-demo ops-demo tail-demo clean
+.PHONY: all build test benchmod vet race lint check strict bench bench-json bench-stream bench-serve bench-affinity bench-sim bench-check trace-demo serve-demo ops-demo tail-demo clean
 
 all: check strict bench-json
 
@@ -43,8 +44,14 @@ lint:
 race:
 	$(GO) test -race ./...
 
+# The benchmark harness is its own module (benchmark/go.mod), so the root
+# `go test ./...` skips it, yet it compiles against the runtime's public
+# surface: vet and test it too.
+benchmod:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
 # Tier-1: what every change must keep green.
-check: build test
+check: build test benchmod
 
 # Tier-2: static analysis, the race detector, the end-to-end demos, and
 # the perf-regression gate.

@@ -35,6 +35,8 @@
 // With -faults the run injects deterministic transfer/allocation faults and
 // outages (see northup.ParseFaults for the full syntax); the runtime absorbs
 // them with retries and failover, and the report gains resilience counters.
+// A GPU outage needs -app hotspot -steal, the one scheduler that fails GPU
+// work over; any other run refuses it.
 //
 // With -affinity on the gemm and spmv runs route through the extent-declared
 // task-graph scheduler with residency-aware placement: shards become tasks
@@ -82,7 +84,7 @@ func main() {
 	storageMiB := flag.Int64("storage-mib", 1024, "preset storage capacity")
 	dramMiB := flag.Int64("dram-mib", 16, "preset staging capacity")
 	faults := flag.String("faults", "",
-		"fault injection: seed=N,rate=P[,delay-rate=P][,delay-us=D][,alloc-rate=P][,offline=NODE[/gpu|/cpu]:FROM_MS:UNTIL_MS]")
+		"fault injection: seed=N,rate=P[,delay-rate=P][,delay-us=D][,alloc-rate=P][,offline=NODE[/gpu]:FROM_MS:UNTIL_MS]")
 	retries := flag.Int("retries", 0, "max retries per operation (0 = default policy)")
 	cacheOn := flag.Bool("cache", false, "enable the reuse-aware staging cache on memory nodes")
 	cacheMiB := flag.Int64("cache-mib", 0, "cache capacity per node in MiB (0 = -cache-share of the node)")
@@ -115,6 +117,9 @@ func main() {
 	if *faults != "" {
 		plan, err := northup.ParseFaults(*faults)
 		if err != nil {
+			fatal(err)
+		}
+		if err := checkOutages(plan, *app, *steal); err != nil {
 			fatal(err)
 		}
 		opts.Faults = plan.Inject(e)
@@ -270,7 +275,6 @@ func main() {
 		}
 	}
 	if reg != nil {
-		rt.SyncMetrics()
 		if *metricsOut != "" {
 			if err := writeFileWith(*metricsOut, func(f *os.File) error {
 				return northup.WriteMetricsJSON(f, reg, sampler)
@@ -293,6 +297,21 @@ func main() {
 		fmt.Printf("engine: %d events (%d inline callbacks), %d procs, %.0f events/sec\n",
 			st.Events, st.Callbacks, st.Procs, st.EventsPerSec())
 	}
+}
+
+// checkOutages refuses a processor outage the run would ignore: only the
+// hotspot -steal scheduler consults GPU outages (failing work over to the
+// CPU); every other path reads whole-node outages alone.
+func checkOutages(plan *northup.FaultPlan, app string, steal bool) error {
+	if app == "hotspot" && steal {
+		return nil
+	}
+	for _, o := range plan.Outages {
+		if o.Class != "" {
+			return fmt.Errorf("-faults offline=%d/%s: only -app hotspot -steal honours processor outages; add -steal or take the whole node offline", o.Node, o.Class)
+		}
+	}
+	return nil
 }
 
 // printTaskStats reports one task-graph run's scheduling decisions.

@@ -96,7 +96,6 @@ func TestNorthupRepeatsBitForBit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rt.SyncMetrics()
 			return res.Stats.Elapsed, movedBytes(reg)
 		}
 		e1, m1 := run()
@@ -130,7 +129,6 @@ func TestTasksAffinityDeterministicUnderFaults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rt.SyncMetrics()
 			return res.Stats.Elapsed, st.SavedBytes, movedBytes(opts.Metrics)
 		}
 		e1, s1, m1 := run()

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -43,17 +44,11 @@ func RunProfiledWarm(rt *core.Runtime, cfg Config, warm *sched.ProfileScheduler)
 		profiler = sched.NewProfileScheduler()
 	}
 	res := &ProfiledResult{Profile: profiler}
-	// Profile-guided mapping and tracing share one observation path: each
+	// Profile-guided mapping and tracing share one observation stream: each
 	// chunk runs as a task span named after its processor, and the profiler
-	// learns from span completions instead of ad-hoc timing calls. The
-	// observer makes tracing active even without a recorder, so the spans
-	// flow regardless of whether the run keeps a trace.
-	remove := rt.AddSpanObserver(func(ev trace.Event) {
-		if ev.Lane.Track == trace.TrackTask {
-			profiler.Record(ev.Name, float64(ev.Value), ev.Dur)
-		}
-	})
-	defer remove()
+	// subscribes to learn from span completions instead of ad-hoc timing
+	// calls, whether or not the run keeps a trace.
+	defer rt.Subscribe(&profileFeed{profiler})()
 	step := func(lc *core.Ctx, blk *Block, d, iters int) error {
 		g := lc.GPUModel()
 		cpu := lc.CPUModel()
@@ -102,3 +97,16 @@ func RunProfiledWarm(rt *core.Runtime, cfg Config, warm *sched.ProfileScheduler)
 	res.Result = *r
 	return res, nil
 }
+
+// profileFeed is the profiler's subscription to the runtime's observation
+// stream: it records each task span's processor, size and duration.
+type profileFeed struct{ profiler *sched.ProfileScheduler }
+
+func (f *profileFeed) Span(_ *sim.Proc, lane trace.Lane, _ trace.Category, name string, start, end sim.Time, value int64) {
+	if lane.Track == trace.TrackTask {
+		f.profiler.Record(name, float64(value), end-start)
+	}
+}
+
+func (f *profileFeed) Instant(trace.Lane, string, sim.Time, int64) {}
+func (f *profileFeed) Counter(trace.Lane, string, sim.Time, int64) {}

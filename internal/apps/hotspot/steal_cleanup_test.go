@@ -38,7 +38,6 @@ func TestStealSchedulerCleansUpNodeState(t *testing.T) {
 			t.Fatalf("%v still has %d queue monitors after the run", n, len(n.Queues))
 		}
 	}
-	rt.SyncMetrics()
 	for name, v := range reg.Flatten() {
 		if len(name) >= len("northup_queue_depth") &&
 			name[:len("northup_queue_depth")] == "northup_queue_depth" && v != 0 {

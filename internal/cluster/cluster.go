@@ -95,8 +95,8 @@ func New(e *sim.Engine, n int, spec FabricSpec, opts core.Options,
 	return cl, nil
 }
 
-// MergedMetrics syncs every machine's registry and merges them into one
-// fresh cluster-wide registry: counters and histogram buckets add (the
+// MergedMetrics merges every machine's registry into one fresh
+// cluster-wide registry: counters and histogram buckets add (the
 // fixed bucket bounds make the merge associative, so the result is
 // independent of machine order), and additive gauges like queue depth sum.
 // Ratio gauges (cache hit rate, bandwidth utilization) are per-machine
@@ -111,7 +111,6 @@ func (cl *Cluster) MergedMetrics() *obs.Registry {
 		if reg == nil {
 			continue
 		}
-		m.RT.SyncMetrics()
 		merged.Merge(reg)
 		any = true
 	}

@@ -43,8 +43,6 @@ func TestClusterPerMachineRegistries(t *testing.T) {
 	if r0 == r1 {
 		t.Fatal("machines share one registry")
 	}
-	cl.Machine(0).RT.SyncMetrics()
-	cl.Machine(1).RT.SyncMetrics()
 	if r0.Flatten()[`northup_busy_ns_total{cat="gpu"}`] <= 0 {
 		t.Fatal("machine 0 accumulated no GPU busy time")
 	}
@@ -75,9 +73,6 @@ func TestClusterMergedMetricsRollsUp(t *testing.T) {
 // Prometheus exports.
 func TestClusterMergeOrderIndependent(t *testing.T) {
 	cl := newMetricsCluster(t, 3)
-	for i := 0; i < cl.Size(); i++ {
-		cl.Machine(i).RT.SyncMetrics()
-	}
 	exportOf := func(order []int) string {
 		merged := obs.NewRegistry()
 		for _, i := range order {

@@ -74,14 +74,16 @@ type Options struct {
 	// Trace, when non-nil, records every simulated activity as a timeline
 	// event (see tracing.go and package trace): spans for moves, I/O,
 	// kernels, allocations and bookkeeping; instants for cache activity,
-	// faults and steals. Nil (the default) disables tracing at zero cost.
+	// faults and steals. It is the first subscriber of the runtime's
+	// observation stream. Nil (the default) disables tracing at zero cost.
 	Trace *trace.Recorder
 
 	// Metrics, when non-nil, is the registry the runtime continuously
 	// populates (see metrics.go and package obs): busy time, span counts
 	// and duration histograms per category, per-node byte totals and
 	// bandwidth utilization, cache/resilience/fault counters, queue depth.
-	// Nil (the default) disables metrics at zero cost.
+	// It subscribes to the observation stream after Trace. Nil (the
+	// default) disables metrics at zero cost.
 	Metrics *obs.Registry
 
 	// Sampler, when non-nil, snapshots the registry's gauges at its
@@ -107,14 +109,11 @@ type Runtime struct {
 	pcie   *device.Link
 	dma    *device.Link
 
-	bd      trace.Breakdown
-	res     ResilienceStats
-	rec     *trace.Recorder        // event recorder, nil when tracing is off
-	met     *runtimeMetrics        // metrics handles, nil when metrics are off
-	spanObs []func(trace.Event)    // span observers (profile-guided scheduling)
-	sinks   map[*sim.Proc]SpanSink // per-proc charge mirrors (journey layer), lazy
-	bufSeq  int
-	bufIDs  int64 // stable buffer identities keying cache entries
+	bd        trace.Breakdown
+	res       ResilienceStats
+	observers []Observer // the observation stream's subscribers (tracing.go)
+	bufSeq    int
+	bufIDs    int64 // stable buffer identities keying cache entries
 
 	// Streamed-move telemetry (see stream.go): cumulative counters, the
 	// current number of sub-chunks in flight, and per-hop achieved-bandwidth
@@ -140,11 +139,13 @@ func NewRuntime(e *sim.Engine, t *topo.Tree, opts Options) *Runtime {
 	if opts.Faults != nil && opts.Retry == (RetryPolicy{}) {
 		opts.Retry = DefaultRetryPolicy()
 	}
+	if opts.Metrics == nil {
+		opts.Sampler = nil
+	}
 	rt := &Runtime{
 		engine:     e,
 		tree:       t,
 		opts:       opts,
-		rec:        opts.Trace,
 		allocs:     make(map[int]*alloc.Allocator),
 		caches:     make(map[int]*nodeCache),
 		pcie:       device.PCIeLink(e),
@@ -156,8 +157,11 @@ func NewRuntime(e *sim.Engine, t *topo.Tree, opts Options) *Runtime {
 			rt.allocs[n.ID] = alloc.New(n.Mem)
 		}
 	}
+	if opts.Trace != nil {
+		rt.Subscribe(recorderObserver{opts.Trace})
+	}
 	if opts.Metrics != nil {
-		rt.met = newRuntimeMetrics(rt, opts.Metrics, opts.Sampler)
+		rt.Subscribe(newRuntimeMetrics(rt, opts.Metrics))
 	}
 	return rt
 }
@@ -170,9 +174,6 @@ func (rt *Runtime) Engine() *sim.Engine { return rt.engine }
 
 // Breakdown returns the accumulated execution breakdown.
 func (rt *Runtime) Breakdown() *trace.Breakdown { return &rt.bd }
-
-// ResetStats clears the execution breakdown between measured phases.
-func (rt *Runtime) ResetStats() { rt.bd.Reset() }
 
 // Allocator returns the space allocator of a memory-kind node (nil for
 // file-backed nodes, which allocate through their file store).
@@ -236,7 +237,6 @@ func (rt *Runtime) Run(name string, fn func(c *Ctx) error) (RunStats, error) {
 	}
 	elapsed := rt.engine.Now() - start
 	rt.bd.SetTotal(elapsed)
-	rt.SyncMetrics()
 	// The snapshot reports only this run's deltas, so several phases (e.g.
 	// preprocessing, then the measured pass) can share one runtime.
 	snap := rt.bd.DeltaFrom(&before)

@@ -10,20 +10,20 @@ import (
 	"repro/internal/trace"
 )
 
-// This file wires the continuous-metrics registry (package obs) into the
-// runtime. The design mirrors tracing.go's single-charge-point rule: busy
-// time, span counts and span-duration histograms are fed from chargeSpan —
-// the same call that feeds the Breakdown — so metric totals reconcile with
-// Breakdown totals bit-for-bit by construction. Sources that mutate state
-// at scattered sites (cache stats, resilience counters, the fault
-// injector, the trace ring's drop count) are mirrored into the registry by
-// syncMetrics, which raises each counter to its source's cumulative total;
-// the sync runs at every sampler tick and at the end of Run, so exports and
-// sampled series always agree with the runtime's own accounting.
+// This file subscribes the continuous-metrics registry (package obs) to
+// the runtime's observation stream (tracing.go). Busy time, span counts
+// and span-duration histograms come from the charged spans, steals from
+// the queue lane's steal instants and ring occupancy from the stream
+// counters: the events the recorder keeps, so metric totals reconcile with
+// the Breakdown bit for bit by construction. The counters the runtime
+// already keeps in its own structs (cache, resilience, fault injector,
+// streams) and the derived gauges (hit rate, bandwidth utilization, hop
+// bandwidth, trace drops, elapsed) are read-through instruments: the
+// registry reads their source whenever it is snapshotted, sampled or
+// merged, so each has one source and nothing is ever synced.
 //
-// With Options.Metrics nil (the default) rt.met is nil and every hook
-// collapses to one branch with zero allocations, the same contract the
-// trace layer keeps.
+// With Options.Metrics nil (the default) nothing subscribes and every hook
+// collapses to one branch with zero allocations.
 
 // Metric names. One namespace ("northup_"), stable across PRs: the
 // committed perf baseline keys on these strings.
@@ -58,53 +58,35 @@ const (
 // associative (obs.Histogram's merge contract).
 var spanNSBuckets = []int64{1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10}
 
-// runtimeMetrics holds the registry handles the runtime's hot paths write
-// through. All handles are resolved once at construction; per-node handles
-// are resolved lazily on first use and memoised.
+// runtimeMetrics is the registry's subscription: the handles of the
+// event-driven instruments, resolved once at construction or, per node,
+// lazily on first use and memoised.
 type runtimeMetrics struct {
-	reg     *obs.Registry
-	sampler *obs.Sampler
+	rt  *Runtime
+	reg *obs.Registry
 
 	// Per-category instruments, indexed by trace.Category.
 	busy   []*obs.Counter
 	spans  []*obs.Counter
 	spanNS []*obs.Histogram
 
-	// Per-node traffic, lazily resolved: moved bytes and the derived
-	// bandwidth-utilization gauge (cumulative bytes / elapsed × nominal BW).
+	// Per-node bytes moved in; each node's bandwidth-utilization gauge is
+	// registered alongside and reads the counter through.
 	movedBytes map[int]*obs.Counter
-	bwUtil     map[int]*obs.Gauge
-	nominalBW  map[int]float64 // node -> nominal read bandwidth, bytes/s
 
-	// Cache counters, synced from the Breakdown's CacheStats.
-	cacheHits, cacheMisses, cacheEvictions, cachePrefetches,
-	cachePrefetchHits, cacheBypasses, cacheInvalidations,
-	cachePrefetchErrors, cacheHitBytes, cacheMissBytes *obs.Counter
-	cacheHitRate *obs.Gauge
-
-	// Streamed-move instruments (stream.go): scalar totals synced from
-	// StreamStats, the live in-flight gauge, and lazy per-node gauges for
-	// staging-ring occupancy and per-hop achieved bandwidth.
-	streamMoves, streamSubChunks, streamHopMoves, streamBytes *obs.Counter
-	streamInflight                                            *obs.Gauge
-	streamRing, streamHopBW                                   map[int]*obs.Gauge
-
-	// Resilience counters, synced from ResilienceStats.
-	resFaults, resRetries, resTimeouts, resFailovers, resGaveUp *obs.Counter
-
-	// Injector counters, synced from fault.Injector.Stats.
-	faultTransferFails, faultTransferDelays, faultAllocFails,
-	faultOfflineRejects *obs.Counter
+	// Streamed-move instruments: staging-ring occupancy from the ring
+	// counters, and which nodes' hop-bandwidth gauges are registered.
+	streamRing  map[int]*obs.Gauge
+	streamHopBW map[int]bool
 
 	// Scheduler instruments: per-node queue-depth gauges (lazy) plus pop
-	// and steal totals, driven by the Note helpers from leaf schedulers.
-	// The gauge publishes the sum over live QueueDepthSlots, so concurrent
-	// schedulers on one node compose additively instead of overwriting
-	// each other's absolute depth.
-	queueDepth map[int]*obs.Gauge
-	depthTotal map[int]int64 // node -> sum of live slot depths
-	queuePops  *obs.Counter
-	queueSteal *obs.Counter
+	// and steal totals. The gauge publishes the sum over live
+	// QueueDepthSlots, so concurrent schedulers on one node compose
+	// additively instead of overwriting each other's absolute depth.
+	queueDepth  map[int]*obs.Gauge
+	depthTotal  map[int]int64 // node -> sum of live slot depths
+	queuePops   *obs.Counter
+	queueSteals *obs.Counter
 
 	// Task-graph placement instruments (internal/taskgraph): per-policy
 	// decision counts, the task total, and the per-node bytes affinity
@@ -112,25 +94,20 @@ type runtimeMetrics struct {
 	schedPlace map[string]*obs.Counter
 	schedSaved map[int]*obs.Counter
 	schedTasks *obs.Counter
-
-	traceDropped *obs.Gauge
-	elapsed      *obs.Gauge
 }
 
 // newRuntimeMetrics registers the runtime's instruments in reg and returns
-// the handle set. sampler may be nil (no time series).
-func newRuntimeMetrics(rt *Runtime, reg *obs.Registry, sampler *obs.Sampler) *runtimeMetrics {
-	m := &runtimeMetrics{reg: reg, sampler: sampler,
+// the subscription that drives them.
+func newRuntimeMetrics(rt *Runtime, reg *obs.Registry) *runtimeMetrics {
+	m := &runtimeMetrics{rt: rt, reg: reg,
 		busy:        make([]*obs.Counter, len(trace.Categories)),
 		spans:       make([]*obs.Counter, len(trace.Categories)),
 		spanNS:      make([]*obs.Histogram, len(trace.Categories)),
 		movedBytes:  map[int]*obs.Counter{},
-		bwUtil:      map[int]*obs.Gauge{},
-		nominalBW:   map[int]float64{},
+		streamRing:  map[int]*obs.Gauge{},
+		streamHopBW: map[int]bool{},
 		queueDepth:  map[int]*obs.Gauge{},
 		depthTotal:  map[int]int64{},
-		streamRing:  map[int]*obs.Gauge{},
-		streamHopBW: map[int]*obs.Gauge{},
 		schedPlace:  map[string]*obs.Counter{},
 		schedSaved:  map[int]*obs.Counter{},
 	}
@@ -140,46 +117,62 @@ func newRuntimeMetrics(rt *Runtime, reg *obs.Registry, sampler *obs.Sampler) *ru
 		m.spans[c] = reg.Counter(mSpans, "completed spans per execution category", lbl)
 		m.spanNS[c] = reg.Histogram(mSpanNS, "span duration distribution", spanNSBuckets, lbl)
 	}
-	for _, n := range rt.tree.Nodes() {
-		if n.Mem != nil {
-			m.nominalBW[n.ID] = n.Mem.Profile().ReadBW
-		}
-	}
-	m.cacheHits = reg.Counter("northup_cache_hits_total", "staging-cache fetches served from a resident buffer")
-	m.cacheMisses = reg.Counter("northup_cache_misses_total", "staging-cache fetches that crossed the edge")
-	m.cacheEvictions = reg.Counter("northup_cache_evictions_total", "staging-cache entries evicted")
-	m.cachePrefetches = reg.Counter("northup_cache_prefetches_total", "lookahead fetches issued")
-	m.cachePrefetchHits = reg.Counter("northup_cache_prefetch_hits_total", "prefetched entries that served a demand fetch")
-	m.cacheBypasses = reg.Counter("northup_cache_bypasses_total", "cached fetches that fell back to a plain move")
-	m.cacheInvalidations = reg.Counter("northup_cache_invalidations_total", "entries dropped after their source was overwritten")
-	m.cachePrefetchErrors = reg.Counter("northup_cache_prefetch_errors_total", "lookahead fills that failed after exhausting retries")
-	m.cacheHitBytes = reg.Counter("northup_cache_hit_bytes_total", "bytes served from resident buffers")
-	m.cacheMissBytes = reg.Counter("northup_cache_miss_bytes_total", "bytes fetched across the edge")
-	m.cacheHitRate = reg.Gauge(mCacheHitRate, "hits / (hits + misses)")
-
-	m.resFaults = reg.Counter("northup_faults_total", "transient failures observed before retrying")
-	m.resRetries = reg.Counter("northup_retries_total", "re-attempts made")
-	m.resTimeouts = reg.Counter("northup_timeouts_total", "operations that exceeded the per-op deadline")
-	m.resFailovers = reg.Counter("northup_failovers_total", "leaf tasks re-routed to a sibling processor")
-	m.resGaveUp = reg.Counter("northup_gave_up_total", "operations that exhausted retries")
-
-	m.faultTransferFails = reg.Counter("northup_fault_transfer_fails_total", "transfers failed outright by the injector")
-	m.faultTransferDelays = reg.Counter("northup_fault_transfer_delays_total", "transfers stalled by the injector")
-	m.faultAllocFails = reg.Counter("northup_fault_alloc_fails_total", "allocations transiently refused by the injector")
-	m.faultOfflineRejects = reg.Counter("northup_fault_offline_rejects_total", "operations refused inside an outage window")
-
 	m.queuePops = reg.Counter(mQueuePops, "local deque pops across leaf schedulers")
-	m.queueSteal = reg.Counter(mQueueSteals, "work-steal operations across leaf schedulers")
+	m.queueSteals = reg.Counter(mQueueSteals, "work-steal operations across leaf schedulers")
 	m.schedTasks = reg.Counter(mSchedTasks, "tasks placed by the task-graph scheduler")
 
-	m.streamMoves = reg.Counter(mStreamMoves, "streamed moves issued")
-	m.streamSubChunks = reg.Counter(mStreamSubChunks, "sub-chunks across all streamed moves")
-	m.streamHopMoves = reg.Counter(mStreamHopMoves, "per-hop sub-chunk moves driven by the stream engine")
-	m.streamBytes = reg.Counter(mStreamBytes, "payload bytes delivered by streamed moves")
-	m.streamInflight = reg.Gauge(mStreamInflight, "sub-chunks currently in the pipe")
+	load := func(src *int64) func() int64 { return func() int64 { return *src } }
+	cs, res, ss, inj := rt.bd.Cache(), &rt.res, &rt.streamStats, rt.opts.Faults
+	for _, c := range []struct {
+		name, help string
+		read       func() int64
+	}{
+		{"northup_cache_hits_total", "staging-cache fetches served from a resident buffer", load(&cs.Hits)},
+		{"northup_cache_misses_total", "staging-cache fetches that crossed the edge", load(&cs.Misses)},
+		{"northup_cache_evictions_total", "staging-cache entries evicted", load(&cs.Evictions)},
+		{"northup_cache_prefetches_total", "lookahead fetches issued", load(&cs.Prefetches)},
+		{"northup_cache_prefetch_hits_total", "prefetched entries that served a demand fetch", load(&cs.PrefetchHits)},
+		{"northup_cache_bypasses_total", "cached fetches that fell back to a plain move", load(&cs.Bypasses)},
+		{"northup_cache_invalidations_total", "entries dropped after their source was overwritten", load(&cs.Invalidations)},
+		{"northup_cache_prefetch_errors_total", "lookahead fills that failed after exhausting retries", load(&cs.PrefetchErrors)},
+		{"northup_cache_hit_bytes_total", "bytes served from resident buffers", load(&cs.HitBytes)},
+		{"northup_cache_miss_bytes_total", "bytes fetched across the edge", load(&cs.MissBytes)},
 
-	m.traceDropped = reg.Gauge(mTraceDropped, "events the bounded trace ring dropped")
-	m.elapsed = reg.Gauge(mElapsedNS, "virtual time at the last metrics sync")
+		{"northup_faults_total", "transient failures observed before retrying", load(&res.Faults)},
+		{"northup_retries_total", "re-attempts made", load(&res.Retries)},
+		{"northup_timeouts_total", "operations that exceeded the per-op deadline", load(&res.Timeouts)},
+		{"northup_failovers_total", "leaf tasks re-routed to a sibling processor", load(&res.Failovers)},
+		{"northup_gave_up_total", "operations that exhausted retries", load(&res.GaveUp)},
+
+		{"northup_fault_transfer_fails_total", "transfers failed outright by the injector",
+			func() int64 { return inj.Stats().TransferFails }},
+		{"northup_fault_transfer_delays_total", "transfers stalled by the injector",
+			func() int64 { return inj.Stats().TransferDelays }},
+		{"northup_fault_alloc_fails_total", "allocations transiently refused by the injector",
+			func() int64 { return inj.Stats().AllocFails }},
+		{"northup_fault_offline_rejects_total", "operations refused inside an outage window",
+			func() int64 { return inj.Stats().OfflineRejects }},
+
+		{mStreamMoves, "streamed moves issued", load(&ss.Streams)},
+		{mStreamSubChunks, "sub-chunks across all streamed moves", load(&ss.SubChunks)},
+		{mStreamHopMoves, "per-hop sub-chunk moves driven by the stream engine", load(&ss.HopMoves)},
+		{mStreamBytes, "payload bytes delivered by streamed moves", load(&ss.Bytes)},
+	} {
+		reg.CounterFunc(c.name, c.help, c.read)
+	}
+
+	reg.GaugeFunc(mCacheHitRate, "hits / (hits + misses)", func() float64 { return cs.HitRate() })
+	reg.GaugeFunc(mStreamInflight, "sub-chunks currently in the pipe",
+		func() float64 { return float64(rt.streamInflight) })
+	reg.GaugeFunc(mTraceDropped, "events the bounded trace ring dropped", func() float64 {
+		if rt.opts.Trace == nil {
+			return 0
+		}
+		return float64(rt.opts.Trace.Dropped())
+	})
+	// Every read is a sync now; the help text stays so exports keep their bytes.
+	reg.GaugeFunc(mElapsedNS, "virtual time at the last metrics sync",
+		func() float64 { return float64(rt.engine.Now()) })
 	return m
 }
 
@@ -187,11 +180,15 @@ func newRuntimeMetrics(rt *Runtime, reg *obs.Registry, sampler *obs.Sampler) *ru
 // the handle maps memoise away the strconv after first use.
 func nodeLabel(node int) obs.Label { return obs.L("node", strconv.Itoa(node)) }
 
-// noteSpan is chargeSpan's metrics half: the identical duration the
-// Breakdown received, plus span count, duration histogram, and — for data
-// movement — per-node byte totals.
-func (m *runtimeMetrics) noteSpan(lane trace.Lane, cat trace.Category, start, end sim.Time, value int64) {
+// Span implements Observer: a charged span adds the identical duration
+// the Breakdown received to the busy counter, plus span count, duration
+// histogram and — for data movement — per-node byte totals. A node's
+// first stream hop registers its hop-bandwidth gauge.
+func (m *runtimeMetrics) Span(_ *sim.Proc, lane trace.Lane, cat trace.Category, _ string, start, end sim.Time, value int64) {
 	if cat < 0 || int(cat) >= len(m.busy) {
+		if lane.Track == trace.TrackStream {
+			m.noteHop(lane.Node)
+		}
 		return
 	}
 	d := int64(end - start)
@@ -199,134 +196,110 @@ func (m *runtimeMetrics) noteSpan(lane trace.Lane, cat trace.Category, start, en
 	m.spans[cat].Inc()
 	m.spanNS[cat].Observe(d)
 	if (cat == trace.Transfer || cat == trace.IO) && value > 0 && lane.Node >= 0 {
-		c, ok := m.movedBytes[lane.Node]
-		if !ok {
-			c = m.reg.Counter(mMovedBytes, "bytes moved into each node", nodeLabel(lane.Node))
-			m.movedBytes[lane.Node] = c
+		m.movedInto(lane.Node).Add(value)
+	}
+}
+
+// Instant implements Observer: steal instants on a queue lane count steals.
+func (m *runtimeMetrics) Instant(lane trace.Lane, name string, _ sim.Time, _ int64) {
+	if name == instantSteal && lane.Track == trace.TrackQueue {
+		m.queueSteals.Inc()
+	}
+}
+
+// Counter implements Observer: ring counters set the node's staging-ring
+// occupancy gauge.
+func (m *runtimeMetrics) Counter(lane trace.Lane, name string, _ sim.Time, value int64) {
+	if name == ctrStreamRing {
+		m.ringGauge(lane.Node).Set(float64(value))
+	}
+}
+
+// movedInto resolves the node's moved-bytes counter, registering with it
+// the bandwidth-utilization gauge: cumulative bytes into the node over
+// what its device could nominally have read in the elapsed time. A coarse
+// full-run average, like the trace summary's achieved-vs-nominal column.
+func (m *runtimeMetrics) movedInto(node int) *obs.Counter {
+	c, ok := m.movedBytes[node]
+	if ok {
+		return c
+	}
+	c = m.reg.Counter(mMovedBytes, "bytes moved into each node", nodeLabel(node))
+	m.movedBytes[node] = c
+	var bw float64 // nominal read bandwidth, bytes/s
+	if mem := m.rt.tree.Node(node).Mem; mem != nil {
+		bw = mem.Profile().ReadBW
+	}
+	m.reg.GaugeFunc(mBWUtil, "moved bytes over nominal read bandwidth x elapsed", func() float64 {
+		now := m.rt.engine.Now()
+		if now <= 0 || bw <= 0 {
+			return 0
 		}
-		c.Add(value)
-	}
+		sec := float64(now) / 1e9
+		return float64(c.Value()) / (sec * bw)
+	}, nodeLabel(node))
+	return c
 }
 
-// MetricsEnabled reports whether a registry is attached.
-func (rt *Runtime) MetricsEnabled() bool { return rt.met != nil }
-
-// Metrics returns the runtime's registry, nil when metrics are off.
-func (rt *Runtime) Metrics() *obs.Registry {
-	if rt.met == nil {
-		return nil
-	}
-	return rt.met.reg
-}
-
-// MetricsSampler returns the attached sampler (nil without one).
-func (rt *Runtime) MetricsSampler() *obs.Sampler {
-	if rt.met == nil {
-		return nil
-	}
-	return rt.met.sampler
-}
-
-// maybeSample advances the sampler when a tick boundary has passed: gauges
-// are refreshed by a sync first so the sampled values are current. Called
-// from charge points; one comparison when no sampler is due.
-func (rt *Runtime) maybeSample(now sim.Time) {
-	if rt.met.sampler.Due(now) {
-		rt.syncMetrics(now)
-		rt.met.sampler.Observe(now)
-	}
-}
-
-// SyncMetrics mirrors every scattered stat source into the registry at the
-// current virtual time. Exports should call it (Run does, at completion)
-// before reading the registry; it is idempotent.
-func (rt *Runtime) SyncMetrics() {
-	if rt.met == nil {
+// noteHop registers, on a node's first streamed hop, the gauge reading
+// the achieved hop bandwidth into it from the runtime's hop aggregate.
+func (m *runtimeMetrics) noteHop(node int) {
+	if m.streamHopBW[node] {
 		return
 	}
-	rt.syncMetrics(rt.engine.Now())
+	m.streamHopBW[node] = true
+	agg := m.rt.streamHops[node]
+	m.reg.GaugeFunc(mStreamHopBW, "achieved streamed-hop bandwidth into each node, bytes/s", func() float64 {
+		if agg.busy <= 0 {
+			return 0
+		}
+		return float64(agg.bytes) / (float64(agg.busy) / 1e9)
+	}, nodeLabel(node))
 }
 
-// syncMetrics raises counters to their sources' cumulative totals and
-// recomputes derived gauges. rt.met must be non-nil.
-func (rt *Runtime) syncMetrics(now sim.Time) {
-	m := rt.met
-
-	cs := rt.bd.Cache()
-	m.cacheHits.SyncTo(cs.Hits)
-	m.cacheMisses.SyncTo(cs.Misses)
-	m.cacheEvictions.SyncTo(cs.Evictions)
-	m.cachePrefetches.SyncTo(cs.Prefetches)
-	m.cachePrefetchHits.SyncTo(cs.PrefetchHits)
-	m.cacheBypasses.SyncTo(cs.Bypasses)
-	m.cacheInvalidations.SyncTo(cs.Invalidations)
-	m.cachePrefetchErrors.SyncTo(cs.PrefetchErrors)
-	m.cacheHitBytes.SyncTo(cs.HitBytes)
-	m.cacheMissBytes.SyncTo(cs.MissBytes)
-	m.cacheHitRate.Set(cs.HitRate())
-
-	m.resFaults.SyncTo(rt.res.Faults)
-	m.resRetries.SyncTo(rt.res.Retries)
-	m.resTimeouts.SyncTo(rt.res.Timeouts)
-	m.resFailovers.SyncTo(rt.res.Failovers)
-	m.resGaveUp.SyncTo(rt.res.GaveUp)
-
-	if inj := rt.opts.Faults; inj != nil {
-		fs := inj.Stats()
-		m.faultTransferFails.SyncTo(fs.TransferFails)
-		m.faultTransferDelays.SyncTo(fs.TransferDelays)
-		m.faultAllocFails.SyncTo(fs.AllocFails)
-		m.faultOfflineRejects.SyncTo(fs.OfflineRejects)
-	}
-
-	m.streamMoves.SyncTo(rt.streamStats.Streams)
-	m.streamSubChunks.SyncTo(rt.streamStats.SubChunks)
-	m.streamHopMoves.SyncTo(rt.streamStats.HopMoves)
-	m.streamBytes.SyncTo(rt.streamStats.Bytes)
-	m.streamInflight.Set(float64(rt.streamInflight))
-	for node, agg := range rt.streamHops {
-		g, ok := m.streamHopBW[node]
-		if !ok {
-			g = m.reg.Gauge(mStreamHopBW, "achieved streamed-hop bandwidth into each node, bytes/s", nodeLabel(node))
-			m.streamHopBW[node] = g
-		}
-		if agg.busy > 0 {
-			g.Set(float64(agg.bytes) / (float64(agg.busy) / 1e9))
-		}
-	}
-
-	if rt.rec != nil {
-		m.traceDropped.Set(float64(rt.rec.Dropped()))
-	}
-	m.elapsed.Set(float64(now))
-
-	// Bandwidth utilization: cumulative bytes into the node over what its
-	// device could nominally have read in the elapsed time. A coarse
-	// full-run average, like the trace summary's achieved-vs-nominal column.
-	if now > 0 {
-		sec := float64(now) / 1e9
-		for node, c := range m.movedBytes {
-			g, ok := m.bwUtil[node]
-			if !ok {
-				g = m.reg.Gauge(mBWUtil, "moved bytes over nominal read bandwidth x elapsed", nodeLabel(node))
-				m.bwUtil[node] = g
-			}
-			if bw := m.nominalBW[node]; bw > 0 {
-				g.Set(float64(c.Value()) / (sec * bw))
-			}
-		}
-	}
-}
-
-// depthGauge resolves (and memoises) the node's queue-depth gauge.
-func (m *runtimeMetrics) depthGauge(node int) *obs.Gauge {
-	g, ok := m.queueDepth[node]
+// ringGauge resolves (and memoises) the node's staging-ring gauge.
+func (m *runtimeMetrics) ringGauge(node int) *obs.Gauge {
+	g, ok := m.streamRing[node]
 	if !ok {
-		g = m.reg.Gauge(mQueueDepth, "work-queue depth per leaf scheduler", nodeLabel(node))
-		m.queueDepth[node] = g
+		g = m.reg.Gauge(mStreamRing, "staging-ring occupancy per intermediate node", nodeLabel(node))
+		m.streamRing[node] = g
 	}
 	return g
 }
+
+// metrics returns the registry's subscription, nil when metrics are off.
+// The registry-only scheduler notes (pops, placements, queue depth) reach
+// it here; everything else arrives through Observe.
+func (rt *Runtime) metrics() *runtimeMetrics {
+	for _, o := range rt.observers {
+		if m, ok := o.(*runtimeMetrics); ok {
+			return m
+		}
+	}
+	return nil
+}
+
+// Metrics returns the runtime's registry, nil when metrics are off.
+func (rt *Runtime) Metrics() *obs.Registry { return rt.opts.Metrics }
+
+// MetricsSampler returns the attached sampler (nil without one).
+func (rt *Runtime) MetricsSampler() *obs.Sampler { return rt.opts.Sampler }
+
+// maybeSample advances the sampler when a tick boundary has passed. The
+// sampled gauges read their sources, so the series hold the values at
+// now. One comparison when no sampler is due.
+func (rt *Runtime) maybeSample(now sim.Time) {
+	if s := rt.opts.Sampler; s.Due(now) {
+		s.Observe(now)
+	}
+}
+
+// SyncMetrics does nothing: every registry instrument is either driven by
+// the observation stream or reads its source whenever the registry is
+// snapshotted, sampled or merged.
+//
+// Deprecated: exports need no sync; the method stays for existing callers.
+func (rt *Runtime) SyncMetrics() {}
 
 // QueueDepthSlot is one scheduler's contribution to a node's queue-depth
 // gauge. The gauge always publishes the sum of all live slots on the node,
@@ -339,7 +312,7 @@ func (m *runtimeMetrics) depthGauge(node int) *obs.Gauge {
 // its own total on every queue event, and must Close the slot when it
 // winds down so its contribution returns to zero.
 type QueueDepthSlot struct {
-	rt     *Runtime
+	m      *runtimeMetrics // nil when metrics are off
 	node   int
 	depth  int64
 	closed bool
@@ -348,20 +321,25 @@ type QueueDepthSlot struct {
 // NewQueueDepthSlot registers a scheduler's depth contribution for node.
 // Usable (as a no-op) even when metrics are off.
 func (rt *Runtime) NewQueueDepthSlot(node int) *QueueDepthSlot {
-	return &QueueDepthSlot{rt: rt, node: node}
+	return &QueueDepthSlot{m: rt.metrics(), node: node}
 }
 
 // Set publishes the slot's current depth; the node gauge moves by the
 // delta from the slot's previous value.
 func (s *QueueDepthSlot) Set(depth int64) {
-	if s == nil || s.closed || s.rt.met == nil {
+	if s == nil || s.closed || s.m == nil {
 		return
 	}
-	m := s.rt.met
+	m := s.m
 	m.depthTotal[s.node] += depth - s.depth
 	s.depth = depth
-	m.depthGauge(s.node).Set(float64(m.depthTotal[s.node]))
-	s.rt.maybeSample(s.rt.engine.Now())
+	g, ok := m.queueDepth[s.node]
+	if !ok {
+		g = m.reg.Gauge(mQueueDepth, "work-queue depth per leaf scheduler", nodeLabel(s.node))
+		m.queueDepth[s.node] = g
+	}
+	g.Set(float64(m.depthTotal[s.node]))
+	m.rt.maybeSample(m.rt.engine.Now())
 }
 
 // Close withdraws the slot's contribution. Further Sets are no-ops.
@@ -375,47 +353,35 @@ func (s *QueueDepthSlot) Close() {
 
 // WatchDeques is the standard telemetry of a leaf scheduler's deques. It
 // attaches them to node's queue monitors, so subtree load is observable as
-// Listing 1's work_queue links intend, and wires their hooks when anyone
-// listens: with a trace recorder each steal is an instant on c's queue
-// lane naming the victim queue; with metrics, pops and steals feed the
-// runtime totals and every push, pop and steal republishes the deques'
-// total length through depth. The caller owns depth (it may also Set it at
-// its own barriers) and calls detach when the deques retire.
+// Listing 1's work_queue links intend, and, when anything subscribes,
+// wires their hooks: each steal is an instant on c's queue lane naming the
+// victim queue (the registry counts steals from it), each pop feeds the
+// registry's pop total, and every push, pop and steal republishes the
+// deques' total length through depth. The caller owns depth (it may also
+// Set it at its own barriers) and calls detach when the deques retire.
 func WatchDeques[T any](c *Ctx, node *topo.Node, depth *QueueDepthSlot, queues []*sched.Deque[T]) (detach func()) {
 	monitors := make([]sched.Monitor, len(queues))
 	for i, q := range queues {
 		monitors[i] = q
 	}
 	detach = node.AttachQueues(monitors...)
-
-	rt := c.rt
-	traceOn := rt.TraceRecorder() != nil
-	metricsOn := rt.MetricsEnabled()
-	if !traceOn && !metricsOn {
+	if !c.rt.observed() {
 		return detach
 	}
-	noteDepth := func() {
-		if metricsOn {
-			depth.Set(int64(sched.TotalLen(queues)))
-		}
-	}
+	m := c.rt.metrics()
+	noteDepth := func() { depth.Set(int64(sched.TotalLen(queues))) }
 	for i, q := range queues {
 		qi := int64(i)
-		q.OnSteal = func() {
-			if traceOn {
-				c.TraceInstant(trace.TrackQueue, "steal", qi)
-			}
-			if metricsOn {
-				rt.NoteSteals(1)
+		q.OnPush = noteDepth
+		q.OnPop = func() {
+			if m != nil {
+				m.queuePops.Inc()
 			}
 			noteDepth()
 		}
-		if metricsOn {
-			q.OnPush = noteDepth
-			q.OnPop = func() {
-				rt.NotePops(1)
-				noteDepth()
-			}
+		q.OnSteal = func() {
+			c.TraceInstant(trace.TrackQueue, instantSteal, qi)
+			noteDepth()
 		}
 	}
 	return detach
@@ -427,10 +393,10 @@ func WatchDeques[T any](c *Ctx, node *topo.Node, depth *QueueDepthSlot, queues [
 // input bytes the decision found already resident (so no edge crossing was
 // needed). No-op without metrics.
 func (rt *Runtime) NoteSchedPlacement(policy string, node int, savedBytes int64) {
-	if rt.met == nil {
+	m := rt.metrics()
+	if m == nil {
 		return
 	}
-	m := rt.met
 	m.schedTasks.Inc()
 	c, ok := m.schedPlace[policy]
 	if !ok {
@@ -445,20 +411,5 @@ func (rt *Runtime) NoteSchedPlacement(policy string, node int, savedBytes int64)
 			m.schedSaved[node] = s
 		}
 		s.Add(savedBytes)
-	}
-}
-
-// NotePops adds to the pop total (leaf schedulers report their deque
-// counts). No-op without metrics.
-func (rt *Runtime) NotePops(n int64) {
-	if rt.met != nil {
-		rt.met.queuePops.Add(n)
-	}
-}
-
-// NoteSteals adds to the steal total. No-op without metrics.
-func (rt *Runtime) NoteSteals(n int64) {
-	if rt.met != nil {
-		rt.met.queueSteal.Add(n)
 	}
 }

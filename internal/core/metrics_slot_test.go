@@ -7,7 +7,6 @@ import (
 // depthValue reads the node-1 queue-depth gauge from the registry.
 func depthValue(t *testing.T, rt *Runtime) float64 {
 	t.Helper()
-	rt.SyncMetrics()
 	flat := rt.Metrics().Flatten()
 	for name, v := range flat {
 		if name == `northup_queue_depth{node="1"}` {

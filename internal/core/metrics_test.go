@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -49,10 +50,10 @@ func metricsWorkload(rt *Runtime) error {
 }
 
 // TestMetricsDisabledZeroAlloc is the acceptance criterion: without a
-// registry the metrics hook in chargeSpan is one nil check.
+// registry (or any other subscriber) the metrics hooks are one branch each.
 func TestMetricsDisabledZeroAlloc(t *testing.T) {
 	_, rt := newAPURuntime(t)
-	if rt.MetricsEnabled() {
+	if rt.Metrics() != nil {
 		t.Fatal("metrics enabled on a default runtime")
 	}
 	lane := trace.Lane{Node: 1, Track: trace.TrackXfer}
@@ -60,9 +61,8 @@ func TestMetricsDisabledZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		rt.chargeSpan(nil, lane, trace.Transfer, spanMove, 0, 10, 64)
 		depth.Set(5)
-		rt.NotePops(1)
-		rt.NoteSteals(1)
-		rt.SyncMetrics()
+		rt.emitInstant(trace.Lane{Node: 1, Track: trace.TrackQueue}, instantSteal, 5, 0)
+		rt.NoteSchedPlacement("affinity", 1, 64)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled metrics allocated %.1f times per round", allocs)
@@ -72,8 +72,8 @@ func TestMetricsDisabledZeroAlloc(t *testing.T) {
 // TestMetricsReconcileWithBreakdown asserts the bit-for-bit invariant: the
 // registry's busy counters equal the Breakdown's per-category totals, the
 // cache counters equal CacheStats, and moved bytes equal the spans' byte
-// values — all fed from the same charge point or synced from the same
-// source.
+// values — all fed from the same charge point or read through from the
+// same source.
 func TestMetricsReconcileWithBreakdown(t *testing.T) {
 	rt, reg := newMetricsRuntime(t, 0)
 	if err := metricsWorkload(rt); err != nil {
@@ -169,5 +169,67 @@ func TestMetricsMovedBytes(t *testing.T) {
 	}
 	if int64(total) != 1<<16 {
 		t.Fatalf("moved bytes total %v, want %d", total, 1<<16)
+	}
+}
+
+// TestMetricsFollowTheEventStream checks the registry builds its
+// event-driven series from the published events alone: steal instants
+// count steals, ring counters set the node's occupancy gauge, and a
+// node's first stream hop registers its hop-bandwidth gauge, which reads
+// the runtime's hop aggregate through.
+func TestMetricsFollowTheEventStream(t *testing.T) {
+	rt, reg := newMetricsRuntime(t, 0)
+	queue := trace.Lane{Node: 1, Track: trace.TrackQueue}
+	rt.emitInstant(queue, instantSteal, 10, 0)
+	rt.emitInstant(queue, instantSteal, 20, 1)
+	rt.emitInstant(queue, "place", 30, 7) // not a steal
+	rt.noteStreamRing(40, 1, 2)
+	rt.noteStreamHop(2, 0, 1000, 4000)
+	flat := reg.Flatten()
+	if got := flat[mQueueSteals]; got != 2 {
+		t.Errorf("steals = %v, want 2", got)
+	}
+	if got := flat[mStreamRing+`{node="1"}`]; got != 2 {
+		t.Errorf("ring occupancy = %v, want 2", got)
+	}
+	if got := flat[mStreamHopBW+`{node="2"}`]; got != 4e9 {
+		t.Errorf("hop bandwidth = %v, want 4e9 bytes/s", got)
+	}
+	rt.noteStreamHop(2, 1000, 3000, 4000)
+	if got := reg.Flatten()[mStreamHopBW+`{node="2"}`]; got != 8000/(3000/1e9) {
+		t.Errorf("hop bandwidth after a second hop = %v, want %v", got, 8000/(3000/1e9))
+	}
+}
+
+// TestReadThroughCountersNeedNoSync checks the registry reads the
+// runtime's own stat structs at export time: a fault-injected run's
+// resilience and injector counters, and the elapsed gauge, match their
+// sources with no sync step in between.
+func TestReadThroughCountersNeedNoSync(t *testing.T) {
+	e := sim.NewEngine()
+	tree := topo.APU(e, topo.APUConfig{Storage: topo.SSD, StorageMiB: 256, DRAMMiB: 32})
+	opts := DefaultOptions()
+	opts.Metrics = obs.NewRegistry()
+	opts.Faults = fault.New(e, fault.Config{Seed: 3, TransferFailRate: 0.3})
+	rt := NewRuntime(e, tree, opts)
+	for i := 0; i < 8; i++ {
+		if err := metricsWorkload(rt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flat := opts.Metrics.Flatten()
+	res, fs := rt.Resilience(), opts.Faults.Stats()
+	if res.Faults == 0 {
+		t.Fatal("no faults at a 30% transfer failure rate")
+	}
+	for name, want := range map[string]int64{
+		"northup_faults_total":               res.Faults,
+		"northup_retries_total":              res.Retries,
+		"northup_fault_transfer_fails_total": fs.TransferFails,
+		mElapsedNS:                           int64(e.Now()),
+	} {
+		if got := int64(flat[name]); got != want {
+			t.Errorf("%s = %d, source holds %d", name, got, want)
+		}
 	}
 }

@@ -92,7 +92,6 @@ func TestPrefetchErrorsCounted(t *testing.T) {
 	if cs.PrefetchErrors == 0 {
 		t.Fatal("failed prefetch not counted in CacheStats.PrefetchErrors")
 	}
-	rt.SyncMetrics()
 	flat := opts.Metrics.Flatten()
 	if got := int64(flat["northup_cache_prefetch_errors_total"]); got != cs.PrefetchErrors {
 		t.Fatalf("registry prefetch errors %d != stats %d", got, cs.PrefetchErrors)

@@ -565,10 +565,8 @@ func (rt *Runtime) noteStreamHop(dstNode int, start, end sim.Time, n int64) {
 	}
 	agg.bytes += n
 	agg.busy += end - start
-	if rt.traceActive() {
-		rt.emitSpan(trace.Lane{Node: dstNode, Track: trace.TrackStream}, trace.None,
-			spanStreamHop, start, end, n)
-	}
+	rt.emitSpan(nil, trace.Lane{Node: dstNode, Track: trace.TrackStream}, trace.None,
+		spanStreamHop, start, end, n)
 }
 
 // noteStreamInflight tracks the number of sub-chunks in the pipe. It takes
@@ -579,31 +577,19 @@ func (rt *Runtime) noteStreamInflight(now sim.Time, dstNode int, delta int64) {
 	if rt.streamInflight > rt.streamStats.MaxInFlight {
 		rt.streamStats.MaxInFlight = rt.streamInflight
 	}
-	if rt.met != nil {
-		rt.met.streamInflight.Set(float64(rt.streamInflight))
-		rt.maybeSample(now)
-	}
-	if rt.traceActive() {
-		rt.emitCounter(trace.Lane{Node: dstNode, Track: trace.TrackStream},
-			ctrStreamInflight, now, rt.streamInflight)
-	}
+	// The in-flight gauge reads rt.streamInflight, so a due sample is
+	// current already; taking it before the counter is published keeps the
+	// sampled trace-drop count from including the counter event.
+	rt.maybeSample(now)
+	rt.emitCounter(trace.Lane{Node: dstNode, Track: trace.TrackStream},
+		ctrStreamInflight, now, rt.streamInflight)
 }
 
-// noteStreamRing tracks one staging ring's occupancy.
+// noteStreamRing tracks one staging ring's occupancy; the registry's ring
+// gauge follows the published counter.
 func (rt *Runtime) noteStreamRing(now sim.Time, node int, occ int64) {
 	if occ > rt.streamStats.MaxRing {
 		rt.streamStats.MaxRing = occ
 	}
-	if rt.met != nil {
-		g, ok := rt.met.streamRing[node]
-		if !ok {
-			g = rt.met.reg.Gauge(mStreamRing, "staging-ring occupancy per intermediate node", nodeLabel(node))
-			rt.met.streamRing[node] = g
-		}
-		g.Set(float64(occ))
-	}
-	if rt.traceActive() {
-		rt.emitCounter(trace.Lane{Node: node, Track: trace.TrackStream},
-			ctrStreamRing, now, occ)
-	}
+	rt.emitCounter(trace.Lane{Node: node, Track: trace.TrackStream}, ctrStreamRing, now, occ)
 }

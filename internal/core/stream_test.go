@@ -477,7 +477,6 @@ func TestStreamedStatsAndMetrics(t *testing.T) {
 	if ss.MaxInFlight < 2 || ss.MaxRing < 1 || ss.MaxRing > 2 {
 		t.Fatalf("overlap telemetry out of range: %+v", ss)
 	}
-	rt.SyncMetrics()
 	flat := opts.Metrics.Flatten()
 	if flat[mStreamMoves] != 1 || flat[mStreamSubChunks] != 4 || flat[mStreamBytes] != n {
 		t.Fatalf("stream metrics = %v", flat)

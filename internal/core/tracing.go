@@ -1,17 +1,23 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
-// This file wires the event recorder (package trace) into the runtime.
-// Every busy-time charge in the runtime goes through chargeSpan, which
-// pairs the legacy Breakdown accounting with a span emission — one code
-// path, so event-derived category totals equal Breakdown totals
-// bit-for-bit by construction. With no recorder and no observers the
-// emission side collapses to a nil check and the runtime behaves (and
-// allocates) exactly as before; the tests guard both properties.
+// This file is the runtime's one observation stream. Every busy-time
+// charge goes through chargeSpan, which adds the interval to the Breakdown
+// and publishes the same interval as a span event; structural spans
+// (Ctx.Task, streamed-move hops), instants and counter samples are
+// published the same way. The subscribers — the event recorder
+// (Options.Trace), the metrics registry (Options.Metrics, metrics.go),
+// profile feeds and the serve tier's journeys — all read this one list,
+// so every view agrees with the Breakdown bit for bit by construction.
+// With no subscriber each emission collapses to one length check and the
+// runtime behaves (and allocates) exactly as an unobserved one; the tests
+// guard both properties.
 
 // laneRuntime is the pseudo-lane of node-less bookkeeping.
 var laneRuntime = trace.Lane{Node: trace.NoNode, Track: trace.TrackRuntime}
@@ -36,118 +42,93 @@ const (
 	spanStreamHop     = "stream-hop"
 	ctrStreamInflight = "stream-inflight"
 	ctrStreamRing     = "ring-occupancy"
+
+	// instantSteal marks one work steal on a queue lane (WatchDeques).
+	instantSteal = "steal"
 )
 
 // TraceRecorder returns the runtime's event recorder, nil when tracing is
 // off.
-func (rt *Runtime) TraceRecorder() *trace.Recorder { return rt.rec }
+func (rt *Runtime) TraceRecorder() *trace.Recorder { return rt.opts.Trace }
 
-// SpanSink observes, from inside the charge point, every busy-time span
-// charged by one proc. It is how a per-job journey (internal/journey)
-// learns its phases: the serve tier attaches a sink on the job's root
-// proc, and every chargeSpan on that proc — staging moves, allocs,
-// kernels, CPU compute, bookkeeping — is mirrored to the sink with the
-// exact interval the Breakdown was charged. Sinks run on the simulation
-// goroutine, must not block, and must not interact with the engine: they
-// are observation only, so an attached sink never changes the schedule.
-type SpanSink interface {
-	NoteSpan(cat trace.Category, lane trace.Lane, name string, start, end sim.Time, value int64)
+// Observer subscribes to the runtime's observation stream, which delivers
+// every event once, in emission order:
+//   - Span: a busy-time charge (cat is a real category) or a structural
+//     span (cat is trace.None: Ctx.Task and streamed-move hops). p is the
+//     proc that made it, nil for spans made from engine callbacks;
+//   - Instant: a point event (cache activity, faults, steals, placements);
+//   - Counter: a sampled value (queue depth, stream in-flight, ring
+//     occupancy).
+//
+// Observers run on the simulation goroutine, must not block and must not
+// touch the engine: they observe, so a subscribed run keeps the schedule
+// of an unobserved one. The arguments are passed unpacked, not as a
+// trace.Event, so the fan-out copies no event struct per subscriber.
+type Observer interface {
+	Span(p *sim.Proc, lane trace.Lane, cat trace.Category, name string, start, end sim.Time, value int64)
+	Instant(lane trace.Lane, name string, t sim.Time, value int64)
+	Counter(lane trace.Lane, name string, t sim.Time, value int64)
 }
 
-// AttachSpanSink registers s to observe every span charged by this
-// context's proc, and returns the detach function. One sink per proc:
-// attaching again replaces the previous sink. Spans charged by child
-// procs (Spawn, ParallelFor, streamed-move hops) are NOT forwarded —
-// only work on the attached proc itself — which is exactly right for the
-// serve tier's sequential job bodies.
-func (c *Ctx) AttachSpanSink(s SpanSink) (detach func()) {
-	rt, p := c.rt, c.p
-	if rt.sinks == nil {
-		rt.sinks = make(map[*sim.Proc]SpanSink)
-	}
-	rt.sinks[p] = s
-	return func() { delete(rt.sinks, p) }
-}
-
-// traceActive reports whether anything consumes span events. It is the
-// guard in front of every span emission: false (the default) short-circuits
-// tracing to one branch and zero allocations.
-func (rt *Runtime) traceActive() bool {
-	return rt.rec != nil || len(rt.spanObs) > 0
-}
-
-// AddSpanObserver registers fn to be called with every completed span
-// (after it is recorded). Observers run on the simulation goroutine and
-// must not block; they work with or without a recorder, which is how
-// profile-guided scheduling taps the event stream without retaining a
-// trace. The returned function unregisters the observer.
-func (rt *Runtime) AddSpanObserver(fn func(trace.Event)) (remove func()) {
-	rt.spanObs = append(rt.spanObs, fn)
-	idx := len(rt.spanObs) - 1
+// Subscribe adds o to the runtime's subscriber list and returns the
+// function that removes it. o must be comparable (a pointer, typically).
+// Options.Trace and Options.Metrics are subscribed by NewRuntime, in that
+// order.
+func (rt *Runtime) Subscribe(o Observer) (remove func()) {
+	rt.observers = append(rt.observers, o)
 	return func() {
-		rt.spanObs[idx] = nil
-		// Trim trailing empty slots so removing the last observer turns the
-		// traceActive guard back off entirely.
-		for len(rt.spanObs) > 0 && rt.spanObs[len(rt.spanObs)-1] == nil {
-			rt.spanObs = rt.spanObs[:len(rt.spanObs)-1]
-		}
-	}
-}
-
-// emitSpan records a completed span and notifies observers.
-func (rt *Runtime) emitSpan(lane trace.Lane, cat trace.Category, name string, start, end sim.Time, value int64) {
-	if rt.rec != nil {
-		rt.rec.Span(lane, cat, name, start, end, value)
-	}
-	if len(rt.spanObs) > 0 {
-		ev := trace.Event{Kind: trace.KindSpan, Cat: cat, Name: name, Lane: lane,
-			Start: start, Dur: end - start, Value: value}
-		for _, fn := range rt.spanObs {
-			if fn != nil {
-				fn(ev)
+		for i, x := range rt.observers {
+			if x == o {
+				rt.observers = slices.Delete(rt.observers, i, i+1)
+				return
 			}
 		}
 	}
 }
 
-// emitInstant records a point event (steal, eviction, fault) when tracing
-// is on.
+// recorderObserver is the event recorder's subscription: Instant and
+// Counter are the recorder's own, spans drop the proc.
+type recorderObserver struct{ *trace.Recorder }
+
+func (o recorderObserver) Span(_ *sim.Proc, lane trace.Lane, cat trace.Category, name string, start, end sim.Time, value int64) {
+	o.Recorder.Span(lane, cat, name, start, end, value)
+}
+
+// observed reports whether anything subscribes, for emitters with set-up
+// cost (Ctx.Task's timing, WatchDeques' hooks) to skip it when nothing
+// would see the events.
+func (rt *Runtime) observed() bool { return len(rt.observers) > 0 }
+
+// emitSpan publishes a span made by proc p.
+func (rt *Runtime) emitSpan(p *sim.Proc, lane trace.Lane, cat trace.Category, name string, start, end sim.Time, value int64) {
+	for _, o := range rt.observers {
+		o.Span(p, lane, cat, name, start, end, value)
+	}
+}
+
+// emitInstant publishes a point event (steal, eviction, fault).
 func (rt *Runtime) emitInstant(lane trace.Lane, name string, t sim.Time, value int64) {
-	if rt.rec != nil {
-		rt.rec.Instant(lane, name, t, value)
+	for _, o := range rt.observers {
+		o.Instant(lane, name, t, value)
 	}
 }
 
-// emitCounter records a sampled value (queue depth) when tracing is on.
+// emitCounter publishes a sampled value (queue depth, ring occupancy).
 func (rt *Runtime) emitCounter(lane trace.Lane, name string, t sim.Time, value int64) {
-	if rt.rec != nil {
-		rt.rec.Counter(lane, name, t, value)
+	for _, o := range rt.observers {
+		o.Counter(lane, name, t, value)
 	}
 }
 
-// chargeSpan is the single charge point pairing Breakdown accounting with
-// span emission, metrics, and per-proc span sinks: d = end-start goes to
-// the category; when tracing is active the same interval becomes a span on
-// lane; when metrics are on the identical duration feeds the registry's
-// busy counter and span histogram (metrics.go); when a sink is attached to
-// the charging proc the same interval is mirrored to it (journey phases) —
-// one code path, so all four accountings agree bit for bit. p is the proc
-// doing the work (nil from charge-only unit tests), used solely to key the
-// sink lookup.
+// chargeSpan is the single charge point: d = end-start goes to the
+// Breakdown category, and the same interval is published as a span made
+// by p (nil from engine callbacks and charge-only unit tests). A due
+// metrics sample follows the publication, so the sampled gauges include
+// this charge.
 func (rt *Runtime) chargeSpan(p *sim.Proc, lane trace.Lane, cat trace.Category, name string, start, end sim.Time, value int64) {
 	rt.bd.Add(cat, end-start)
-	if rt.traceActive() {
-		rt.emitSpan(lane, cat, name, start, end, value)
-	}
-	if rt.met != nil {
-		rt.met.noteSpan(lane, cat, start, end, value)
-		rt.maybeSample(end)
-	}
-	if rt.sinks != nil && p != nil {
-		if s := rt.sinks[p]; s != nil {
-			s.NoteSpan(cat, lane, name, start, end, value)
-		}
-	}
+	rt.emitSpan(p, lane, cat, name, start, end, value)
+	rt.maybeSample(end)
 }
 
 // moveLane places a move span: I/O lands on the storage endpoint's lane,
@@ -172,26 +153,27 @@ func cacheLane(node int) trace.Lane {
 // the compute and transfer spans inside it charge busy time; the task span
 // only gives the timeline its application-level shape). value labels the
 // task's size — chunk bytes, rows, elements — and is what profile-guided
-// scheduling observes. With tracing inactive the only cost is one branch.
+// scheduling observes. Without subscribers the only cost is one branch.
 func (c *Ctx) Task(name string, value int64, fn func(*Ctx) error) error {
-	if !c.rt.traceActive() {
+	if !c.rt.observed() {
 		return fn(c)
 	}
 	start := c.p.Now()
 	err := fn(c)
-	c.rt.emitSpan(trace.Lane{Node: c.node.ID, Track: trace.TrackTask}, trace.None,
+	c.rt.emitSpan(c.p, trace.Lane{Node: c.node.ID, Track: trace.TrackTask}, trace.None,
 		name, start, c.p.Now(), value)
 	return err
 }
 
-// TraceInstant records a point event on the current node's lane of the
-// given track. It is a no-op without a recorder.
+// TraceInstant publishes a point event on the current node's lane of the
+// given track. It is a no-op without subscribers.
 func (c *Ctx) TraceInstant(track, name string, value int64) {
 	c.rt.emitInstant(trace.Lane{Node: c.node.ID, Track: track}, name, c.p.Now(), value)
 }
 
-// TraceCounter samples a value on the current node's lane of the given
-// track (queue depths, occupancy). It is a no-op without a recorder.
+// TraceCounter publishes a sampled value on the current node's lane of the
+// given track (queue depths, occupancy). It is a no-op without
+// subscribers.
 func (c *Ctx) TraceCounter(track, name string, value int64) {
 	c.rt.emitCounter(trace.Lane{Node: c.node.ID, Track: track}, name, c.p.Now(), value)
 }

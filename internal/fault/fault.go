@@ -130,8 +130,14 @@ func New(e *sim.Engine, cfg Config) *Injector {
 // Config returns the injector's configuration (with defaults applied).
 func (in *Injector) Config() Config { return in.cfg }
 
-// Stats returns the counts of injected events so far.
-func (in *Injector) Stats() Stats { return in.stats }
+// Stats returns the counts of injected events so far; a nil injector has
+// injected nothing.
+func (in *Injector) Stats() Stats {
+	if in == nil {
+		return Stats{}
+	}
+	return in.stats
+}
 
 // TakeNodeOffline schedules an outage window for a tree node: transfers
 // touching the node and allocations on it fail with *OfflineError while the

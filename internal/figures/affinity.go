@@ -157,7 +157,6 @@ func (o Options) runAffinityGemm(affinity bool) (AffinityRow, error) {
 	if err != nil {
 		return AffinityRow{}, fmt.Errorf("figures: affinity ablation: gemm: %w", err)
 	}
-	rt.SyncMetrics()
 	picks := st.AffinityPicks
 	if !affinity {
 		picks = st.Pops + st.Steals
@@ -175,7 +174,6 @@ func (o Options) runAffinitySpmv(affinity bool) (AffinityRow, error) {
 	if err != nil {
 		return AffinityRow{}, fmt.Errorf("figures: affinity ablation: spmv: %w", err)
 	}
-	rt.SyncMetrics()
 	picks := st.AffinityPicks
 	if !affinity {
 		picks = st.Pops + st.Steals

@@ -95,7 +95,6 @@ func PerfSuite(o Options) (*PerfProfile, error) {
 		if err != nil {
 			return nil, fmt.Errorf("figures: perf suite: %v: %w", app, err)
 		}
-		rt.SyncMetrics()
 		prof.Apps = append(prof.Apps, AppPerf{
 			Name:      app.String(),
 			ElapsedNS: int64(stats.Elapsed),
@@ -154,7 +153,6 @@ func PerfSuite(o Options) (*PerfProfile, error) {
 	if err != nil {
 		return nil, fmt.Errorf("figures: perf suite: affinity: %w", err)
 	}
-	rt.SyncMetrics()
 	affMetrics := reg.Flatten()
 	affMetrics["northup_sched_tasks_executed"] = float64(affStats.Tasks)
 	affMetrics["northup_sched_affinity_picks"] = float64(affStats.AffinityPicks)

@@ -89,7 +89,7 @@ func StreamOverlap(o Options) (*StreamResult, error) {
 
 // runStreamedShard executes one sweep point on a fresh discrete tree. With
 // a non-nil registry the run carries continuous metrics (the perf gate's
-// stream-overlap entry) and syncs them before returning.
+// stream-overlap entry).
 func (o Options) runStreamedShard(payload int64, count int, reg *obs.Registry) (sim.Time, int64, int64, error) {
 	e := sim.NewEngine()
 	opts := core.DefaultOptions()
@@ -132,9 +132,6 @@ func (o Options) runStreamedShard(payload int64, count int, reg *obs.Registry) (
 	})
 	if err != nil {
 		return 0, 0, 0, fmt.Errorf("figures: stream overlap at %d sub-chunks: %w", count, err)
-	}
-	if reg != nil {
-		rt.SyncMetrics()
 	}
 	ss := rt.StreamStats()
 	return stats.Elapsed, ss.SubChunks, ss.MaxInFlight, nil

@@ -6,7 +6,8 @@
 // bit-for-bit against the recorded latency, and (at sample rate 1.0) the
 // per-category busy totals across all journeys reconcile against the
 // runtime's Breakdown, because both are fed by the same charge point
-// (core.Runtime.chargeSpan mirrors every span to the job's SpanSink).
+// (the serve tier subscribes to core.Runtime's observation stream and
+// passes each charge to the journey of the job whose proc made it).
 //
 // The layer is observation only. Recording a journey draws no random
 // numbers, charges no virtual time, and never touches the engine, so a run
@@ -68,11 +69,11 @@ type PhaseTotal struct {
 	Count int    `json:"count,omitempty"`
 }
 
-// Job is one sampled job's journey. It implements core.SpanSink: while the
-// job's root proc runs, every busy-time charge is mirrored into NoteSpan,
-// and the cursor-based partition turns the charge stream into phases —
-// gaps between charges (waiting on device/link contention inside moves is
-// charged; waiting between operations is not) become "blocked".
+// Job is one sampled job's journey. While the job's root proc runs, every
+// busy-time charge it makes is passed to NoteSpan, and the cursor-based
+// partition turns the charge stream into phases — gaps between charges
+// (waiting on device/link contention inside moves is charged; waiting
+// between operations is not) become "blocked".
 type Job struct {
 	TraceID  string
 	Tenant   string
@@ -119,10 +120,10 @@ func (j *Job) Dispatched(start sim.Time) {
 	j.add(PhaseQueueWait, j.Arrive, start, 0, trace.None)
 }
 
-// NoteSpan implements core.SpanSink: one busy-time charge on the job's
-// proc. Charges arrive in nondecreasing end order on a single proc, so the
-// cursor partition is total: gap before the charge -> blocked, the charge
-// itself -> its phase, cursor advances to the charge's end.
+// NoteSpan takes one busy-time charge made on the job's proc. Charges
+// arrive in nondecreasing end order on a single proc, so the cursor
+// partition is total: gap before the charge -> blocked, the charge itself
+// -> its phase, cursor advances to the charge's end.
 func (j *Job) NoteSpan(cat trace.Category, lane trace.Lane, name string, start, end sim.Time, value int64) {
 	if j.finished {
 		return

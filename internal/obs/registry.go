@@ -1,8 +1,9 @@
 // Package obs is the continuous-observability layer of the Northup
 // reproduction: a typed metrics registry (counters, gauges, fixed-bucket
-// histograms) populated by the runtime's charge points, plus a virtual-time
-// sampler that snapshots gauges at a configurable tick to produce
-// deterministic time series (sampler.go).
+// histograms) populated by the runtime's charge points or read through from
+// the runtime's own stat structs, plus a virtual-time sampler that
+// snapshots gauges at a configurable tick to produce deterministic time
+// series (sampler.go).
 //
 // Where package trace answers "what happened when" for one run, this
 // package answers "how much, continuously": the counters TREES- and
@@ -84,9 +85,12 @@ func renderLabels(labels []Label) string {
 	return sb.String()
 }
 
-// Counter is a monotonically increasing total.
+// Counter is a monotonically increasing total. A read-through counter
+// (Registry.CounterFunc) has no value of its own: it reads its source
+// whenever the registry is snapshotted, sampled or merged.
 type Counter struct {
-	v int64
+	v    int64
+	read func() int64
 }
 
 // Add increases the counter. Negative deltas panic: a counter that goes
@@ -101,27 +105,32 @@ func (c *Counter) Add(d int64) {
 // Inc adds one.
 func (c *Counter) Inc() { c.v++ }
 
-// Value returns the accumulated total.
-func (c *Counter) Value() int64 { return c.v }
-
-// SyncTo raises the counter to total — the sync path mirroring an external
-// monotonic source (CacheStats, ResilienceStats, injector counters) into
-// the registry without instrumenting every mutation site. Totals below the
-// current value panic, as for any counter decrease.
-func (c *Counter) SyncTo(total int64) {
-	c.Add(total - c.v)
+// Value returns the accumulated total, or the source's current total for a
+// read-through counter.
+func (c *Counter) Value() int64 {
+	if c.read != nil {
+		return c.read()
+	}
+	return c.v
 }
 
-// Gauge is an instantaneous value.
+// Gauge is an instantaneous value. A read-through gauge
+// (Registry.GaugeFunc) derives its value from its source on every read.
 type Gauge struct {
-	v float64
+	v    float64
+	read func() float64
 }
 
 // Set replaces the gauge's value.
 func (g *Gauge) Set(v float64) { g.v = v }
 
 // Value returns the current value.
-func (g *Gauge) Value() float64 { return g.v }
+func (g *Gauge) Value() float64 {
+	if g.read != nil {
+		return g.read()
+	}
+	return g.v
+}
 
 // Histogram is a fixed-bucket distribution of int64 observations
 // (virtual-time durations in nanoseconds, byte sizes). Buckets are
@@ -264,8 +273,22 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	m := r.register(name, help, KindCounter, labels)
 	if m.c == nil {
 		m.c = &Counter{}
+	} else if m.c.read != nil {
+		panic(fmt.Sprintf("obs: counter %q is read-through", m.full))
 	}
 	return m.c
+}
+
+// CounterFunc registers a read-through counter: read returns the
+// cumulative total of a monotonic source the caller already keeps (cache,
+// resilience or stream stats), so the registry never holds a second copy.
+// Registering the same name and labels twice panics.
+func (r *Registry) CounterFunc(name, help string, read func() int64, labels ...Label) {
+	m := r.register(name, help, KindCounter, labels)
+	if m.c != nil {
+		panic(fmt.Sprintf("obs: read-through counter %q registered twice", m.full))
+	}
+	m.c = &Counter{read: read}
 }
 
 // Gauge resolves or creates a gauge.
@@ -273,8 +296,21 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	m := r.register(name, help, KindGauge, labels)
 	if m.g == nil {
 		m.g = &Gauge{}
+	} else if m.g.read != nil {
+		panic(fmt.Sprintf("obs: gauge %q is read-through", m.full))
 	}
 	return m.g
+}
+
+// GaugeFunc registers a read-through gauge whose value read derives from
+// the caller's state (a hit rate, an elapsed time) on every read.
+// Registering the same name and labels twice panics.
+func (r *Registry) GaugeFunc(name, help string, read func() float64, labels ...Label) {
+	m := r.register(name, help, KindGauge, labels)
+	if m.g != nil {
+		panic(fmt.Sprintf("obs: read-through gauge %q registered twice", m.full))
+	}
+	m.g = &Gauge{read: read}
 }
 
 // Histogram resolves or creates a fixed-bucket histogram. bounds must be
@@ -329,9 +365,11 @@ func (r *Registry) Len() int { return len(r.metrics) }
 // gauges add as well (queue depths and byte totals sum meaningfully across
 // machines; ratio gauges like hit rates should be recomputed from the
 // merged counters instead of read off a merged registry). Instruments
-// missing from r are created. Histograms must share bucket bounds — fixed
-// bounds are the contract that makes this merge associative and
-// order-independent, which the cluster rollup tests assert.
+// missing from r are created, as plain instruments: a read-through one in
+// o contributes its source's current value, and merging into a read-through
+// one panics. Histograms must share bucket bounds — fixed bounds are the
+// contract that makes this merge associative and order-independent, which
+// the cluster rollup tests assert.
 func (r *Registry) Merge(o *Registry) {
 	for _, full := range o.sorted() {
 		om := o.metrics[full]
@@ -359,11 +397,15 @@ func (r *Registry) mergeOne(full string, om *metric, fam *family) {
 	case KindCounter:
 		if m.c == nil {
 			m.c = &Counter{}
+		} else if m.c.read != nil {
+			panic(fmt.Sprintf("obs: merge into read-through counter %q", full))
 		}
 		m.c.Add(om.c.Value())
 	case KindGauge:
 		if m.g == nil {
 			m.g = &Gauge{}
+		} else if m.g.read != nil {
+			panic(fmt.Sprintf("obs: merge into read-through gauge %q", full))
 		}
 		m.g.Set(m.g.Value() + om.g.Value())
 	case KindHistogram:

@@ -115,10 +115,11 @@ type Engine struct {
 	ruleFast map[string]sim.Time // rule name -> fast window, for attribution
 
 	// Journey recorder (journeys.go), nil unless the scenario enables it.
-	// Everything it feeds — sampling, span mirroring, exemplars, reject
+	// Everything it feeds — sampling, charge feeding, exemplars, reject
 	// instants — is observation only and gated on jny != nil, so a run with
 	// journeys off is byte-identical to one that never had the layer.
-	jny *journey.Recorder
+	jny  *journey.Recorder
+	feed *journeyFeed // the journeys' runtime subscription, with jny
 
 	idle         []*sim.Latch // parked dispatch workers
 	arrivalsOpen int
@@ -175,6 +176,8 @@ func New(scn *Scenario, opts RunOptions) (*Engine, error) {
 	}
 	if scn.Journeys.Enabled {
 		e.jny = journey.NewRecorder(scn.Seed, scn.Journeys.MaxSegments)
+		e.feed = &journeyFeed{jobs: map[*sim.Proc]*journey.Job{}}
+		rt.Subscribe(e.feed)
 	}
 	for i := range scn.Tenants {
 		e.tenants = append(e.tenants, e.newTenantState(i, &scn.Tenants[i]))
@@ -306,11 +309,10 @@ func (e *Engine) start() error {
 	return nil
 }
 
-// finish settles the drained run: metrics sync, a final plane tick at the
-// drain instant (deduplicated if a step tick already landed there), depth
-// slots close, queues detach, and the report is built.
+// finish settles the drained run: a final plane tick at the drain instant
+// (deduplicated if a step tick already landed there), depth slots close,
+// queues detach, and the report is built.
 func (e *Engine) finish() *Report {
-	e.rt.SyncMetrics()
 	if e.plane != nil {
 		e.plane.Tick(e.eng.Now())
 	}
@@ -461,11 +463,12 @@ func (e *Engine) dispatch(p *sim.Proc, t *tenantState, jb *job) {
 	var hash uint64
 	name := fmt.Sprintf("serve:%s-j%04d-%s", jb.tenant, jb.id, jb.mix.Workload)
 	join := e.rt.Start(name, func(c *core.Ctx) error {
-		// The job runs on its own fresh proc, so attaching the journey as
-		// that proc's span sink mirrors exactly the charges this job incurs
-		// — a pure read of the charge stream, invisible to the schedule.
+		// The job runs on its own fresh proc, so keying its journey by that
+		// proc feeds it exactly the charges this job incurs — a pure read
+		// of the observation stream, invisible to the schedule.
 		if jb.jny != nil {
-			defer c.AttachSpanSink(jb.jny)()
+			e.feed.jobs[c.Proc()] = jb.jny
+			defer delete(e.feed.jobs, c.Proc())
 		}
 		h, err := body(c)
 		hash = h

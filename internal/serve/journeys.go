@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/journey"
 	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -79,6 +80,27 @@ func (e *Engine) noteReject(t *tenantState, reason string) {
 			name, e.eng.Now(), int64(t.idx))
 	}
 }
+
+// journeyFeed is the serve tier's subscriber on the runtime's observation
+// stream: it passes each busy-time charge to the journey of the job whose
+// proc made it. Structural spans, instants, counters and charges made on
+// any other proc (a job's children, callback-driven stream hops) are not
+// the job's own busy time and pass by.
+type journeyFeed struct {
+	jobs map[*sim.Proc]*journey.Job // a running sampled job's root proc -> its journey
+}
+
+func (f *journeyFeed) Span(p *sim.Proc, lane trace.Lane, cat trace.Category, name string, start, end sim.Time, value int64) {
+	if cat == trace.None {
+		return
+	}
+	if j := f.jobs[p]; j != nil {
+		j.NoteSpan(cat, lane, name, start, end, value)
+	}
+}
+
+func (f *journeyFeed) Instant(trace.Lane, string, sim.Time, int64) {}
+func (f *journeyFeed) Counter(trace.Lane, string, sim.Time, int64) {}
 
 // Journeys returns the run's journey recorder, or nil when the scenario did
 // not enable the layer.

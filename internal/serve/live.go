@@ -124,7 +124,6 @@ func (l *Live) Handler() http.Handler {
 func (l *Live) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.e.rt.SyncMetrics()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	l.e.MergedRegistry().WritePrometheus(w)
 }

@@ -230,13 +230,12 @@ func (e *Engine) attributeFire(ev *ops.AlertEvent) {
 // armOpsTicks schedules the plane's evaluation chain on the engine's
 // inline-callback fast path: one tick at t=0 (the baseline sample), then
 // every Step while arrivals or admitted work remain, plus a final tick at
-// drain time issued by Run. Each tick syncs the runtime's scattered stat
-// sources into the registry first, so windows sample current values.
+// drain time issued by Run. The runtime's registry reads its stat sources
+// through, so windows sample current values.
 func (e *Engine) armOpsTicks() {
 	step := e.plane.Step()
 	var tick func()
 	tick = func() {
-		e.rt.SyncMetrics()
 		e.plane.Tick(e.eng.Now())
 		if e.arrivalsOpen > 0 || e.outstanding > 0 {
 			e.eng.After(step, tick)

@@ -249,8 +249,6 @@ func (g *Graph) Run(c *core.Ctx, o Options) (*Stats, error) {
 
 	rt := c.Runtime()
 	engine := c.Proc().Engine()
-	traceOn := rt.TraceRecorder() != nil
-	metricsOn := rt.MetricsEnabled()
 
 	nblock := make([]int, len(g.tasks))
 	for i, t := range g.tasks {
@@ -282,10 +280,10 @@ func (g *Graph) Run(c *core.Ctx, o Options) (*Stats, error) {
 
 	if o.Affinity {
 		g.runAffinity(c, o, st, node, nblock, tokens, &fe, &completed,
-			closeTokens, signal, depthSlot, traceOn, metricsOn)
+			closeTokens, signal, depthSlot)
 	} else {
 		g.runStealing(c, o, st, node, nblock, tokens, &fe, &completed,
-			closeTokens, signal, depthSlot, traceOn, metricsOn)
+			closeTokens, signal, depthSlot)
 	}
 	return st, fe.err
 }
@@ -294,15 +292,11 @@ func (g *Graph) Run(c *core.Ctx, o Options) (*Stats, error) {
 // emitting the placement telemetry. It returns false when the run must
 // abort.
 func (g *Graph) execute(sub *core.Ctx, o Options, node *topo.Node, id int,
-	policy string, saved int64, fe *firstErr, traceOn, metricsOn bool) bool {
+	policy string, saved int64, fe *firstErr) bool {
 
 	t := g.tasks[id]
-	if metricsOn {
-		sub.Runtime().NoteSchedPlacement(policy, node.ID, saved)
-	}
-	if traceOn {
-		sub.TraceInstant(trace.TrackQueue, "place", int64(t.id))
-	}
+	sub.Runtime().NoteSchedPlacement(policy, node.ID, saved)
+	sub.TraceInstant(trace.TrackQueue, "place", int64(t.id))
 	start := sub.Proc().Now()
 	err := sub.Task(t.Kind, int64(t.Cost), t.Run)
 	if err != nil {
@@ -320,7 +314,7 @@ func (g *Graph) execute(sub *core.Ctx, o Options, node *topo.Node, id int,
 // siblings when dry — the same topology every app's bespoke scheduler used.
 func (g *Graph) runStealing(c *core.Ctx, o Options, st *Stats, node *topo.Node,
 	nblock []int, tokens *sim.Chan, fe *firstErr, completed *int,
-	closeTokens, signal func(), depthSlot *core.QueueDepthSlot, traceOn, metricsOn bool) {
+	closeTokens, signal func(), depthSlot *core.QueueDepthSlot) {
 
 	workers := o.Workers
 	if workers < 1 {
@@ -369,7 +363,7 @@ func (g *Graph) runStealing(c *core.Ctx, o Options, st *Stats, node *topo.Node,
 					}
 					policy = "steal"
 				}
-				if !g.execute(sub, o, node, id, policy, 0, fe, traceOn, metricsOn) {
+				if !g.execute(sub, o, node, id, policy, 0, fe) {
 					closeTokens()
 					continue
 				}
@@ -400,7 +394,7 @@ func (g *Graph) runStealing(c *core.Ctx, o Options, st *Stats, node *topo.Node,
 // schedule is a pure function of graph order and cache state.
 func (g *Graph) runAffinity(c *core.Ctx, o Options, st *Stats, node *topo.Node,
 	nblock []int, tokens *sim.Chan, fe *firstErr, completed *int,
-	closeTokens, signal func(), depthSlot *core.QueueDepthSlot, traceOn, metricsOn bool) {
+	closeTokens, signal func(), depthSlot *core.QueueDepthSlot) {
 
 	workers := o.Workers
 	if workers < 1 {
@@ -412,11 +406,7 @@ func (g *Graph) runAffinity(c *core.Ctx, o Options, st *Stats, node *topo.Node,
 	rt := c.Runtime()
 
 	var ready []int
-	noteDepth := func() {
-		if metricsOn {
-			depthSlot.Set(int64(len(ready)))
-		}
-	}
+	noteDepth := func() { depthSlot.Set(int64(len(ready))) }
 	for id := range g.tasks {
 		if nblock[id] == 0 {
 			ready = append(ready, id)
@@ -499,7 +489,7 @@ func (g *Graph) runAffinity(c *core.Ctx, o Options, st *Stats, node *topo.Node,
 				st.AffinityPicks++
 				st.SavedBytes += bestSaved
 				last = g.tasks[id]
-				if !g.execute(sub, o, node, id, "affinity", bestSaved, fe, traceOn, metricsOn) {
+				if !g.execute(sub, o, node, id, "affinity", bestSaved, fe) {
 					closeTokens()
 					continue
 				}

@@ -8,6 +8,7 @@ package northup
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -90,10 +91,15 @@ func (p *FaultPlan) Inject(e *Engine) *FaultInjector {
 //	delay-rate=P    transfer delay probability in [0,1]
 //	delay-us=D      injected delay in microseconds (default 500)
 //	alloc-rate=P    transient alloc-failure probability in [0,1]
-//	offline=SPEC    outage NODE[/CLASS]:FROM_MS:UNTIL_MS (repeatable)
+//	offline=SPEC    outage NODE[/gpu]:FROM_MS:UNTIL_MS (repeatable)
 //
 // Example: "seed=42,rate=0.05,offline=1/gpu:2:5" fails 5% of transfers and
 // takes node 1's GPU offline from 2ms to 5ms of virtual time.
+//
+// Values no run could honour are rejected with a message naming the field:
+// NaN rates, delays and outage bounds that are not finite, negative or past
+// the int64 nanosecond range, and CPU-class outages (no scheduler re-routes
+// CPU work).
 func ParseFaults(spec string) (*FaultPlan, error) {
 	p := &FaultPlan{}
 	for _, field := range strings.Split(spec, ",") {
@@ -116,10 +122,13 @@ func ParseFaults(spec string) (*FaultPlan, error) {
 		case "delay-us":
 			var us float64
 			if us, err = strconv.ParseFloat(val, 64); err == nil {
-				if us <= 0 {
+				if !(us > 0) {
 					return nil, fmt.Errorf("faults: delay-us=%q must be positive", val)
 				}
-				p.Config.TransferDelay = Time(us * float64(Microsecond))
+				if p.Config.TransferDelay, err = toTime(us, Microsecond); err == nil && p.Config.TransferDelay == 0 {
+					// The injector reads a zero delay as "use the default".
+					err = fmt.Errorf("%v rounds to zero nanoseconds", us)
+				}
 			}
 		case "alloc-rate":
 			p.Config.AllocFailRate, err = parseRate(val)
@@ -138,16 +147,31 @@ func ParseFaults(spec string) (*FaultPlan, error) {
 	return p, nil
 }
 
-// parseRate parses a probability and checks it is in [0,1].
+// parseRate parses a probability and checks it is in [0,1] (so not NaN).
 func parseRate(s string) (float64, error) {
 	r, err := strconv.ParseFloat(s, 64)
 	if err != nil {
 		return 0, err
 	}
-	if r < 0 || r > 1 {
+	if !(r >= 0 && r <= 1) {
 		return 0, fmt.Errorf("rate %v outside [0,1]", r)
 	}
 	return r, nil
+}
+
+// toTime converts v units to virtual time, refusing what no schedule can
+// honour: NaN, infinities, negative values and values past the int64
+// nanosecond range.
+func toTime(v float64, unit Time) (Time, error) {
+	switch {
+	case math.IsNaN(v) || math.IsInf(v, 0):
+		return 0, fmt.Errorf("%v is not a finite time", v)
+	case v < 0:
+		return 0, fmt.Errorf("%v is before time 0", v)
+	case v*float64(unit) >= math.MaxInt64:
+		return 0, fmt.Errorf("%v overflows virtual time", v)
+	}
+	return Time(v * float64(unit)), nil
 }
 
 // parseOutage parses NODE[/CLASS]:FROM_MS:UNTIL_MS.
@@ -160,7 +184,13 @@ func parseOutage(s string) (FaultOutage, error) {
 	var o FaultOutage
 	if node, class, ok := strings.Cut(target, "/"); ok {
 		target, o.Class = node, class
-		if o.Class != ProcClassCPU && o.Class != ProcClassGPU {
+		switch o.Class {
+		case ProcClassGPU:
+		case ProcClassCPU:
+			// Failover re-routes GPU work to the CPU; nothing re-routes
+			// CPU work, so a CPU outage would silently change nothing.
+			return FaultOutage{}, fmt.Errorf("processor class %q: no scheduler honours CPU outages (use gpu, or a whole-node outage)", o.Class)
+		default:
 			return FaultOutage{}, fmt.Errorf("unknown processor class %q", o.Class)
 		}
 	}
@@ -170,15 +200,19 @@ func parseOutage(s string) (FaultOutage, error) {
 	}
 	o.Node = node
 	from, err := strconv.ParseFloat(parts[1], 64)
+	if err == nil {
+		o.Window.From, err = toTime(from, Millisecond)
+	}
 	if err != nil {
-		return FaultOutage{}, fmt.Errorf("bad from-ms %q", parts[1])
+		return FaultOutage{}, fmt.Errorf("bad from-ms %q: %v", parts[1], err)
 	}
 	until, err := strconv.ParseFloat(parts[2], 64)
-	if err != nil {
-		return FaultOutage{}, fmt.Errorf("bad until-ms %q", parts[2])
+	if err == nil {
+		o.Window.Until, err = toTime(until, Millisecond)
 	}
-	o.Window = FaultWindow{From: Time(from * float64(Millisecond)),
-		Until: Time(until * float64(Millisecond))}
+	if err != nil {
+		return FaultOutage{}, fmt.Errorf("bad until-ms %q: %v", parts[2], err)
+	}
 	if o.Window.Until <= o.Window.From {
 		return FaultOutage{}, fmt.Errorf("empty window [%vms,%vms)", from, until)
 	}

@@ -36,24 +36,82 @@ func TestParseFaultsFullSpec(t *testing.T) {
 }
 
 func TestParseFaultsRejectsGarbage(t *testing.T) {
-	for _, spec := range []string{
-		"seed",                  // not key=value
-		"tempo=1",               // unknown key
-		"rate=1.5",              // rate out of [0,1]
-		"rate=x",                // unparsable
-		"seed=1e9",              // seeds are integers
-		"delay-us=-3",           // non-positive delay
-		"offline=1:5",           // missing field
-		"offline=1/tpu:0:5",     // unknown processor class
-		"offline=banana:0:5",    // bad node
-		"offline=1:5:5",         // empty window
-		"offline=1/gpu:bad:5",   // bad from
-		"offline=1/gpu:0:worse", // bad until
+	for _, tc := range []struct {
+		spec, want string // want: a fragment the message must carry
+	}{
+		{"seed", "not key=value"},
+		{"tempo=1", "unknown key"},
+		{"rate=1.5", "outside [0,1]"},
+		{"rate=x", "bad rate"},
+		{"rate=NaN", "rate=\"NaN\""},
+		{"delay-rate=NaN", "delay-rate"},
+		{"alloc-rate=-0.1", "alloc-rate"},
+		{"seed=1e9", "bad seed"},
+		{"delay-us=-3", "must be positive"},
+		{"delay-us=NaN", "delay-us"},
+		{"delay-us=1e300", "delay-us=\"1e300\": 1e+300 overflows"},
+		{"delay-us=+Inf", "delay-us"},
+		{"delay-us=1e-9", "rounds to zero"},
+		{"offline=1:5", "NODE[/CLASS]"},
+		{"offline=1/tpu:0:5", "unknown processor class"},
+		{"offline=1/cpu:0:2", "no scheduler honours CPU outages"},
+		{"offline=banana:0:5", "bad node"},
+		{"offline=1:5:5", "empty window"},
+		{"offline=1/gpu:bad:5", "bad from-ms"},
+		{"offline=1/gpu:0:worse", "bad until-ms"},
+		{"offline=1:NaN:3", "from-ms \"NaN\""},
+		{"offline=1:-5:3", "from-ms \"-5\": -5 is before time 0"},
+		{"offline=1:0:1e300", "until-ms \"1e300\": 1e+300 overflows"},
+		{"offline=1:0:NaN", "until-ms \"NaN\""},
+		{"offline=1:-Inf:3", "from-ms"},
 	} {
-		if _, err := northup.ParseFaults(spec); err == nil {
-			t.Errorf("ParseFaults(%q) accepted", spec)
+		_, err := northup.ParseFaults(tc.spec)
+		if err == nil {
+			t.Errorf("ParseFaults(%q) accepted", tc.spec)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("ParseFaults(%q) = %q, want it to mention %q", tc.spec, err, tc.want)
 		}
 	}
+}
+
+// FuzzParseFaults holds every accepted plan to what the injector and the
+// schedulers can honour: finite rates in [0,1], a non-negative delay, and
+// outage windows with 0 <= From < Until on a whole node or its GPU.
+func FuzzParseFaults(f *testing.F) {
+	for _, seed := range []string{
+		"seed=42,rate=0.05,delay-rate=0.1,delay-us=250,alloc-rate=0.02,offline=1/gpu:2:5,offline=0:10:20",
+		"rate=NaN", "delay-us=1e300", "offline=1:NaN:3", "offline=1:-5:3",
+		"offline=1/cpu:0:2", "offline=1:0:1e300", " seed=7 , ,rate=0.5,",
+		"delay-us=0.0004", "offline=2/gpu:0.5:9.2e12",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := northup.ParseFaults(spec)
+		if err != nil {
+			return
+		}
+		c := p.Config
+		for name, r := range map[string]float64{"rate": c.TransferFailRate,
+			"delay-rate": c.TransferDelayRate, "alloc-rate": c.AllocFailRate} {
+			if !(r >= 0 && r <= 1) {
+				t.Fatalf("%q: accepted %s %v", spec, name, r)
+			}
+		}
+		if c.TransferDelay < 0 {
+			t.Fatalf("%q: accepted delay %v", spec, c.TransferDelay)
+		}
+		for _, o := range p.Outages {
+			if o.Window.From < 0 || o.Window.From >= o.Window.Until {
+				t.Fatalf("%q: accepted window %+v", spec, o.Window)
+			}
+			if o.Class != "" && o.Class != northup.ProcClassGPU {
+				t.Fatalf("%q: accepted class %q", spec, o.Class)
+			}
+		}
+	})
 }
 
 func TestParseFaultsIgnoresEmptyFields(t *testing.T) {

@@ -153,33 +153,138 @@ func TestRuntimeOverheadBelowOnePercent(t *testing.T) {
 	}
 }
 
-// TestTracingOffChangesNothing runs the same workload with and without a
-// recorder and requires identical virtual timing and breakdown: tracing must
-// observe the run, never perturb it.
+// observedOutcome is what an observer must never change: the makespan, the
+// per-category breakdown, and the cache, resilience and stream counters.
+type observedOutcome struct {
+	Elapsed    northup.Time
+	Breakdown  northup.Breakdown
+	Cache      northup.CacheStats
+	Resilience northup.ResilienceStats
+	Stream     northup.StreamStats
+}
+
+// TestTracingOffChangesNothing runs every execution mode the observation
+// stream reaches — recursive and task-graph schedules, the staging cache,
+// the streamed proc pump under faults, work stealing and profile-guided
+// mapping — under four observer settings, and requires identical outcomes:
+// observation must observe the run, never perturb it.
 func TestTracingOffChangesNothing(t *testing.T) {
-	run := func(traced bool) northup.RunStats {
-		e := northup.NewEngine()
-		tree := northup.APU(e, northup.APUConfig{Storage: northup.SSD,
+	apu := func(e *northup.Engine) *northup.Tree {
+		return northup.APU(e, northup.APUConfig{Storage: northup.SSD,
 			StorageMiB: 512, DRAMMiB: 16, WithCPU: true})
-		opts := northup.DefaultOptions()
-		if traced {
-			opts.Trace = northup.NewTraceRecorder(northup.TraceOptions{})
-		}
-		rt := northup.NewRuntime(e, tree, opts)
-		res, err := northup.GEMMNorthup(rt, northup.GEMMConfig{N: 192, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Stats
 	}
-	on, off := run(true), run(false)
-	if on.Elapsed != off.Elapsed {
-		t.Fatalf("tracing changed elapsed time: %v vs %v", on.Elapsed, off.Elapsed)
+	smallAPU := func(e *northup.Engine) *northup.Tree {
+		return northup.APU(e, northup.APUConfig{Storage: northup.SSD,
+			StorageMiB: 64, DRAMMiB: 4, WithCPU: true})
 	}
-	for _, c := range trace.Categories {
-		if on.Breakdown.Busy(c) != off.Breakdown.Busy(c) {
-			t.Errorf("tracing changed %v busy time: %v vs %v",
-				c, on.Breakdown.Busy(c), off.Breakdown.Busy(c))
+	discrete := func(e *northup.Engine) *northup.Tree {
+		return northup.Discrete(e, northup.DiscreteConfig{Storage: northup.SSD,
+			StorageMiB: 64, DRAMMiB: 8, GPUMemMiB: 4})
+	}
+	affinity := northup.TaskOptions{Affinity: true}
+	runs := []struct {
+		name   string
+		tree   func(*northup.Engine) *northup.Tree
+		cache  int64  // staging-cache bytes, 0 = off
+		faults string // fault spec, "" = none
+		run    func(rt *northup.Runtime) (northup.RunStats, error)
+	}{
+		{name: "gemm-recursive", tree: apu, run: func(rt *northup.Runtime) (northup.RunStats, error) {
+			res, err := northup.GEMMNorthup(rt, northup.GEMMConfig{N: 192, Seed: 1})
+			if err != nil {
+				return northup.RunStats{}, err
+			}
+			return res.Stats, nil
+		}},
+		{name: "gemm-tasks-affinity-cache", tree: smallAPU, cache: 256 << 10, run: func(rt *northup.Runtime) (northup.RunStats, error) {
+			res, _, err := northup.GEMMTasks(rt, northup.GEMMConfig{N: 256, Seed: 11, ShardDim: 64}, affinity)
+			if err != nil {
+				return northup.RunStats{}, err
+			}
+			return res.Stats, nil
+		}},
+		{name: "spmv-tasks-affinity-cache", tree: smallAPU, cache: 512 << 10, run: func(rt *northup.Runtime) (northup.RunStats, error) {
+			res, _, err := northup.SpMVTasks(rt, northup.SpMVConfig{N: 4096, AvgNNZ: 16,
+				Kind: northup.SparseUniform, Seed: 7, Iters: 3}, affinity)
+			if err != nil {
+				return northup.RunStats{}, err
+			}
+			return res.Stats, nil
+		}},
+		{name: "hotspot-streamed-discrete-faults", tree: discrete, faults: "seed=9,rate=0.05",
+			run: func(rt *northup.Runtime) (northup.RunStats, error) {
+				res, err := northup.HotSpotNorthup(rt, northup.HotSpotConfig{N: 64, Seed: 6, ChunkDim: 32,
+					Iters: 3, Passes: 2, Streamed: true,
+					StreamOpts: northup.StreamOptions{SubChunks: 3, MinSubChunkBytes: 512}})
+				if err != nil {
+					return northup.RunStats{}, err
+				}
+				return res.Stats, nil
+			}},
+		{name: "hotspot-steal", tree: apu, run: func(rt *northup.Runtime) (northup.RunStats, error) {
+			res, err := northup.HotSpotSteal(rt, northup.StealConfig{
+				M: 256, ChunkDim: 64, Seed: 1, Iters: 2, Mode: northup.CPUGPU})
+			if err != nil {
+				return northup.RunStats{}, err
+			}
+			return res.Stats, nil
+		}},
+		{name: "hotspot-profiled", tree: apu, run: func(rt *northup.Runtime) (northup.RunStats, error) {
+			res, err := northup.HotSpotProfiled(rt, northup.HotSpotConfig{N: 128, Seed: 4, ChunkDim: 32, Iters: 2})
+			if err != nil {
+				return northup.RunStats{}, err
+			}
+			return res.Stats, nil
+		}},
+	}
+	observers := []struct {
+		name              string
+		recorder, metrics bool
+	}{
+		{"none", false, false},
+		{"recorder", true, false},
+		{"registry+sampler", false, true},
+		{"recorder+registry", true, true},
+	}
+	for _, r := range runs {
+		var want observedOutcome
+		for i, o := range observers {
+			e := northup.NewEngine()
+			opts := northup.DefaultOptions()
+			if r.cache > 0 {
+				opts.Cache = northup.CacheOptions{Enabled: true, CapacityBytes: r.cache}
+			}
+			if r.faults != "" {
+				plan, err := northup.ParseFaults(r.faults)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts.Faults = plan.Inject(e)
+			}
+			if o.recorder {
+				opts.Trace = northup.NewTraceRecorder(northup.TraceOptions{})
+			}
+			if o.metrics {
+				opts.Metrics = northup.NewMetricsRegistry()
+				if !o.recorder {
+					opts.Sampler = northup.NewMetricsSampler(opts.Metrics,
+						northup.SamplerOptions{Tick: 10 * northup.Microsecond})
+				}
+			}
+			rt := northup.NewRuntime(e, r.tree(e), opts)
+			stats, err := r.run(rt)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", r.name, o.name, err)
+			}
+			got := observedOutcome{stats.Elapsed, stats.Breakdown, rt.CacheStats(),
+				rt.Resilience(), rt.StreamStats()}
+			if i == 0 {
+				want = got
+				continue
+			}
+			if got != want {
+				t.Errorf("%s: observers %s changed the run:\n got  %+v\n want %+v", r.name, o.name, got, want)
+			}
 		}
 	}
 }
