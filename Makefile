@@ -66,17 +66,25 @@ trace-demo:
 	$(GO) run ./cmd/northup-trace trace-demo.json > /dev/null
 	rm -f trace-demo.json
 
-# Multi-tenant serving smoke: run both committed scenarios end-to-end
-# through the CLI (phantom mode) and require identical reports on a rerun
-# of the first — the DSL's same-seed byte-identical promise.
+# Multi-tenant serving smoke: run every committed scenario twice through
+# the CLI (phantom mode) and require byte-identical reports and job records
+# on the rerun — the DSL's same-seed promise — then the same for the
+# functional two-tenant run, the one CLI path that hashes stored bytes.
 serve-demo:
-	$(GO) run ./cmd/northup-serve -scenario specs/scenarios/two-tenant.yaml \
-		-format json > serve-demo-a.json
-	$(GO) run ./cmd/northup-serve -scenario specs/scenarios/two-tenant.yaml \
-		-format json > serve-demo-b.json
-	cmp serve-demo-a.json serve-demo-b.json
-	$(GO) run ./cmd/northup-serve -scenario specs/scenarios/saturation.json > /dev/null
-	rm -f serve-demo-a.json serve-demo-b.json
+	$(GO) build -o serve-demo-serve ./cmd/northup-serve
+	sh -c 'set -e; \
+	  rerun() { \
+	    for run in a b; do \
+	      ./serve-demo-serve "$$@" -format json -records serve-demo-$$run.records \
+	        > serve-demo-$$run.json; \
+	    done; \
+	    cmp serve-demo-a.json serve-demo-b.json; \
+	    cmp serve-demo-a.records serve-demo-b.records; \
+	  }; \
+	  for sc in specs/scenarios/*; do rerun -scenario $$sc; done; \
+	  rerun -scenario specs/scenarios/two-tenant.yaml -functional'
+	rm -f serve-demo-serve serve-demo-a.json serve-demo-b.json \
+		serve-demo-a.records serve-demo-b.records
 
 # Live admin-plane smoke: run the burn-rate scenario with the HTTP plane
 # up (flat out, lingering after completion), poll /healthz until the run
@@ -167,4 +175,4 @@ bench-check:
 
 clean:
 	$(GO) clean ./...
-	rm -f BENCH_cache.json BENCH_stream.json BENCH_serve.json BENCH_affinity.json trace-demo.json serve-demo-a.json serve-demo-b.json ops-demo-serve ops-demo-alerts.json tail-demo-serve tail-demo-trace tail-demo.trace.json tail-demo-alerts.json tail-demo-tail.txt
+	rm -f BENCH_cache.json BENCH_stream.json BENCH_serve.json BENCH_affinity.json trace-demo.json serve-demo-serve serve-demo-a.json serve-demo-b.json serve-demo-a.records serve-demo-b.records ops-demo-serve ops-demo-alerts.json tail-demo-serve tail-demo-trace tail-demo.trace.json tail-demo-alerts.json tail-demo-tail.txt

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
 
@@ -173,21 +172,20 @@ func (jb *job) body(e *Engine) func(*core.Ctx) (uint64, error) {
 	}
 }
 
-// fileHash fingerprints a simulated output file (FNV-1a over its bytes)
-// outside simulated time. Phantom runs hash an unwritten file, which reads
-// as zeros — still deterministic.
+// fileHash fingerprints a simulated output file (FNV-1a over its logical
+// content) outside simulated time. Phantom runs hash an unwritten file,
+// which reads as zeros — still deterministic; storage.File.Hash digests
+// the zero tail in closed form, so the cost follows the stored bytes.
 func fileHash(b *core.Buffer) uint64 {
 	f := b.File()
 	if f == nil {
 		return 0
 	}
-	buf := make([]byte, f.Size())
-	if f.Peek(buf, 0) != nil {
+	h, err := f.Hash()
+	if err != nil {
 		return 0
 	}
-	h := fnv.New64a()
-	h.Write(buf)
-	return h.Sum64()
+	return h
 }
 
 // gemmBody computes C = A x B with B resident in the tenant's staging
@@ -389,6 +387,7 @@ func (jb *job) hotspotBody(e *Engine) func(*core.Ctx) (uint64, error) {
 	return func(c *core.Ctx) (uint64, error) {
 		rt := c.Runtime()
 		gridBytes := int64(n) * int64(n) * 4
+		kernName := jb.name("hs") // one name for every band of every iteration
 		var tempData, powerData []byte
 		if !rt.Phantom() {
 			tempData = view.F32Bytes(workload.Dense(n, n, jb.seed))
@@ -436,7 +435,7 @@ func (jb *job) hotspotBody(e *Engine) func(*core.Ctx) (uint64, error) {
 						if err := c.MoveDataDown(bPow, fP, 0, bandOff, bandBytes); err != nil {
 							return err
 						}
-						kern := bandKernel(jb.name("hs"), rt.Phantom(), bIn, bOut, bPow, rows, n)
+						kern := bandKernel(kernName, rt.Phantom(), bIn, bOut, bPow, rows, n)
 						groups := (rows / hotspot.BlockDim) * (n / hotspot.BlockDim)
 						if err := c.Descend(e.dram, func(lc *core.Ctx) error {
 							_, kerr := lc.LaunchKernel(kern, groups)

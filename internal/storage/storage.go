@@ -11,11 +11,14 @@
 // bit-checkable results. Content is kept in a lazily grown buffer: bytes
 // never written read back as zero, like a sparse file, which keeps host
 // memory proportional to the touched working set even when the simulated
-// device is large.
+// device is large. File.Hash keeps that promise for result digests: it
+// reads only the stored bytes and extends the digest over the zero tail in
+// closed form, so fingerprinting a file never materializes its full size.
 package storage
 
 import (
 	"fmt"
+	"hash/fnv"
 	"sort"
 
 	"repro/internal/device"
@@ -215,6 +218,34 @@ func (f *File) Peek(buf []byte, off int64) error {
 		}
 	}
 	return nil
+}
+
+// fnvPrime64 is the 64-bit FNV prime hash/fnv's New64a multiplies by.
+const fnvPrime64 = 1099511628211
+
+// Hash returns the 64-bit FNV-1a digest of the file's whole logical
+// content: the value hash/fnv's New64a gives over a full-size Peek, with no
+// simulated time and without copying the content. Only the stored prefix
+// is hashed byte by byte. FNV-1a over a zero byte leaves the state
+// unchanged by the xor and multiplies it by the prime, so the unwritten
+// tail of k zero bytes multiplies the digest by prime^k mod 2^64, computed
+// by square-and-multiply: O(stored bytes + log size).
+func (f *File) Hash() (uint64, error) {
+	if err := f.checkRange("hash", 0, 0); err != nil {
+		return 0, err
+	}
+	stored := f.data[:min(int64(len(f.data)), f.size)]
+	h := fnv.New64a()
+	h.Write(stored)
+	sum := h.Sum64()
+	p := uint64(fnvPrime64)
+	for k := f.size - int64(len(stored)); k > 0; k >>= 1 {
+		if k&1 == 1 {
+			sum *= p
+		}
+		p *= p
+	}
+	return sum, nil
 }
 
 // ReadAt2D reads a 2-D block of rows*rowBytes bytes laid out with the given

@@ -2,6 +2,8 @@ package storage
 
 import (
 	"bytes"
+	"fmt"
+	"hash/fnv"
 	"testing"
 	"testing/quick"
 
@@ -251,4 +253,105 @@ func TestMemStoreRejected(t *testing.T) {
 	}()
 	e := sim.NewEngine()
 	NewStore(device.New(e, device.DRAMProfile(device.GiB)))
+}
+
+// hashOracle is File.Hash's reference: FNV-1a over a full-size Peek.
+func hashOracle(t testing.TB, f *File) uint64 {
+	t.Helper()
+	buf := make([]byte, f.Size())
+	if err := f.Peek(buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(buf)
+	return h.Sum64()
+}
+
+// preload is one functional write a hash case seeds before digesting.
+type preload struct {
+	off  int64
+	data []byte
+}
+
+// checkHash creates a file of the given size, seeds it with loads and
+// compares File.Hash with the oracle.
+func checkHash(t testing.TB, size int64, loads []preload) {
+	t.Helper()
+	f, err := newTestStore(sim.NewEngine()).Create("f", size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range loads {
+		if err := f.Preload(l.data, l.off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := f.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := hashOracle(t, f); got != want {
+		t.Fatalf("size %d: Hash = %#x, want %#x", size, got, want)
+	}
+}
+
+// TestFileHashMatchesOracle pins File.Hash to FNV-1a over the file's whole
+// logical content, the stored prefix and the zero tail extended in closed
+// form alike, across empty, never-written, sparse and full files and sizes
+// either side of powers of two. A removed file has no digest.
+func TestFileHashMatchesOracle(t *testing.T) {
+	pattern := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(i*31 + 7)
+		}
+		return b
+	}
+	type hashCase struct {
+		name  string
+		size  int64
+		loads []preload
+	}
+	cases := []hashCase{
+		{"size 0", 0, nil},
+		{"never written", 4096, nil},
+		{"never written, one byte", 1, nil},
+		{"middle only", 1000, []preload{{300, pattern(200)}}},
+		{"zero byte written mid", 64, []preload{{10, []byte{0}}}},
+		{"fully written", 777, []preload{{0, pattern(777)}}},
+		{"last byte written", 513, []preload{{512, []byte{9}}}},
+		{"two islands", 10000, []preload{{5, pattern(3)}, {6000, pattern(50)}}},
+	}
+	for _, size := range []int64{255, 256, 257, 1023, 1024, 1025, 65535, 65536, 65537, 1<<20 - 1, 1 << 20, 1<<20 + 1} {
+		cases = append(cases,
+			hashCase{fmt.Sprintf("size %d unwritten", size), size, nil},
+			hashCase{fmt.Sprintf("size %d head", size), size, []preload{{0, pattern(17)}}},
+			hashCase{fmt.Sprintf("size %d full", size), size, []preload{{0, pattern(int(size))}}})
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) { checkHash(t, tc.size, tc.loads) })
+	}
+
+	s := newTestStore(sim.NewEngine())
+	f, _ := s.Create("gone", 100)
+	s.Remove("gone")
+	if _, err := f.Hash(); err == nil {
+		t.Fatal("Hash of a removed file succeeded")
+	}
+}
+
+// FuzzFileHash checks File.Hash against the oracle for files up to 1 MiB
+// seeded with two arbitrary preloads, clipped to the file.
+func FuzzFileHash(f *testing.F) {
+	f.Add(uint32(0), uint32(0), []byte{}, uint32(0), []byte{})
+	f.Add(uint32(4096), uint32(100), []byte("northup"), uint32(4000), []byte{0, 0, 1})
+	f.Add(uint32(1<<20), uint32(1<<20-1), []byte{0xff}, uint32(0), []byte{1, 2, 3, 4})
+	f.Fuzz(func(t *testing.T, size, off1 uint32, data1 []byte, off2 uint32, data2 []byte) {
+		n := int64(size % (1<<20 + 1))
+		clip := func(off uint32, data []byte) preload {
+			o := int64(off) % (n + 1)
+			return preload{o, data[:min(int64(len(data)), n-o)]}
+		}
+		checkHash(t, n, []preload{clip(off1, data1), clip(off2, data2)})
+	})
 }
