@@ -54,6 +54,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -66,36 +67,90 @@ import (
 	"repro/internal/trace"
 )
 
+// options is the parsed command line.
+type options struct {
+	scenario, format                  string
+	functional, stats, journeys, tail bool
+	metrics, records, alerts, windows string
+	journeysOut, traceOut, httpAddr   string
+	tailQ, pace                       float64
+	linger                            time.Duration
+
+	set   map[string]bool // the flags given on the command line
+	usage func()
+}
+
+// parseFlags reads the command line into options; validate checks them.
+func parseFlags(args []string) (*options, error) {
+	o := &options{}
+	fs := flag.NewFlagSet("northup-serve", flag.ContinueOnError)
+	fs.StringVar(&o.scenario, "scenario", "", "scenario file to run (YAML or JSON, required)")
+	fs.StringVar(&o.format, "format", "table", "report format: table or json")
+	fs.BoolVar(&o.functional, "functional", false, "execute real kernels and hash job outputs (default: phantom timing-only)")
+	fs.StringVar(&o.metrics, "metrics", "", "write the merged metrics registry (Prometheus text) to this file, - for stdout")
+	fs.StringVar(&o.records, "records", "", "write the per-job completion log (JSON) to this file, - for stdout")
+	fs.StringVar(&o.alerts, "alerts", "", "write the alert timeline (JSON) to this file, - for stdout")
+	fs.StringVar(&o.windows, "windows", "", "write the windowed series (JSON) to this file, - for stdout")
+	fs.BoolVar(&o.stats, "stats", false, "add wall-clock engine stats (events/sec) to the report")
+	fs.BoolVar(&o.journeys, "journeys", false, "force per-job journeys on (sample 1.0) even if the scenario leaves them off")
+	fs.BoolVar(&o.tail, "tail", false, "print the tail-latency analyzer (requires journeys)")
+	fs.Float64Var(&o.tailQ, "tail-q", 0.99, "quantile the tail analyzer decomposes (with -tail)")
+	fs.StringVar(&o.journeysOut, "journeys-out", "", "write every recorded journey (JSON) to this file, - for stdout")
+	fs.StringVar(&o.traceOut, "trace-out", "", "write a Chrome trace of the run (with per-job journey lanes) to this file, - for stdout")
+	fs.StringVar(&o.httpAddr, "http", "", "serve the live admin plane (/metrics /healthz /tenants /alerts) on this address during the run")
+	fs.Float64Var(&o.pace, "pace", 0, "virtual seconds advanced per wall-clock second with -http (0 = flat out)")
+	fs.DurationVar(&o.linger, "linger", 0, "keep the -http admin plane serving this long after the run completes")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	o.set = make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { o.set[f.Name] = true })
+	o.usage = fs.Usage
+	return o, nil
+}
+
+// validate refuses a missing scenario, an unknown format and every flag
+// the run would silently ignore, naming the flag: -pace and -linger only
+// shape the -http admin plane, -tail-q only the -tail analyzer.
+func (o *options) validate() error {
+	if o.scenario == "" {
+		return errors.New("-scenario FILE is required (see specs/scenarios/)")
+	}
+	if o.format != "table" && o.format != "json" {
+		return fmt.Errorf("unknown format %q (want table or json)", o.format)
+	}
+	for _, r := range []struct {
+		flag, needs string
+		honoured    bool
+	}{
+		{"pace", "-http", o.httpAddr != ""},
+		{"linger", "-http", o.httpAddr != ""},
+		{"tail-q", "-tail", o.tail},
+	} {
+		if o.set[r.flag] && !r.honoured {
+			return fmt.Errorf("-%s has no effect without %s", r.flag, r.needs)
+		}
+	}
+	return nil
+}
+
 func main() {
-	scenario := flag.String("scenario", "", "scenario file to run (YAML or JSON, required)")
-	format := flag.String("format", "table", "report format: table or json")
-	functional := flag.Bool("functional", false, "execute real kernels and hash job outputs (default: phantom timing-only)")
-	metrics := flag.String("metrics", "", "write the merged metrics registry (Prometheus text) to this file, - for stdout")
-	records := flag.String("records", "", "write the per-job completion log (JSON) to this file, - for stdout")
-	alerts := flag.String("alerts", "", "write the alert timeline (JSON) to this file, - for stdout")
-	windows := flag.String("windows", "", "write the windowed series (JSON) to this file, - for stdout")
-	stats := flag.Bool("stats", false, "add wall-clock engine stats (events/sec) to the report")
-	journeys := flag.Bool("journeys", false, "force per-job journeys on (sample 1.0) even if the scenario leaves them off")
-	tail := flag.Bool("tail", false, "print the tail-latency analyzer (requires journeys)")
-	tailQ := flag.Float64("tail-q", 0.99, "quantile the tail analyzer decomposes")
-	journeysOut := flag.String("journeys-out", "", "write every recorded journey (JSON) to this file, - for stdout")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace of the run (with per-job journey lanes) to this file, - for stdout")
-	httpAddr := flag.String("http", "", "serve the live admin plane (/metrics /healthz /tenants /alerts) on this address during the run")
-	pace := flag.Float64("pace", 0, "virtual seconds advanced per wall-clock second with -http (0 = flat out)")
-	linger := flag.Duration("linger", 0, "keep the admin plane serving this long after the run completes")
-	flag.Parse()
-
-	if *scenario == "" {
-		fmt.Fprintln(os.Stderr, "northup-serve: -scenario FILE is required (see specs/scenarios/)")
-		flag.Usage()
+	o, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
 		os.Exit(2)
 	}
-	if *format != "table" && *format != "json" {
-		fmt.Fprintf(os.Stderr, "northup-serve: unknown format %q (want table or json)\n", *format)
+	if err := o.validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "northup-serve: %v\n", err)
+		if o.scenario == "" {
+			o.usage()
+		}
 		os.Exit(2)
 	}
 
-	data, err := os.ReadFile(*scenario)
+	data, err := os.ReadFile(o.scenario)
 	if err != nil {
 		fatal(err)
 	}
@@ -103,37 +158,37 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *journeys && !scn.Journeys.Enabled {
+	if o.journeys && !scn.Journeys.Enabled {
 		scn.Journeys = serve.JourneySpec{Enabled: true}
 	}
-	if (*tail || *journeysOut != "") && !scn.Journeys.Enabled {
+	if (o.tail || o.journeysOut != "") && !scn.Journeys.Enabled {
 		fmt.Fprintln(os.Stderr, "northup-serve: -tail/-journeys-out need journeys (scenario journeys: block or -journeys)")
 		os.Exit(2)
 	}
 	eng, err := serve.New(scn, serve.RunOptions{
-		Phantom:   !*functional,
-		WallStats: *stats,
-		Trace:     *traceOut != "",
+		Phantom:   !o.functional,
+		WallStats: o.stats,
+		Trace:     o.traceOut != "",
 	})
 	if err != nil {
 		fatal(err)
 	}
 	var rep *serve.Report
-	if *httpAddr != "" {
+	if o.httpAddr != "" {
 		live := serve.NewLive(eng)
-		ln, err := net.Listen("tcp", *httpAddr)
+		ln, err := net.Listen("tcp", o.httpAddr)
 		if err != nil {
 			fatal(err)
 		}
 		srv := &http.Server{Handler: live.Handler()}
 		go srv.Serve(ln)
-		fmt.Fprintf(os.Stderr, "northup-serve: admin plane on http://%s (pace %g)\n", ln.Addr(), *pace)
-		rep, err = live.RunPaced(*pace, 0)
+		fmt.Fprintf(os.Stderr, "northup-serve: admin plane on http://%s (pace %g)\n", ln.Addr(), o.pace)
+		rep, err = live.RunPaced(o.pace, 0)
 		if err != nil {
 			fatal(err)
 		}
-		if *linger > 0 {
-			time.Sleep(*linger)
+		if o.linger > 0 {
+			time.Sleep(o.linger)
 		}
 		srv.Close()
 	} else {
@@ -143,7 +198,7 @@ func main() {
 		}
 	}
 
-	switch *format {
+	switch o.format {
 	case "json":
 		if err := rep.WriteJSON(os.Stdout); err != nil {
 			fatal(err)
@@ -152,16 +207,16 @@ func main() {
 		fmt.Print(rep.String())
 	}
 
-	if *metrics != "" {
-		err := emit(*metrics, func(w io.Writer) error {
+	if o.metrics != "" {
+		err := emit(o.metrics, func(w io.Writer) error {
 			return eng.MergedRegistry().WritePrometheus(w)
 		})
 		if err != nil {
 			fatal(err)
 		}
 	}
-	if *records != "" {
-		err := emit(*records, func(w io.Writer) error {
+	if o.records != "" {
+		err := emit(o.records, func(w io.Writer) error {
 			e := json.NewEncoder(w)
 			e.SetIndent("", "  ")
 			return e.Encode(eng.Records())
@@ -170,35 +225,35 @@ func main() {
 			fatal(err)
 		}
 	}
-	if *alerts != "" {
-		err := emit(*alerts, func(w io.Writer) error {
+	if o.alerts != "" {
+		err := emit(o.alerts, func(w io.Writer) error {
 			return writeIndented(w, nonNil(eng.AlertEvents()))
 		})
 		if err != nil {
 			fatal(err)
 		}
 	}
-	if *windows != "" {
-		err := emit(*windows, func(w io.Writer) error {
+	if o.windows != "" {
+		err := emit(o.windows, func(w io.Writer) error {
 			return writeIndented(w, eng.WindowSeries())
 		})
 		if err != nil {
 			fatal(err)
 		}
 	}
-	if *tail {
-		fmt.Print(eng.TailReport(*tailQ).String())
+	if o.tail {
+		fmt.Print(eng.TailReport(o.tailQ).String())
 	}
-	if *journeysOut != "" {
-		err := emit(*journeysOut, func(w io.Writer) error {
+	if o.journeysOut != "" {
+		err := emit(o.journeysOut, func(w io.Writer) error {
 			return writeIndented(w, eng.Journeys().Export())
 		})
 		if err != nil {
 			fatal(err)
 		}
 	}
-	if *traceOut != "" {
-		err := emit(*traceOut, func(w io.Writer) error {
+	if o.traceOut != "" {
+		err := emit(o.traceOut, func(w io.Writer) error {
 			return trace.WriteChromeTrace(w, eng.TraceEvents(), trace.ChromeExportOptions{
 				NodeLabel:     eng.TraceNodeLabel,
 				DroppedEvents: eng.TraceDropped(),

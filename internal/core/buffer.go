@@ -148,6 +148,12 @@ func (rt *Runtime) Release(p *sim.Proc, b *Buffer) error {
 	}
 	b.released = true
 	rt.chargeOverhead(p)
+	return rt.freeBuffer(b)
+}
+
+// freeBuffer returns a released buffer's space to its node: the end of
+// Release, after its bookkeeping charge.
+func (rt *Runtime) freeBuffer(b *Buffer) error {
 	if b.file != nil {
 		if err := b.node.Store.Remove(b.file.Name()); err != nil {
 			return fmt.Errorf("core: releasing storage buffer: %w", err)

@@ -394,19 +394,25 @@ func (rt *Runtime) CacheResidentBytes(node *topo.Node, src *Buffer, srcOff, n in
 // reads can never observe stale bytes. Pinned and in-flight entries are
 // doomed (invisible at once, freed by their last user).
 func (rt *Runtime) invalidateRange(p *sim.Proc, dst *Buffer, off, n int64) {
-	cs := rt.bd.Cache()
 	for _, nc := range rt.caches {
-		victims, doomed := nc.pool.InvalidateRange(dst.id, off, n)
-		cs.Invalidations += int64(len(victims)) + int64(doomed)
-		if total := int64(len(victims)) + int64(doomed); total > 0 {
-			rt.emitInstant(cacheLane(nc.node.ID), "invalidate", p.Now(), total)
-		}
-		for _, v := range victims {
+		for _, v := range rt.invalidateIn(nc, dst, off, n) {
 			b := v.(*Buffer)
 			b.cref = nil
 			_ = rt.Release(p, b)
 		}
 	}
+}
+
+// invalidateIn drops one node cache's copies of dst's [off, off+n), counts
+// and publishes the invalidation, and returns the ready victims, already
+// out of the pool, for the caller to detach and release.
+func (rt *Runtime) invalidateIn(nc *nodeCache, dst *Buffer, off, n int64) []any {
+	victims, doomed := nc.pool.InvalidateRange(dst.id, off, n)
+	if total := int64(len(victims)) + int64(doomed); total > 0 {
+		rt.bd.Cache().Invalidations += total
+		rt.emitInstant(cacheLane(nc.node.ID), "invalidate", rt.engine.Now(), total)
+	}
+	return victims
 }
 
 // checkMoveDst rejects writes into cache-owned buffers (they are read-only

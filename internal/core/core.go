@@ -122,8 +122,8 @@ type Runtime struct {
 	streamInflight int64
 	streamHops     map[int]*streamHopAgg
 
-	// scratch recycles the file-to-file staging buffers of moveOnce and
-	// move2DOnce, so retries and hot loops stop re-allocating.
+	// scratch recycles the file-to-file staging buffers of moveOnce,
+	// asyncMove and move2DOnce, so retries and hot loops stop re-allocating.
 	scratch [][]byte
 }
 

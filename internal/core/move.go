@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/sim"
+	"repro/internal/storage"
 	"repro/internal/trace"
 	"repro/internal/xfer"
 )
@@ -40,21 +41,24 @@ func (rt *Runtime) MoveData(p *sim.Proc, dst *Buffer, src *Buffer, dstOff, srcOf
 }
 
 // moveOnce is one attempt of MoveData: the fault check, then the dispatch
-// of Listing 4.
+// of Listing 4. A file access is its device charge followed by the copy
+// (storage.File's ReadAt is Charge then Peek, WriteAt is Charge then
+// Preload); phantom mode charges the same and skips the copies. asyncMove
+// is the same attempt on engine callbacks, charge for charge.
 func (rt *Runtime) moveOnce(p *sim.Proc, dst *Buffer, src *Buffer, dstOff, srcOff, n int64) error {
 	if err := rt.faultTransfer(p, src, dst, n); err != nil {
 		return err
 	}
-	if rt.opts.Phantom {
-		return rt.movePhantom(p, dst, src, dstOff, srcOff, n)
-	}
+	copies := !rt.opts.Phantom
 	start := p.Now()
 	var cat trace.Category
 	var err error
 	switch {
 	case src.file != nil && dst.file == nil:
 		cat = trace.IO
-		err = src.file.ReadAt(p, dst.data[dstOff:dstOff+n], srcOff)
+		if err = src.file.Charge(p, device.Read, srcOff, n); err == nil && copies {
+			err = src.file.Peek(dst.data[dstOff:dstOff+n], srcOff)
+		}
 		if err == nil && dst.node.Kind() == device.KindGPUMem {
 			// GPUDirect-style path: the storage read lands in device memory
 			// through the PCIe link as well.
@@ -65,21 +69,262 @@ func (rt *Runtime) moveOnce(p *sim.Proc, dst *Buffer, src *Buffer, dstOff, srcOf
 		if src.node.Kind() == device.KindGPUMem {
 			rt.pcie.Transfer(p, src.node.Mem, nil, n)
 		}
-		err = dst.file.WriteAt(p, src.data[srcOff:srcOff+n], dstOff)
+		if err = dst.file.Charge(p, device.Write, dstOff, n); err == nil && copies {
+			err = dst.file.Preload(src.data[srcOff:srcOff+n], dstOff)
+		}
 	case src.file != nil && dst.file != nil:
 		cat = trace.IO
-		tmp := rt.getScratch(n)
-		if err = src.file.ReadAt(p, tmp, srcOff); err == nil {
-			err = dst.file.WriteAt(p, tmp, dstOff)
+		var tmp []byte
+		if copies {
+			tmp = rt.getScratch(n)
+		}
+		if err = src.file.Charge(p, device.Read, srcOff, n); err == nil && copies {
+			err = src.file.Peek(tmp, srcOff)
+		}
+		if err == nil {
+			if err = dst.file.Charge(p, device.Write, dstOff, n); err == nil && copies {
+				err = dst.file.Preload(tmp, dstOff)
+			}
 		}
 		rt.putScratch(tmp)
 	default: // memory to memory
 		cat = trace.Transfer
-		copy(dst.data[dstOff:dstOff+n], src.data[srcOff:srcOff+n])
+		if copies {
+			copy(dst.data[dstOff:dstOff+n], src.data[srcOff:srcOff+n])
+		}
 		rt.link(src, dst).Transfer(p, src.node.Mem, dst.node.Mem, n)
 	}
 	rt.chargeSpan(p, moveLane(cat, dst, src), cat, spanMove, start, p.Now(), n)
 	return err
+}
+
+// asyncMove is MoveData on engine callbacks, for the hops of a streamed
+// move: the same checks, cache invalidation (each victim released as
+// Release does), bookkeeping, fault draws (the injector's stall and fail
+// phases around a timer), charges and retries (retryAfter), in the same
+// order at the same virtual times as MoveData and moveOnce. Its
+// continuations are bound once (newAsyncMove), so a move allocates
+// nothing beyond what the device models allocate per charge.
+type asyncMove struct {
+	rt             *Runtime
+	dst, src       *Buffer
+	dstOff, srcOff int64
+	n              int64
+	done           func(error) // receives the move's result
+
+	attempt int
+	start   sim.Time // the attempt's start, the deadline's reference
+	at      sim.Time // start of the pause or the charges under way
+	span    string   // the runtime span the pause under way charges
+	then    func()   // what follows the pause under way
+	cat     trace.Category
+	victims []any  // invalidated cache copies still to release
+	tmp     []byte // file-to-file staging
+
+	afterVictim, afterPause, afterTry, afterStall, afterRetry func()
+	afterRead, afterWrite, afterLink                          func(sim.Time)
+}
+
+// newAsyncMove returns a move on rt reporting to done, its continuations
+// bound.
+func newAsyncMove(rt *Runtime, done func(error)) *asyncMove {
+	m := &asyncMove{rt: rt, done: done}
+	m.afterVictim, m.afterPause, m.afterTry = m.victimReleased, m.paused, m.try
+	m.afterStall, m.afterRetry = m.failDraw, m.retry
+	m.afterRead, m.afterWrite, m.afterLink = m.readDone, m.writeDone, m.linkDone
+	return m
+}
+
+// begin starts moving src[srcOff:srcOff+n) to dst[dstOff:dstOff+n).
+func (m *asyncMove) begin(dst, src *Buffer, dstOff, srcOff, n int64) {
+	if err := checkMove(dst, src, dstOff, srcOff, n); err != nil {
+		m.done(err)
+		return
+	}
+	if err := m.rt.checkMoveDst(dst); err != nil {
+		m.done(err)
+		return
+	}
+	if n == 0 {
+		m.done(nil)
+		return
+	}
+	m.dst, m.src, m.dstOff, m.srcOff, m.n, m.attempt = dst, src, dstOff, srcOff, n, 0
+	for _, nc := range m.rt.caches {
+		m.victims = append(m.victims, m.rt.invalidateIn(nc, dst, dstOff, n)...)
+	}
+	m.releaseVictims()
+}
+
+// releaseVictims releases the invalidated cache copies in order, then
+// charges MoveData's bookkeeping before the first attempt.
+func (m *asyncMove) releaseVictims() {
+	if len(m.victims) == 0 {
+		m.bookkeep(m.afterTry)
+		return
+	}
+	b := m.victims[0].(*Buffer)
+	b.cref, b.released = nil, true
+	m.bookkeep(m.afterVictim)
+}
+
+func (m *asyncMove) victimReleased() {
+	_ = m.rt.freeBuffer(m.victims[0].(*Buffer))
+	m.victims = m.victims[:copy(m.victims, m.victims[1:])]
+	m.releaseVictims()
+}
+
+// bookkeep charges one unit of runtime bookkeeping, as chargeOverhead
+// does, then runs then.
+func (m *asyncMove) bookkeep(then func()) {
+	if ovh := m.rt.opts.OverheadPerOp; ovh > 0 {
+		m.pause(ovh, spanBookkeeping, then)
+		return
+	}
+	then()
+}
+
+// pause waits d, charges the wait to the runtime as span, then runs then.
+func (m *asyncMove) pause(d sim.Time, span string, then func()) {
+	m.at, m.span, m.then = m.rt.engine.Now(), span, then
+	m.rt.engine.After(d, m.afterPause)
+}
+
+// paused charges the pause. Its value is the attempt number, as for
+// withRetry's backoff spans; bookkeeping only precedes the first attempt,
+// so its spans carry 0, as chargeOverhead's do.
+func (m *asyncMove) paused() {
+	m.rt.chargeSpan(nil, laneRuntime, trace.Runtime, m.span, m.at, m.rt.engine.Now(), int64(m.attempt))
+	m.then()
+}
+
+// try starts an attempt: the deadline clock, then the fault check.
+func (m *asyncMove) try() {
+	m.start = m.rt.engine.Now()
+	in := m.rt.opts.Faults
+	if in == nil {
+		m.dispatch()
+		return
+	}
+	stall, err := in.TransferStall(m.src.node.ID, m.dst.node.ID)
+	switch {
+	case err != nil:
+		m.settle(err)
+	case stall > 0:
+		m.rt.engine.After(stall, m.afterStall)
+	default:
+		m.failDraw()
+	}
+}
+
+func (m *asyncMove) failDraw() {
+	if err := m.rt.opts.Faults.TransferFail(m.src.node.ID, m.dst.node.ID, m.n); err != nil {
+		m.settle(err)
+		return
+	}
+	m.dispatch()
+}
+
+// dispatch issues moveOnce's charges, each continuing in its completion
+// callback.
+func (m *asyncMove) dispatch() {
+	rt := m.rt
+	m.at = rt.engine.Now()
+	switch {
+	case m.src.file != nil:
+		m.cat = trace.IO
+		if m.dst.file != nil && !rt.opts.Phantom {
+			m.tmp = rt.getScratch(m.n)
+		}
+		m.access(m.src.file, device.Read, m.srcOff, m.afterRead)
+	case m.dst.file != nil:
+		m.cat = trace.IO
+		if m.src.node.Kind() == device.KindGPUMem {
+			rt.pcie.TransferAsync(m.src.node.Mem, nil, m.n, m.afterLink)
+			return
+		}
+		m.access(m.dst.file, device.Write, m.dstOff, m.afterWrite)
+	default: // memory to memory
+		m.cat = trace.Transfer
+		if !rt.opts.Phantom {
+			copy(m.dst.data[m.dstOff:m.dstOff+m.n], m.src.data[m.srcOff:m.srcOff+m.n])
+		}
+		rt.link(m.src, m.dst).TransferAsync(m.src.node.Mem, m.dst.node.Mem, m.n, m.afterLink)
+	}
+}
+
+// access charges the move's n bytes at off of file f, then runs next; a
+// range error ends the attempt's charges at once.
+func (m *asyncMove) access(f *storage.File, op device.Op, off int64, next func(sim.Time)) {
+	if err := f.ChargeAsync(op, off, m.n, next); err != nil {
+		m.charged(err)
+	}
+}
+
+func (m *asyncMove) readDone(sim.Time) {
+	var err error
+	if !m.rt.opts.Phantom {
+		buf := m.tmp
+		if m.dst.file == nil {
+			buf = m.dst.data[m.dstOff : m.dstOff+m.n]
+		}
+		err = m.src.file.Peek(buf, m.srcOff)
+	}
+	switch {
+	case err != nil:
+		m.charged(err)
+	case m.dst.file != nil: // file to file, staged through m.tmp
+		m.access(m.dst.file, device.Write, m.dstOff, m.afterWrite)
+	case m.dst.node.Kind() == device.KindGPUMem: // GPUDirect, as moveOnce
+		m.rt.pcie.TransferAsync(nil, m.dst.node.Mem, m.n, m.afterLink)
+	default:
+		m.charged(nil)
+	}
+}
+
+func (m *asyncMove) writeDone(sim.Time) {
+	var err error
+	if !m.rt.opts.Phantom {
+		data := m.tmp
+		if m.src.file == nil {
+			data = m.src.data[m.srcOff : m.srcOff+m.n]
+		}
+		err = m.dst.file.Preload(data, m.dstOff)
+	}
+	m.charged(err)
+}
+
+func (m *asyncMove) linkDone(sim.Time) {
+	if m.dst.file != nil { // a GPU source crosses PCIe before the write
+		m.access(m.dst.file, device.Write, m.dstOff, m.afterWrite)
+		return
+	}
+	m.charged(nil)
+}
+
+// charged ends the attempt's charges with the move span, then settles.
+func (m *asyncMove) charged(err error) {
+	if m.tmp != nil {
+		m.rt.putScratch(m.tmp)
+		m.tmp = nil
+	}
+	m.rt.chargeSpan(nil, moveLane(m.cat, m.dst, m.src), m.cat, spanMove, m.at, m.rt.engine.Now(), m.n)
+	m.settle(err)
+}
+
+// settle hands the attempt's outcome to the retry policy: done receives
+// the final result, or the backoff runs and the next attempt follows.
+func (m *asyncMove) settle(err error) {
+	if retry, backoff, err := m.rt.retryAfter("move_data", m.attempt, m.start, err); !retry {
+		m.done(err)
+	} else {
+		m.pause(backoff, spanBackoff, m.afterRetry)
+	}
+}
+
+func (m *asyncMove) retry() {
+	m.attempt++
+	m.try()
 }
 
 // MoveData2D copies a rows x rowBytes block with independent strides on
@@ -122,67 +367,65 @@ func (rt *Runtime) MoveData2D(p *sim.Proc, dst *Buffer, src *Buffer,
 // move2DOnce is one attempt of MoveData2D. The whole block is one
 // injectable unit: a fault aborts the attempt and the retry re-issues every
 // row, which matches how a failed scatter/gather DMA is re-queued whole.
+// Like moveOnce's, a file row is its charge then its copy, and phantom
+// mode skips the copies.
 func (rt *Runtime) move2DOnce(p *sim.Proc, dst *Buffer, src *Buffer,
 	dstOff, dstStride, srcOff, srcStride int64, rows int, rowBytes int) error {
 	if err := rt.faultTransfer(p, src, dst, int64(rows)*int64(rowBytes)); err != nil {
 		return err
 	}
-	phantom := rt.opts.Phantom
+	copies := !rt.opts.Phantom
 	start := p.Now()
+	row := int64(rowBytes)
 	var cat trace.Category
 	var err error
 	switch {
 	case src.file != nil && dst.file == nil:
 		cat = trace.IO
-		for r := 0; r < rows && err == nil; r++ {
-			s := srcOff + int64(r)*srcStride
-			if phantom {
-				err = src.file.Charge(p, device.Read, s, int64(rowBytes))
-				continue
+		for r := int64(0); r < int64(rows) && err == nil; r++ {
+			s, d := srcOff+r*srcStride, dstOff+r*dstStride
+			if err = src.file.Charge(p, device.Read, s, row); err == nil && copies {
+				err = src.file.Peek(dst.data[d:d+row], s)
 			}
-			d := dstOff + int64(r)*dstStride
-			err = src.file.ReadAt(p, dst.data[d:d+int64(rowBytes)], s)
 		}
 	case src.file == nil && dst.file != nil:
 		cat = trace.IO
-		for r := 0; r < rows && err == nil; r++ {
-			d := dstOff + int64(r)*dstStride
-			if phantom {
-				err = dst.file.Charge(p, device.Write, d, int64(rowBytes))
-				continue
+		for r := int64(0); r < int64(rows) && err == nil; r++ {
+			s, d := srcOff+r*srcStride, dstOff+r*dstStride
+			if err = dst.file.Charge(p, device.Write, d, row); err == nil && copies {
+				err = dst.file.Preload(src.data[s:s+row], d)
 			}
-			s := srcOff + int64(r)*srcStride
-			err = dst.file.WriteAt(p, src.data[s:s+int64(rowBytes)], d)
 		}
 	case src.file != nil && dst.file != nil:
 		cat = trace.IO
 		var tmp []byte
-		if !phantom {
-			tmp = rt.getScratch(int64(rowBytes))
+		if copies {
+			tmp = rt.getScratch(row)
 		}
-		for r := 0; r < rows && err == nil; r++ {
-			if phantom {
-				if err = src.file.Charge(p, device.Read, srcOff+int64(r)*srcStride, int64(rowBytes)); err == nil {
-					err = dst.file.Charge(p, device.Write, dstOff+int64(r)*dstStride, int64(rowBytes))
-				}
-				continue
+		for r := int64(0); r < int64(rows) && err == nil; r++ {
+			s, d := srcOff+r*srcStride, dstOff+r*dstStride
+			if err = src.file.Charge(p, device.Read, s, row); err == nil && copies {
+				err = src.file.Peek(tmp, s)
 			}
-			if err = src.file.ReadAt(p, tmp, srcOff+int64(r)*srcStride); err == nil {
-				err = dst.file.WriteAt(p, tmp, dstOff+int64(r)*dstStride)
+			if err == nil {
+				err = dst.file.Charge(p, device.Write, d, row)
+			}
+			if err == nil && copies {
+				err = dst.file.Preload(tmp, d)
 			}
 		}
 		rt.putScratch(tmp)
 	default:
 		cat = trace.Transfer
-		if !phantom {
+		if copies {
 			err = xfer.Copy2D(dst.data, dstOff, dstStride, src.data, srcOff, srcStride, rows, rowBytes)
 		}
 		if err == nil {
-			rt.link(src, dst).Transfer(p, src.node.Mem, dst.node.Mem, int64(rows)*int64(rowBytes))
+			rt.link(src, dst).Transfer(p, src.node.Mem, dst.node.Mem, int64(rows)*row)
 			// Non-contiguous layouts pay a per-row descriptor cost on the
 			// DMA path — the reason §VI's layout transformation wins once
 			// data is reused enough.
-			if srcStride != int64(rowBytes) || dstStride != int64(rowBytes) {
+			if srcStride != row || dstStride != row {
 				per := src.node.Mem.Profile().Latency
 				if l := dst.node.Mem.Profile().Latency; l > per {
 					per = l
@@ -191,38 +434,7 @@ func (rt *Runtime) move2DOnce(p *sim.Proc, dst *Buffer, src *Buffer,
 			}
 		}
 	}
-	rt.chargeSpan(p, moveLane(cat, dst, src), cat, spanMove2D, start, p.Now(), int64(rows)*int64(rowBytes))
-	return err
-}
-
-// movePhantom charges the timing of MoveData without moving bytes.
-func (rt *Runtime) movePhantom(p *sim.Proc, dst, src *Buffer, dstOff, srcOff, n int64) error {
-	start := p.Now()
-	var cat trace.Category
-	var err error
-	switch {
-	case src.file != nil && dst.file == nil:
-		cat = trace.IO
-		err = src.file.Charge(p, device.Read, srcOff, n)
-		if err == nil && dst.node.Kind() == device.KindGPUMem {
-			rt.pcie.Transfer(p, nil, dst.node.Mem, n)
-		}
-	case src.file == nil && dst.file != nil:
-		cat = trace.IO
-		if src.node.Kind() == device.KindGPUMem {
-			rt.pcie.Transfer(p, src.node.Mem, nil, n)
-		}
-		err = dst.file.Charge(p, device.Write, dstOff, n)
-	case src.file != nil && dst.file != nil:
-		cat = trace.IO
-		if err = src.file.Charge(p, device.Read, srcOff, n); err == nil {
-			err = dst.file.Charge(p, device.Write, dstOff, n)
-		}
-	default:
-		cat = trace.Transfer
-		rt.link(src, dst).Transfer(p, src.node.Mem, dst.node.Mem, n)
-	}
-	rt.chargeSpan(p, moveLane(cat, dst, src), cat, spanMove, start, p.Now(), n)
+	rt.chargeSpan(p, moveLane(cat, dst, src), cat, spanMove2D, start, p.Now(), int64(rows)*row)
 	return err
 }
 

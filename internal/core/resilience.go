@@ -152,41 +152,53 @@ func (rt *Runtime) faultTransfer(p *sim.Proc, src, dst *Buffer, n int64) error {
 // and allocations wrapped here are idempotent, so re-running a timed-out
 // (but completed) operation is safe.
 func (rt *Runtime) withRetry(p *sim.Proc, what string, op func() error) error {
-	pol := rt.opts.Retry
 	for attempt := 0; ; attempt++ {
 		start := p.Now()
-		err := op()
-		if err == nil && pol.OpTimeout > 0 {
-			if took := p.Now() - start; took > pol.OpTimeout {
-				rt.res.Timeouts++
-				err = &timeoutError{what: what, took: took, deadline: pol.OpTimeout}
-			}
-		}
-		if err == nil {
-			return nil
-		}
-		if !fault.IsTransient(err) {
+		retry, backoff, err := rt.retryAfter(what, attempt, start, op())
+		if !retry {
 			return err
 		}
-		rt.res.Faults++
-		// what is a static per-call-site label ("move_data", "alloc"), so
-		// the instant costs no allocation.
-		rt.emitInstant(laneRuntime, what, p.Now(), int64(attempt))
-		if attempt >= pol.MaxRetries {
-			rt.res.GaveUp++
-			return fmt.Errorf("core: %s: giving up after %d attempt(s): %w", what, attempt+1, err)
-		}
-		rt.res.Retries++
-		sleep := pol.backoff(attempt)
-		var off *fault.OfflineError
-		if errors.As(err, &off) && off.Until > p.Now() {
-			// Wait out the outage rather than retrying into it.
-			if wake := off.Until - p.Now(); wake > sleep {
-				sleep = wake
-			}
-		}
 		backoffStart := p.Now()
-		p.Sleep(sleep)
+		p.Sleep(backoff)
 		rt.chargeSpan(p, laneRuntime, trace.Runtime, spanBackoff, backoffStart, p.Now(), int64(attempt))
 	}
+}
+
+// retryAfter is the retry policy's decision once attempt (0-based) of
+// operation what, begun at start, has ended now with err: the deadline
+// check, then for a transient failure the counters, the fault instant and
+// either giving up or the backoff before the next attempt. It returns
+// retry with the backoff to wait first, or the operation's final error
+// (nil on success). withRetry and the streamed-move pump both drive their
+// retries through it.
+func (rt *Runtime) retryAfter(what string, attempt int, start sim.Time, err error) (retry bool, backoff sim.Time, _ error) {
+	pol := rt.opts.Retry
+	now := rt.engine.Now()
+	if err == nil && pol.OpTimeout > 0 {
+		if took := now - start; took > pol.OpTimeout {
+			rt.res.Timeouts++
+			err = &timeoutError{what: what, took: took, deadline: pol.OpTimeout}
+		}
+	}
+	if err == nil || !fault.IsTransient(err) {
+		return false, 0, err
+	}
+	rt.res.Faults++
+	// what is a static per-call-site label ("move_data", "alloc"), so the
+	// instant costs no allocation.
+	rt.emitInstant(laneRuntime, what, now, int64(attempt))
+	if attempt >= pol.MaxRetries {
+		rt.res.GaveUp++
+		return false, 0, fmt.Errorf("core: %s: giving up after %d attempt(s): %w", what, attempt+1, err)
+	}
+	rt.res.Retries++
+	backoff = pol.backoff(attempt)
+	var off *fault.OfflineError
+	if errors.As(err, &off) && off.Until > now {
+		// Wait out the outage rather than retrying into it.
+		if wake := off.Until - now; wake > backoff {
+			backoff = wake
+		}
+	}
+	return true, backoff, nil
 }

@@ -10,31 +10,38 @@ import (
 	"repro/internal/trace"
 )
 
-// This file implements streamed (multi-stage, pipelined) moves: a multi-hop
-// move split into S sub-chunks, each hop driven by its own sim.Proc, with
-// bounded double-buffered staging rings at the intermediate nodes. Hop k of
-// sub-chunk i overlaps hop k-1 of sub-chunk i+1, so disk->DRAM and
-// DRAM->GPU bandwidth are in flight simultaneously inside a single logical
-// move — the paper's §III-C multi-stage data transfer, generalized to any
+// This file implements streamed (multi-stage, pipelined) moves: a move
+// along one root-to-leaf line of the tree, split into S sub-chunks that
+// pass every intermediate node through a bounded ring of staging slots, so
+// hop k of sub-chunk i overlaps hop k-1 of sub-chunk i+1 and disk->DRAM and
+// DRAM->GPU bandwidth are in flight at once inside one logical move — the
+// paper's §III-C multi-stage data transfer, generalized to any
 // ancestor/descendant pair of the tree.
 //
-// Ring protocol. Every intermediate node j holds depth staging slots (plain
-// runtime buffers, so allocation pressure and cache relief apply as usual)
-// and two FIFO credit channels: free[j] carries empty-slot indices (seeded
-// with all slots), full[j] carries filled-slot indices. The hop feeding
-// node j takes a credit from free[j], moves a sub-chunk into that slot with
-// the ordinary MoveData (same retry, invalidation, charge and trace path as
-// a monolithic move), and posts the slot to full[j]; the hop draining node
-// j does the reverse. Slots cannot be overwritten while still being read —
-// a writer cannot touch a slot until its index has traveled the full
-// free-channel round trip — and channel FIFO order plus the deterministic
-// engine makes the whole interleaving reproducible bit-for-bit.
+// One pump. Every streamed move runs on engine callbacks; no hop has a
+// process. Each intermediate node holds depth staging slots (plain runtime
+// buffers, so allocation pressure and cache relief apply as usual), used
+// round-robin: sub-chunk i occupies slot i mod depth. Hop k starts
+// sub-chunk i once its input slot is full and its output slot is free —
+// the firing rule of a dataflow stage — and moves it with asyncMove,
+// MoveData on callbacks (move.go: the same invalidation, bookkeeping,
+// fault draws, charges and retries as a monolithic move); landing it frees
+// the input slot for hop k-1 and fills the output slot for hop k+1. A slot
+// is never overwritten while still being read.
+//
+// Event order. The pump keeps the schedule of a pump that drives each hop
+// with its own process and passes slots through FIFO channels, the
+// schedule the committed figures and sweeps were measured with: where such
+// a hop process would be woken (its start, or a slot it had to wait for),
+// the pump continues in a same-instant engine callback queued at that
+// point; where it would run on, the pump continues inline; and the caller
+// resumes when the last hop finishes. TestStreamGolden pins that schedule.
+// Only an OnChunk consumer gets a process, since it may block.
 //
 // Failure drain. The first error is latched (errOnce) and every later
-// sub-chunk move is skipped, but each hop still cycles all count tokens
-// through its rings, so no proc is left blocked and the engine terminates
-// deterministically; per-sub-chunk faults inside a hop are retried by
-// MoveData itself and a re-attempt re-copies the same bytes.
+// sub-chunk move is skipped, but each hop still cycles every sub-chunk's
+// slots, so the pump always finishes; per-sub-chunk faults are retried by
+// the move itself, and a re-attempt re-copies the same bytes.
 
 // StreamOptions tunes a streamed move. The zero value asks the adaptive
 // sizer to pick the sub-chunk count from the device profiles along the
@@ -77,9 +84,10 @@ type StreamStats struct {
 	SubChunks int64
 	// HopMoves is the number of per-hop sub-chunk moves driven.
 	HopMoves int64
-	// AsyncHops counts the sub-chunk moves driven on the engine's
-	// inline-callback fast path (single-hop pumps) rather than by a
-	// dedicated hop process.
+	// AsyncHops equals HopMoves: every hop move runs on engine callbacks.
+	//
+	// Deprecated: use HopMoves. The field stays only because the benchmark
+	// harness (module northup-benchmark) still reads it.
 	AsyncHops int64
 	// Bytes is the total payload delivered by streamed moves.
 	Bytes int64
@@ -99,7 +107,11 @@ func (s StreamStats) String() string {
 }
 
 // StreamStats returns the accumulated streamed-move counters.
-func (rt *Runtime) StreamStats() StreamStats { return rt.streamStats }
+func (rt *Runtime) StreamStats() StreamStats {
+	s := rt.streamStats
+	s.AsyncHops = s.HopMoves
+	return s
+}
 
 // streamHopAgg accumulates achieved-bandwidth inputs for one hop,
 // keyed by the hop's destination node.
@@ -289,20 +301,6 @@ func (rt *Runtime) moveDataStreamed(c *Ctx, dst, src *Buffer, dstOff, srcOff, n 
 		return nil
 	}
 
-	// A multi-chunk single-hop stream has no rings and no overlap: its hop
-	// proc would just issue the sub-chunk moves back to back. Drive those
-	// leaf, non-blocking charges through the engine's inline-callback fast
-	// path instead of parking a process on each one. Gated to configurations
-	// whose per-chunk sequence has no blocking side work — no consumer, no
-	// fault injection or retry deadline (both may sleep/backoff), and not
-	// file-to-file (its scratch staging is worth a real proc) — so the
-	// timing is identical to the proc-driven loop by construction.
-	if nhops == 1 && o.OnChunk == nil &&
-		rt.opts.Faults == nil && rt.opts.Retry.OpTimeout <= 0 &&
-		!(src.file != nil && dst.file != nil) {
-		return rt.streamSingleHopAsync(c, dst, src, dstOff, srcOff, n, plan)
-	}
-
 	depth := o.Depth
 	if depth < 1 {
 		depth = defaultStreamDepth
@@ -310,246 +308,196 @@ func (rt *Runtime) moveDataStreamed(c *Ctx, dst, src *Buffer, dstOff, srcOff, n 
 	if depth > count {
 		depth = count
 	}
-
-	// Staging rings at the intermediate nodes path[1..nhops-1]. Slots are
-	// ordinary runtime buffers, so allocation pressure triggers the same
-	// cache relief as any AllocAt.
-	stageBuf := make([][]*Buffer, nhops)
-	free := make([]*sim.Chan, nhops)
-	full := make([]*sim.Chan, nhops)
+	s := &streamPump{rt: rt, dst: dst, src: src, dstOff: dstOff, srcOff: srcOff,
+		plan: plan, path: path, onChunk: o.OnChunk, running: nhops,
+		hops: make([]streamHop, nhops), stage: make([][]*Buffer, nhops),
+		done: sim.NewLatch(rt.engine)}
+	// Staging slots at the intermediate nodes path[1..nhops-1] are ordinary
+	// runtime buffers, so allocation pressure triggers the same cache
+	// relief as any AllocAt.
 	for j := 1; j < nhops; j++ {
-		free[j] = sim.NewChan(rt.engine, depth)
-		full[j] = sim.NewChan(rt.engine, depth)
-		slots := make([]*Buffer, depth)
-		for s := range slots {
+		for len(s.stage[j]) < depth {
 			b, err := rt.AllocAt(c.p, path[j], plan.SubChunk)
 			if err != nil {
-				for jj := 1; jj <= j; jj++ {
-					for _, sb := range stageBuf[jj] {
-						if sb != nil {
-							_ = rt.Release(c.p, sb)
-						}
+				for _, slots := range s.stage[1 : j+1] {
+					for _, sb := range slots {
+						_ = rt.Release(c.p, sb)
 					}
 				}
 				return fmt.Errorf("core: streamed move staging at %v: %w", path[j], err)
 			}
-			slots[s] = b
-			free[j].TrySend(s)
+			s.stage[j] = append(s.stage[j], b)
 		}
-		stageBuf[j] = slots
 	}
-
-	var eo errOnce
-	ringOcc := make([]int64, nhops)
-	wg := sim.NewWaitGroup(rt.engine)
-
-	var landed *sim.Chan
-	var consumerDone *sim.Latch
 	if o.OnChunk != nil {
-		landed = sim.NewChan(rt.engine, count)
-		consumerDone = sim.NewLatch(rt.engine)
-		rt.engine.Spawn(c.p.Name()+"-stream-consume", func(p *sim.Proc) {
-			sub := &Ctx{rt: rt, p: p, node: dst.node}
-			for i := 0; i < count; i++ {
-				v, ok := landed.Recv(p)
-				if !ok {
-					break
-				}
-				idx := v.(int)
-				if !eo.failed() {
-					off, sz := plan.ChunkRange(idx)
-					eo.record(o.OnChunk(sub, idx, off, sz))
-				}
-			}
-			consumerDone.Fire()
-		})
+		s.landed = sim.NewChan(rt.engine, count)
+		s.consumed = sim.NewLatch(rt.engine)
+		rt.engine.Spawn(c.p.Name()+"-stream-consume", s.consume)
+	}
+	for k := range s.hops {
+		h := &s.hops[k]
+		h.s, h.k, h.room = s, k, depth
+		h.resume, h.mv = h.step, newAsyncMove(rt, h.moved)
+		rt.engine.At(rt.engine.Now(), h.resume)
 	}
 
-	for k := 0; k < nhops; k++ {
-		k := k
-		wg.Add(1)
-		rt.engine.Spawn(fmt.Sprintf("%s-stream-hop%d", c.p.Name(), k), func(p *sim.Proc) {
-			defer wg.Done()
-			for i := 0; i < count; i++ {
-				if k == 0 {
-					rt.noteStreamInflight(p.Now(), dst.node.ID, +1)
-				}
-				inSlot, outSlot := -1, -1
-				if k > 0 {
-					if v, ok := full[k].Recv(p); ok {
-						inSlot = v.(int)
-					}
-				}
-				if k < nhops-1 {
-					if v, ok := free[k+1].Recv(p); ok {
-						outSlot = v.(int)
-					}
-				}
-				if !eo.failed() {
-					sb, so := src, srcOff
-					if k > 0 {
-						sb, so = stageBuf[k][inSlot], 0
-					} else {
-						off, _ := plan.ChunkRange(i)
-						so = srcOff + off
-					}
-					db, do := dst, dstOff
-					if k < nhops-1 {
-						db, do = stageBuf[k+1][outSlot], 0
-					} else {
-						off, _ := plan.ChunkRange(i)
-						do = dstOff + off
-					}
-					_, sz := plan.ChunkRange(i)
-					start := p.Now()
-					err := rt.MoveData(p, db, sb, do, so, sz)
-					rt.noteStreamHop(path[k+1].ID, start, p.Now(), sz)
-					eo.record(err)
-				}
-				if k > 0 {
-					free[k].Send(p, inSlot)
-					ringOcc[k]--
-					rt.noteStreamRing(p.Now(), path[k].ID, ringOcc[k])
-				}
-				if k < nhops-1 {
-					full[k+1].Send(p, outSlot)
-					ringOcc[k+1]++
-					rt.noteStreamRing(p.Now(), path[k+1].ID, ringOcc[k+1])
-				}
-				if k == nhops-1 {
-					rt.noteStreamInflight(p.Now(), dst.node.ID, -1)
-					if landed != nil {
-						landed.Send(p, i)
-					}
-				}
-			}
-		})
+	s.done.Wait(c.p)
+	if s.consumed != nil {
+		s.consumed.Wait(c.p)
 	}
-
-	wg.Wait(c.p)
-	if consumerDone != nil {
-		consumerDone.Wait(c.p)
-	}
-	for j := 1; j < nhops; j++ {
-		for _, b := range stageBuf[j] {
-			eo.record(rt.Release(c.p, b))
+	for _, slots := range s.stage[1:] {
+		for _, b := range slots {
+			s.eo.record(rt.Release(c.p, b))
 		}
 	}
-	return eo.first()
+	return s.eo.first()
 }
 
-// streamSingleHopAsync pumps a single-hop stream's sub-chunks through the
-// engine's inline-callback path: each chunk queues its device/link charges
-// with AccessAsync/TransferAsync and the completion callback starts the next
-// chunk, so the whole move needs no process beyond the blocked caller. The
-// per-chunk sequence (overhead, service charges, hop/in-flight notes) mirrors
-// the proc-driven loop exactly; chunks are sequential either way, so elapsed
-// time and charge totals are identical.
-//
-// The destination range is invalidated whole, up front, on the caller's
-// process: releasing cache victims may sleep (per-op overhead), which a
-// callback must not do. Per-chunk moves then skip re-invalidation.
-func (rt *Runtime) streamSingleHopAsync(c *Ctx, dst, src *Buffer, dstOff, srcOff, n int64, plan stream.Plan) error {
-	rt.invalidateRange(c.p, dst, dstOff, n)
-
-	count := plan.Count
-	dstNode := dst.node.ID
-	done := sim.NewLatch(rt.engine)
-	var eo errOnce
-
-	var pump func(i int)
-	pump = func(i int) {
-		if i == count || eo.failed() {
-			done.Fire()
-			return
-		}
-		start := rt.engine.Now()
-		rt.noteStreamInflight(start, dstNode, +1)
-		off, sz := plan.ChunkRange(i)
-		service := func() {
-			rt.streamStats.AsyncHops++
-			rt.asyncMoveOnce(dst, src, dstOff+off, srcOff+off, sz, func(err error) {
-				eo.record(err)
-				end := rt.engine.Now()
-				rt.noteStreamHop(dstNode, start, end, sz)
-				rt.noteStreamInflight(end, dstNode, -1)
-				pump(i + 1)
-			})
-		}
-		if ovh := rt.opts.OverheadPerOp; ovh > 0 {
-			rt.engine.After(ovh, func() {
-				rt.chargeSpan(nil, laneRuntime, trace.Runtime, spanBookkeeping, start, rt.engine.Now(), 0)
-				service()
-			})
-		} else {
-			service()
-		}
-	}
-	pump(0)
-	done.Wait(c.p)
-	return eo.first()
+// streamPump is the state of one streamed move. It and every callback its
+// hops hand the engine are allocated once per move, so driving a sub-chunk
+// allocates nothing in the pump.
+type streamPump struct {
+	rt             *Runtime
+	dst, src       *Buffer
+	dstOff, srcOff int64
+	plan           stream.Plan
+	path           []*topo.Node
+	onChunk        func(sub *Ctx, i int, off, n int64) error
+	hops           []streamHop
+	stage          [][]*Buffer // stage[j]: the slots at path[j], 0 < j < len(hops)
+	running        int         // hops not yet finished
+	eo             errOnce
+	done           *sim.Latch // fired when the last hop finishes
+	landed         *sim.Chan  // landed sub-chunk indices, for the OnChunk consumer
+	consumed       *sim.Latch // fired when the consumer returns
 }
 
-// asyncMoveOnce is one attempt of MoveData on the inline-callback path,
-// mirroring moveOnce's dispatch (and movePhantom's in phantom mode) charge
-// for charge. The caller has validated ranges, invalidated the destination
-// and charged per-op overhead, and gates on the absence of fault injection,
-// retry deadlines, and file-to-file endpoints. done receives the move's
-// error once every timed charge has completed; it runs as an engine callback
-// and must not block.
-func (rt *Runtime) asyncMoveOnce(dst, src *Buffer, dstOff, srcOff, n int64, done func(error)) {
-	start := rt.engine.Now()
-	phantom := rt.opts.Phantom
-	finish := func(cat trace.Category, err error) {
-		rt.chargeSpan(nil, moveLane(cat, dst, src), cat, spanMove, start, rt.engine.Now(), n)
-		done(err)
+// consume is the OnChunk consumer's process: it runs the consumer on each
+// sub-chunk as it lands, in order, until the stream fails.
+func (s *streamPump) consume(p *sim.Proc) {
+	sub := &Ctx{rt: s.rt, p: p, node: s.dst.node}
+	for i := 0; i < s.plan.Count; i++ {
+		v, _ := s.landed.Recv(p)
+		if idx := v.(int); !s.eo.failed() {
+			off, sz := s.plan.ChunkRange(idx)
+			s.eo.record(s.onChunk(sub, idx, off, sz))
+		}
 	}
-	switch {
-	case src.file != nil && dst.file == nil:
-		err := src.file.ChargeAsync(device.Read, srcOff, n, func() {
-			var err error
-			if !phantom {
-				err = src.file.Peek(dst.data[dstOff:dstOff+n], srcOff)
+	s.consumed.Fire()
+}
+
+// streamHop is hop k of a pump, the edge path[k] -> path[k+1], moving the
+// sub-chunks through it in order.
+type streamHop struct {
+	s          *streamPump
+	k          int
+	i          int        // the sub-chunk in hand
+	entered    bool       // sub-chunk i has entered the hop
+	in, out    bool       // sub-chunk i holds its input / output slot
+	full, room int        // slots ready to take: filled at path[k], free at path[k+1]
+	ring       int64      // filled slots at path[k], including one being read
+	parked     *int       // the count the hop waits on, nil while it runs
+	start      sim.Time   // when sub-chunk i's move began
+	mv         *asyncMove // the hop's MoveData
+	resume     func()     // step, bound once: the hop's wake-up callback
+}
+
+// step runs the hop from where it stopped: for each sub-chunk it takes the
+// input and output slots, parking while one is missing, and starts the
+// sub-chunk's move, whose completion (moved) steps on inline.
+func (h *streamHop) step() {
+	s := h.s
+	last := len(s.hops) - 1
+	for h.i < s.plan.Count {
+		if !h.entered {
+			h.entered = true
+			if h.k == 0 {
+				s.rt.noteStreamInflight(s.rt.engine.Now(), s.dst.node.ID, +1)
 			}
-			if err == nil && dst.node.Kind() == device.KindGPUMem {
-				// GPUDirect-style path: the storage read lands in device
-				// memory through the PCIe link as well.
-				rt.pcie.TransferAsync(nil, dst.node.Mem, n, func(sim.Time) {
-					finish(trace.IO, nil)
-				})
-				return
-			}
-			finish(trace.IO, err)
-		})
-		if err != nil {
-			finish(trace.IO, err)
 		}
-	case src.file == nil && dst.file != nil:
-		write := func() {
-			err := dst.file.ChargeAsync(device.Write, dstOff, n, func() {
-				var err error
-				if !phantom {
-					err = dst.file.Preload(src.data[srcOff:srcOff+n], dstOff)
-				}
-				finish(trace.IO, err)
-			})
-			if err != nil {
-				finish(trace.IO, err)
-			}
-		}
-		if src.node.Kind() == device.KindGPUMem {
-			rt.pcie.TransferAsync(src.node.Mem, nil, n, func(sim.Time) { write() })
+		if h.k > 0 && !h.in && !h.take(&h.full, &h.in) {
 			return
 		}
-		write()
-	default: // memory to memory (file-to-file is gated out by the caller)
-		if !phantom {
-			copy(dst.data[dstOff:dstOff+n], src.data[srcOff:srcOff+n])
+		if h.k < last && !h.out && !h.take(&h.room, &h.out) {
+			return
 		}
-		rt.link(src, dst).TransferAsync(src.node.Mem, dst.node.Mem, n, func(sim.Time) {
-			finish(trace.Transfer, nil)
-		})
+		if s.eo.failed() {
+			h.post()
+			continue
+		}
+		off, sz := s.plan.ChunkRange(h.i)
+		src, so := s.src, s.srcOff+off
+		if h.k > 0 {
+			src, so = s.stage[h.k][h.i%len(s.stage[h.k])], 0
+		}
+		dst, do := s.dst, s.dstOff+off
+		if h.k < last {
+			dst, do = s.stage[h.k+1][h.i%len(s.stage[h.k+1])], 0
+		}
+		h.start = s.rt.engine.Now()
+		h.mv.begin(dst, src, do, so, sz)
+		return
 	}
+	if s.running--; s.running == 0 {
+		s.done.Fire()
+	}
+}
+
+// take takes a slot counted by *n, or parks the hop on *n.
+func (h *streamHop) take(n *int, held *bool) bool {
+	if *n == 0 {
+		h.parked = n
+		return false
+	}
+	*n--
+	*held = true
+	return true
+}
+
+// give adds a slot to *n of hop h, waking h in a same-instant callback if
+// it is parked on *n.
+func (h *streamHop) give(n *int) {
+	*n++
+	if h.parked == n {
+		h.parked = nil
+		h.s.rt.engine.At(h.s.rt.engine.Now(), h.resume)
+	}
+}
+
+// moved is the hop's move-completion callback.
+func (h *streamHop) moved(err error) {
+	s := h.s
+	_, sz := s.plan.ChunkRange(h.i)
+	s.rt.noteStreamHop(s.path[h.k+1].ID, h.start, s.rt.engine.Now(), sz)
+	s.eo.record(err)
+	h.post()
+	h.step()
+}
+
+// post passes sub-chunk i's slots on — the input slot back to hop k-1, the
+// output slot to hop k+1 — or, at the last hop, notes it landed; then the
+// hop readies itself for sub-chunk i+1.
+func (h *streamHop) post() {
+	s, now := h.s, h.s.rt.engine.Now()
+	if h.k > 0 {
+		prev := &s.hops[h.k-1]
+		prev.give(&prev.room)
+		h.ring--
+		s.rt.noteStreamRing(now, s.path[h.k].ID, h.ring)
+	}
+	if h.k < len(s.hops)-1 {
+		next := &s.hops[h.k+1]
+		next.give(&next.full)
+		next.ring++
+		s.rt.noteStreamRing(now, s.path[h.k+1].ID, next.ring)
+	} else {
+		s.rt.noteStreamInflight(now, s.dst.node.ID, -1)
+		if s.landed != nil {
+			s.landed.TrySend(h.i)
+		}
+	}
+	h.i++
+	h.entered, h.in, h.out = false, false, false
 }
 
 // noteStreamHop records one per-hop sub-chunk move: a structural span on
@@ -569,9 +517,8 @@ func (rt *Runtime) noteStreamHop(dstNode int, start, end sim.Time, n int64) {
 		spanStreamHop, start, end, n)
 }
 
-// noteStreamInflight tracks the number of sub-chunks in the pipe. It takes
-// the current virtual time rather than a process so the callback-driven
-// single-hop pump can report alongside the proc-driven hop drivers.
+// noteStreamInflight tracks the number of sub-chunks in the pipe at virtual
+// time now.
 func (rt *Runtime) noteStreamInflight(now sim.Time, dstNode int, delta int64) {
 	rt.streamInflight += delta
 	if rt.streamInflight > rt.streamStats.MaxInFlight {

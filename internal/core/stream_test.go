@@ -226,69 +226,6 @@ func TestStreamedSingleHopAdaptiveDegeneratesToMonolithic(t *testing.T) {
 	}
 }
 
-func TestStreamedSingleHopAsyncMatchesProcDriven(t *testing.T) {
-	// A forced multi-chunk single-hop stream runs on the inline-callback
-	// pump; a retry deadline (which the pump cannot honor) forces the
-	// proc-driven hop loop instead. Both paths must charge identical virtual
-	// time and deliver identical bytes, in both directions.
-	const n = 4<<20 + 17
-	want := streamPattern(n)
-	run := func(forceProc bool) (sim.Time, []byte, StreamStats) {
-		e := sim.NewEngine()
-		tree := topo.APU(e, topo.APUConfig{Storage: topo.SSD, StorageMiB: 64, DRAMMiB: 32})
-		opts := DefaultOptions()
-		if forceProc {
-			opts.Retry.OpTimeout = 1 << 40 // unreachably large; disables the async gate only
-		}
-		rt := NewRuntime(e, tree, opts)
-		src, err := rt.CreateInput(tree.Root(), "in", n, want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []byte
-		stats, err := rt.Run("stream", func(c *Ctx) error {
-			dram := tree.Root().Children[0]
-			dst, err := c.AllocAt(dram, n)
-			if err != nil {
-				return err
-			}
-			if err := c.MoveDataDownStreamed(dst, src, 0, 0, n,
-				StreamOptions{SubChunks: 4}); err != nil {
-				return err
-			}
-			got = append([]byte(nil), dst.Bytes()...)
-			// And back up: the memory-to-file combo of the pump.
-			out, err := c.AllocAt(tree.Root(), n)
-			if err != nil {
-				return err
-			}
-			if err := c.MoveDataUpStreamed(out, dst, 0, 0, n,
-				StreamOptions{SubChunks: 3}); err != nil {
-				return err
-			}
-			return c.Release(dst)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stats.Elapsed, got, rt.StreamStats()
-	}
-	aEl, aBytes, aSS := run(false)
-	pEl, pBytes, pSS := run(true)
-	if aSS.AsyncHops != 7 || aSS.HopMoves != 7 {
-		t.Fatalf("async stats = %+v, want 4+3 callback-driven hop moves", aSS)
-	}
-	if pSS.AsyncHops != 0 || pSS.HopMoves != 7 {
-		t.Fatalf("proc-driven stats = %+v, want 7 proc-driven hop moves", pSS)
-	}
-	if aEl != pEl {
-		t.Fatalf("async pump elapsed %v != proc-driven %v", aEl, pEl)
-	}
-	if !bytes.Equal(aBytes, want) || !bytes.Equal(pBytes, want) {
-		t.Fatal("streamed bytes differ from source")
-	}
-}
-
 func TestStreamedMultiHopOverlapFaster(t *testing.T) {
 	// Two hops (SSD -> DRAM -> GPU memory): pipelining sub-chunks must beat
 	// store-and-forward even without a consumer.
@@ -556,3 +493,156 @@ var errStreamTest = &streamTestError{}
 type streamTestError struct{}
 
 func (*streamTestError) Error() string { return "stream test consumer failure" }
+
+// TestStreamedMoveAllocsPerSubChunk holds the pump to its allocation
+// budget: each extra sub-chunk of a streamed move may cost only the two
+// closures the device layer allocates per callback-driven charge (the
+// acquire and the timer); the pump's own per-sub-chunk state and
+// continuations are allocated once per stream. A zero-rate fault injector
+// keeps the fault checks on the path without injecting anything.
+func TestStreamedMoveAllocsPerSubChunk(t *testing.T) {
+	const n = 8 << 20
+	allocs := func(discrete bool, subChunks int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			e := sim.NewEngine()
+			var tree *topo.Tree
+			if discrete {
+				tree = topo.Discrete(e, topo.DiscreteConfig{Storage: topo.SSD,
+					StorageMiB: 64, DRAMMiB: 32, GPUMemMiB: 32})
+			} else {
+				tree = topo.APU(e, topo.APUConfig{Storage: topo.SSD, StorageMiB: 64, DRAMMiB: 32})
+			}
+			opts := DefaultOptions()
+			opts.Phantom = true
+			opts.Faults = fault.New(e, fault.Config{Seed: 1})
+			rt := NewRuntime(e, tree, opts)
+			dram := tree.Root().Children[0]
+			o := StreamOptions{SubChunks: subChunks}
+			_, err := rt.Run("allocs", func(c *Ctx) error {
+				if !discrete { // file -> DRAM
+					src, err := rt.CreateInput(tree.Root(), "in", n, nil)
+					if err != nil {
+						return err
+					}
+					dst, err := c.AllocAt(dram, n)
+					if err != nil {
+						return err
+					}
+					return c.MoveDataDownStreamed(dst, src, 0, 0, n, o)
+				}
+				return c.Descend(dram, func(d *Ctx) error { // DRAM -> GPU
+					src, err := d.Alloc(n)
+					if err != nil {
+						return err
+					}
+					dst, err := d.AllocAt(gpuLeaf(rt), n)
+					if err != nil {
+						return err
+					}
+					return d.MoveDataDownStreamed(dst, src, 0, 0, n, o)
+				})
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, tc := range []struct {
+		name     string
+		discrete bool
+	}{{"file->dram", false}, {"dram->gpu", true}} {
+		few, many := allocs(tc.discrete, 4), allocs(tc.discrete, 20)
+		if per := (many - few) / 16; per > 2 {
+			t.Errorf("%s: %.2f allocations per extra sub-chunk (%v at 4, %v at 20), want <= 2",
+				tc.name, per, few, many)
+		}
+	}
+}
+
+// TestAsyncMoveMatchesMoveData holds a hop's move to the blocking one: for
+// every endpoint kind — clean, under transfer faults, with a firing retry
+// deadline, and with cached copies of a file destination to invalidate — a
+// run of asyncMoves must charge, draw, retry and trace exactly what the
+// same run of MoveData calls does.
+func TestAsyncMoveMatchesMoveData(t *testing.T) {
+	const n, moves = 1 << 20, 6
+	buf := func(leaf bool) func(c *Ctx) (*Buffer, error) {
+		return func(c *Ctx) (*Buffer, error) {
+			node := c.rt.tree.Root().Children[0]
+			if leaf {
+				node = gpuLeaf(c.rt)
+			}
+			return c.AllocAt(node, n)
+		}
+	}
+	input := func(c *Ctx) (*Buffer, error) {
+		return c.rt.CreateInput(c.rt.tree.Root(), "in", n, streamPattern(n))
+	}
+	file := func(c *Ctx) (*Buffer, error) { return c.Alloc(n) }
+	kinds := []struct {
+		name     string
+		src, dst func(c *Ctx) (*Buffer, error)
+	}{
+		{"file->dram", input, buf(false)},
+		{"file->gpu", input, buf(true)},
+		{"dram->file", buf(false), input},
+		{"gpu->file", buf(true), input},
+		{"file->file", input, file},
+		{"dram->gpu", buf(false), buf(true)},
+		{"gpu->dram", buf(true), buf(false)},
+	}
+	modes := []goldenStreamCase{
+		{name: "clean"},
+		{name: "faults", faults: &fault.Config{Seed: 3, TransferFailRate: 0.3, TransferDelayRate: 0.3}},
+		{name: "deadline", faults: &fault.Config{Seed: 4, TransferDelayRate: 0.4, TransferDelay: sim.Milliseconds(3)},
+			retry: RetryPolicy{MaxRetries: 8, OpTimeout: sim.Milliseconds(2)}},
+		{name: "cache", cache: true},
+	}
+	for _, k := range kinds {
+		for _, mode := range modes {
+			run := func(async bool) string {
+				tc := mode
+				tc.discrete = true
+				tc.body = func(c *Ctx) error {
+					src, err := k.src(c)
+					if err != nil {
+						return err
+					}
+					dst, err := k.dst(c)
+					if err != nil {
+						return err
+					}
+					if tc.cache && dst.file != nil {
+						for i := int64(0); i < 3; i++ {
+							b, err := c.MoveDataDownCached(c.rt.tree.Root().Children[0], dst, i*(n/3), n/4)
+							if err != nil {
+								return err
+							}
+							if err := c.Unpin(b); err != nil {
+								return err
+							}
+						}
+					}
+					for i := int64(0); i < moves; i++ {
+						off, sz := i*(n/moves), int64(n/moves)
+						if !async {
+							err = c.rt.MoveData(c.p, dst, src, off, off, sz)
+						} else {
+							done := sim.NewLatch(c.rt.engine)
+							newAsyncMove(c.rt, func(e error) { err = e; done.Fire() }).begin(dst, src, off, off, sz)
+							done.Wait(c.p)
+						}
+						if err != nil {
+							return err
+						}
+					}
+					return nil
+				}
+				return runGoldenStream(t, tc)
+			}
+			if blocking, async := run(false), run(true); blocking != async {
+				t.Errorf("%s %s:\n MoveData  %s\n asyncMove %s", k.name, mode.name, blocking, async)
+			}
+		}
+	}
+}

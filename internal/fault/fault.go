@@ -202,19 +202,41 @@ func (in *Injector) ProcOffline(nodeID int, class string) bool {
 // Transfer evaluates the fault schedule for one transfer on the edge
 // srcNode -> dstNode. It may stall the calling process (injected delay),
 // and returns a transient error when the transfer fails or an endpoint is
-// offline. A nil return means the transfer proceeds.
+// offline. A nil return means the transfer proceeds. It is TransferStall,
+// the stall, then TransferFail; callers without a process run the two
+// phases around a timer instead.
 func (in *Injector) Transfer(p *sim.Proc, srcNode, dstNode int, n int64) error {
-	now := p.Now()
+	stall, err := in.TransferStall(srcNode, dstNode)
+	if err != nil {
+		return err
+	}
+	if stall > 0 {
+		p.Sleep(stall)
+	}
+	return in.TransferFail(srcNode, dstNode, n)
+}
+
+// TransferStall is the first phase of Transfer: the outage check, then the
+// delay draw. It returns the stall to wait out before TransferFail, or the
+// *OfflineError of an endpoint inside an outage window.
+func (in *Injector) TransferStall(srcNode, dstNode int) (sim.Time, error) {
+	now := in.engine.Now()
 	for _, id := range [2]int{srcNode, dstNode} {
 		if until, off := in.NodeOfflineAt(id, now); off {
 			in.stats.OfflineRejects++
-			return &OfflineError{Node: id, Until: until}
+			return 0, &OfflineError{Node: id, Until: until}
 		}
 	}
 	if in.cfg.TransferDelayRate > 0 && in.rng.Float64() < in.cfg.TransferDelayRate {
 		in.stats.TransferDelays++
-		p.Sleep(in.cfg.TransferDelay)
+		return in.cfg.TransferDelay, nil
 	}
+	return 0, nil
+}
+
+// TransferFail is the second phase of Transfer, drawn once the stall has
+// passed: a transient error when the transfer fails outright.
+func (in *Injector) TransferFail(srcNode, dstNode int, n int64) error {
 	if in.cfg.TransferFailRate > 0 && in.rng.Float64() < in.cfg.TransferFailRate {
 		in.stats.TransferFails++
 		return &Error{Op: "transfer",

@@ -401,7 +401,7 @@ func (e *Engine) stopIdle() {
 
 // release retires a finished process: it leaves the live table, its ID
 // returns to the free list and its coroutine to the idle list, so a long run
-// spawning short-lived processes (per-hop transfer procs, serve-tier jobs)
+// spawning short-lived processes (spawned tasks, serve-tier jobs)
 // holds memory proportional to the processes alive, not to every process
 // that ever existed.
 func (e *Engine) release(p *Proc) {

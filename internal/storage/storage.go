@@ -158,24 +158,21 @@ func (f *File) Charge(p *sim.Proc, op device.Op, off int64, n int64) error {
 }
 
 // ChargeAsync is Charge without a driving process: it queues the timed device
-// access through the inline-callback path and invokes done once the access
-// completes. Range errors are reported synchronously; done runs as an engine
-// callback and must not block. A zero-length charge completes inline.
-func (f *File) ChargeAsync(op device.Op, off, n int64, done func()) error {
+// access through the inline-callback path and invokes done with the service
+// time once the access completes. Range errors are reported synchronously;
+// done runs as an engine callback and must not block. A zero-length charge
+// completes inline.
+func (f *File) ChargeAsync(op device.Op, off, n int64, done func(sim.Time)) error {
 	if err := f.checkRange(op.String(), off, int(n)); err != nil {
 		return err
 	}
 	if n == 0 {
 		if done != nil {
-			done()
+			done(0)
 		}
 		return nil
 	}
-	f.store.dev.AccessAsync(op, f.off+off, n, func(sim.Time) {
-		if done != nil {
-			done()
-		}
-	})
+	f.store.dev.AccessAsync(op, f.off+off, n, done)
 	return nil
 }
 

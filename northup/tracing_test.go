@@ -165,7 +165,7 @@ type observedOutcome struct {
 
 // TestTracingOffChangesNothing runs every execution mode the observation
 // stream reaches — recursive and task-graph schedules, the staging cache,
-// the streamed proc pump under faults, work stealing and profile-guided
+// the stream pump under faults, work stealing and profile-guided
 // mapping — under four observer settings, and requires identical outcomes:
 // observation must observe the run, never perturb it.
 func TestTracingOffChangesNothing(t *testing.T) {
