@@ -136,9 +136,11 @@ bench:
 
 # Machine-readable artifacts: the staging-cache sweep (name, virtual time,
 # speedup, hit rate per capacity point) plus the matching -benchtime=1x
-# ablation run, the streamed-transfer overlap sweep, and the paper-scale
-# perf baseline the regression gate diffs against. All are committed;
-# regenerate after intentional model changes.
+# ablation run, the streamed-transfer overlap, saturation and affinity
+# sweeps, and the paper-scale perf baseline the regression gate diffs
+# against. All but BENCH_cache.json (gitignored) are committed, and
+# TestCommittedSweepsRegenerate reads the three sweeps; regenerate after
+# intentional model changes.
 bench-json: bench-stream bench-serve bench-affinity
 	$(GO) run ./cmd/northup-bench -fig cache -format json > BENCH_cache.json
 	$(GO) test -bench=BenchmarkAblationShardCache -benchtime=1x -run=^$$ .
@@ -175,4 +177,4 @@ bench-check:
 
 clean:
 	$(GO) clean ./...
-	rm -f BENCH_cache.json BENCH_stream.json BENCH_serve.json BENCH_affinity.json trace-demo.json serve-demo-serve serve-demo-a.json serve-demo-b.json serve-demo-a.records serve-demo-b.records ops-demo-serve ops-demo-alerts.json tail-demo-serve tail-demo-trace tail-demo.trace.json tail-demo-alerts.json tail-demo-tail.txt
+	rm -f BENCH_cache.json trace-demo.json serve-demo-serve serve-demo-a.json serve-demo-b.json serve-demo-a.records serve-demo-b.records ops-demo-serve ops-demo-alerts.json tail-demo-serve tail-demo-trace tail-demo.trace.json tail-demo-alerts.json tail-demo-tail.txt

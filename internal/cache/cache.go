@@ -84,6 +84,11 @@ type Pool struct {
 	entries  map[Key]*Entry            // visible (non-doomed) entries
 	bySrc    map[int64]map[*Entry]bool // source ID -> entries, for invalidation
 	lru      *list.List                // front = most recently used ready entry
+
+	// OnChange, when set, hears each key that becomes visible to lookups
+	// (StartFetch) or stops being visible (Abort, eviction, invalidation),
+	// once the pool has changed. Nothing else changes what Peek answers.
+	OnChange func(Key)
 }
 
 // New creates a pool with the given byte capacity. A zero or negative
@@ -145,6 +150,7 @@ func (p *Pool) StartFetch(k Key, pending any) (*Entry, error) {
 	p.entries[k] = e
 	p.addBySrc(e)
 	p.used += k.Len
+	p.changed(k)
 	return e, nil
 }
 
@@ -177,6 +183,7 @@ func (p *Pool) Abort(e *Entry) {
 	}
 	delete(p.entries, e.key)
 	p.dropBySrc(e)
+	p.changed(e.key)
 }
 
 // Pin takes a reference on a ready entry, shielding it from eviction.
@@ -245,6 +252,7 @@ func (p *Pool) remove(e *Entry) any {
 	delete(p.entries, e.key)
 	p.dropBySrc(e)
 	p.used -= e.key.Len
+	p.changed(e.key)
 	return e.value
 }
 
@@ -266,9 +274,25 @@ func (p *Pool) InvalidateRange(src, off, n int64) (victims []any, doomed int) {
 		e.doomed = true
 		delete(p.entries, e.key)
 		p.dropBySrc(e)
+		p.changed(e.key)
 		doomed++
 	}
 	return victims, doomed
+}
+
+// EachKey calls fn with every visible key of source src, in no particular
+// order; fn must not change the pool.
+func (p *Pool) EachKey(src int64, fn func(Key)) {
+	for e := range p.bySrc[src] {
+		fn(e.key)
+	}
+}
+
+// changed reports a visibility change of k to OnChange.
+func (p *Pool) changed(k Key) {
+	if p.OnChange != nil {
+		p.OnChange(k)
+	}
 }
 
 func (p *Pool) addBySrc(e *Entry) {

@@ -209,3 +209,84 @@ func TestZeroCapacityPool(t *testing.T) {
 		t.Fatal("zero-capacity pool accepted a fetch")
 	}
 }
+
+// TestOnChangeReportsEveryVisibilityFlip drives random pool operations and
+// requires OnChange to report exactly the keys whose Peek answer flipped
+// in each one, once each: the contract affinity placement's cached prices
+// rely on.
+func TestOnChangeReportsEveryVisibilityFlip(t *testing.T) {
+	p := New(160)
+	var reported []Key
+	p.OnChange = func(k Key) { reported = append(reported, k) }
+	var keys []Key
+	for src := int64(1); src <= 2; src++ {
+		for off := int64(0); off < 4; off++ {
+			keys = append(keys, Key{Src: src, Off: off * 32, Len: 32 + off})
+		}
+	}
+	visible := func() map[Key]bool {
+		m := map[Key]bool{}
+		for _, k := range keys {
+			if p.Peek(k) != nil {
+				m[k] = true
+			}
+		}
+		return m
+	}
+	var inflight, pinned []*Entry
+	state := uint64(7)
+	rnd := func(n int) int {
+		state = state*6364136223846793005 + 1442695040888963407
+		return int(state>>33) % n
+	}
+	for step := 0; step < 4000; step++ {
+		before := visible()
+		reported = reported[:0]
+		switch op := rnd(8); {
+		case op == 0 || op == 1:
+			if e, err := p.StartFetch(keys[rnd(len(keys))], "pending"); err == nil {
+				inflight = append(inflight, e)
+			}
+		case op == 2 && len(inflight) > 0:
+			i := rnd(len(inflight))
+			e := inflight[i]
+			inflight = append(inflight[:i], inflight[i+1:]...)
+			if rnd(3) == 0 {
+				p.Abort(e)
+			} else if p.Commit(e, "v") && rnd(2) == 0 {
+				p.Pin(e)
+				pinned = append(pinned, e)
+			}
+		case op == 3 && len(pinned) > 0:
+			i := rnd(len(pinned))
+			p.Unpin(pinned[i])
+			pinned = append(pinned[:i], pinned[i+1:]...)
+		case op == 4:
+			p.EvictFor(int64(rnd(64)))
+		case op == 5:
+			p.EvictOne()
+		case op == 6:
+			p.InvalidateRange(int64(1+rnd(2)), int64(rnd(128)), int64(1+rnd(48)))
+		case op == 7:
+			p.Get(keys[rnd(len(keys))])
+		}
+		p.CheckInvariants()
+		after := visible()
+		flipped := map[Key]bool{}
+		for _, k := range keys {
+			if before[k] != after[k] {
+				flipped[k] = true
+			}
+		}
+		seen := map[Key]bool{}
+		for _, k := range reported {
+			if !flipped[k] || seen[k] {
+				t.Fatalf("step %d: reported %v, flipped %v", step, reported, flipped)
+			}
+			seen[k] = true
+		}
+		if len(seen) != len(flipped) {
+			t.Fatalf("step %d: reported %v, flipped %v", step, reported, flipped)
+		}
+	}
+}

@@ -146,7 +146,7 @@ func (rt *Runtime) Release(p *sim.Proc, b *Buffer) error {
 	if b.released {
 		return fmt.Errorf("core: double release of buffer on %v", b.node)
 	}
-	b.released = true
+	rt.markReleased(b)
 	rt.chargeOverhead(p)
 	return rt.freeBuffer(b)
 }

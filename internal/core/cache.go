@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/cache"
@@ -112,6 +113,13 @@ func (rt *Runtime) cacheAt(n *topo.Node) *nodeCache {
 		return nc
 	}
 	nc := &nodeCache{node: n, pool: cache.New(rt.opts.Cache.capacityAt(n))}
+	nc.pool.OnChange = func(k cache.Key) {
+		for _, w := range rt.watches {
+			if w.node == n.ID {
+				w.fn(k)
+			}
+		}
+	}
 	rt.caches[n.ID] = nc
 	return nc
 }
@@ -375,6 +383,7 @@ func (rt *Runtime) Unpin(p *sim.Proc, b *Buffer) error {
 // side-effect free: it never bumps LRU order, charges no time, and is safe
 // to call while ranking candidate placements. Extents are matched exactly,
 // mirroring the cache's own lookup, so the answer is n or 0.
+// WatchResidency hears of every change to the answer.
 func (rt *Runtime) CacheResidentBytes(node *topo.Node, src *Buffer, srcOff, n int64) int64 {
 	if src == nil || src.released || n <= 0 {
 		return 0
@@ -387,6 +396,41 @@ func (rt *Runtime) CacheResidentBytes(node *topo.Node, src *Buffer, srcOff, n in
 		return n
 	}
 	return 0
+}
+
+// residencyWatch is one WatchResidency registration.
+type residencyWatch struct {
+	node int
+	fn   func(cache.Key)
+}
+
+// WatchResidency registers fn to hear of every change in what
+// CacheResidentBytes answers at node: each source extent that appears in
+// or leaves node's staging cache (a fetch starts or aborts, an entry is
+// evicted or invalidated), and each still-cached extent of a source that
+// is released. fn runs inside the change, so it must neither block nor
+// touch the cache. The watch holds across the lazy creation of node's
+// cache; detach removes it.
+func (rt *Runtime) WatchResidency(node *topo.Node, fn func(cache.Key)) (detach func()) {
+	w := &residencyWatch{node: node.ID, fn: fn}
+	rt.watches = append(rt.watches, w)
+	return func() {
+		if i := slices.Index(rt.watches, w); i >= 0 {
+			rt.watches = slices.Delete(rt.watches, i, i+1)
+		}
+	}
+}
+
+// markReleased flags b released. CacheResidentBytes answers 0 for a
+// released source from then on, so its still-cached extents are reported
+// to the residency watches.
+func (rt *Runtime) markReleased(b *Buffer) {
+	b.released = true
+	for _, w := range rt.watches {
+		if nc := rt.caches[w.node]; nc != nil {
+			nc.pool.EachKey(b.id, w.fn)
+		}
+	}
 }
 
 // invalidateRange drops every cache entry whose source extent overlaps the

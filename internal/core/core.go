@@ -125,6 +125,9 @@ type Runtime struct {
 	// scratch recycles the file-to-file staging buffers of moveOnce,
 	// asyncMove and move2DOnce, so retries and hot loops stop re-allocating.
 	scratch [][]byte
+
+	// watches hear residency changes at one node each (WatchResidency).
+	watches []*residencyWatch
 }
 
 // nextBufID mints the next stable buffer identity.

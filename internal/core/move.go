@@ -164,7 +164,8 @@ func (m *asyncMove) releaseVictims() {
 		return
 	}
 	b := m.victims[0].(*Buffer)
-	b.cref, b.released = nil, true
+	b.cref = nil
+	m.rt.markReleased(b)
 	m.bookkeep(m.afterVictim)
 }
 

@@ -12,7 +12,10 @@
 // whose data is already close, the placement heuristic of XKaapi-style
 // affinity scheduling. Compute estimates come from a sched.ProfileScheduler
 // learned online (or warm-started from an exported profile), so the scorer
-// improves as the run progresses.
+// improves as the run progresses. Move prices are cached per task and
+// recomputed only when the runtime's residency watch reports that one of
+// the task's read extents entered or left the staging cache, so a pick
+// costs one pass over the ready list, not a cache probe per input.
 //
 // Everything is deterministic: candidate scanning, scoring, and
 // tie-breaking depend only on graph order and simulation state, so repeated
@@ -21,7 +24,10 @@ package taskgraph
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -87,6 +93,9 @@ type Task struct {
 	id     int
 	outs   []int // task IDs unblocked by this task's completion
 	nblock int   // predecessors not yet completed (at build time: total)
+	// seenBy is 1 + the ID of the last task Add counted this one as a
+	// predecessor of, so an edge is added once however many extents clash.
+	seenBy int
 }
 
 // ID returns the task's position in program order.
@@ -95,6 +104,96 @@ func (t *Task) ID() int { return t.id }
 // Graph is an extent-declared task DAG under construction.
 type Graph struct {
 	tasks []*Task
+	// bufs indexes every declared extent by buffer ID: Add visits only the
+	// earlier extents that can overlap a new one, and affinity placement
+	// finds the readers of an extent whose residency changed.
+	bufs map[int64]*bufExtents
+	// decls chains, per distinct extent, the tasks that declared it.
+	decls []decl
+}
+
+// decl is one task's declaration of a span's extent, linked to the next
+// declaration of the same span (-1 ends the chain).
+type decl struct{ id, next int32 }
+
+// bufExtents is one buffer's declared extents, reads and writes apart.
+type bufExtents struct{ reads, writes spans }
+
+// spans holds the distinct extents of one buffer, sorted by offset, then
+// length.
+type spans struct {
+	s []span
+	// maxLen bounds every extent's length (and is at least 0), so an
+	// extent ending after off starts after off-maxLen.
+	maxLen int64
+}
+
+// span is one distinct extent and its declarations in program order.
+type span struct {
+	off, len    int64
+	first, last int32 // indices into Graph.decls
+}
+
+// find returns where [off, off+n) is, or belongs, in ss.
+func (ss *spans) find(off, n int64) (int, bool) {
+	i := sort.Search(len(ss.s), func(i int) bool {
+		x := &ss.s[i]
+		return x.off > off || x.off == off && x.len >= n
+	})
+	return i, i < len(ss.s) && ss.s[i].off == off && ss.s[i].len == n
+}
+
+// declare records that task id declares [off, off+n) in ss.
+func (g *Graph) declare(ss *spans, off, n int64, id int) {
+	d := int32(len(g.decls))
+	if i, ok := ss.find(off, n); !ok {
+		ss.s = slices.Insert(grow(ss.s), i, span{off: off, len: n, first: d, last: d})
+		ss.maxLen = max(ss.maxLen, n)
+	} else if x := &ss.s[i]; g.decls[x.last].id != int32(id) {
+		g.decls[x.last].next = d
+		x.last = d
+	} else {
+		return // the task declared the extent twice
+	}
+	g.decls = append(grow(g.decls), decl{id: int32(id), next: -1})
+}
+
+// grow doubles a full slice's capacity. The index's slices only grow, and
+// over a graph's construction doubling allocates fewer bytes than
+// append's 1.25x steps for long slices.
+func grow[E any](s []E) []E {
+	if len(s) < cap(s) {
+		return s
+	}
+	return slices.Grow(s, max(len(s), 4))
+}
+
+// each calls fn with the tasks that declared x, in program order.
+func (g *Graph) each(x *span, fn func(id int)) {
+	for d := x.first; d >= 0; d = g.decls[d].next {
+		fn(int(g.decls[d].id))
+	}
+}
+
+// overlapping calls fn with every task that declared an extent in ss
+// overlapping [off, off+n), by Extent.overlaps' rule.
+func (g *Graph) overlapping(ss *spans, off, n int64, fn func(id int)) {
+	i := sort.Search(len(ss.s), func(i int) bool { return ss.s[i].off > off-ss.maxLen })
+	for ; i < len(ss.s) && ss.s[i].off < off+n; i++ {
+		if x := &ss.s[i]; off < x.off+x.len {
+			g.each(x, fn)
+		}
+	}
+}
+
+// readers calls fn with every task that reads exactly [off, off+n) of the
+// buffer with ID src.
+func (g *Graph) readers(src, off, n int64, fn func(id int)) {
+	if b := g.bufs[src]; b != nil {
+		if i, ok := b.reads.find(off, n); ok {
+			g.each(&b.reads.s[i], fn)
+		}
+	}
 }
 
 // New returns an empty graph.
@@ -116,39 +215,51 @@ func (g *Graph) Add(t *Task) *Task {
 		t.Kind = t.Name
 	}
 	t.id = len(g.tasks)
-	for _, prev := range g.tasks {
-		if conflicts(prev, t) {
+	dep := func(id int) {
+		if prev := g.tasks[id]; prev.seenBy != t.id+1 {
+			prev.seenBy = t.id + 1
 			prev.outs = append(prev.outs, t.id)
 			t.nblock++
+		}
+	}
+	// An extent naming no buffer overlaps nothing.
+	for _, r := range t.Reads {
+		if r.Buf != nil {
+			g.overlapping(&g.index(r).writes, r.Off, r.Len, dep)
+		}
+	}
+	for _, w := range t.Writes {
+		if w.Buf != nil {
+			b := g.index(w)
+			g.overlapping(&b.writes, w.Off, w.Len, dep)
+			g.overlapping(&b.reads, w.Off, w.Len, dep)
+		}
+	}
+	for _, r := range t.Reads {
+		if r.Buf != nil {
+			g.declare(&g.index(r).reads, r.Off, r.Len, t.id)
+		}
+	}
+	for _, w := range t.Writes {
+		if w.Buf != nil {
+			g.declare(&g.index(w).writes, w.Off, w.Len, t.id)
 		}
 	}
 	g.tasks = append(g.tasks, t)
 	return t
 }
 
-// conflicts reports whether t must wait for prev: any RAW, WAW or WAR
-// overlap between their declared extents.
-func conflicts(prev, t *Task) bool {
-	for _, w := range prev.Writes {
-		for _, r := range t.Reads {
-			if w.overlaps(r) {
-				return true
-			}
+// index returns the index of e's buffer, creating it.
+func (g *Graph) index(e Extent) *bufExtents {
+	b := g.bufs[e.Buf.ID()]
+	if b == nil {
+		if g.bufs == nil {
+			g.bufs = make(map[int64]*bufExtents)
 		}
-		for _, w2 := range t.Writes {
-			if w.overlaps(w2) {
-				return true
-			}
-		}
+		b = &bufExtents{}
+		g.bufs[e.Buf.ID()] = b
 	}
-	for _, r := range prev.Reads {
-		for _, w := range t.Writes {
-			if r.overlaps(w) {
-				return true
-			}
-		}
-	}
-	return false
+	return b
 }
 
 // Options configures one Graph.Run.
@@ -214,15 +325,38 @@ func fetchSeconds(src *core.Buffer, at *topo.Node, n int64) float64 {
 	return float64(n) / bw
 }
 
-// firstErr latches the first error a worker reports.
-type firstErr struct{ err error }
+// run is the state one Graph.Run shares between its policy and workers.
+type run struct {
+	g       *Graph
+	c       *core.Ctx
+	o       Options
+	st      *Stats
+	node    *topo.Node // where placement is scored
+	workers int
+	nblock  []int // per task: predecessors not yet completed
 
-func (f *firstErr) record(err error) {
-	if err != nil && f.err == nil {
-		f.err = err
+	// tokens carries one send per task that becomes ready; its capacity
+	// covers the whole graph so sends never block, and closing it (all
+	// done, or first error) releases every idle worker.
+	tokens    *sim.Chan
+	closed    bool
+	err       error // the first task error; later tasks are skipped
+	completed int
+	depth     *core.QueueDepthSlot
+}
+
+func (r *run) signal() {
+	if !r.closed {
+		r.tokens.TrySend(struct{}{})
 	}
 }
-func (f *firstErr) failed() bool { return f.err != nil }
+
+func (r *run) close() {
+	if !r.closed {
+		r.closed = true
+		r.tokens.Close()
+	}
+}
 
 // Run executes the graph on a pool of workers spawned at c's node and
 // returns dispatch statistics plus the first task error (remaining tasks
@@ -231,128 +365,115 @@ func (f *firstErr) failed() bool { return f.err != nil }
 // instants on the queue track, so both policies are visible in the
 // existing tooling.
 func (g *Graph) Run(c *core.Ctx, o Options) (*Stats, error) {
+	policy := (*run).runStealing
+	if o.Affinity {
+		policy = (*run).runAffinity
+	}
+	return g.runWith(c, o, policy)
+}
+
+// runWith is Run with the placement policy given; the tests hand it
+// oracle policies.
+func (g *Graph) runWith(c *core.Ctx, o Options, policy func(*run)) (*Stats, error) {
 	st := &Stats{Tasks: len(g.tasks)}
 	if len(g.tasks) == 0 {
 		return st, nil
 	}
-	workers := o.Workers
-	if workers < 1 {
-		workers = 2
+	r := &run{g: g, c: c, o: o, st: st, node: o.Node, workers: o.Workers,
+		nblock: make([]int, len(g.tasks)),
+		tokens: sim.NewChan(c.Proc().Engine(), len(g.tasks))}
+	if r.workers < 1 {
+		r.workers = 2
 	}
-	if workers > len(g.tasks) {
-		workers = len(g.tasks)
+	r.workers = min(r.workers, len(g.tasks))
+	if r.node == nil {
+		r.node = c.Node()
 	}
-	node := o.Node
-	if node == nil {
-		node = c.Node()
-	}
-
-	rt := c.Runtime()
-	engine := c.Proc().Engine()
-
-	nblock := make([]int, len(g.tasks))
 	for i, t := range g.tasks {
-		nblock[i] = t.nblock
+		r.nblock[i] = t.nblock
 	}
-
-	// tokens carries one send per task that becomes ready; its capacity
-	// covers the whole graph so sends never block, and closing it (all done,
-	// or first error) releases every idle worker.
-	tokens := sim.NewChan(engine, len(g.tasks))
-	closed := false
-	closeTokens := func() {
-		if !closed {
-			closed = true
-			tokens.Close()
-		}
-	}
-	signal := func() {
-		if !closed {
-			tokens.TrySend(struct{}{})
-		}
-	}
-
-	var fe firstErr
-	completed := 0
-
-	depthSlot := rt.NewQueueDepthSlot(node.ID)
-	defer depthSlot.Close()
-
-	if o.Affinity {
-		g.runAffinity(c, o, st, node, nblock, tokens, &fe, &completed,
-			closeTokens, signal, depthSlot)
-	} else {
-		g.runStealing(c, o, st, node, nblock, tokens, &fe, &completed,
-			closeTokens, signal, depthSlot)
-	}
-	return st, fe.err
+	r.depth = c.Runtime().NewQueueDepthSlot(r.node.ID)
+	defer r.depth.Close()
+	policy(r)
+	return st, r.err
 }
 
 // execute runs one placed task on a worker context, feeding the profile and
-// emitting the placement telemetry. It returns false when the run must
-// abort.
-func (g *Graph) execute(sub *core.Ctx, o Options, node *topo.Node, id int,
-	policy string, saved int64, fe *firstErr) bool {
-
-	t := g.tasks[id]
-	sub.Runtime().NoteSchedPlacement(policy, node.ID, saved)
+// emitting the placement telemetry. On a task error it latches the error,
+// releases the idle workers and returns false.
+func (r *run) execute(sub *core.Ctx, id int, policy string, saved int64) bool {
+	t := r.g.tasks[id]
+	sub.Runtime().NoteSchedPlacement(policy, r.node.ID, saved)
 	sub.TraceInstant(trace.TrackQueue, "place", int64(t.id))
 	start := sub.Proc().Now()
-	err := sub.Task(t.Kind, int64(t.Cost), t.Run)
-	if err != nil {
-		fe.record(err)
+	if err := sub.Task(t.Kind, int64(t.Cost), t.Run); err != nil {
+		if r.err == nil {
+			r.err = err
+		}
+		r.close()
 		return false
 	}
-	if o.Profile != nil {
-		o.Profile.Record(t.Kind, t.Cost, sub.Proc().Now()-start)
+	if r.o.Profile != nil {
+		r.o.Profile.Record(t.Kind, t.Cost, sub.Proc().Now()-start)
 	}
+	r.completed++
 	return true
+}
+
+// unblock readies id's successors that no longer wait on anything,
+// handing each to push and signalling a worker.
+func (r *run) unblock(id int, push func(int)) {
+	for _, d := range r.g.tasks[id].outs {
+		r.nblock[d]--
+		if r.nblock[d] == 0 {
+			push(d)
+			r.signal()
+		}
+	}
+}
+
+// closeIfDone releases the workers once every task has completed.
+func (r *run) closeIfDone() {
+	if r.completed == len(r.g.tasks) {
+		r.close()
+	}
 }
 
 // runStealing is the locality-blind baseline: per-worker deques, initially
 // round-robin partitioned, owners popping their own tails and stealing from
 // siblings when dry — the same topology every app's bespoke scheduler used.
-func (g *Graph) runStealing(c *core.Ctx, o Options, st *Stats, node *topo.Node,
-	nblock []int, tokens *sim.Chan, fe *firstErr, completed *int,
-	closeTokens, signal func(), depthSlot *core.QueueDepthSlot) {
-
-	workers := o.Workers
-	if workers < 1 {
-		workers = 2
-	}
-	if workers > len(g.tasks) {
-		workers = len(g.tasks)
-	}
-	queues := make([]*sched.Deque[int], workers)
+func (r *run) runStealing() {
+	c := r.c
+	queues := make([]*sched.Deque[int], r.workers)
 	for i := range queues {
 		queues[i] = sched.NewDeque[int](fmt.Sprintf("tg%d", i))
 	}
-	detach := core.WatchDeques(c, node, depthSlot, queues)
+	detach := core.WatchDeques(c, r.node, r.depth, queues)
 	defer detach()
 
 	// Initially ready tasks spread round-robin in program order, the layout
 	// sched.Partition gives the apps' hand-wired queues.
 	k := 0
-	for id := range g.tasks {
-		if nblock[id] == 0 {
-			queues[k%workers].PushTail(id)
+	for id := range r.g.tasks {
+		if r.nblock[id] == 0 {
+			queues[k%r.workers].PushTail(id)
 			k++
-			signal()
+			r.signal()
 		}
 	}
 
 	wg := sim.NewWaitGroup(c.Runtime().Engine())
-	for w := 0; w < workers; w++ {
+	for w := 0; w < r.workers; w++ {
 		wg.Add(1)
 		w := w
 		own := queues[w]
 		c.Spawn(fmt.Sprintf("tg-worker%d", w), c.Node(), func(sub *core.Ctx) error {
 			defer wg.Done()
 			for {
-				if _, ok := tokens.Recv(sub.Proc()); !ok {
+				if _, ok := r.tokens.Recv(sub.Proc()); !ok {
 					return nil
 				}
-				if fe.failed() {
+				if r.err != nil {
 					continue // draining after an abort
 				}
 				id, ok := own.PopTail()
@@ -363,150 +484,169 @@ func (g *Graph) runStealing(c *core.Ctx, o Options, st *Stats, node *topo.Node,
 					}
 					policy = "steal"
 				}
-				if !g.execute(sub, o, node, id, policy, 0, fe) {
-					closeTokens()
+				if !r.execute(sub, id, policy, 0) {
 					continue
 				}
-				*completed++
 				// Newly unblocked tasks land on the completing worker's own
 				// queue: successors follow their producer unless stolen.
-				for _, d := range g.tasks[id].outs {
-					nblock[d]--
-					if nblock[d] == 0 {
-						own.PushTail(d)
-						signal()
-					}
-				}
-				if *completed == len(g.tasks) {
-					closeTokens()
-				}
+				r.unblock(id, own.PushTail)
+				r.closeIfDone()
 			}
 		})
 	}
 	wg.Wait(c.Proc())
-	st.Pops, st.Steals = sched.TotalStats(queues)
+	r.st.Pops, r.st.Steals = sched.TotalStats(queues)
 }
 
 // runAffinity is the residency-aware policy: a shared ready list each idle
-// worker scores in full, picking the candidate with the lowest estimated
-// compute + bytes-to-move price. Ties break toward the task overlapping the
-// worker's previous inputs (locality bias), then the lowest task ID, so the
-// schedule is a pure function of graph order and cache state.
-func (g *Graph) runAffinity(c *core.Ctx, o Options, st *Stats, node *topo.Node,
-	nblock []int, tokens *sim.Chan, fe *firstErr, completed *int,
-	closeTokens, signal func(), depthSlot *core.QueueDepthSlot) {
-
-	workers := o.Workers
-	if workers < 1 {
-		workers = 2
-	}
-	if workers > len(g.tasks) {
-		workers = len(g.tasks)
-	}
+// worker prices in one pass, picking the candidate with the lowest
+// estimated compute + bytes-to-move price. Ties break toward the task
+// overlapping the worker's previous inputs (locality bias), then the
+// lowest task ID, so the schedule is a pure function of graph order and
+// cache state: the pick is the minimum of (price, -overlap, id), whatever
+// order the ready list is in.
+func (r *run) runAffinity() {
+	c := r.c
 	rt := c.Runtime()
+	p := newPrices(r)
+	detach := rt.WatchResidency(r.node, p.watch)
+	defer detach()
 
-	var ready []int
-	noteDepth := func() { depthSlot.Set(int64(len(ready))) }
-	for id := range g.tasks {
-		if nblock[id] == 0 {
+	ready := make([]int, 0, len(r.g.tasks))
+	noteDepth := func() { r.depth.Set(int64(len(ready))) }
+	for id := range r.g.tasks {
+		if r.nblock[id] == 0 {
 			ready = append(ready, id)
-			signal()
+			r.signal()
 		}
 	}
 	noteDepth()
-
-	// residency returns how many of t's declared input bytes need no edge
-	// crossing right now: extents already living at the staging level, plus
-	// extents of higher-level sources staged (or in flight) in node's cache.
-	// missing is the complement — what a placement would have to move.
-	residency := func(t *Task) (resident, missing int64, moveSec float64) {
-		for _, ex := range t.Reads {
-			if ex.Buf == nil || ex.Len <= 0 {
-				continue
-			}
-			if ex.Buf.Node() == node {
-				continue // already at the staging level: free either way
-			}
-			r := rt.CacheResidentBytes(node, ex.Buf, ex.Off, ex.Len)
-			resident += r
-			miss := ex.Len - r
-			missing += miss
-			moveSec += fetchSeconds(ex.Buf, node, miss)
-		}
-		return resident, missing, moveSec
-	}
-
-	score := func(t *Task) (float64, int64) {
-		var computeSec float64
-		if o.Profile != nil {
-			if pt, ok := o.Profile.Predict(t.Kind, t.Cost); ok {
-				computeSec = pt.Seconds()
-			}
-		}
-		resident, _, moveSec := residency(t)
-		return computeSec + moveSec, resident
-	}
+	push := func(d int) { ready = append(ready, d) }
 
 	wg := sim.NewWaitGroup(rt.Engine())
-	for w := 0; w < workers; w++ {
+	for w := 0; w < r.workers; w++ {
 		wg.Add(1)
-		w := w
 		c.Spawn(fmt.Sprintf("tg-worker%d", w), c.Node(), func(sub *core.Ctx) error {
 			defer wg.Done()
 			var last *Task
 			for {
-				if _, ok := tokens.Recv(sub.Proc()); !ok {
+				if _, ok := r.tokens.Recv(sub.Proc()); !ok {
 					return nil
 				}
-				if fe.failed() || len(ready) == 0 {
+				if r.err != nil || len(ready) == 0 {
 					continue
 				}
-				// Score every ready candidate; lowest price wins.
-				best, bestSaved := -1, int64(0)
-				var bestScore float64
-				var bestAffin int64
-				for i, id := range ready {
-					t := g.tasks[id]
-					s, resident := score(t)
-					affin := int64(0)
-					if last != nil {
-						for _, ex := range t.Reads {
-							for _, lx := range last.Reads {
-								affin += overlapBytes(ex, lx)
-							}
-						}
-					}
-					take := best < 0 || s < bestScore ||
-						(s == bestScore && (affin > bestAffin ||
-							(affin == bestAffin && ready[best] > id)))
-					if take {
-						best, bestScore, bestAffin, bestSaved = i, s, affin, resident
-					}
-				}
+				best := p.pick(ready, last)
 				id := ready[best]
-				ready = append(ready[:best], ready[best+1:]...)
+				ready[best] = ready[len(ready)-1]
+				ready = ready[:len(ready)-1]
 				noteDepth()
-				st.AffinityPicks++
-				st.SavedBytes += bestSaved
-				last = g.tasks[id]
-				if !g.execute(sub, o, node, id, "affinity", bestSaved, fe) {
-					closeTokens()
+				saved := p.resident[id]
+				r.st.AffinityPicks++
+				r.st.SavedBytes += saved
+				last = r.g.tasks[id]
+				if !r.execute(sub, id, "affinity", saved) {
 					continue
 				}
-				*completed++
-				for _, d := range g.tasks[id].outs {
-					nblock[d]--
-					if nblock[d] == 0 {
-						ready = append(ready, d)
-						signal()
-					}
-				}
+				r.unblock(id, push)
 				noteDepth()
-				if *completed == len(g.tasks) {
-					closeTokens()
-				}
+				r.closeIfDone()
 			}
 		})
 	}
 	wg.Wait(c.Proc())
+}
+
+// prices is affinity placement's cache of each task's move price: the
+// seconds to fetch the read bytes missing at the placement node, and the
+// bytes already resident there. A price depends only on which of the
+// task's exact read extents the node's staging cache holds (and whether
+// their sources are released), so a task is repriced only after the
+// residency watch reports a change to one of those extents.
+type prices struct {
+	r        *run
+	moveSec  []float64
+	resident []int64
+	fresh    []bool // false: never priced, or a read extent changed since
+}
+
+func newPrices(r *run) *prices {
+	n := len(r.g.tasks)
+	return &prices{r: r, moveSec: make([]float64, n), resident: make([]int64, n), fresh: make([]bool, n)}
+}
+
+// watch is the residency watch: it marks the readers of k's extent for
+// repricing.
+func (p *prices) watch(k cache.Key) {
+	p.r.g.readers(k.Src, k.Off, k.Len, func(id int) { p.fresh[id] = false })
+}
+
+// reprice recomputes one task's price from scratch: how many of its input
+// bytes need no edge crossing right now (extents of higher-level sources
+// staged, or in flight, in the node's cache) and the fetch time of the
+// rest. The sum runs over the reads in declaration order, so the price is
+// bit for bit the one a full rescan would give.
+func (p *prices) reprice(id int) {
+	var resident int64
+	var moveSec float64
+	rt, node := p.r.c.Runtime(), p.r.node
+	for _, ex := range p.r.g.tasks[id].Reads {
+		if ex.Buf == nil || ex.Len <= 0 || ex.Buf.Node() == node {
+			continue // already at the staging level: free either way
+		}
+		res := rt.CacheResidentBytes(node, ex.Buf, ex.Off, ex.Len)
+		resident += res
+		moveSec += fetchSeconds(ex.Buf, node, ex.Len-res)
+	}
+	p.moveSec[id], p.resident[id], p.fresh[id] = moveSec, resident, true
+}
+
+// pick returns the index in ready of the task to place next: the lowest
+// compute + move price, then the most read bytes shared with last, then
+// the lowest ID. The overlap is only computed between tied prices.
+func (p *prices) pick(ready []int, last *Task) int {
+	best, bestAffin, affinKnown := -1, int64(0), false
+	var bestScore float64
+	for i, id := range ready {
+		if !p.fresh[id] {
+			p.reprice(id)
+		}
+		t := p.r.g.tasks[id]
+		var computeSec float64
+		if prof := p.r.o.Profile; prof != nil {
+			if pt, ok := prof.Predict(t.Kind, t.Cost); ok {
+				computeSec = pt.Seconds()
+			}
+		}
+		s := computeSec + p.moveSec[id]
+		if best < 0 || s < bestScore {
+			best, bestScore, affinKnown = i, s, false
+			continue
+		}
+		if s != bestScore {
+			continue
+		}
+		if !affinKnown {
+			bestAffin, affinKnown = readOverlap(p.r.g.tasks[ready[best]], last), true
+		}
+		if affin := readOverlap(t, last); affin > bestAffin || affin == bestAffin && id < ready[best] {
+			best, bestAffin = i, affin
+		}
+	}
+	return best
+}
+
+// readOverlap sums the bytes t's reads share with last's (0 without a
+// previous task).
+func readOverlap(t, last *Task) int64 {
+	if last == nil {
+		return 0
+	}
+	var n int64
+	for _, ex := range t.Reads {
+		for _, lx := range last.Reads {
+			n += overlapBytes(ex, lx)
+		}
+	}
+	return n
 }
