@@ -2,8 +2,9 @@
 #
 #   make check        tier-1 gate: build + full test suite, plus vet and tests
 #                     of the benchmark module (the CI floor)
-#   make strict       tier-2 gate: lint + race tests + demos + perf gate
+#   make strict       tier-2 gate: lint + race tests + fuzz + demos + perf gate
 #   make lint         gofmt -l (fail on unformatted files) + go vet
+#   make fuzz         run every fuzz target for FUZZTIME (default 10s) each
 #   make ops-demo     live admin-plane smoke: burn-rate scenario over HTTP
 #   make tail-demo    per-job journey smoke: tail analyzer + exemplars +
 #                     journey-lane trace validation on the burn-rate workload
@@ -19,8 +20,9 @@
 #   make all          both gates plus the benchmark artifacts
 
 GO ?= go
+FUZZTIME ?= 10s
 
-.PHONY: all build test benchmod vet race lint check strict bench bench-json bench-stream bench-serve bench-affinity bench-sim bench-check trace-demo serve-demo ops-demo tail-demo clean
+.PHONY: all build test benchmod vet race lint fuzz check strict bench bench-json bench-stream bench-serve bench-affinity bench-sim bench-check trace-demo serve-demo ops-demo tail-demo clean
 
 all: check strict bench-json
 
@@ -44,6 +46,15 @@ lint:
 race:
 	$(GO) test -race ./...
 
+# Each fuzz target on its own (go test fuzzes one target per run), for
+# FUZZTIME each.
+fuzz:
+	$(GO) test ./northup -run '^$$' -fuzz '^FuzzParseFaults$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzParseScenario$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/taskgraph -run '^$$' -fuzz '^FuzzGraphAdd$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzFileHash$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzChromeTrace$$' -fuzztime $(FUZZTIME)
+
 # The benchmark harness is its own module (benchmark/go.mod), so the root
 # `go test ./...` skips it, yet it compiles against the runtime's public
 # surface: vet and test it too.
@@ -53,9 +64,9 @@ benchmod:
 # Tier-1: what every change must keep green.
 check: build test benchmod
 
-# Tier-2: static analysis, the race detector, the end-to-end demos, and
-# the perf-regression gate.
-strict: lint race trace-demo serve-demo ops-demo tail-demo bench-check
+# Tier-2: static analysis, the race detector, the fuzz targets, the
+# end-to-end demos, and the perf-regression gate.
+strict: lint race fuzz trace-demo serve-demo ops-demo tail-demo bench-check
 
 # End-to-end tracing smoke: capture a small traced run, then require the
 # exported Chrome trace to validate through the offline analyser.

@@ -110,3 +110,30 @@ func TestTasksAffinityReducesMovedBytes(t *testing.T) {
 		t.Fatalf("affinity moved %.0f bytes, baseline %.0f — no reduction", aff, base)
 	}
 }
+
+func TestTasksCacheHitSurvivesRivalFill(t *testing.T) {
+	// A 2 MiB cache under 16 MiB of staging DRAM makes the workers' fills
+	// evict one another's entries. A hit that charged its bookkeeping
+	// before pinning its entry let a rival fill evict and release the
+	// buffer in between, and the shard kernel then read an empty column
+	// array.
+	cfg := Config{N: 65536, AvgNNZ: 16, Kind: workload.SparseUniform, Seed: 1, Iters: 3}
+	e := sim.NewEngine()
+	tree := topo.APU(e, topo.APUConfig{Storage: topo.SSD, StorageMiB: 1024, DRAMMiB: 16, WithCPU: true})
+	opts := core.DefaultOptions()
+	opts.Cache.Enabled = true
+	opts.Cache.CapacityBytes = 2 << 20
+	rt := core.NewRuntime(e, tree, opts)
+	res, _, err := RunTasks(rt, cfg, taskgraph.Options{Affinity: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs := rt.CacheStats(); cs.Hits == 0 || cs.Evictions == 0 {
+		t.Fatalf("no hit raced an eviction: %d hits, %d evictions", cs.Hits, cs.Evictions)
+	}
+	m := workload.Sparse(cfg.Kind, cfg.N, cfg.AvgNNZ, cfg.Seed)
+	want := hostPowerIteration(m, workload.Vector(cfg.N, cfg.Seed+1), cfg.Iters)
+	if !almostEqual(res.Y, want, float64(cfg.AvgNNZ*cfg.Iters)) {
+		t.Fatal("cached affinity power iteration differs from host oracle")
+	}
+}

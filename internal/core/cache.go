@@ -162,6 +162,9 @@ func (nc *nodeCache) get(rt *Runtime, p *sim.Proc, child *topo.Node, src *Buffer
 				e.Pending().(*sim.Latch).Wait(p)
 				continue
 			}
+			// Pin before the charge sleeps: an unpinned entry could be
+			// evicted and its buffer released by a rival fill meanwhile.
+			nc.pool.Pin(e)
 			rt.chargeOverhead(p)
 			cs.Hits++
 			cs.HitBytes += n
@@ -170,7 +173,6 @@ func (nc *nodeCache) get(rt *Runtime, p *sim.Proc, child *topo.Node, src *Buffer
 				e.ClearPrefetched()
 				cs.PrefetchHits++
 			}
-			nc.pool.Pin(e)
 			return e.Value().(*Buffer), nil
 		}
 		cs.Misses++

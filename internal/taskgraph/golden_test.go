@@ -426,7 +426,7 @@ var goldenPlacementWant = map[string]string{
 	"spmv/w4/set":          "elapsed=5840627 stats=26/0/0/26/929524 cache=14/58/48/0/0/1/0/0/670288/2556824 places=26/04c01c7c48f0c6fe events=652 trace=eec82db0fb186e51",
 	"spmv/w4/set/cold":     "elapsed=6055777 stats=26/0/0/26/801068 cache=12/60/51/0/0/1/0/0/538888/2688224 places=26/60dca09ef341ef94 events=664 trace=04e5a3c5c05cc1e3",
 	"spmv/w4/set/warm":     "elapsed=6057956 stats=26/0/0/26/665496 cache=12/60/51/0/0/1/0/0/536096/2691016 places=26/ebcce0b0533246b2 events=664 trace=7c77f0dbecb33922",
-	"spmv/w4/small":        "elapsed=6561580 stats=26/0/0/26/285828 cache=8/64/28/0/0/31/0/0/155160/3071952 places=26/563bd68955a16e8d events=688 trace=f5e352f265802cac",
+	"spmv/w4/small":        "elapsed=6561580 stats=26/0/0/26/285828 cache=8/64/28/0/0/31/0/0/155160/3071952 places=26/563bd68955a16e8d events=690 trace=6418fa922f423ea8",
 	"spmv/w4/small/cold":   "elapsed=7149725 stats=26/0/0/26/0 cache=0/72/34/0/0/33/0/0/0/3227112 places=26/3cdcdbe2fc0f2cbc events=730 trace=c289103131b37b91",
 	"spmv/w4/small/warm":   "elapsed=7149725 stats=26/0/0/26/0 cache=0/72/34/0/0/33/0/0/0/3227112 places=26/3cdcdbe2fc0f2cbc events=730 trace=c289103131b37b91",
 	"grid/abort":           "elapsed=4076820 stats=36/0/0/36/3538944 cache=49/20/17/12/9/0/0/3/3211264/1310720 places=36/50b73cebc29a3e6f events=512 trace=003672d406de4b88",
