@@ -1,6 +1,8 @@
 package figures
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -10,6 +12,21 @@ import (
 // Scale-8 runs finish in well under a second each and preserve the broad
 // shapes; the full paper-scale checks live in the *PaperScale tests below
 // (skipped with -short) and in the repository's benchmark harness.
+
+// checkCSVGolden requires a paper-scale figure's CSV to equal
+// testdata/<fig>.csv, what `northup-bench -fig <fig> -format csv` prints.
+// The figures are deterministic, so a change that moves any number fails
+// here; rewrite the file only for an intended model change.
+func checkCSVGolden(t *testing.T, fig, got string) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", fig+".csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("figure %s CSV differs from testdata/%s.csv\ngot:\n%swant:\n%s", fig, fig, got, want)
+	}
+}
 
 func TestFig6ShapesSmall(t *testing.T) {
 	res, err := Fig6(Options{Scale: 8})
@@ -49,6 +66,7 @@ func TestFig6PaperScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkCSVGolden(t, "6", res.CSV())
 	checks := []struct {
 		name   string
 		v      float64
@@ -80,6 +98,7 @@ func TestFig7BreakdownShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkCSVGolden(t, "7", res.CSV())
 	// Paper: GEMM spends the majority of time on GPU compute (disk cfg
 	// shows I/O dominance for the memory-bound apps).
 	if err := checkShape("gemm-ssd-gpu-share",
@@ -114,6 +133,7 @@ func TestFig8TransferShares(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkCSVGolden(t, "8", res.CSV())
 	// Paper: OpenCL transfers 7% for GEMM; all apps show a visible PCIe
 	// component on the 3-level tree.
 	if err := checkShape("gemm-transfer-share", res.TransferShare(GEMM), 0.04, 0.12); err != nil {
@@ -129,6 +149,7 @@ func TestFig8TransferShares(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkCSVGolden(t, "8disk", disk.CSV())
 	for _, app := range Apps {
 		if disk.TransferShare(app) >= res.TransferShare(app) {
 			t.Errorf("%v: disk-root transfer share not smaller than SSD-root", app)
@@ -144,6 +165,7 @@ func TestFig9Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkCSVGolden(t, "9", res.CSV())
 	for _, app := range Apps {
 		s := res.SeriesFor(app)
 		last := s.Points[len(s.Points)-1]
@@ -188,6 +210,7 @@ func TestFig11Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkCSVGolden(t, "11", res.CSV())
 	if len(res.Cells) != len(paperFig11Inputs)*len(Fig11QueueCounts) {
 		t.Fatalf("%d cells", len(res.Cells))
 	}
@@ -231,6 +254,26 @@ func TestOverheadBelowOnePercent(t *testing.T) {
 	if res.Max() <= 0 {
 		t.Fatal("overhead not measured")
 	}
+}
+
+// TestOverheadAndCacheCSVGoldens pins the two paper-scale figures no shape
+// test runs at scale 1; the stream, serve and affinity goldens ride on
+// TestCommittedSweepsRegenerate's runs.
+func TestOverheadAndCacheCSVGoldens(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-scale run skipped in -short mode")
+	}
+	o := Options{Scale: 1}
+	ov, err := Overhead(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCSVGolden(t, "overhead", ov.CSV())
+	ca, err := CacheAblation(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCSVGolden(t, "cache", ca.CSV())
 }
 
 func TestOptionsValidation(t *testing.T) {

@@ -3,7 +3,7 @@ package figures
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"maps"
 	"strings"
 
 	"repro/internal/apps/gemm"
@@ -15,32 +15,19 @@ import (
 	"repro/internal/topo"
 )
 
-// The perf-regression gate: the three case-study applications run
-// out-of-core on the SSD tree in phantom mode with the metrics registry
-// attached, and the full metric profile — virtual latency, per-category
-// busy time, span counts, moved bytes, cache and scheduler counters — is
-// captured as a PerfProfile. `northup-bench -baseline` writes the profile
-// to BENCH_perf.json; `northup-bench -check` re-runs the suite at the
-// baseline's scale and diffs the two profiles with per-metric tolerances,
-// exiting non-zero on regression. Because the simulation is deterministic,
-// an unchanged runtime reproduces the baseline bit for bit; the tolerances
-// exist to absorb intentional small reworks, not noise.
+// The perf baseline: the three case-study applications run out-of-core on
+// the SSD tree in phantom mode with the metrics registry attached, beside
+// the streamed shard, the serve mix and the affinity task graph, and each
+// run's full metric profile — virtual latency, per-category busy time, span
+// counts, moved bytes, cache and scheduler counters, and the engine's
+// event, callback and process counts — is captured as a PerfProfile.
+// `northup-bench -baseline` writes the profile to BENCH_perf.json, and
+// TestCommittedSweepsRegenerate regenerates it and requires the committed
+// bytes: the simulation is deterministic, so every moved value is a change
+// the commit that moves it must regenerate and explain.
 
 // perfSchema versions the baseline document.
-const perfSchema = "northup-perf/v1"
-
-// perfRelTol is the default relative tolerance: a metric moving more than
-// 5% from the baseline (in either direction) fails the check, well under
-// the ≥10% regressions the gate must catch.
-const perfRelTol = 0.05
-
-// Absolute floors per metric family, so tiny counts (a queue that saw 12
-// steals) don't fail on ±1 jitters that a relative tolerance would flag.
-const (
-	perfFloorNS    = 1e6     // time metrics: 1ms of virtual time
-	perfFloorBytes = 1 << 20 // byte metrics: 1 MiB
-	perfFloorCount = 8       // everything else: 8 events
-)
+const perfSchema = "northup-perf/v2"
 
 // AppPerf is one application's profile.
 type AppPerf struct {
@@ -49,31 +36,22 @@ type AppPerf struct {
 	// ElapsedNS is the run's virtual makespan in nanoseconds.
 	ElapsedNS int64 `json:"elapsed_ns"`
 	// Metrics is the flattened metrics registry at end of run (counter
-	// totals, gauge values, histogram buckets — see obs.Registry.Flatten).
+	// totals, gauge values, histogram buckets — see obs.Registry.Flatten)
+	// plus the engine's northup_sim_{events,callbacks,procs}_total. Only
+	// non-zero series are kept: an absent series reads as 0.
 	Metrics map[string]float64 `json:"metrics"`
 }
 
 // PerfProfile is the machine-readable perf baseline (BENCH_perf.json).
 type PerfProfile struct {
 	Schema string `json:"schema"`
-	// Scale is the figures scale the suite ran at; -check re-runs at the
-	// same scale regardless of its own -scale flag.
+	// Scale is the figures scale the suite ran at.
 	Scale int       `json:"scale"`
 	Apps  []AppPerf `json:"apps"`
-	// Tolerances overrides the default per-metric tolerance: keys are
-	// metric names (exact, or a prefix — longest match wins), values are
-	// relative tolerances (0.10 = ±10%). Committed alongside the baseline
-	// so known-noisy metrics can be widened without code changes.
-	Tolerances map[string]float64 `json:"tolerances,omitempty"`
-	// Floors marks wall-clock metrics (dispatch rates, speedups) that are
-	// checked one-sided instead of diffed against the baseline value: the
-	// run fails only when the metric drops below the committed floor. Keys
-	// follow the same exact-or-longest-prefix rule as Tolerances.
-	Floors map[string]float64 `json:"floors,omitempty"`
 }
 
-// PerfSuite runs the three applications on the SSD tree with metrics
-// attached and returns the profile.
+// PerfSuite runs the suite's six entries with metrics attached and returns
+// the profile.
 func PerfSuite(o Options) (*PerfProfile, error) {
 	o, err := o.norm()
 	if err != nil {
@@ -95,26 +73,19 @@ func PerfSuite(o Options) (*PerfProfile, error) {
 		if err != nil {
 			return nil, fmt.Errorf("figures: perf suite: %v: %w", app, err)
 		}
-		prof.Apps = append(prof.Apps, AppPerf{
-			Name:      app.String(),
-			ElapsedNS: int64(stats.Elapsed),
-			Metrics:   reg.Flatten(),
-		})
+		prof.add(app.String(), stats.Elapsed, reg.Flatten(), rt.Engine().Stats())
 	}
 	// Fourth entry: the adaptive streamed GEMM shard on the discrete tree
 	// (the `stream` figure's workload), so a lost hop overlap — slower
 	// makespan, fewer sub-chunks, shrunken in-flight peak — fails the gate.
 	reg := obs.NewRegistry()
+	eng := sim.NewEngine()
 	payload := int64(o.denseN()/2) * streamShardCols * 4
-	elapsed, _, _, err := o.runStreamedShard(payload, 0, reg)
+	elapsed, _, _, err := o.runStreamedShard(eng, payload, 0, reg)
 	if err != nil {
 		return nil, fmt.Errorf("figures: perf suite: stream-overlap: %w", err)
 	}
-	prof.Apps = append(prof.Apps, AppPerf{
-		Name:      "stream-overlap",
-		ElapsedNS: int64(elapsed),
-		Metrics:   reg.Flatten(),
-	})
+	prof.add("stream-overlap", elapsed, reg.Flatten(), eng.Stats())
 	// Fifth entry: the multi-tenant serve engine at the sweep's 1x offered
 	// load, so an admission, fair-queueing or quota regression — longer
 	// makespan, shifted latency histograms, changed rejection counts — fails
@@ -128,21 +99,10 @@ func PerfSuite(o Options) (*PerfProfile, error) {
 	if err != nil {
 		return nil, fmt.Errorf("figures: perf suite: serve-mix: %w", err)
 	}
-	prof.Apps = append(prof.Apps, AppPerf{
-		Name:      "serve-mix",
-		ElapsedNS: srvRep.ElapsedNS,
-		Metrics:   srvEng.MergedRegistry().Flatten(),
-	})
-	// Sixth entry: the DES engine's own dispatch speed on the paper-scale
-	// event mix, so a scheduling regression — a slower heap, a lost batch
-	// path, callbacks falling back to process resumptions — fails the gate
-	// even when the virtual-time results it produces are still correct.
-	simPerf, floors, err := simEnginePerf(o)
-	if err != nil {
-		return nil, fmt.Errorf("figures: perf suite: sim-engine: %w", err)
-	}
-	prof.Apps = append(prof.Apps, simPerf)
-	// Seventh entry: the affinity ablation's GEMM task graph under
+	es := srvRep.Engine
+	prof.add("serve-mix", sim.Time(srvRep.ElapsedNS), srvEng.MergedRegistry().Flatten(),
+		sim.Stats{Events: es.Events, Callbacks: es.Callbacks, Procs: es.Procs})
+	// Sixth entry: the affinity ablation's GEMM task graph under
 	// residency-aware placement, so a scheduler regression — a scorer that
 	// stops seeing resident extents, placements drifting back to the
 	// stealing order, moved bytes creeping up — fails the gate even while
@@ -156,24 +116,20 @@ func PerfSuite(o Options) (*PerfProfile, error) {
 	affMetrics := reg.Flatten()
 	affMetrics["northup_sched_tasks_executed"] = float64(affStats.Tasks)
 	affMetrics["northup_sched_affinity_picks"] = float64(affStats.AffinityPicks)
-	prof.Apps = append(prof.Apps, AppPerf{
-		Name:      "affinity",
-		ElapsedNS: int64(affRes.Stats.Elapsed),
-		Metrics:   affMetrics,
-	})
-	// Per-hop bandwidth is a last-value gauge: the final sub-chunk's size
-	// (and so its instantaneous rate) shifts with any resizing rework even
-	// when the pipeline is healthy, so it gets a wider band than the
-	// totals the gate is really guarding. Saved bytes is the affinity
-	// scorer's own residency estimate — it shifts with any cache-sizing or
-	// eviction rework while the moved-bytes totals it predicts stay tight,
-	// so it too gets the wider band.
-	prof.Tolerances = map[string]float64{
-		"northup_stream_hop_bw":                 0.10,
-		"northup_sched_moved_bytes_saved_total": 0.10,
-	}
-	prof.Floors = floors
+	prof.add("affinity", affRes.Stats.Elapsed, affMetrics, rt.Engine().Stats())
 	return prof, nil
+}
+
+// add appends one entry. Its engine's event, callback and process counts
+// join the metrics because callback work falling back onto processes can
+// leave every virtual output identical; only these counts show it.
+// Zero-valued series are dropped.
+func (p *PerfProfile) add(name string, elapsed sim.Time, metrics map[string]float64, st sim.Stats) {
+	metrics["northup_sim_events_total"] = float64(st.Events)
+	metrics["northup_sim_callbacks_total"] = float64(st.Callbacks)
+	metrics["northup_sim_procs_total"] = float64(st.Procs)
+	maps.DeleteFunc(metrics, func(_ string, v float64) bool { return v == 0 })
+	p.Apps = append(p.Apps, AppPerf{Name: name, ElapsedNS: int64(elapsed), Metrics: metrics})
 }
 
 // newPerfRuntime builds the gate's runtime: the SSD-rooted APU tree in
@@ -211,211 +167,7 @@ func ParsePerfProfile(data []byte) (*PerfProfile, error) {
 	if p.Schema != perfSchema {
 		return nil, fmt.Errorf("figures: perf baseline schema %q, want %q", p.Schema, perfSchema)
 	}
-	if p.Scale == 0 {
-		p.Scale = 1
-	}
 	return &p, nil
-}
-
-// PerfDelta is one metric's deviation from the baseline.
-type PerfDelta struct {
-	App    string
-	Metric string
-	// Base is the baseline value, or the committed floor for floor-gated
-	// metrics.
-	Base float64
-	Got  float64
-	// Rel is (got-base)/base, 0 when base is 0.
-	Rel float64
-	// Tol is the relative tolerance that applied (0 for floor checks).
-	Tol float64
-	// Floor marks a one-sided floor failure: got fell below Base.
-	Floor bool
-}
-
-// slower reports whether the deviation is in the regression direction
-// (time or work increased, or a rate fell below its floor).
-func (d PerfDelta) slower() bool {
-	if d.Floor {
-		return true
-	}
-	return d.Got > d.Base
-}
-
-// String renders one deviation line.
-func (d PerfDelta) String() string {
-	if d.Floor {
-		return fmt.Sprintf("%-12s %-48s floor %.4g -> got %.4g (%+.1f%%, BELOW FLOOR)",
-			d.App, d.Metric, d.Base, d.Got, 100*d.Rel)
-	}
-	dir := "faster/less"
-	if d.slower() {
-		dir = "SLOWER/more"
-	}
-	return fmt.Sprintf("%-12s %-48s base %.4g -> got %.4g (%+.1f%%, tol ±%.0f%%, %s)",
-		d.App, d.Metric, d.Base, d.Got, 100*d.Rel, 100*d.Tol, dir)
-}
-
-// PerfCheck is the outcome of diffing a run against the baseline.
-type PerfCheck struct {
-	// Failures are deviations outside tolerance, worst first.
-	Failures []PerfDelta
-	// Compared counts metric comparisons made.
-	Compared int
-	// Missing lists baseline metrics absent from the run (renamed or
-	// removed instruments — a baseline refresh is needed).
-	Missing []string
-}
-
-// OK reports whether the run is within tolerance of the baseline.
-func (c *PerfCheck) OK() bool { return len(c.Failures) == 0 && len(c.Missing) == 0 }
-
-// Report renders the check for humans.
-func (c *PerfCheck) Report() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "perf check: %d metric(s) compared, %d outside tolerance, %d missing\n",
-		c.Compared, len(c.Failures), len(c.Missing))
-	for _, d := range c.Failures {
-		fmt.Fprintf(&sb, "  FAIL %s\n", d)
-	}
-	for _, name := range c.Missing {
-		fmt.Fprintf(&sb, "  MISSING %s (refresh the baseline with -baseline)\n", name)
-	}
-	if c.OK() {
-		sb.WriteString("  within tolerance of the committed baseline\n")
-	}
-	return sb.String()
-}
-
-// tolFor resolves the relative tolerance for a metric: exact name in the
-// baseline's Tolerances, else the longest prefix entry, else the default.
-func (p *PerfProfile) tolFor(name string) float64 {
-	if t, ok := p.Tolerances[name]; ok {
-		return t
-	}
-	best, bestLen := perfRelTol, -1
-	for prefix, t := range p.Tolerances {
-		if len(prefix) > bestLen && strings.HasPrefix(name, prefix) {
-			best, bestLen = t, len(prefix)
-		}
-	}
-	return best
-}
-
-// floorOverrideFor resolves a one-sided floor for a metric (exact name,
-// else longest prefix), reporting whether one applies.
-func (p *PerfProfile) floorOverrideFor(name string) (float64, bool) {
-	if f, ok := p.Floors[name]; ok {
-		return f, true
-	}
-	best, bestLen, found := 0.0, -1, false
-	for prefix, f := range p.Floors {
-		if len(prefix) > bestLen && strings.HasPrefix(name, prefix) {
-			best, bestLen, found = f, len(prefix), true
-		}
-	}
-	return best, found
-}
-
-// floorFor returns the absolute deviation floor for a metric name, keyed
-// off the unit suffixes the registry uses.
-func floorFor(name string) float64 {
-	base := name
-	if i := strings.IndexByte(base, '{'); i >= 0 {
-		base = base[:i]
-	}
-	switch {
-	case strings.Contains(base, "_ns") || strings.HasSuffix(base, "elapsed_ns"):
-		return perfFloorNS
-	case strings.Contains(base, "_bytes"):
-		return perfFloorBytes
-	default:
-		return perfFloorCount
-	}
-}
-
-// Check diffs got against the baseline p. Every metric present in the
-// baseline is compared two-sided: |got-base| must stay within
-// max(tol×|base|, floor). Deviations in both directions fail — an
-// unexplained speedup is a model change the baseline should record, not a
-// pass — with the slower direction sorted first.
-func (p *PerfProfile) Check(got *PerfProfile) *PerfCheck {
-	c := &PerfCheck{}
-	gotApps := map[string]AppPerf{}
-	for _, a := range got.Apps {
-		gotApps[a.Name] = a
-	}
-	for _, base := range p.Apps {
-		run, ok := gotApps[base.Name]
-		if !ok {
-			c.Missing = append(c.Missing, base.Name+" (entire app)")
-			continue
-		}
-		// The makespan first: the latency half of the gate.
-		c.compare(p, base.Name, "elapsed_ns", float64(base.ElapsedNS), float64(run.ElapsedNS))
-		names := make([]string, 0, len(base.Metrics))
-		for name := range base.Metrics {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			gv, ok := run.Metrics[name]
-			if !ok {
-				c.Missing = append(c.Missing, base.Name+": "+name)
-				continue
-			}
-			c.compare(p, base.Name, name, base.Metrics[name], gv)
-		}
-	}
-	sort.SliceStable(c.Failures, func(i, j int) bool {
-		si, sj := c.Failures[i].slower(), c.Failures[j].slower()
-		if si != sj {
-			return si
-		}
-		return abs(c.Failures[i].Rel) > abs(c.Failures[j].Rel)
-	})
-	return c
-}
-
-// compare applies the tolerance rule to one metric pair. Floor-gated
-// metrics (wall-clock rates) are checked one-sided against the committed
-// floor instead of diffed against the baseline value.
-func (c *PerfCheck) compare(p *PerfProfile, app, name string, base, got float64) {
-	c.Compared++
-	if floor, ok := p.floorOverrideFor(name); ok {
-		if got >= floor {
-			return
-		}
-		rel := 0.0
-		if floor != 0 {
-			rel = (got - floor) / floor
-		}
-		c.Failures = append(c.Failures, PerfDelta{App: app, Metric: name,
-			Base: floor, Got: got, Rel: rel, Floor: true})
-		return
-	}
-	tol := p.tolFor(name)
-	dev := abs(got - base)
-	limit := tol * abs(base)
-	if floor := floorFor(name); limit < floor {
-		limit = floor
-	}
-	if dev <= limit {
-		return
-	}
-	rel := 0.0
-	if base != 0 {
-		rel = (got - base) / base
-	}
-	c.Failures = append(c.Failures, PerfDelta{App: app, Metric: name,
-		Base: base, Got: got, Rel: rel, Tol: tol})
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // String summarises the profile as a table (the Renderer contract).

@@ -69,7 +69,7 @@ func StreamOverlap(o Options) (*StreamResult, error) {
 	res := &StreamResult{PayloadBytes: payload}
 	var baseline sim.Time
 	for _, count := range streamSubChunkCounts {
-		elapsed, moved, inflight, err := o.runStreamedShard(payload, count, nil)
+		elapsed, moved, inflight, err := o.runStreamedShard(sim.NewEngine(), payload, count, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -87,11 +87,10 @@ func StreamOverlap(o Options) (*StreamResult, error) {
 	return res, nil
 }
 
-// runStreamedShard executes one sweep point on a fresh discrete tree. With
-// a non-nil registry the run carries continuous metrics (the perf gate's
-// stream-overlap entry).
-func (o Options) runStreamedShard(payload int64, count int, reg *obs.Registry) (sim.Time, int64, int64, error) {
-	e := sim.NewEngine()
+// runStreamedShard executes one sweep point on a fresh discrete tree driven
+// by the fresh engine e. With a non-nil registry the run carries continuous
+// metrics (the perf suite's stream-overlap entry).
+func (o Options) runStreamedShard(e *sim.Engine, payload int64, count int, reg *obs.Registry) (sim.Time, int64, int64, error) {
 	opts := core.DefaultOptions()
 	opts.Phantom = true
 	opts.Metrics = reg

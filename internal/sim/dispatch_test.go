@@ -1,17 +1,18 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"testing"
+)
 
-// This file is the engine's self-measurement harness: a synthetic dispatch
-// workload shaped like the paper-scale event mix — many concurrent timer
-// chains with colliding periods (the per-hop transfer and device-charge
-// cadence of the GEMM/HotSpot/SpMV profile) plus periodic same-instant
-// fan-out bursts (the wake storms the serve tier's fair queue and the
-// HotSpot steal path generate). The same workload runs on either dispatch
-// path, so the wall-clock ratio between them is the measured cost of full
-// Proc semantics over inline callbacks. The perf gate (figures/perf.go)
-// runs both paths, asserts their virtual-time results are identical, and
-// holds the rates and the speedup to committed floors.
+// This file is the engine's dispatch harness: a synthetic workload shaped
+// like the paper-scale event mix — many concurrent timer chains with
+// colliding periods (the per-hop transfer and device-charge cadence of the
+// GEMM/HotSpot/SpMV profile) plus periodic same-instant fan-out bursts (the
+// wake storms the serve tier's fair queue and the HotSpot steal path
+// generate). The same workload runs on either dispatch path, and
+// TestDispatchPathsAgree requires identical virtual-time results from both
+// and each path's work on its own mechanism.
 
 // DispatchPath selects the dispatch mechanism a dispatch workload exercises.
 type DispatchPath int
@@ -57,17 +58,18 @@ func (c DispatchConfig) Firings() int64 {
 
 // DispatchResult is one dispatch run's outcome. Fired and VirtualNS depend
 // only on the config — the two paths must agree on them — while Events,
-// WallNS and EventsPerSec measure the engine's cost on the chosen path.
+// Callbacks and Procs count the engine's work on the chosen path.
 type DispatchResult struct {
-	Path         DispatchPath
-	Events       int64   // engine events dispatched
-	Fired        int64   // workload-level firings (path-invariant)
-	VirtualNS    int64   // final virtual clock (path-invariant)
-	WallNS       int64   // real time inside Run
-	EventsPerSec float64 // Events / wall seconds
+	Path      DispatchPath
+	Events    int64 // engine events dispatched
+	Callbacks int64 // events run as inline callbacks
+	Procs     int64 // processes spawned
+	Fired     int64 // workload-level firings (path-invariant)
+	VirtualNS int64 // final virtual clock (path-invariant)
 }
 
-// RunDispatch executes the workload on the given path and reports the cost.
+// RunDispatch executes the workload on the given path and reports its
+// counts.
 func RunDispatch(cfg DispatchConfig, path DispatchPath) (DispatchResult, error) {
 	if cfg.Chains < 1 || cfg.PerChain < 1 {
 		return DispatchResult{}, fmt.Errorf("sim: dispatch config needs chains and per-chain counts, got %+v", cfg)
@@ -138,11 +140,41 @@ func RunDispatch(cfg DispatchConfig, path DispatchPath) (DispatchResult, error) 
 	}
 	st := e.Stats()
 	return DispatchResult{
-		Path:         path,
-		Events:       st.Events,
-		Fired:        fired,
-		VirtualNS:    int64(e.Now()),
-		WallNS:       int64(st.Wall),
-		EventsPerSec: st.EventsPerSec(),
+		Path:      path,
+		Events:    st.Events,
+		Callbacks: st.Callbacks,
+		Procs:     st.Procs,
+		Fired:     fired,
+		VirtualNS: int64(e.Now()),
 	}, nil
+}
+
+// TestDispatchPathsAgree holds the two dispatch paths of the workload to
+// identical virtual-time results — the callback fast path is an
+// optimization, not a semantic fork — and each path to its own mechanism:
+// every callback-path event is an inline callback with no process, so
+// callback work falling back onto processes fails here.
+func TestDispatchPathsAgree(t *testing.T) {
+	cfg := DispatchConfig{Chains: 32, PerChain: 200, Burst: 16, BurstRounds: 8}
+	cb, err := RunDispatch(cfg, PathCallback)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := RunDispatch(cfg, PathProc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cb.Fired != pr.Fired || cb.VirtualNS != pr.VirtualNS {
+		t.Fatalf("paths disagree: callback fired=%d virtual=%d, proc fired=%d virtual=%d",
+			cb.Fired, cb.VirtualNS, pr.Fired, pr.VirtualNS)
+	}
+	if want := cfg.Firings(); cb.Fired != want {
+		t.Fatalf("fired = %d, want %d", cb.Fired, want)
+	}
+	if cb.Events <= 0 || cb.Callbacks != cb.Events || cb.Procs != 0 {
+		t.Fatalf("callback path ran off its fast path: %+v", cb)
+	}
+	if pr.Procs <= 0 {
+		t.Fatalf("proc path spawned no processes: %+v", pr)
+	}
 }

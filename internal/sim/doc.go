@@ -36,7 +36,8 @@
 // allocation-free 4-ary heap of concrete values, dispatches all events
 // sharing an instant as one batch, and recycles finished processes' IDs
 // through a free list and their coroutines through an idle list, which every
-// Run empties before it returns; Stats reports event counts, live/spawned
-// processes and wall-clock dispatch throughput, and RunDispatch measures
-// both dispatch paths on a paper-shaped event mix.
+// Run empties before it returns. Stats reports event and callback counts,
+// live/spawned processes and wall-clock dispatch throughput; the perf
+// baseline (BENCH_perf.json) records the deterministic counts of each of
+// its runs, and `make bench-sim` times both dispatch paths.
 package sim

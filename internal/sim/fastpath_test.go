@@ -149,31 +149,6 @@ func TestRunUntilWithCallbacks(t *testing.T) {
 	}
 }
 
-// TestDispatchPathsAgree holds the two dispatch paths of the bench workload
-// to identical virtual-time results: the callback fast path is an
-// optimization, not a semantic fork.
-func TestDispatchPathsAgree(t *testing.T) {
-	cfg := DispatchConfig{Chains: 32, PerChain: 200, Burst: 16, BurstRounds: 8}
-	cb, err := RunDispatch(cfg, PathCallback)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr, err := RunDispatch(cfg, PathProc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cb.Fired != pr.Fired || cb.VirtualNS != pr.VirtualNS {
-		t.Fatalf("paths disagree: callback fired=%d virtual=%d, proc fired=%d virtual=%d",
-			cb.Fired, cb.VirtualNS, pr.Fired, pr.VirtualNS)
-	}
-	if want := cfg.Firings(); cb.Fired != want {
-		t.Fatalf("fired = %d, want %d", cb.Fired, want)
-	}
-	if cb.Events <= 0 || pr.Events <= 0 || cb.EventsPerSec <= 0 || pr.EventsPerSec <= 0 {
-		t.Fatalf("cost counters missing: cb=%+v proc=%+v", cb, pr)
-	}
-}
-
 // TestProcReleaseAndIDRecycling verifies the finished-process free list: a
 // long run of short-lived spawns keeps the live table small and reuses a
 // compact ID range, while Stats still counts every spawn.

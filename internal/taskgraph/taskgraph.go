@@ -45,9 +45,13 @@ type Extent struct {
 	Len int64
 }
 
+// empty reports whether the extent names no buffer or no bytes; an empty
+// extent overlaps nothing.
+func (e Extent) empty() bool { return e.Buf == nil || e.Len <= 0 }
+
 // overlaps reports whether two extents intersect in the same buffer.
 func (e Extent) overlaps(o Extent) bool {
-	if e.Buf == nil || o.Buf == nil || e.Buf.ID() != o.Buf.ID() {
+	if e.empty() || o.empty() || e.Buf.ID() != o.Buf.ID() {
 		return false
 	}
 	return e.Off < o.Off+o.Len && o.Off < e.Off+e.Len
@@ -222,26 +226,27 @@ func (g *Graph) Add(t *Task) *Task {
 			t.nblock++
 		}
 	}
-	// An extent naming no buffer overlaps nothing.
+	// An empty extent overlaps nothing, so it is neither queried nor
+	// indexed.
 	for _, r := range t.Reads {
-		if r.Buf != nil {
+		if !r.empty() {
 			g.overlapping(&g.index(r).writes, r.Off, r.Len, dep)
 		}
 	}
 	for _, w := range t.Writes {
-		if w.Buf != nil {
+		if !w.empty() {
 			b := g.index(w)
 			g.overlapping(&b.writes, w.Off, w.Len, dep)
 			g.overlapping(&b.reads, w.Off, w.Len, dep)
 		}
 	}
 	for _, r := range t.Reads {
-		if r.Buf != nil {
+		if !r.empty() {
 			g.declare(&g.index(r).reads, r.Off, r.Len, t.id)
 		}
 	}
 	for _, w := range t.Writes {
-		if w.Buf != nil {
+		if !w.empty() {
 			g.declare(&g.index(w).writes, w.Off, w.Len, t.id)
 		}
 	}

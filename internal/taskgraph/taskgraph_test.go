@@ -63,6 +63,9 @@ func TestDependencyInference(t *testing.T) {
 	war := g.Add(extentTask("war", nil, []Extent{{fa, 768, 512}}, &order)) // WAR on raw's read
 	free := g.Add(extentTask("free", []Extent{{fb, 0, 1024}}, nil, &order))
 	rr := g.Add(extentTask("rr", []Extent{{fb, 0, 1024}}, nil, &order)) // read-read: no edge
+	// Extents of no bytes touch nothing, even strictly inside another.
+	zw := g.Add(extentTask("zero-write", nil, []Extent{{fb, 512, 0}}, &order))
+	zr := g.Add(extentTask("zero-read", []Extent{{fa, 128, 0}}, nil, &order))
 
 	if w.nblock != 0 || raw.nblock != 1 || waw.nblock != 1 {
 		t.Fatalf("RAW/WAW inference wrong: %d %d %d", w.nblock, raw.nblock, waw.nblock)
@@ -73,6 +76,9 @@ func TestDependencyInference(t *testing.T) {
 	}
 	if free.nblock != 0 || rr.nblock != 0 {
 		t.Fatalf("read-read sharing created edges: %d %d", free.nblock, rr.nblock)
+	}
+	if zw.nblock != 0 || zr.nblock != 0 {
+		t.Fatalf("zero-length extents created edges: write %d, read %d", zw.nblock, zr.nblock)
 	}
 }
 

@@ -171,6 +171,43 @@ func TestValidateChromeTraceRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestChromeTraceTimeRange holds ValidateChromeTrace and ParseChromeTrace
+// to refusing, with a message naming the event, a ts, dur or ts+dur of
+// 2^63 ns or more, which no sim.Time holds, and to accepting times just
+// inside that range. Microsecond floats near 2^63 ns (9223372036854775.808
+// us) lie 2 us apart, so ...774 and ...776 are its neighbours.
+func TestChromeTraceTimeRange(t *testing.T) {
+	for _, tc := range []struct {
+		name, ts, dur string
+		ok            bool
+	}{
+		{"1e300", "1e300", "1e300", false},
+		{"ts above", "9223372036854776", "0", false},
+		{"dur above", "0", "9223372036854776", false},
+		{"ts below", "9223372036854774", "0", true},
+		{"dur below", "0", "9223372036854774", true},
+		{"sum above", "5e15", "5e15", false},
+	} {
+		data := []byte(`{"traceEvents":[{"ph":"M","pid":1,"tid":1,"name":"thread_name","args":{"name":"t"}},` +
+			`{"ph":"X","name":"edge","ts":` + tc.ts + `,"dur":` + tc.dur + `,"pid":1,"tid":1}]}`)
+		verr := ValidateChromeTrace(data)
+		pt, perr := ParseChromeTrace(data)
+		if tc.ok {
+			if verr != nil || perr != nil {
+				t.Errorf("%s: validate %v, parse %v; want both to accept", tc.name, verr, perr)
+			} else if ev := pt.Events[0]; ev.Start < 0 || ev.Dur < 0 || ev.Start+ev.Dur < ev.Start {
+				t.Errorf("%s: parsed start %d dur %d", tc.name, ev.Start, ev.Dur)
+			}
+			continue
+		}
+		for _, err := range []error{verr, perr} {
+			if err == nil || !strings.Contains(err.Error(), `"edge"`) {
+				t.Errorf("%s: error %v, want one naming the event", tc.name, err)
+			}
+		}
+	}
+}
+
 func TestTsMicrosExact(t *testing.T) {
 	cases := map[sim.Time]string{
 		0:       "0.000",

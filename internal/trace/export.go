@@ -220,12 +220,38 @@ type jsonTrace struct {
 }
 
 // microsToTime converts a trace_event microsecond float back to integer
-// nanoseconds, rounding to the nearest.
-func microsToTime(us float64) sim.Time {
+// nanoseconds, rounding to the nearest. ok is false when the magnitude is
+// 2^63 ns or more, which no sim.Time holds.
+func microsToTime(us float64) (t sim.Time, ok bool) {
 	if us < 0 {
-		return -microsToTime(-us)
+		t, ok = microsToTime(-us)
+		return -t, ok
 	}
-	return sim.Time(us*1000 + 0.5)
+	ns := us*1000 + 0.5
+	if ns >= 1<<63 {
+		return 0, false
+	}
+	return sim.Time(ns), true
+}
+
+// eventTimes converts event i's ts and, for a complete event, its dur to
+// nanoseconds, refusing a start, duration or end that has no sim.Time.
+func eventTimes(i int, je jsonEvent) (start, dur sim.Time, err error) {
+	start, ok := microsToTime(*je.TS)
+	if !ok {
+		return 0, 0, fmt.Errorf("trace: event %d (%q): ts %v us is outside the int64 nanosecond range", i, je.Name, *je.TS)
+	}
+	if je.Ph != "X" || je.Dur == nil {
+		return start, 0, nil
+	}
+	if dur, ok = microsToTime(*je.Dur); !ok {
+		return 0, 0, fmt.Errorf("trace: event %d (%q): dur %v us is outside the int64 nanosecond range", i, je.Name, *je.Dur)
+	}
+	if end := start + dur; dur > 0 && end < start || dur < 0 && end > start {
+		return 0, 0, fmt.Errorf("trace: event %d (%q): ts %v + dur %v us ends outside the int64 nanosecond range",
+			i, je.Name, *je.TS, *je.Dur)
+	}
+	return start, dur, nil
 }
 
 // ParseChromeTrace reads trace_event JSON written by WriteChromeTrace (or
@@ -266,14 +292,15 @@ func ParseChromeTrace(data []byte) (*ParsedTrace, error) {
 			if lane.Track == "" {
 				lane.Track = fmt.Sprintf("tid%d", je.TID)
 			}
-			ev := Event{Name: je.Name, Lane: lane, Start: microsToTime(*je.TS), Cat: None, Seq: seq}
+			start, dur, err := eventTimes(i, je)
+			if err != nil {
+				return nil, err
+			}
+			ev := Event{Name: je.Name, Lane: lane, Start: start, Dur: dur, Cat: None, Seq: seq}
 			seq++
 			switch je.Ph {
 			case "X":
 				ev.Kind = KindSpan
-				if je.Dur != nil {
-					ev.Dur = microsToTime(*je.Dur)
-				}
 				if c, ok := ParseCategory(je.Cat); ok {
 					ev.Cat = c
 				}
@@ -303,7 +330,8 @@ func ParseChromeTrace(data []byte) (*ParsedTrace, error) {
 // ValidateChromeTrace checks that data is structurally valid trace_event
 // JSON of the subset this package writes: a traceEvents array whose entries
 // carry a known phase, timestamps on all timed phases, non-negative
-// durations, and thread metadata for every lane that events reference.
+// durations, times whose nanoseconds fit in an int64, and thread metadata
+// for every lane that events reference.
 // It returns a descriptive error for the first violation.
 func ValidateChromeTrace(data []byte) error {
 	var raw jsonTrace
@@ -357,6 +385,9 @@ func ValidateChromeTrace(data []byte) error {
 			if *je.Dur < 0 {
 				return fmt.Errorf("trace: event %d (%q): negative dur %v", i, je.Name, *je.Dur)
 			}
+		}
+		if _, _, err := eventTimes(i, je); err != nil {
+			return err
 		}
 		if !threads[[2]int{je.PID, je.TID}] {
 			return fmt.Errorf("trace: event %d (%q): no thread_name metadata for pid=%d tid=%d",

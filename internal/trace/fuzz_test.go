@@ -77,7 +77,8 @@ func fuzzRecord(data []byte) *Recorder {
 
 // FuzzChromeTrace checks the Chrome trace reader and writer. Arbitrary
 // bytes must not panic the parser, the validator or the analyses of what
-// parses, and whatever validates must parse. The same bytes run as a
+// parses, and whatever validates must parse to events with a non-negative
+// start and duration whose end does not overflow. The same bytes run as a
 // recorder program must export to a trace that validates exactly when
 // nothing was dropped and parses back to the recorded events in
 // (Start, Seq) order.
@@ -88,6 +89,8 @@ func FuzzChromeTrace(f *testing.F) {
 	}
 	f.Add(sample.Bytes())
 	f.Add([]byte(`{"traceEvents":[{"ph":"X","name":"k","ts":1.5,"dur":-2,"pid":1,"tid":1}]}`))
+	f.Add([]byte(`{"traceEvents":[{"ph":"M","name":"thread_name","pid":1,"tid":1,"args":{"name":"t"}},` +
+		`{"ph":"X","name":"a","ts":1e300,"dur":1e300,"pid":1,"tid":1}]}`))
 	f.Add([]byte{31, 0, 2, 0x80, 'x', 0x81, 'm', 'v', 0, 0, 0, 1, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 9,
 		1, 3, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -99,6 +102,13 @@ func FuzzChromeTrace(f *testing.F) {
 		if perr == nil {
 			Summarize(pt.Events, SummaryOptions{})
 			CriticalPath(pt.Events, SummaryOptions{})
+		}
+		if verr == nil {
+			for _, ev := range pt.Events {
+				if ev.Start < 0 || ev.Dur < 0 || ev.Start+ev.Dur < ev.Start {
+					t.Fatalf("validated trace parsed to %q start %d dur %d", ev.Name, ev.Start, ev.Dur)
+				}
+			}
 		}
 
 		rec := fuzzRecord(data)
