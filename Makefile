@@ -2,12 +2,14 @@
 #
 #   make check        tier-1 gate: build + full test suite, plus vet and tests
 #                     of the benchmark module (the CI floor)
-#   make strict       tier-2 gate: lint + race tests + fuzz + demos
+#   make strict       tier-2 gate: lint + race tests + fuzz + demos + examples
 #   make lint         gofmt -l (fail on unformatted files) + go vet
 #   make fuzz         run every fuzz target for FUZZTIME (default 10s) each
 #   make ops-demo     live admin-plane smoke: burn-rate scenario over HTTP
 #   make tail-demo    per-job journey smoke: tail analyzer + exemplars +
 #                     journey-lane trace validation on the burn-rate workload
+#   make examples     run every example program, then multi-branch HotSpot
+#                     on the committed asymmetric spec through northup-run
 #   make bench-json   benchmark artifacts -> BENCH_cache.json,
 #                     BENCH_stream.json, BENCH_serve.json,
 #                     BENCH_affinity.json, BENCH_perf.json
@@ -23,7 +25,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test benchmod vet race lint fuzz check strict bench bench-json bench-stream bench-serve bench-affinity bench-sim bench-check trace-demo serve-demo ops-demo tail-demo clean
+.PHONY: all build test benchmod vet race lint fuzz check strict bench bench-json bench-stream bench-serve bench-affinity bench-sim bench-check trace-demo serve-demo ops-demo tail-demo examples clean
 
 all: check strict bench-json
 
@@ -65,9 +67,17 @@ benchmod:
 # Tier-1: what every change must keep green.
 check: build test benchmod
 
-# Tier-2: static analysis, the race detector, the fuzz targets and the
-# end-to-end demos. `race` runs bench-check's test under the detector too.
-strict: lint race fuzz trace-demo serve-demo ops-demo tail-demo
+# Tier-2: static analysis, the race detector, the fuzz targets, the
+# end-to-end demos and the example programs. `race` runs bench-check's test
+# under the detector too.
+strict: lint race fuzz trace-demo serve-demo ops-demo tail-demo examples
+
+# Example smoke: every program under examples/ runs to completion (each
+# exits non-zero when its run fails), then HotSpot spreads its chunks over
+# both staging branches of the committed asymmetric spec.
+examples:
+	sh -c 'set -e; for ex in examples/*/; do $(GO) run ./$$ex > /dev/null; done'
+	$(GO) run ./cmd/northup-run -spec specs/asymmetric.json -app hotspot -chunk 256 > /dev/null
 
 # End-to-end tracing smoke: capture a small traced run, then require the
 # exported Chrome trace to validate through the offline analyser.

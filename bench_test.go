@@ -58,12 +58,12 @@ func BenchmarkFig06NormalizedRuntime(b *testing.B) {
 func BenchmarkFig07Breakdown(b *testing.B) {
 	o := figures.Options{Scale: benchScale(b)}
 	var res *figures.Fig7Result
-	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = figures.Fig7(o)
+		f6, err := figures.Fig6(o)
 		if err != nil {
 			b.Fatal(err)
 		}
+		res = &figures.Fig7Result{Fig6: f6}
 	}
 	for _, app := range figures.Apps {
 		b.ReportMetric(res.Share(app, figures.HDD, trace.GPUCompute), app.String()+"-disk-gpu")

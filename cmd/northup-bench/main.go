@@ -89,11 +89,24 @@ func main() {
 	}
 	want := func(name string) bool { return *fig == "all" || *fig == name }
 
+	// Figure 7 is a view of Figure 6's runs: run them once for both.
+	var f6 *figures.Fig6Result
+	fig6 := func() (*figures.Fig6Result, error) {
+		if f6 != nil {
+			return f6, nil
+		}
+		var err error
+		f6, err = figures.Fig6(o)
+		return f6, err
+	}
 	if want("6") {
-		run("figure 6", func() (figures.Renderer, error) { return figures.Fig6(o) })
+		run("figure 6", func() (figures.Renderer, error) { return fig6() })
 	}
 	if want("7") {
-		run("figure 7", func() (figures.Renderer, error) { return figures.Fig7(o) })
+		run("figure 7", func() (figures.Renderer, error) {
+			f6, err := fig6()
+			return &figures.Fig7Result{Fig6: f6}, err
+		})
 	}
 	if want("8") {
 		run("figure 8", func() (figures.Renderer, error) { return figures.Fig8(o) })

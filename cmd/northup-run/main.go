@@ -45,7 +45,9 @@
 // to the worker whose estimated compute-plus-move cost is lowest, with
 // cache-resident input bytes scoring zero. The report gains a scheduler line
 // (placements, affinity picks, bytes served from residency). The default
-// (off) runs the recursive schedule of the same problem.
+// (off) runs the recursive schedule of the same problem. A gemm matrix that
+// fits in one shard is refused: its one-task graph leaves placement nothing
+// to choose, so pass a smaller -chunk.
 //
 // With -streamed the gemm and hotspot staging moves route through the
 // streaming transfer engine: each multi-hop move is split into sub-chunks
@@ -332,6 +334,9 @@ func main() {
 			var ts *northup.TaskStats
 			res, ts, err = northup.GEMMTasks(rt, northup.GEMMConfig{N: n, Seed: 1, ShardDim: o.chunk},
 				northup.TaskOptions{Affinity: true})
+			if err == nil {
+				err = checkPlacement(ts, res.ShardDim)
+			}
 			if err != nil {
 				fatal(err)
 			}
@@ -484,6 +489,17 @@ func checkOutages(plan *northup.FaultPlan, app string, steal bool) error {
 		}
 	}
 	return nil
+}
+
+// checkPlacement refuses a gemm affinity run whose whole matrix fit one
+// shard: its task graph is a single task, so placement has nothing to
+// choose between and -affinity on would change nothing.
+func checkPlacement(ts *northup.TaskStats, shardDim int) error {
+	if ts.Tasks > 1 {
+		return nil
+	}
+	return fmt.Errorf("-affinity on: the matrix fits in %d shard of dimension %d, a one-task graph that leaves placement nothing to choose; split it with a smaller -chunk",
+		ts.Tasks, shardDim)
 }
 
 // printTaskStats reports one task-graph run's scheduling decisions.

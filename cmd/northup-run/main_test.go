@@ -157,3 +157,45 @@ func TestAppIters(t *testing.T) {
 		}
 	}
 }
+
+// TestOneTaskAffinityGraphRefused runs gemm's affinity task graph on the
+// default topology: a matrix that fits one shard makes a one-task graph,
+// which must be refused naming -affinity, the shard count and -chunk, while
+// a -chunk that splits it passes.
+func TestOneTaskAffinityGraphRefused(t *testing.T) {
+	for _, tc := range []struct {
+		args string
+		ok   bool
+	}{
+		{"-app gemm -n 256 -affinity on", false},
+		{"-app gemm -n 256 -affinity on -chunk 128", true},
+	} {
+		o, err := parseFlags(strings.Fields(tc.args))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := northup.NewEngine()
+		tree, err := buildTree(e, o.preset, o.spec, o.storageMiB, o.dramMiB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, ts, err := northup.GEMMTasks(northup.NewRuntime(e, tree, northup.DefaultOptions()),
+			northup.GEMMConfig{N: o.n, Seed: 1, ShardDim: o.chunk}, northup.TaskOptions{Affinity: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = checkPlacement(ts, res.ShardDim)
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%s: refused: %v", tc.args, err)
+		case !tc.ok && err == nil:
+			t.Errorf("%s: one-task graph (%d tasks) accepted", tc.args, ts.Tasks)
+		case !tc.ok:
+			for _, want := range []string{"-affinity", "1 shard", "-chunk"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("%s: message %q does not name %s", tc.args, err, want)
+				}
+			}
+		}
+	}
+}

@@ -312,17 +312,17 @@ func TestKernelsBitExact(t *testing.T) {
 
 func TestChooseShardDim(t *testing.T) {
 	// Plenty of room: whole matrix in one shard.
-	s, err := chooseShardDim(256, 2, 1<<30)
+	s, err := ChooseShardDim(Config{N: 256}, 256, 1<<30)
 	if err != nil || s != 256 {
 		t.Fatalf("s=%d err=%v", s, err)
 	}
 	// Tight: must subdivide.
-	s, err = chooseShardDim(256, 2, 1<<20)
+	s, err = ChooseShardDim(Config{N: 256}, 256, 1<<20)
 	if err != nil || s >= 256 || s%TileDim != 0 || 256%s != 0 {
 		t.Fatalf("s=%d err=%v", s, err)
 	}
 	// Impossible.
-	if _, err = chooseShardDim(1024, 2, 1000); err == nil {
+	if _, err = ChooseShardDim(Config{N: 1024}, 1024, 1000); err == nil {
 		t.Fatal("impossible capacity accepted")
 	}
 }

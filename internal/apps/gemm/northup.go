@@ -66,15 +66,27 @@ type Result struct {
 	BStaged bool
 }
 
-// chooseShardDim picks the largest S that divides n, is a multiple of
-// TileDim, and lets a row shard, depth+1 column shards and depth+1 C blocks
-// fit the free bytes (the §III-B capacity-driven blocking decision).
-func chooseShardDim(n, depth int, free int64) (int, error) {
-	for s := n; s >= TileDim; s -= TileDim {
-		if n%s != 0 || s%TileDim != 0 {
+// ChooseShardDim is RunNorthup's blocking decision for a product over rows
+// rows of A (rows divides cfg.N): cfg.ShardDim when set, else the largest
+// S that divides rows, is a multiple of TileDim, and lets a row shard,
+// depth+1 column shards and depth+1 C blocks fit the free bytes (the §III-B
+// capacity-driven blocking decision).
+func ChooseShardDim(cfg Config, rows int, free int64) (int, error) {
+	if err := cfg.setDefaults(); err != nil {
+		return 0, err
+	}
+	n := cfg.N
+	if s := cfg.ShardDim; s != 0 {
+		if s < 0 || rows%s != 0 {
+			return 0, fmt.Errorf("gemm: shard %d does not divide %d rows of N=%d", s, rows, n)
+		}
+		return s, nil
+	}
+	for s := rows; s >= TileDim; s -= TileDim {
+		if rows%s != 0 || s%TileDim != 0 {
 			continue
 		}
-		need := 4 * (int64(s)*int64(n)*int64(depth+2) + int64(s)*int64(s)*int64(depth+1))
+		need := 4 * (int64(s)*int64(n)*int64(cfg.Depth+2) + int64(s)*int64(s)*int64(cfg.Depth+1))
 		if need <= free*9/10 {
 			return s, nil
 		}
@@ -97,108 +109,7 @@ func RunNorthup(rt *core.Runtime, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg = p.cfg
-	dram, cb := p.dram, p.cb
-	shardBytes, blockBytes := p.shardBytes, p.blockBytes
-
-	stats, err := rt.Run("gemm-northup", func(c *core.Ctx) error {
-		// §VI staging: read B from storage once and keep it resident at
-		// the (large, NVM-class) staging level; all column-shard reloads
-		// then stay on-node instead of going back to the root. Residency is
-		// a pinned whole-B fetch through the staging cache; with the cache
-		// disabled the fetch degrades to a private staged copy with the
-		// same bytes and timing.
-		colSrc := p.fb
-		if cfg.StageB {
-			bRes, err := c.MoveDataDownCached(dram, p.fb, 0, p.elems*4)
-			if err != nil {
-				return err
-			}
-			defer c.Unpin(bRes)
-			colSrc = bRes
-		}
-		rowShard, err := c.AllocAt(dram, shardBytes)
-		if err != nil {
-			return err
-		}
-		defer c.Release(rowShard)
-		colShards := make([]*core.Buffer, cb)
-		cBlocks := make([]*core.Buffer, cb)
-		for i := 0; i < cb; i++ {
-			// Load the row shard once; it is reused by every column shard
-			// of this block row (the §IV-A reuse optimization).
-			if err := p.moveDown(c, rowShard, p.fa, 0, int64(i)*shardBytes, shardBytes); err != nil {
-				return err
-			}
-			depth := cfg.Depth
-			stageRunner := c.Pipeline
-			if cfg.Sequential {
-				stageRunner = c.Sequential
-			}
-			// Each stage body runs as a named task span, so a traced run
-			// renders the pipeline's load/multiply/store overlap (the
-			// paper's Fig. 5 picture) as staggered task lanes.
-			err := stageRunner(cb, depth,
-				func(sub *core.Ctx, j int) error { // load column shard
-					return sub.Task("load-shard", shardBytes, func(sub *core.Ctx) error {
-						if cfg.StageB {
-							// B is already resident at the staging level: the
-							// reload is an on-node copy out of the pinned image.
-							buf, err := sub.AllocAt(dram, shardBytes)
-							if err != nil {
-								return err
-							}
-							colShards[j] = buf
-							return sub.MoveData(buf, colSrc, 0, int64(j)*shardBytes, shardBytes)
-						}
-						// Without StageB the column shard comes straight from
-						// storage; the staging cache turns the cb-1 re-reads of
-						// each shard (one per block row) into hits, and the
-						// pipeline's deterministic schedule makes j+1 the next
-						// load — prefetch it behind this one.
-						buf, err := sub.MoveDataDownCached(dram, p.fb, int64(j)*shardBytes, shardBytes)
-						if err != nil {
-							return err
-						}
-						colShards[j] = buf
-						if j+1 < cb {
-							sub.Prefetch(dram, p.fb, int64(j+1)*shardBytes, shardBytes)
-						}
-						return nil
-					})
-				},
-				func(sub *core.Ctx, j int) error { // recursive multiply
-					return sub.Task("multiply-shard", blockBytes, func(sub *core.Ctx) error {
-						buf, err := sub.AllocAt(dram, blockBytes)
-						if err != nil {
-							return err
-						}
-						cBlocks[j] = buf
-						err = p.multiply(sub, rowShard, colShards[j], buf)
-						if cfg.StageB {
-							sub.Release(colShards[j])
-						} else {
-							sub.Unpin(colShards[j])
-						}
-						colShards[j] = nil
-						return err
-					})
-				},
-				func(sub *core.Ctx, j int) error { // store result block
-					return sub.Task("store-block", blockBytes, func(sub *core.Ctx) error {
-						err := p.moveUp(sub, p.fc, cBlocks[j], p.blockOff(i, j), 0, blockBytes)
-						sub.Release(cBlocks[j])
-						cBlocks[j] = nil
-						return err
-					})
-				},
-			)
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	stats, err := rt.Run("gemm-northup", p.run)
 	if err != nil {
 		return nil, err
 	}
@@ -206,8 +117,133 @@ func RunNorthup(rt *core.Runtime, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.BStaged = cfg.StageB
+	res.BStaged = p.cfg.StageB
 	return res, nil
+}
+
+// RunRows runs RunNorthup's schedule in c over blockRows block rows of C,
+// on files the caller created on the storage root: fa holds those rows of
+// A (blockRows*ShardDim x N, row-major), fb all of B presharded by ShardDim
+// (PreshardB), and fc receives the C blocks, block-major. cfg.ShardDim must
+// be set (ChooseShardDim picks one). A cluster machine computes its strip
+// of C through it.
+func RunRows(c *core.Ctx, cfg Config, blockRows int, fa, fb, fc *core.Buffer) error {
+	if err := cfg.setDefaults(); err != nil {
+		return err
+	}
+	if cfg.ShardDim <= 0 || cfg.N%cfg.ShardDim != 0 {
+		return fmt.Errorf("gemm: RunRows needs a shard dimension dividing N=%d, got %d", cfg.N, cfg.ShardDim)
+	}
+	dram, err := c.Runtime().Tree().StagingChild()
+	if err != nil {
+		return fmt.Errorf("gemm: %w", err)
+	}
+	p := layout(c.Runtime(), cfg, dram, cfg.ShardDim, blockRows)
+	p.fa, p.fb, p.fc = fa, fb, fc
+	return p.run(c)
+}
+
+// run is RunNorthup's schedule: for each block row, load its A row shard
+// once and pipeline every column shard of B past it, storing each C block.
+func (p *problem) run(c *core.Ctx) error {
+	cfg, dram, cb := p.cfg, p.dram, p.cb
+	shardBytes, blockBytes := p.shardBytes, p.blockBytes
+	// §VI staging: read B from storage once and keep it resident at
+	// the (large, NVM-class) staging level; all column-shard reloads
+	// then stay on-node instead of going back to the root. Residency is
+	// a pinned whole-B fetch through the staging cache; with the cache
+	// disabled the fetch degrades to a private staged copy with the
+	// same bytes and timing.
+	colSrc := p.fb
+	if cfg.StageB {
+		bRes, err := c.MoveDataDownCached(dram, p.fb, 0, p.elems*4)
+		if err != nil {
+			return err
+		}
+		defer c.Unpin(bRes)
+		colSrc = bRes
+	}
+	rowShard, err := c.AllocAt(dram, shardBytes)
+	if err != nil {
+		return err
+	}
+	defer c.Release(rowShard)
+	colShards := make([]*core.Buffer, cb)
+	cBlocks := make([]*core.Buffer, cb)
+	for i := 0; i < p.rows; i++ {
+		// Load the row shard once; it is reused by every column shard
+		// of this block row (the §IV-A reuse optimization).
+		if err := p.moveDown(c, rowShard, p.fa, 0, int64(i)*shardBytes, shardBytes); err != nil {
+			return err
+		}
+		depth := cfg.Depth
+		stageRunner := c.Pipeline
+		if cfg.Sequential {
+			stageRunner = c.Sequential
+		}
+		// Each stage body runs as a named task span, so a traced run
+		// renders the pipeline's load/multiply/store overlap (the
+		// paper's Fig. 5 picture) as staggered task lanes.
+		err := stageRunner(cb, depth,
+			func(sub *core.Ctx, j int) error { // load column shard
+				return sub.Task("load-shard", shardBytes, func(sub *core.Ctx) error {
+					if cfg.StageB {
+						// B is already resident at the staging level: the
+						// reload is an on-node copy out of the pinned image.
+						buf, err := sub.AllocAt(dram, shardBytes)
+						if err != nil {
+							return err
+						}
+						colShards[j] = buf
+						return sub.MoveData(buf, colSrc, 0, int64(j)*shardBytes, shardBytes)
+					}
+					// Without StageB the column shard comes straight from
+					// storage; the staging cache turns the cb-1 re-reads of
+					// each shard (one per block row) into hits, and the
+					// pipeline's deterministic schedule makes j+1 the next
+					// load — prefetch it behind this one.
+					buf, err := sub.MoveDataDownCached(dram, p.fb, int64(j)*shardBytes, shardBytes)
+					if err != nil {
+						return err
+					}
+					colShards[j] = buf
+					if j+1 < cb {
+						sub.Prefetch(dram, p.fb, int64(j+1)*shardBytes, shardBytes)
+					}
+					return nil
+				})
+			},
+			func(sub *core.Ctx, j int) error { // recursive multiply
+				return sub.Task("multiply-shard", blockBytes, func(sub *core.Ctx) error {
+					buf, err := sub.AllocAt(dram, blockBytes)
+					if err != nil {
+						return err
+					}
+					cBlocks[j] = buf
+					err = p.multiply(sub, rowShard, colShards[j], buf)
+					if cfg.StageB {
+						sub.Release(colShards[j])
+					} else {
+						sub.Unpin(colShards[j])
+					}
+					colShards[j] = nil
+					return err
+				})
+			},
+			func(sub *core.Ctx, j int) error { // store result block
+				return sub.Task("store-block", blockBytes, func(sub *core.Ctx) error {
+					err := p.moveUp(sub, p.fc, cBlocks[j], p.blockOff(i, j), 0, blockBytes)
+					sub.Release(cBlocks[j])
+					cBlocks[j] = nil
+					return err
+				})
+			},
+		)
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // multiplyShard computes cBuf(n x m) = aBuf(n x k) · bBuf(k x m), with all
@@ -308,9 +344,9 @@ func choosePanelDepth(n, k, m int, free int64) (int, error) {
 	return 0, fmt.Errorf("gemm: no k-panel fits %d free bytes (n=%d k=%d m=%d)", free, n, k, m)
 }
 
-// assembleBlockMajor converts the block-major C file layout (block (i,j) of
+// AssembleBlockMajor converts the block-major C file layout (block (i,j) of
 // s x s stored contiguously) back to a row-major n x n matrix.
-func assembleBlockMajor(blocks []float32, n, s int) []float32 {
+func AssembleBlockMajor(blocks []float32, n, s int) []float32 {
 	cb := n / s
 	out := make([]float32, n*n)
 	for bi := 0; bi < cb; bi++ {

@@ -19,13 +19,23 @@ type problem struct {
 	functional bool
 	dram       *topo.Node
 	// n is the matrix dimension, s the shard dimension, cb = n/s the C
-	// block grid's edge.
-	n, s, cb   int
-	elems      int64
-	shardBytes int64 // one s x n row or column shard
-	blockBytes int64 // one s x s block of C
+	// block grid's edge, and rows how many block rows of C the A file
+	// holds: cb for a whole product, fewer for one machine's strip.
+	n, s, cb, rows int
+	elems          int64
+	shardBytes     int64 // one s x n row or column shard
+	blockBytes     int64 // one s x s block of C
 
 	fa, fb, fc *core.Buffer
+}
+
+// layout plans cfg's product over rows block rows of s x s blocks, staged
+// at dram. The files are the caller's to set.
+func layout(rt *core.Runtime, cfg Config, dram *topo.Node, s, rows int) *problem {
+	n := cfg.N
+	return &problem{cfg: cfg, functional: !rt.Phantom(), dram: dram,
+		n: n, s: s, cb: n / s, rows: rows, elems: int64(n) * int64(n),
+		shardBytes: int64(s) * int64(n) * 4, blockBytes: int64(s) * int64(s) * 4}
 }
 
 // newProblem validates cfg against the runtime's tree, picks the shard
@@ -36,35 +46,21 @@ func newProblem(rt *core.Runtime, cfg Config, reserved int64) (*problem, error) 
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
-	root := rt.Tree().Root()
-	if root.Store == nil {
-		return nil, fmt.Errorf("gemm: tree root %v is not storage", root)
+	dram, err := rt.Tree().StagingChild()
+	if err != nil {
+		return nil, fmt.Errorf("gemm: %w", err)
 	}
-	if len(root.Children) != 1 {
-		return nil, fmt.Errorf("gemm: expected a single staging child under the root")
-	}
-	dram := root.Children[0]
-
 	n := cfg.N
-	elems := int64(n) * int64(n)
 	free := dram.Mem.Free() - reserved
 	if reserved > 0 && free <= 0 {
 		return nil, fmt.Errorf("gemm: %d resident bytes at %v leave no room for the shard working set",
 			reserved, dram)
 	}
-	s := cfg.ShardDim
-	if s == 0 {
-		var err error
-		if s, err = chooseShardDim(n, cfg.Depth, free); err != nil {
-			return nil, err
-		}
+	s, err := ChooseShardDim(cfg, n, free)
+	if err != nil {
+		return nil, err
 	}
-	if n%s != 0 {
-		return nil, fmt.Errorf("gemm: shard %d does not divide N=%d", s, n)
-	}
-	p := &problem{cfg: cfg, functional: !rt.Phantom(), dram: dram,
-		n: n, s: s, cb: n / s, elems: elems,
-		shardBytes: int64(s) * int64(n) * 4, blockBytes: int64(s) * int64(s) * 4}
+	p := layout(rt, cfg, dram, s, n/s)
 
 	// Inputs resident on storage. B is presharded (the paper's one-time
 	// preprocessing); in phantom mode only the file extents exist.
@@ -74,14 +70,14 @@ func newProblem(rt *core.Runtime, cfg Config, reserved int64) (*problem, error) 
 		b := workload.Dense(n, n, cfg.Seed+1)
 		bPre = PreshardB(b, n, s)
 	}
-	var err error
-	if p.fa, err = rt.CreateInput(root, "gemm-A", elems*4, view.F32Bytes(aData)); err != nil {
+	root := rt.Tree().Root()
+	if p.fa, err = rt.CreateInput(root, "gemm-A", p.elems*4, view.F32Bytes(aData)); err != nil {
 		return nil, err
 	}
-	if p.fb, err = rt.CreateInput(root, "gemm-B", elems*4, view.F32Bytes(bPre)); err != nil {
+	if p.fb, err = rt.CreateInput(root, "gemm-B", p.elems*4, view.F32Bytes(bPre)); err != nil {
 		return nil, err
 	}
-	if p.fc, err = rt.CreateInput(root, "gemm-C", elems*4, nil); err != nil {
+	if p.fc, err = rt.CreateInput(root, "gemm-C", p.elems*4, nil); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -126,7 +122,7 @@ func (p *problem) result(stats core.RunStats) (*Result, error) {
 		if err := p.fc.File().Peek(view.F32Bytes(blocks), 0); err != nil {
 			return nil, err
 		}
-		res.C = assembleBlockMajor(blocks, p.n, p.s)
+		res.C = AssembleBlockMajor(blocks, p.n, p.s)
 	}
 	return res, nil
 }

@@ -8,8 +8,11 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/gpu"
+	"repro/internal/proc"
 	"repro/internal/sim"
 	"repro/internal/topo"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -171,5 +174,121 @@ func TestMultiBranchReportsBranchFailure(t *testing.T) {
 	var capErr *device.ErrCapacity
 	if !errors.As(err, &capErr) {
 		t.Fatalf("error %q is not the branch's allocation failure", err)
+	}
+}
+
+// gpuBusy sums the GPU-compute spans of a run per tree node.
+type gpuBusy struct{ byNode map[int]sim.Time }
+
+func (g *gpuBusy) Span(_ *sim.Proc, lane trace.Lane, cat trace.Category, _ string, start, end sim.Time, _ int64) {
+	if cat == trace.GPUCompute {
+		g.byNode[lane.Node] += end - start
+	}
+}
+
+func (*gpuBusy) Instant(trace.Lane, string, sim.Time, int64) {}
+func (*gpuBusy) Counter(trace.Lane, string, sim.Time, int64) {}
+
+// TestAsymmetricTreeRunsEveryBranch runs the committed asymmetric spec
+// through every HotSpot schedule that computes there: each must match the
+// blocked reference, the W9100 one level below nvm-b must have computed
+// chunks instead of idling while dram-a ran them all, and the root work
+// queue must be detached once the run ends.
+func TestAsymmetricTreeRunsEveryBranch(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "..", "specs", "asymmetric.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := topo.ParseSpec(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, d, iters, seed = 256, 64, 3, 3
+	g := workload.HotSpotGrid(n, seed)
+	want, err := ReferenceBlocked(g.Temp, g.Power, n, d, iters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{N: n, Seed: seed, ChunkDim: d, Iters: iters}
+	for _, tc := range []struct {
+		name     string
+		launches bool // the schedule launches kernels (the steal workers charge rows)
+		run      func(rt *core.Runtime) ([]float32, error)
+	}{
+		{"northup", true, func(rt *core.Runtime) ([]float32, error) {
+			r, err := RunNorthup(rt, cfg)
+			if err != nil {
+				return nil, err
+			}
+			return r.Temp, nil
+		}},
+		{"steal-gpu-only", false, func(rt *core.Runtime) ([]float32, error) {
+			r, err := RunSteal(rt, StealConfig{M: n, ChunkDim: d, Seed: seed, Iters: iters, Mode: GPUOnly})
+			if err != nil {
+				return nil, err
+			}
+			return r.Temp, nil
+		}},
+		{"multibranch-static", true, func(rt *core.Runtime) ([]float32, error) {
+			r, err := RunMultiBranch(rt, MultiBranchConfig{N: n, Seed: seed, ChunkDim: d, Iters: iters, Policy: StaticPartition})
+			if err != nil {
+				return nil, err
+			}
+			return r.Temp, nil
+		}},
+		{"multibranch-dynamic", true, func(rt *core.Runtime) ([]float32, error) {
+			r, err := RunMultiBranch(rt, MultiBranchConfig{N: n, Seed: seed, ChunkDim: d, Iters: iters, Policy: DynamicQueue})
+			if err != nil {
+				return nil, err
+			}
+			return r.Temp, nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := sim.NewEngine()
+			tree, err := topo.BuildSpec(e, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt := core.NewRuntime(e, tree, core.DefaultOptions())
+			busy := &gpuBusy{byNode: map[int]sim.Time{}}
+			rt.Subscribe(busy)
+			temp, err := tc.run(rt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !almostEqual(temp, want) {
+				t.Fatal("result differs from the blocked reference")
+			}
+			hbm := tree.Root().Children[1].Children[0]
+			if busy.byNode[hbm.ID] <= 0 {
+				t.Fatalf("the GPU at %v computed nothing (GPU busy by node %v)", hbm, busy.byNode)
+			}
+			if _, kernels := hbm.Processor(proc.GPU).(*gpu.GPU).Stats(); tc.launches && kernels == 0 {
+				t.Fatalf("no kernel ran on the GPU at %v", hbm)
+			}
+			if q := tree.Root().Queues; len(q) != 0 {
+				t.Fatalf("%d root queue monitors left attached after the run", len(q))
+			}
+		})
+	}
+}
+
+// TestStorageLeafRootRefused gives HotSpot a storage root that is itself
+// the leaf: with no staging branch to run chunks through, every schedule
+// must refuse the tree with an error.
+func TestStorageLeafRootRefused(t *testing.T) {
+	spec, err := topo.ParseSpec([]byte(`{"name": "leaf-root", "nodes": [{"name": "ssd",
+		"device": "ssd", "capacity_mib": 64, "procs": ["apu-gpu", "cpu"]}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := sim.NewEngine()
+	tree, err := topo.BuildSpec(e, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunNorthup(core.NewRuntime(e, tree, core.DefaultOptions()), Config{N: 64, ChunkDim: 32, Iters: 1}); err == nil {
+		t.Fatal("a root with no staging branch was accepted")
 	}
 }

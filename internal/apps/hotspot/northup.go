@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gpu"
+	"repro/internal/sched"
 	"repro/internal/view"
 	"repro/internal/workload"
 )
@@ -105,35 +106,52 @@ func TileKernelFor(blk *Block, d int) (gpu.Kernel, int) {
 // grid lives chunk-major on the storage root (the one-time preprocessing),
 // each pass pipelines chunks through the staging level, runs Iters stencil
 // steps on the GPU with pass-start border vectors, writes results back, and
-// regenerates the border file for the next pass from chunk edges.
+// regenerates the border file for the next pass from chunk edges. A root
+// with several staging branches (Figure 2's asymmetric tree) spreads the
+// chunks over all of them through one shared root queue.
 func RunNorthup(rt *core.Runtime, cfg Config) (*Result, error) {
-	return runChunked(rt, cfg, launchSteps)
+	res, _, err := runChunked(rt, cfg, DynamicQueue, launchSteps)
+	return res, err
 }
 
 // runChunked is the shared out-of-core skeleton: preprocessing, the
 // load / compute / store pipeline over chunks, border regeneration between
 // passes, and result assembly. RunNorthup plugs in the kernel-launch
 // step; RunSteal the queue-based CPU+GPU scheduler; RunProfiled the
-// profile-guided processor choice.
-func runChunked(rt *core.Runtime, cfg Config, step chunkStep) (*Result, error) {
+// profile-guided processor choice; RunMultiBranch the branch policy.
+//
+// Every staging branch of the root runs one pipeline, which takes its
+// chunks from Listing 1's root work queue whenever its staging frees up:
+// one shared deque under DynamicQueue, one pre-filled deque per branch
+// under StaticPartition. A single branch runs inline, with chunks in
+// order. The second result counts the chunks each branch ran.
+func runChunked(rt *core.Runtime, cfg Config, policy BranchPolicy, step chunkStep) (*Result, []int, error) {
 	if err := cfg.setDefaults(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	root := rt.Tree().Root()
 	if root.Store == nil {
-		return nil, fmt.Errorf("hotspot: tree root %v is not storage", root)
+		return nil, nil, fmt.Errorf("hotspot: tree root %v is not storage", root)
 	}
-	dram := root.Children[0]
+	branches := root.Children
+	if len(branches) == 0 {
+		return nil, nil, fmt.Errorf("hotspot: no staging branches under the root")
+	}
 	n := cfg.N
 	d := cfg.ChunkDim
 	if d == 0 {
+		// The smallest branch sizes the chunks every branch stages.
+		free := branches[0].Mem.Free()
+		for _, b := range branches[1:] {
+			free = min(free, b.Mem.Free())
+		}
 		var err error
-		if d, err = chooseChunkDim(n, cfg.Depth, dram.Mem.Free()); err != nil {
-			return nil, err
+		if d, err = chooseChunkDim(n, cfg.Depth, free); err != nil {
+			return nil, nil, err
 		}
 	}
 	if n%d != 0 || d%BlockDim != 0 {
-		return nil, fmt.Errorf("hotspot: chunk %d invalid for N=%d", d, n)
+		return nil, nil, fmt.Errorf("hotspot: chunk %d invalid for N=%d", d, n)
 	}
 	p := newProblem(rt, cfg, d, step)
 	chunks, chunkBytes, borderBytes := p.chunks, p.chunkBytes, p.borderBytes
@@ -143,92 +161,124 @@ func runChunked(rt *core.Runtime, cfg Config, step chunkStep) (*Result, error) {
 	fT := [2]*core.Buffer{}
 	var err error
 	if fT[0], err = rt.CreateInput(root, "hs-temp-0", p.gridBytes, temp); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if fT[1], err = rt.CreateInput(root, "hs-temp-1", p.gridBytes, nil); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	fP, err := rt.CreateInput(root, "hs-power", p.gridBytes, power)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	fB := [2]*core.Buffer{}
 	if fB[0], err = rt.CreateInput(root, "hs-border-0", int64(chunks)*borderBytes, border); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if fB[1], err = rt.CreateInput(root, "hs-border-1", int64(chunks)*borderBytes, nil); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
-	slots := make([]chunkBufs, chunks)
+	// slots[bi*chunks+i] is what branch bi's pipeline item i staged: a
+	// chunk and its buffers, or chunk -1 once the branch's queue ran dry.
+	type slot struct {
+		chunkBufs
+		ci int
+	}
+	slots := make([]slot, len(branches)*chunks)
+	byBranch := make([]int, len(branches))
 
 	stats, err := rt.Run("hotspot-northup", func(c *core.Ctx) error {
 		for pass := 0; pass < cfg.Passes; pass++ {
 			src, dst := fT[pass%2], fT[(pass+1)%2]
 			bSrc, bDst := fB[pass%2], fB[(pass+1)%2]
-			// Stage bodies run as named task spans: a traced pass shows the
-			// load lane running ahead of compute-store (Fig. 5's overlap).
-			err := c.Pipeline(chunks, cfg.Depth,
-				func(sub *core.Ctx, ci int) error { // load chunk + borders
-					return sub.Task("load-chunk", chunkBytes, func(sub *core.Ctx) error {
-						var s chunkBufs
-						var err error
-						if s.tin, err = sub.AllocAt(dram, chunkBytes); err != nil {
-							return err
+			queues := rootQueues(chunks, len(branches), policy)
+			detach := root.AttachQueues(queues...)
+			// A branch prefetches its next chunk only from a queue it owns:
+			// the head of a shared queue may go to another branch.
+			owned := len(queues) == len(branches)
+			branch := func(c *core.Ctx, bi int) error {
+				dram, q := branches[bi], queues[bi%len(queues)].(*sched.Deque[int])
+				mine := slots[bi*chunks : (bi+1)*chunks]
+				// Stage bodies run as named task spans: a traced pass shows the
+				// load lane running ahead of compute-store (Fig. 5's overlap).
+				return c.Pipeline(chunks, cfg.Depth,
+					func(sub *core.Ctx, i int) error { // load chunk + borders
+						ci, ok := q.StealHead()
+						if !ok {
+							mine[i].ci = -1
+							return nil
 						}
-						if s.tout, err = sub.AllocAt(dram, chunkBytes); err != nil {
-							return err
-						}
-						// Power never changes across iterations or passes, so
-						// its chunks come through the staging cache: pass 2+
-						// re-reads hit instead of going back to storage. The
-						// temperature and border files are rewritten every pass
-						// and must not be cached.
-						if s.pow, err = sub.MoveDataDownCached(dram, fP, int64(ci)*chunkBytes, chunkBytes); err != nil {
-							return err
-						}
-						if ci+1 < chunks {
-							sub.Prefetch(dram, fP, int64(ci+1)*chunkBytes, chunkBytes)
-						}
-						if s.bord, err = sub.AllocAt(dram, borderBytes); err != nil {
-							return err
-						}
-						slots[ci] = s
-						if err := p.moveDown(sub, s.tin, src, 0, int64(ci)*chunkBytes, chunkBytes); err != nil {
-							return err
-						}
-						return p.moveDown(sub, s.bord, bSrc, 0, borderOff(ci, d), borderBytes)
-					})
-				},
-				func(sub *core.Ctx, ci int) error { // compute at the leaf, then store
-					return sub.Task("compute-store", chunkBytes, func(sub *core.Ctx) error {
-						s := slots[ci]
-						err := sub.Descend(dram, func(dc *core.Ctx) error {
-							return p.computeChunk(dc, s, ci)
+						byBranch[bi]++
+						return sub.Task("load-chunk", chunkBytes, func(sub *core.Ctx) error {
+							var s chunkBufs
+							var err error
+							if s.tin, err = sub.AllocAt(dram, chunkBytes); err != nil {
+								return err
+							}
+							if s.tout, err = sub.AllocAt(dram, chunkBytes); err != nil {
+								return err
+							}
+							// Power never changes across iterations or passes, so
+							// its chunks come through the staging cache: pass 2+
+							// re-reads hit instead of going back to storage. The
+							// temperature and border files are rewritten every pass
+							// and must not be cached.
+							if s.pow, err = sub.MoveDataDownCached(dram, fP, int64(ci)*chunkBytes, chunkBytes); err != nil {
+								return err
+							}
+							if next, ok := q.PeekHead(); ok && owned {
+								sub.Prefetch(dram, fP, int64(next)*chunkBytes, chunkBytes)
+							}
+							if s.bord, err = sub.AllocAt(dram, borderBytes); err != nil {
+								return err
+							}
+							mine[i] = slot{s, ci}
+							if err := p.moveDown(sub, s.tin, src, 0, int64(ci)*chunkBytes, chunkBytes); err != nil {
+								return err
+							}
+							return p.moveDown(sub, s.bord, bSrc, 0, borderOff(ci, d), borderBytes)
 						})
-						if err != nil {
-							return err
+					},
+					func(sub *core.Ctx, i int) error { // compute at the leaf, then store
+						s, ci := mine[i].chunkBufs, mine[i].ci
+						if ci < 0 {
+							return nil
 						}
-						// Store the chunk and the borders its neighbours will
-						// read next pass. Keeping store in the compute stage
-						// bounds in-flight chunks to depth+1, which is what a
-						// 2 GiB staging buffer admits at the paper's 8k
-						// blocking.
-						if err := p.moveUp(sub, dst, s.tin, int64(ci)*chunkBytes, 0, chunkBytes); err != nil {
-							return err
-						}
-						if err := writeNeighborBorders(sub, bDst, s.tin, d, p.cb, ci); err != nil {
-							return err
-						}
-						sub.Release(s.tin)
-						sub.Release(s.tout)
-						sub.Unpin(s.pow)
-						sub.Release(s.bord)
-						slots[ci] = chunkBufs{}
-						return nil
-					})
-				},
-			)
+						return sub.Task("compute-store", chunkBytes, func(sub *core.Ctx) error {
+							err := sub.Descend(dram, func(dc *core.Ctx) error {
+								return p.computeChunk(dc, s, ci)
+							})
+							if err != nil {
+								return err
+							}
+							// Store the chunk and the borders its neighbours will
+							// read next pass. Keeping store in the compute stage
+							// bounds in-flight chunks to depth+1, which is what a
+							// 2 GiB staging buffer admits at the paper's 8k
+							// blocking.
+							if err := p.moveUp(sub, dst, s.tin, int64(ci)*chunkBytes, 0, chunkBytes); err != nil {
+								return err
+							}
+							if err := writeNeighborBorders(sub, bDst, s.tin, d, p.cb, ci); err != nil {
+								return err
+							}
+							sub.Release(s.tin)
+							sub.Release(s.tout)
+							sub.Unpin(s.pow)
+							sub.Release(s.bord)
+							mine[i] = slot{}
+							return nil
+						})
+					},
+				)
+			}
+			var err error
+			if len(branches) == 1 {
+				err = branch(c, 0)
+			} else {
+				err = c.ParallelFor(len(branches), len(branches), branch)
+			}
+			detach()
 			if err != nil {
 				return err
 			}
@@ -236,16 +286,34 @@ func runChunked(rt *core.Runtime, cfg Config, step chunkStep) (*Result, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	res := &Result{Stats: stats, ChunkDim: d}
 	if p.functional {
 		if res.Temp, err = p.readBack(fT[cfg.Passes%2]); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	return res, nil
+	return res, byBranch, nil
+}
+
+// rootQueues fills one pass's root work queue, as the node monitors the
+// root carries: a single deque of every chunk under DynamicQueue, or under
+// StaticPartition one deque per branch, with the chunks dealt round-robin.
+func rootQueues(chunks, branches int, policy BranchPolicy) []sched.Monitor {
+	if policy == DynamicQueue {
+		branches = 1
+	}
+	queues := make([]sched.Monitor, branches)
+	for i := range queues {
+		q := sched.NewDeque[int]("root-chunks")
+		for ci := i; ci < chunks; ci += branches {
+			q.PushTail(ci)
+		}
+		queues[i] = q
+	}
+	return queues
 }
 
 // writeNeighborBorders packs the result chunk's edge rows/columns and

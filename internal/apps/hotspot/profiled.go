@@ -90,7 +90,7 @@ func RunProfiledWarm(rt *core.Runtime, cfg Config, warm *sched.ProfileScheduler)
 			return nil
 		})
 	}
-	r, err := runChunked(rt, cfg, step)
+	r, _, err := runChunked(rt, cfg, DynamicQueue, step)
 	if err != nil {
 		return nil, err
 	}

@@ -110,8 +110,8 @@ func stealAcross(other, siblings []*sched.Deque[rowTask], ownIdx int) (t rowTask
 }
 
 // RunSteal executes the out-of-core stencil with queue-based leaf
-// scheduling. The runtime's tree must be the APU topology with a CPU
-// attached when Mode is CPUGPU.
+// scheduling. Every leaf it computes at needs a CPU attached when Mode is
+// CPUGPU (the APU topology built WithCPU).
 func RunSteal(rt *core.Runtime, cfg StealConfig) (*StealResult, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
@@ -120,15 +120,11 @@ func RunSteal(rt *core.Runtime, cfg StealConfig) (*StealResult, error) {
 		N: cfg.M, Seed: cfg.Seed, ChunkDim: cfg.ChunkDim,
 		Iters: cfg.Iters, Depth: cfg.Depth,
 	}
-	root := rt.Tree().Root()
-	if root.Store == nil {
-		return nil, fmt.Errorf("hotspot: steal run needs a storage root")
-	}
 	res := &StealResult{}
 	step := func(lc *core.Ctx, blk *Block, d, _ int) error {
 		return stealCompute(lc, blk, d, cfg, res)
 	}
-	r, err := runChunked(rt, inner, step)
+	r, _, err := runChunked(rt, inner, DynamicQueue, step)
 	if err != nil {
 		return nil, err
 	}

@@ -110,11 +110,11 @@ func Run(rt *core.Runtime, cfg Config) (*Result, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
-	root := rt.Tree().Root()
-	if root.Store == nil {
-		return nil, fmt.Errorf("oocsort: tree root %v is not storage", root)
+	dram, err := rt.Tree().StagingChild()
+	if err != nil {
+		return nil, fmt.Errorf("oocsort: %w", err)
 	}
-	dram := root.Children[0]
+	root := rt.Tree().Root()
 	functional := !rt.Phantom()
 	n := cfg.N
 	totalBytes := int64(n) * 4

@@ -1,7 +1,10 @@
 package oocsort
 
 import (
+	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -127,5 +130,39 @@ func BenchmarkSortPaperScale(b *testing.B) {
 		b.ReportMetric(res.Stats.Elapsed.Seconds(), "virtual-s")
 		b.ReportMetric(float64(res.Runs), "runs")
 		b.ReportMetric(float64(res.MergePasses), "merge-passes")
+	}
+}
+
+// TestRefusesRootWithoutOneStagingChild runs on the committed asymmetric
+// spec, whose root has two staging children, and on a storage root that is
+// itself the leaf. The schedule stages through exactly one child, so it
+// must refuse both trees, naming the child count, instead of leaving a
+// branch idle or indexing a child that is not there.
+func TestRefusesRootWithoutOneStagingChild(t *testing.T) {
+	asym, err := os.ReadFile(filepath.Join("..", "..", "..", "specs", "asymmetric.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	leafRoot := []byte(`{"name": "leaf-root", "nodes": [{"name": "ssd", "device": "ssd",
+		"capacity_mib": 64, "procs": ["apu-gpu", "cpu"]}]}`)
+	for _, tc := range []struct {
+		spec []byte
+		want string
+	}{{asym, "2 staging children"}, {leafRoot, "0 staging children"}} {
+		spec, err := topo.ParseSpec(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := sim.NewEngine()
+		tree, err := topo.BuildSpec(e, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := core.DefaultOptions()
+		opts.Phantom = true
+		_, err = Run(core.NewRuntime(e, tree, opts), Config{N: 100_000, Seed: 1})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: err = %v, want a refusal naming %s", spec.Name, err, tc.want)
+		}
 	}
 }

@@ -52,12 +52,13 @@ func newProblem(rt *core.Runtime, cfg Config) (*problem, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
-	root := rt.Tree().Root()
-	if root.Store == nil {
-		return nil, fmt.Errorf("spmv: tree root %v is not storage", root)
+	dram, err := rt.Tree().StagingChild()
+	if err != nil {
+		return nil, fmt.Errorf("spmv: %w", err)
 	}
+	root := rt.Tree().Root()
 	n := cfg.N
-	p := &problem{cfg: cfg, functional: !rt.Phantom(), dram: root.Children[0], vecBytes: int64(n) * 4}
+	p := &problem{cfg: cfg, functional: !rt.Phantom(), dram: dram, vecBytes: int64(n) * 4}
 	m, rowPtr, err := hostMatrix(cfg, p.functional)
 	if err != nil {
 		return nil, err

@@ -2,6 +2,8 @@ package spmv
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -353,5 +355,39 @@ func TestProvidedMatrixMarketInput(t *testing.T) {
 	bad := &workload.CSR{NRows: 2, NCols: 3, RowPtr: []int32{0, 0, 0}}
 	if _, err := RunNorthup(rt, Config{Matrix: bad}); err == nil {
 		t.Fatal("non-square matrix accepted")
+	}
+}
+
+// TestRefusesRootWithoutOneStagingChild runs on the committed asymmetric
+// spec, whose root has two staging children, and on a storage root that is
+// itself the leaf. The schedule stages through exactly one child, so it
+// must refuse both trees, naming the child count, instead of leaving a
+// branch idle or indexing a child that is not there.
+func TestRefusesRootWithoutOneStagingChild(t *testing.T) {
+	asym, err := os.ReadFile(filepath.Join("..", "..", "..", "specs", "asymmetric.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	leafRoot := []byte(`{"name": "leaf-root", "nodes": [{"name": "ssd", "device": "ssd",
+		"capacity_mib": 64, "procs": ["apu-gpu", "cpu"]}]}`)
+	for _, tc := range []struct {
+		spec []byte
+		want string
+	}{{asym, "2 staging children"}, {leafRoot, "0 staging children"}} {
+		spec, err := topo.ParseSpec(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := sim.NewEngine()
+		tree, err := topo.BuildSpec(e, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := core.DefaultOptions()
+		opts.Phantom = true
+		_, err = RunNorthup(core.NewRuntime(e, tree, opts), Config{N: 65536, AvgNNZ: 16, Seed: 1})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: err = %v, want a refusal naming %s", spec.Name, err, tc.want)
+		}
 	}
 }

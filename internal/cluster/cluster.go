@@ -209,22 +209,10 @@ func (cl *Cluster) Scatter(p *sim.Proc, rootMachine int, src *core.Buffer,
 		return fmt.Errorf("cluster: scatter with %d destinations for %d machines",
 			len(dsts), cl.Size())
 	}
-	wg := sim.NewWaitGroup(cl.engine)
-	var firstErr error
-	for i := range dsts {
-		i := i
-		wg.Add(1)
-		cl.engine.Spawn(fmt.Sprintf("scatter-%d", i), func(sp *sim.Proc) {
-			defer wg.Done()
-			err := cl.TransferFile(sp, dsts[i], i, src, rootMachine,
-				0, int64(i)*sliceBytes, sliceBytes)
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-		})
-	}
-	wg.Wait(p)
-	return firstErr
+	return cl.fanOut(p, "scatter", -1, func(sp *sim.Proc, i int) error {
+		return cl.TransferFile(sp, dsts[i], i, src, rootMachine,
+			0, int64(i)*sliceBytes, sliceBytes)
+	})
 }
 
 // Broadcast copies a whole buffer from the root machine to every other
@@ -235,24 +223,9 @@ func (cl *Cluster) Broadcast(p *sim.Proc, rootMachine int, src *core.Buffer,
 		return fmt.Errorf("cluster: broadcast with %d destinations for %d machines",
 			len(dsts), cl.Size())
 	}
-	wg := sim.NewWaitGroup(cl.engine)
-	var firstErr error
-	for i := range dsts {
-		i := i
-		if i == rootMachine {
-			continue
-		}
-		wg.Add(1)
-		cl.engine.Spawn(fmt.Sprintf("bcast-%d", i), func(sp *sim.Proc) {
-			defer wg.Done()
-			err := cl.TransferFile(sp, dsts[i], i, src, rootMachine, 0, 0, src.Size())
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-		})
-	}
-	wg.Wait(p)
-	return firstErr
+	return cl.fanOut(p, "bcast", rootMachine, func(sp *sim.Proc, i int) error {
+		return cl.TransferFile(sp, dsts[i], i, src, rootMachine, 0, 0, src.Size())
+	})
 }
 
 // Gather collects each machine's source buffer into slice i of the root
@@ -263,16 +236,26 @@ func (cl *Cluster) Gather(p *sim.Proc, rootMachine int, srcs []*core.Buffer,
 		return fmt.Errorf("cluster: gather with %d sources for %d machines",
 			len(srcs), cl.Size())
 	}
+	return cl.fanOut(p, "gather", -1, func(sp *sim.Proc, i int) error {
+		return cl.TransferFile(sp, dst, rootMachine, srcs[i], i,
+			int64(i)*sliceBytes, 0, sliceBytes)
+	})
+}
+
+// fanOut is the collectives' shared loop: it runs transfer for every
+// machine but skip (-1 skips none) on its own process, spawned in machine
+// order, waits for all of them, and returns the first error any reported.
+func (cl *Cluster) fanOut(p *sim.Proc, name string, skip int, transfer func(sp *sim.Proc, i int) error) error {
 	wg := sim.NewWaitGroup(cl.engine)
 	var firstErr error
-	for i := range srcs {
-		i := i
+	for i := range cl.machines {
+		if i == skip {
+			continue
+		}
 		wg.Add(1)
-		cl.engine.Spawn(fmt.Sprintf("gather-%d", i), func(sp *sim.Proc) {
+		cl.engine.Spawn(fmt.Sprintf("%s-%d", name, i), func(sp *sim.Proc) {
 			defer wg.Done()
-			err := cl.TransferFile(sp, dst, rootMachine, srcs[i], i,
-				int64(i)*sliceBytes, 0, sliceBytes)
-			if err != nil && firstErr == nil {
+			if err := transfer(sp, i); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		})

@@ -171,3 +171,26 @@ func TestDistributedPhantomTimingMatchesFunctional(t *testing.T) {
 		t.Fatalf("functional %v != phantom %v", fun, ph)
 	}
 }
+
+// TestDistributedGEMMForcedShardReusesRowShards forces a shard smaller
+// than each machine's strip: every machine then runs several block rows,
+// each row shard reused across all column shards, and the gathered product
+// must still match. A shard that does not divide the strip is refused.
+func TestDistributedGEMMForcedShardReusesRowShards(t *testing.T) {
+	cfg := GEMMConfig{N: 256, Seed: 9, ShardDim: 64} // 2 machines: 128-row strips
+	res, err := DistributedGEMM(newCluster(t, 2, false, 64, 1), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float32, cfg.N*cfg.N)
+	gemm.Reference(want, workload.Dense(cfg.N, cfg.N, cfg.Seed),
+		workload.Dense(cfg.N, cfg.N, cfg.Seed+1), cfg.N, cfg.N, cfg.N)
+	for i := range want {
+		if d := res.C[i] - want[i]; d > 0.05 || d < -0.05 {
+			t.Fatalf("forced-shard result differs from reference at %d", i)
+		}
+	}
+	if _, err := DistributedGEMM(newCluster(t, 2, true, 64, 1), GEMMConfig{N: 256, ShardDim: 96}); err == nil {
+		t.Fatal("a shard that does not divide the 128-row strip was accepted")
+	}
+}

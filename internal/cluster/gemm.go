@@ -12,20 +12,21 @@ import (
 
 // DistributedGEMM computes C = A·B across the cluster: C's rows are
 // partitioned over machines, A row-strips are scattered, B is broadcast,
-// every machine runs a local out-of-core Northup computation on its own
-// tree, and the C strips are gathered back — the classic 1-D decomposition,
-// expressed with the same recursive per-node machinery as the single-node
-// application.
+// every machine runs the single-node out-of-core GEMM schedule on its
+// strip (gemm.RunRows), and the C strips are gathered back — the classic
+// 1-D decomposition, with each machine interpreting the app's own
+// schedule.
 
 // GEMMConfig parameterizes a distributed multiply.
 type GEMMConfig struct {
 	// N is the (square) matrix dimension; it must divide evenly by the
-	// machine count and the shard sizes.
+	// machine count times gemm.TileDim.
 	N    int
 	Seed int64
-	// RowShard and ColShard bound the per-machine DRAM blocking (0 = auto
-	// from the staging capacity).
-	RowShard, ColShard int
+	// ShardDim forces the blocking every machine stages (0 = auto from the
+	// smallest machine's staging capacity). It must divide the strip of
+	// N/machines rows.
+	ShardDim int
 }
 
 // GEMMResult reports the distributed run.
@@ -54,24 +55,31 @@ func DistributedGEMM(cl *Cluster, cfg GEMMConfig) (*GEMMResult, error) {
 	elems := int64(n) * int64(n)
 	stripBytes := int64(rows) * int64(n) * 4
 
-	root := cl.Machine(0)
-	functional := !root.RT.Phantom()
-
-	// Column-shard width for the broadcast (B is presharded once at the
-	// root, as in the single-node preprocessing).
-	colShard := cfg.ColShard
-	if colShard == 0 {
-		colShard = autoColShard(cl, rows)
+	// One shard size for every machine, from the smallest staging level:
+	// the strips then hold whole block rows, so the gathered C file is
+	// GEMM's block-major layout and B is presharded once for all.
+	minFree := int64(1) << 62
+	for i := 0; i < k; i++ {
+		staging, err := cl.Machine(i).Tree.StagingChild()
+		if err != nil {
+			return nil, fmt.Errorf("cluster: machine %d: %w", i, err)
+		}
+		minFree = min(minFree, staging.Mem.Free())
 	}
-	if n%colShard != 0 || colShard%gemm.TileDim != 0 {
-		return nil, fmt.Errorf("cluster: column shard %d invalid for N=%d", colShard, n)
+	gcfg := gemm.Config{N: n, Seed: cfg.Seed, ShardDim: cfg.ShardDim}
+	s, err := gemm.ChooseShardDim(gcfg, rows, minFree)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
+	gcfg.ShardDim = s
 
 	// Root-machine inputs.
+	root := cl.Machine(0)
+	functional := !root.RT.Phantom()
 	var aData, bPre []float32
 	if functional {
 		aData = workload.Dense(n, n, cfg.Seed)
-		bPre = gemm.PreshardB(workload.Dense(n, n, cfg.Seed+1), n, colShard)
+		bPre = gemm.PreshardB(workload.Dense(n, n, cfg.Seed+1), n, s)
 	}
 	rootTree := root.Tree.Root()
 	fA, err := root.RT.CreateInput(rootTree, "dist-A", elems*4, view.F32Bytes(aData))
@@ -104,27 +112,6 @@ func DistributedGEMM(cl *Cluster, cfg GEMMConfig) (*GEMMResult, error) {
 			return nil, err
 		}
 	}
-	// Row-shard size used by every local run (identical capacities give
-	// identical decisions; computing it once keeps assembly exact).
-	rowShard := cfg.RowShard
-	if rowShard == 0 {
-		free := cl.Machine(0).Tree.Root().Children[0].Mem.Free()
-		for s := rows; s >= gemm.TileDim; s -= gemm.TileDim {
-			if rows%s != 0 {
-				continue
-			}
-			if 4*(int64(s)*int64(n)*2+int64(s)*int64(colShard)) <= free*8/10 {
-				rowShard = s
-				break
-			}
-		}
-		if rowShard == 0 {
-			return nil, fmt.Errorf("cluster: no row shard fits the staging level for N=%d over %d machines", n, k)
-		}
-	}
-	if rows%rowShard != 0 {
-		return nil, fmt.Errorf("cluster: row shard %d does not divide strip of %d rows", rowShard, rows)
-	}
 
 	res := &GEMMResult{}
 
@@ -151,8 +138,7 @@ func DistributedGEMM(cl *Cluster, cfg GEMMConfig) (*GEMMResult, error) {
 				b = fB // root computes from its original copy
 			}
 			joins[i] = m.RT.Start(fmt.Sprintf("machine%d", i), func(c *core.Ctx) error {
-				return localStripGEMM(c, aStrips[i], b, cStrips[i],
-					rows, n, colShard, rowShard, functional)
+				return gemm.RunRows(c, gcfg, rows/s, aStrips[i], b, cStrips[i])
 			})
 		}
 		for _, j := range joins {
@@ -176,123 +162,11 @@ func DistributedGEMM(cl *Cluster, cfg GEMMConfig) (*GEMMResult, error) {
 	res.Elapsed = elapsed
 
 	if functional {
-		// Strips are block-major within each machine's slice; reassemble.
-		raw := make([]float32, elems)
-		if err := fC.File().Peek(view.F32Bytes(raw), 0); err != nil {
+		blocks := make([]float32, elems)
+		if err := fC.File().Peek(view.F32Bytes(blocks), 0); err != nil {
 			return nil, err
 		}
-		res.C = assembleStrips(raw, n, k, colShard, rowShard)
+		res.C = gemm.AssembleBlockMajor(blocks, n, s)
 	}
 	return res, nil
-}
-
-// autoColShard picks the largest TileDim multiple that lets one row shard,
-// two column shards and a C block fit the smallest machine's staging level.
-func autoColShard(cl *Cluster, rows int) int {
-	minFree := int64(1) << 62
-	for i := 0; i < cl.Size(); i++ {
-		free := cl.Machine(i).Tree.Root().Children[0].Mem.Free()
-		if free < minFree {
-			minFree = free
-		}
-	}
-	n := rows * cl.Size()
-	for w := n; w >= gemm.TileDim; w -= gemm.TileDim {
-		if n%w != 0 {
-			continue
-		}
-		s := rows
-		if s > w {
-			s = w
-		}
-		need := 4 * (int64(s)*int64(n) + 2*int64(n)*int64(w) + int64(s)*int64(w))
-		if need <= minFree*8/10 {
-			return w
-		}
-	}
-	return gemm.TileDim
-}
-
-// localStripGEMM computes one machine's C strip (rows x n) = A strip
-// (rows x n) · B (n x n, shard-major with width w) out of core: row shards
-// of the strip stream through the staging level, each multiplied against
-// every column shard. C blocks are written block-major into the strip file.
-func localStripGEMM(c *core.Ctx, fa, fb, fc *core.Buffer, rows, n, w, s int, functional bool) error {
-	dram := c.Children()[0]
-	if s <= 0 || rows%s != 0 {
-		return fmt.Errorf("cluster: row shard %d does not divide strip of %d rows", s, rows)
-	}
-	shardBytes := int64(s) * int64(n) * 4
-	colBytes := int64(n) * int64(w) * 4
-	blockBytes := int64(s) * int64(w) * 4
-	nShards := rows / s
-	nCols := n / w
-
-	aBuf, err := c.AllocAt(dram, shardBytes)
-	if err != nil {
-		return err
-	}
-	defer c.Release(aBuf)
-	bBuf, err := c.AllocAt(dram, colBytes)
-	if err != nil {
-		return err
-	}
-	defer c.Release(bBuf)
-	cBuf, err := c.AllocAt(dram, blockBytes)
-	if err != nil {
-		return err
-	}
-	defer c.Release(cBuf)
-
-	for si := 0; si < nShards; si++ {
-		if err := c.MoveDataDown(aBuf, fa, 0, int64(si)*shardBytes, shardBytes); err != nil {
-			return err
-		}
-		for j := 0; j < nCols; j++ {
-			if err := c.MoveDataDown(bBuf, fb, 0, int64(j)*colBytes, colBytes); err != nil {
-				return err
-			}
-			err := c.Descend(dram, func(lc *core.Ctx) error {
-				var cv, av, bv []float32
-				if functional {
-					cv = view.F32(cBuf.Bytes())
-					av = view.F32(aBuf.Bytes())
-					bv = view.F32(bBuf.Bytes())
-				}
-				kern, groups := gemm.TileKernel(cv, av, bv, s, n, w, false)
-				_, kerr := lc.LaunchKernel(kern, groups)
-				return kerr
-			})
-			if err != nil {
-				return err
-			}
-			off := (int64(si)*int64(nCols) + int64(j)) * blockBytes
-			if err := c.MoveDataUp(fc, cBuf, off, 0, blockBytes); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// assembleStrips converts the gathered C file (strip-major, block-major
-// within each strip) back to a row-major n x n matrix.
-func assembleStrips(raw []float32, n, k, w, s int) []float32 {
-	rows := n / k
-	nCols := n / w
-	out := make([]float32, n*n)
-	for bi := 0; bi < k; bi++ {
-		base := bi * rows * n
-		for si := 0; si < rows/s; si++ {
-			for j := 0; j < nCols; j++ {
-				blockBase := base + (si*nCols+j)*s*w
-				for r := 0; r < s; r++ {
-					row := bi*rows + si*s + r
-					copy(out[row*n+j*w:row*n+(j+1)*w],
-						raw[blockBase+r*w:blockBase+(r+1)*w])
-				}
-			}
-		}
-	}
-	return out
 }

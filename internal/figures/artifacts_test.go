@@ -26,7 +26,7 @@ func TestCommittedSweepsRegenerate(t *testing.T) {
 		run  func() (jsonRenderer, error)
 	}{
 		{"BENCH_stream.json", "stream", func() (jsonRenderer, error) { return StreamOverlap(o) }},
-		{"BENCH_serve.json", "serve", func() (jsonRenderer, error) { return ServeSaturation(o) }},
+		{"BENCH_serve.json", "serve", func() (jsonRenderer, error) { return paperServe() }},
 		{"BENCH_affinity.json", "affinity", func() (jsonRenderer, error) { return AffinityAblation(o) }},
 		{"BENCH_perf.json", "", func() (jsonRenderer, error) { return PerfSuite(o) }},
 	} {

@@ -16,7 +16,7 @@ type Fig6Row struct {
 }
 
 // Fig6Result carries all bars, in app-major order (in-memory, SSD, disk per
-// app). The same runs carry the Figure 7 breakdowns.
+// app). The same runs carry the Figure 7 breakdowns (Fig7Result).
 type Fig6Result struct {
 	Rows []Fig6Row
 }
@@ -74,19 +74,12 @@ func (r *Fig6Result) String() string {
 	return sb.String()
 }
 
-// Fig7Result presents the same runs as Figure 7: per-category shares of
-// execution on the 2-level APU tree, for disk and SSD.
+// Fig7Result presents the Figure 6 runs as Figure 7: per-category shares
+// of execution on the 2-level APU tree, for disk and SSD. It reads the
+// breakdowns a Fig6 result already carries, so Figure 7 never re-runs the
+// workloads.
 type Fig7Result struct {
 	Fig6 *Fig6Result
-}
-
-// Fig7 regenerates Figure 7 from fresh Figure 6 runs.
-func Fig7(o Options) (*Fig7Result, error) {
-	f6, err := Fig6(o)
-	if err != nil {
-		return nil, err
-	}
-	return &Fig7Result{Fig6: f6}, nil
 }
 
 // Share returns the fraction of the busy sum a category takes for (app,

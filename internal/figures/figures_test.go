@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/trace"
@@ -58,11 +59,15 @@ func TestFig6ShapesSmall(t *testing.T) {
 	}
 }
 
+// paperFig6 runs Figure 6 at paper scale once per test process: Figure 7
+// is a view of the same runs.
+var paperFig6 = sync.OnceValues(func() (*Fig6Result, error) { return Fig6(Options{Scale: 1}) })
+
 func TestFig6PaperScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale run skipped in -short mode")
 	}
-	res, err := Fig6(Options{Scale: 1})
+	res, err := paperFig6()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,10 +99,11 @@ func TestFig7BreakdownShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale run skipped in -short mode")
 	}
-	res, err := Fig7(Options{Scale: 1})
+	f6, err := paperFig6()
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := &Fig7Result{Fig6: f6}
 	checkCSVGolden(t, "7", res.CSV())
 	// Paper: GEMM spends the majority of time on GPU compute (disk cfg
 	// shows I/O dominance for the memory-bound apps).

@@ -3,6 +3,7 @@ package figures
 import (
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -51,10 +52,15 @@ func TestServeSaturationShape(t *testing.T) {
 	}
 }
 
+// paperServe runs the scale-1 saturation sweep once per test process for
+// the renderer and committed-bytes checks; only the determinism check runs
+// it a second time.
+var paperServe = sync.OnceValues(func() (*ServeResult, error) { return ServeSaturation(Options{Scale: 1}) })
+
 // TestServeSaturationDeterministic pins the committed-document promise:
 // two runs render byte-identical JSON.
 func TestServeSaturationDeterministic(t *testing.T) {
-	a, err := ServeSaturation(Options{})
+	a, err := paperServe()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +76,7 @@ func TestServeSaturationDeterministic(t *testing.T) {
 // TestServeSaturationRenderers checks the Renderer surfaces agree on the
 // point count and the JSON document round-trips.
 func TestServeSaturationRenderers(t *testing.T) {
-	r, err := ServeSaturation(Options{})
+	r, err := paperServe()
 	if err != nil {
 		t.Fatal(err)
 	}

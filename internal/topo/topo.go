@@ -107,6 +107,21 @@ type Tree struct {
 // Root returns the level-0 node (the slowest storage).
 func (t *Tree) Root() *Node { return t.root }
 
+// StagingChild returns the storage root's one staging child: the level a
+// single-branch out-of-core schedule stages everything through. It refuses
+// a root that is not storage, and a root with several children, whose other
+// branches such a schedule would leave idle.
+func (t *Tree) StagingChild() (*Node, error) {
+	if t.root.Store == nil {
+		return nil, fmt.Errorf("tree root %v is not storage", t.root)
+	}
+	if len(t.root.Children) != 1 {
+		return nil, fmt.Errorf("tree root %v has %d staging children; this schedule stages through exactly one",
+			t.root, len(t.root.Children))
+	}
+	return t.root.Children[0], nil
+}
+
 // MaxLevel returns the largest level number (the paper's
 // get_max_treelevel(); leaves of the deepest branch live here).
 func (t *Tree) MaxLevel() int { return t.maxLevel }

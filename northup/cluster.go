@@ -24,6 +24,7 @@ var (
 	// DefaultFabric returns the InfiniBand-class interconnect (slower than
 	// the NVM profile, per §VI's bandwidth observation).
 	DefaultFabric = cluster.DefaultFabric
-	// DistributedGEMM runs the 1-D row decomposition across the cluster.
+	// DistributedGEMM runs the 1-D row decomposition across the cluster:
+	// each machine runs GEMMNorthup's schedule on its strip of C.
 	DistributedGEMM = cluster.DistributedGEMM
 )
