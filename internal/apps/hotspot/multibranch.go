@@ -59,7 +59,7 @@ type MultiBranchResult struct {
 // chunk it cannot stage, a missing processor) fails the run.
 func RunMultiBranch(rt *core.Runtime, cfg MultiBranchConfig) (*MultiBranchResult, error) {
 	r, byBranch, err := runChunked(rt, Config{N: cfg.N, Seed: cfg.Seed, ChunkDim: cfg.ChunkDim, Iters: cfg.Iters},
-		cfg.Policy, launchSteps)
+		cfg.Policy, launchSteps, false)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -290,5 +291,87 @@ func TestStorageLeafRootRefused(t *testing.T) {
 	}
 	if _, err := RunNorthup(core.NewRuntime(e, tree, core.DefaultOptions()), Config{N: 64, ChunkDim: 32, Iters: 1}); err == nil {
 		t.Fatal("a root with no staging branch was accepted")
+	}
+}
+
+// newAsymmetricRuntime builds the committed asymmetric spec in phantom
+// mode: dram-a computes with its own GPU and CPU, nvm-b through the GPU one
+// level down at hbm-b, which has no CPU.
+func newAsymmetricRuntime(t *testing.T) *core.Runtime {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "..", "..", "specs", "asymmetric.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := topo.ParseSpec(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := sim.NewEngine()
+	tree, err := topo.BuildSpec(e, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.DefaultOptions()
+	opts.Phantom = true
+	return core.NewRuntime(e, tree, opts)
+}
+
+// TestDerivedChunksUseEveryBranch leaves the blocking to runChunked on the
+// asymmetric spec. The whole 1024-wide grid fits dram-a as one chunk, which
+// would leave nvm-b idle; the derived blocking must cut at least one chunk
+// per branch, so both GPUs compute.
+func TestDerivedChunksUseEveryBranch(t *testing.T) {
+	rt := newAsymmetricRuntime(t)
+	busy := &gpuBusy{byNode: map[int]sim.Time{}}
+	rt.Subscribe(busy)
+	res, err := RunNorthup(rt, Config{N: 1024, Iters: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ChunkDim != 512 {
+		t.Fatalf("derived chunk %d, want 512 (the largest that gives both branches a chunk)", res.ChunkDim)
+	}
+	root := rt.Tree().Root()
+	for _, leaf := range []*topo.Node{root.Children[0], root.Children[1].Children[0]} {
+		if busy.byNode[leaf.ID] <= 0 {
+			t.Fatalf("the GPU at %v computed nothing (GPU busy by node %v)", leaf, busy.byNode)
+		}
+	}
+}
+
+// TestMissingLeafProcessorRefusedUpFront runs the schedules that need a CPU
+// beside the GPU on the asymmetric spec, whose hbm-b leaf has none: each
+// must refuse the tree naming hbm-b before anything is staged, however the
+// grid is cut and wherever its chunks would land.
+func TestMissingLeafProcessorRefusedUpFront(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(rt *core.Runtime) error
+	}{
+		{"steal-one-chunk", func(rt *core.Runtime) error {
+			_, err := RunSteal(rt, StealConfig{M: 1024, ChunkDim: 1024, Iters: 3, Mode: CPUGPU})
+			return err
+		}},
+		{"steal-16-chunks", func(rt *core.Runtime) error {
+			_, err := RunSteal(rt, StealConfig{M: 1024, ChunkDim: 256, Iters: 3, Mode: CPUGPU})
+			return err
+		}},
+		{"profiled", func(rt *core.Runtime) error {
+			_, err := RunProfiled(rt, Config{N: 1024, Iters: 3})
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := newAsymmetricRuntime(t)
+			hbm := rt.Tree().Root().Children[1].Children[0]
+			err := tc.run(rt)
+			if err == nil || !strings.Contains(err.Error(), "needs a CPU at the leaf "+hbm.String()) {
+				t.Fatalf("error %v does not refuse the CPU-less leaf %v", err, hbm)
+			}
+			if now := rt.Engine().Now(); now != 0 {
+				t.Fatalf("refused at %v, after chunks had run", now)
+			}
+		})
 	}
 }

@@ -65,11 +65,12 @@ type Result struct {
 }
 
 // chooseChunkDim picks the largest chunk edge (multiple of BlockDim,
-// dividing n) whose in/out/power buffers and borders fit depth+1 times into
-// the free staging bytes.
-func chooseChunkDim(n, depth int, free int64) (int, error) {
+// dividing n) that cuts the grid into at least one chunk per branch and
+// whose in/out/power buffers and borders fit depth+1 times into the free
+// staging bytes.
+func chooseChunkDim(n, depth, branches int, free int64) (int, error) {
 	for d := n; d >= BlockDim; d -= BlockDim {
-		if n%d != 0 {
+		if n%d != 0 || (n/d)*(n/d) < branches {
 			continue
 		}
 		per := 4 * (3*int64(d)*int64(d) + 4*int64(d))
@@ -77,7 +78,8 @@ func chooseChunkDim(n, depth int, free int64) (int, error) {
 			return d, nil
 		}
 	}
-	return 0, fmt.Errorf("hotspot: no chunk size fits %d free bytes for N=%d", free, n)
+	return 0, fmt.Errorf("hotspot: no chunk size fits %d free bytes and gives each of %d branches a chunk for N=%d",
+		free, branches, n)
 }
 
 // borderOff returns the file offset of chunk ci's packed border record
@@ -110,7 +112,7 @@ func TileKernelFor(blk *Block, d int) (gpu.Kernel, int) {
 // with several staging branches (Figure 2's asymmetric tree) spreads the
 // chunks over all of them through one shared root queue.
 func RunNorthup(rt *core.Runtime, cfg Config) (*Result, error) {
-	res, _, err := runChunked(rt, cfg, DynamicQueue, launchSteps)
+	res, _, err := runChunked(rt, cfg, DynamicQueue, launchSteps, false)
 	return res, err
 }
 
@@ -125,7 +127,10 @@ func RunNorthup(rt *core.Runtime, cfg Config) (*Result, error) {
 // one shared deque under DynamicQueue, one pre-filled deque per branch
 // under StaticPartition. A single branch runs inline, with chunks in
 // order. The second result counts the chunks each branch ran.
-func runChunked(rt *core.Runtime, cfg Config, policy BranchPolicy, step chunkStep) (*Result, []int, error) {
+//
+// Before anything is staged, every branch's compute leaf must have a GPU,
+// and a CPU too when the step needs one.
+func runChunked(rt *core.Runtime, cfg Config, policy BranchPolicy, step chunkStep, needCPU bool) (*Result, []int, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, nil, err
 	}
@@ -137,16 +142,22 @@ func runChunked(rt *core.Runtime, cfg Config, policy BranchPolicy, step chunkSte
 	if len(branches) == 0 {
 		return nil, nil, fmt.Errorf("hotspot: no staging branches under the root")
 	}
+	for _, b := range branches {
+		if err := checkLeaf(b, needCPU); err != nil {
+			return nil, nil, err
+		}
+	}
 	n := cfg.N
 	d := cfg.ChunkDim
 	if d == 0 {
-		// The smallest branch sizes the chunks every branch stages.
+		// The smallest branch sizes the chunks every branch stages, and
+		// there are enough of them to keep every branch busy.
 		free := branches[0].Mem.Free()
 		for _, b := range branches[1:] {
 			free = min(free, b.Mem.Free())
 		}
 		var err error
-		if d, err = chooseChunkDim(n, cfg.Depth, free); err != nil {
+		if d, err = chooseChunkDim(n, cfg.Depth, len(branches), free); err != nil {
 			return nil, nil, err
 		}
 	}

@@ -119,6 +119,31 @@ func (p *problem) moveUp(c *core.Ctx, dst, src *core.Buffer, dstOff, srcOff, n i
 	return c.MoveData(dst, src, dstOff, srcOff, n)
 }
 
+// computeLeaf returns the node a chunk staged at branch computes on: the
+// branch itself when it is a leaf, else its first child, one level down.
+func computeLeaf(branch *topo.Node) *topo.Node {
+	if branch.IsLeaf() {
+		return branch
+	}
+	return branch.Children[0]
+}
+
+// checkLeaf refuses a staging branch whose compute leaf a chunk step
+// cannot run on: one above a deeper subtree, one without a GPU, or, when
+// the step needs a CPU too, one without a CPU.
+func checkLeaf(branch *topo.Node, needCPU bool) error {
+	leaf := computeLeaf(branch)
+	switch {
+	case !leaf.IsLeaf():
+		return fmt.Errorf("hotspot: trees deeper than 3 levels are not supported")
+	case core.GPUAt(leaf) == nil:
+		return fmt.Errorf("hotspot: no GPU at the leaf %v", leaf)
+	case needCPU && core.CPUAt(leaf) == nil:
+		return fmt.Errorf("hotspot: a CPU+GPU schedule needs a CPU at the leaf %v (build the APU topology WithCPU)", leaf)
+	}
+	return nil
+}
+
 // computeChunk runs the leaf step on chunk ci, staged in b at dc's node.
 // When dc is a leaf (the 2-level APU tree) the step runs there; otherwise
 // (the 3-level discrete tree of Figure 8, or a branch whose GPU sits one
@@ -147,13 +172,13 @@ func (p *problem) computeChunk(dc *core.Ctx, b chunkBufs, ci int) error {
 		return nil
 	}
 
-	if dc.IsLeaf() {
+	leaf := computeLeaf(dc.Node())
+	if leaf == dc.Node() {
 		return run(dc, b)
 	}
 
-	// Stage the chunk into the child (GPU device) memory.
-	child := dc.Children()[0]
-	g, err := p.allocChunk(dc, child)
+	// Stage the chunk into the leaf's (GPU device) memory.
+	g, err := p.allocChunk(dc, leaf)
 	if err != nil {
 		return err
 	}
@@ -167,12 +192,7 @@ func (p *problem) computeChunk(dc *core.Ctx, b chunkBufs, ci int) error {
 	if err := p.moveDown(dc, g.bord, b.bord, 0, 0, p.borderBytes); err != nil {
 		return err
 	}
-	err = dc.Descend(child, func(lc *core.Ctx) error {
-		if !lc.IsLeaf() {
-			return fmt.Errorf("hotspot: trees deeper than 3 levels are not supported")
-		}
-		return run(lc, g)
-	})
+	err = dc.Descend(leaf, func(lc *core.Ctx) error { return run(lc, g) })
 	if err != nil {
 		return err
 	}

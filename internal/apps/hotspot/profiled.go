@@ -1,8 +1,6 @@
 package hotspot
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -50,11 +48,7 @@ func RunProfiledWarm(rt *core.Runtime, cfg Config, warm *sched.ProfileScheduler)
 	// calls, whether or not the run keeps a trace.
 	defer rt.Subscribe(&profileFeed{profiler})()
 	step := func(lc *core.Ctx, blk *Block, d, iters int) error {
-		g := lc.GPUModel()
-		cpu := lc.CPUModel()
-		if g == nil || cpu == nil {
-			return fmt.Errorf("hotspot: profiled mapping needs both CPU and GPU at %v", lc.Node())
-		}
+		g, cpu := lc.GPUModel(), lc.CPUModel()
 		size := float64(d) * float64(d) * float64(iters)
 		pick, err := profiler.Pick([]string{g.ProcName(), cpu.ProcName()}, size)
 		if err != nil {
@@ -90,7 +84,7 @@ func RunProfiledWarm(rt *core.Runtime, cfg Config, warm *sched.ProfileScheduler)
 			return nil
 		})
 	}
-	r, _, err := runChunked(rt, cfg, DynamicQueue, step)
+	r, _, err := runChunked(rt, cfg, DynamicQueue, step, true)
 	if err != nil {
 		return nil, err
 	}

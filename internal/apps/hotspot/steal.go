@@ -54,8 +54,6 @@ type StealConfig struct {
 	// 32).
 	GPUQueues int
 	Mode      StealMode
-	// Depth is the chunk pipeline depth (default 1).
-	Depth int
 }
 
 func (cfg *StealConfig) setDefaults() error {
@@ -68,9 +66,6 @@ func (cfg *StealConfig) setDefaults() error {
 	}
 	if cfg.GPUQueues <= 0 {
 		cfg.GPUQueues = 32
-	}
-	if cfg.Depth <= 0 {
-		cfg.Depth = 1
 	}
 	return nil
 }
@@ -93,38 +88,20 @@ type StealResult struct {
 // rowTask identifies one row of BlockDim-tall tiles within the chunk.
 type rowTask int
 
-// stealAcross tries the other processor class's queues first, then the
-// thief's siblings (skipping its own queue, index ownIdx). fromOther
-// reports whether the task was taken from the other class — what failover
-// accounting needs when the other class's processors are offline.
-func stealAcross(other, siblings []*sched.Deque[rowTask], ownIdx int) (t rowTask, fromOther, ok bool) {
-	for _, victim := range other {
-		if t, ok := victim.StealHead(); ok {
-			return t, true, true
-		}
-	}
-	if t, _, ok := sched.StealFrom(siblings, ownIdx); ok {
-		return t, false, true
-	}
-	return 0, false, false
-}
-
 // RunSteal executes the out-of-core stencil with queue-based leaf
-// scheduling. Every leaf it computes at needs a CPU attached when Mode is
-// CPUGPU (the APU topology built WithCPU).
+// scheduling. When Mode is CPUGPU every staging branch's compute leaf needs
+// a CPU attached (the APU topology built WithCPU); a tree where one lacks it
+// is refused before anything is staged.
 func RunSteal(rt *core.Runtime, cfg StealConfig) (*StealResult, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
-	inner := Config{
-		N: cfg.M, Seed: cfg.Seed, ChunkDim: cfg.ChunkDim,
-		Iters: cfg.Iters, Depth: cfg.Depth,
-	}
+	inner := Config{N: cfg.M, Seed: cfg.Seed, ChunkDim: cfg.ChunkDim, Iters: cfg.Iters}
 	res := &StealResult{}
 	step := func(lc *core.Ctx, blk *Block, d, _ int) error {
 		return stealCompute(lc, blk, d, cfg, res)
 	}
-	r, _, err := runChunked(rt, inner, DynamicQueue, step)
+	r, _, err := runChunked(rt, inner, DynamicQueue, step, cfg.Mode == CPUGPU)
 	if err != nil {
 		return nil, err
 	}
@@ -132,48 +109,71 @@ func RunSteal(rt *core.Runtime, cfg StealConfig) (*StealResult, error) {
 	return res, nil
 }
 
+// leafClass is one processor class's side of the leaf balancer: its
+// queues, the time and charge of one row on it, its task counter, and when
+// it is offline (nil: never).
+type leafClass struct {
+	proc     string // worker name prefix; the names are trace lanes
+	queues   []*sched.Deque[rowTask]
+	taskTime sim.Time
+	charge   func(*core.Ctx, sim.Time)
+	tasks    *int64
+	offline  func() (until sim.Time, off bool)
+	peer     *leafClass // the other class, the first victims of a dry worker
+}
+
+// drain runs worker qi of class cl through one iteration: it takes rows in
+// sched.Take's victim order (its own tail, the other class's heads, its
+// siblings' heads) until every queue is dry. An offline worker leaves its
+// queue to the other class's thieves and sits out the iteration; with no
+// other class to fail over to it stalls until the outage window closes.
+func (cl *leafClass) drain(sub *core.Ctx, qi int, res *StealResult, runRow func(rowTask)) {
+	for {
+		if cl.offline != nil {
+			if until, off := cl.offline(); off {
+				if len(cl.peer.queues) > 0 {
+					return
+				}
+				sub.Proc().Sleep(until - sub.Proc().Now())
+				continue
+			}
+		}
+		t, src, ok := sched.Take(cl.queues, qi, cl.peer.queues)
+		if !ok {
+			return
+		}
+		if src != sched.FromOwn {
+			res.Steals++
+			if src == sched.FromOther && cl.peer.offline != nil {
+				if _, off := cl.peer.offline(); off {
+					res.Failovers++
+					sub.Runtime().NoteFailover()
+				}
+			}
+		}
+		runRow(t)
+		sub.Proc().Sleep(cl.taskTime)
+		cl.charge(sub, cl.taskTime)
+		*cl.tasks++
+	}
+}
+
 // stealCompute runs cfg.Iters stencil iterations over one chunk using work
-// queues. blk is nil in phantom mode.
+// queues. blk is nil in phantom mode. runChunked has checked that the leaf
+// has the processors cfg.Mode needs.
 func stealCompute(lc *core.Ctx, blk *Block, d int, cfg StealConfig, res *StealResult) error {
-	g := lc.GPUModel()
-	if g == nil {
-		return fmt.Errorf("hotspot: no GPU at %v", lc.Node())
-	}
-	cpu := lc.CPUModel()
-	if cfg.Mode == CPUGPU && cpu == nil {
-		return fmt.Errorf("hotspot: CPU+GPU mode needs a CPU at the leaf (build the APU topology WithCPU)")
-	}
 	rows := d / BlockDim
 	tilesPerRow := (d + BlockDim - 1) / BlockDim
 	rowFlops := float64(TileFlops) * float64(tilesPerRow)
 	rowBytes := float64(TileBytes) * float64(tilesPerRow)
-	gpuTaskTime := g.GroupTaskTime(cfg.GPUQueues, rowFlops, rowBytes)
-	var cpuTaskTime sim.Time
-	if cpu != nil {
-		cpuTaskTime = cpu.TaskTime(rowFlops, rowBytes)
-	}
-
 	engine := lc.Proc().Engine()
-
-	// With fault injection active, the leaf scheduler degrades gracefully
-	// when its GPU is taken offline: in CPUGPU mode offline workgroups stop
-	// popping and their queued tasks fail over to the CPU threads through
-	// the existing steal path; in GPUOnly mode there is nothing to fail over
-	// to, so workgroups stall until the outage window closes.
-	inj := lc.Runtime().Faults()
 	nodeID := lc.Node().ID
-	gpuOffline := func() (sim.Time, bool) {
-		if inj == nil {
-			return 0, false
-		}
-		return inj.ProcOfflineAt(nodeID, fault.ClassGPU, engine.Now())
-	}
 
-	nCPUQ := 0
+	nq, cpuTime := cfg.GPUQueues, sim.Time(0)
 	if cfg.Mode == CPUGPU {
-		nCPUQ = CPUThreads
+		nq += CPUThreads
+		cpuTime = lc.CPUModel().TaskTime(rowFlops, rowBytes)
 	}
-	nq := cfg.GPUQueues + nCPUQ
 
 	// Persistent queues for the chunk's lifetime (refilled every
 	// iteration), GPU queues first, CPU queues after.
@@ -182,8 +182,23 @@ func stealCompute(lc *core.Ctx, blk *Block, d int, cfg StealConfig, res *StealRe
 		tasks[i] = rowTask(i)
 	}
 	queues := sched.Partition(tasks, nq, "q")
-	gpuQueues := queues[:cfg.GPUQueues]
-	cpuQueues := queues[cfg.GPUQueues:]
+
+	// GPU workgroups process rows faster, so stealing flows mostly from the
+	// CPU queues to them; dry CPU threads steal from GPU queues too
+	// (stealing is "across the CPU and the GPU", §V-E).
+	gpu := &leafClass{proc: "gpu-wg", queues: queues[:cfg.GPUQueues],
+		taskTime: lc.GPUModel().GroupTaskTime(cfg.GPUQueues, rowFlops, rowBytes),
+		charge:   (*core.Ctx).ChargeGPU, tasks: &res.TasksByGPU}
+	cpu := &leafClass{proc: "cpu-th", queues: queues[cfg.GPUQueues:], taskTime: cpuTime,
+		charge: (*core.Ctx).ChargeCPU, tasks: &res.TasksByCPU}
+	gpu.peer, cpu.peer = cpu, gpu
+	// Under fault injection the GPU can go offline (drain degrades to the
+	// CPU threads, or stalls in GPUOnly mode); the CPU class never does.
+	if inj := lc.Runtime().Faults(); inj != nil {
+		gpu.offline = func() (sim.Time, bool) {
+			return inj.ProcOfflineAt(nodeID, fault.ClassGPU, engine.Now())
+		}
+	}
 
 	// Expose the queues on the tree node with the standard deque
 	// telemetry. The depth goes through this scheduler's own additive
@@ -213,85 +228,20 @@ func stealCompute(lc *core.Ctx, blk *Block, d int, cfg StealConfig, res *StealRe
 	done := sim.NewWaitGroup(engine)
 	workers := sim.NewWaitGroup(engine)
 
-	for qi := range gpuQueues {
-		workers.Add(1)
-		own := gpuQueues[qi]
-		lc.Spawn(fmt.Sprintf("gpu-wg%d", qi), lc.Node(), func(sub *core.Ctx) error {
-			defer workers.Done()
-			qi := qi
-			for it := 0; it < cfg.Iters; it++ {
-				start[it].Wait(sub.Proc())
-				for {
-					if until, off := gpuOffline(); off {
-						if cfg.Mode == CPUGPU {
-							// Leave the rest of this queue to the CPU
-							// thieves and sit out the iteration.
-							break
-						}
-						// GPUOnly: nothing to fail over to, so stall
-						// until the outage window closes.
-						sub.Proc().Sleep(until - sub.Proc().Now())
-						continue
-					}
-					t, ok := own.PopTail()
-					if !ok {
-						// Run dry: steal — from a CPU queue's head first
-						// (the direction §V-E highlights), then from a
-						// sibling GPU queue.
-						if t, _, ok = stealAcross(cpuQueues, gpuQueues, qi); ok {
-							res.Steals++
-						} else {
-							break
-						}
-					}
-					runRow(t)
-					sub.Proc().Sleep(gpuTaskTime)
-					sub.ChargeGPU(gpuTaskTime)
-					res.TasksByGPU++
+	for _, cl := range []*leafClass{gpu, cpu} {
+		for qi := range cl.queues {
+			workers.Add(1)
+			lc.Spawn(fmt.Sprintf("%s%d", cl.proc, qi), lc.Node(), func(sub *core.Ctx) error {
+				defer workers.Done()
+				for it := 0; it < cfg.Iters; it++ {
+					start[it].Wait(sub.Proc())
+					cl.drain(sub, qi, res, runRow)
+					done.Done()
 				}
-				done.Done()
-			}
-			return nil
-		})
+				return nil
+			})
+		}
 	}
-	for qi := range cpuQueues {
-		workers.Add(1)
-		own := cpuQueues[qi]
-		qi := qi
-		lc.Spawn(fmt.Sprintf("cpu-th%d", qi), lc.Node(), func(sub *core.Ctx) error {
-			defer workers.Done()
-			for it := 0; it < cfg.Iters; it++ {
-				start[it].Wait(sub.Proc())
-				for {
-					t, ok := own.PopTail()
-					if !ok {
-						// Dry CPU threads pull from GPU queues (stealing is
-						// "across the CPU and the GPU", §V-E), keeping all
-						// processors busy until the barrier.
-						var fromGPU bool
-						if t, fromGPU, ok = stealAcross(gpuQueues, cpuQueues, qi); ok {
-							res.Steals++
-							if fromGPU {
-								if _, off := gpuOffline(); off {
-									res.Failovers++
-									lc.Runtime().NoteFailover()
-								}
-							}
-						} else {
-							break
-						}
-					}
-					runRow(t)
-					sub.Proc().Sleep(cpuTaskTime)
-					sub.ChargeCPU(cpuTaskTime)
-					res.TasksByCPU++
-				}
-				done.Done()
-			}
-			return nil
-		})
-	}
-
 	for it := 0; it < cfg.Iters; it++ {
 		if it > 0 {
 			// Refill the queues for the next Jacobi step.

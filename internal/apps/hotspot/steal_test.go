@@ -1,6 +1,9 @@
 package hotspot
 
 import (
+	"fmt"
+	"hash/fnv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -243,4 +246,90 @@ func TestStealConfigValidation(t *testing.T) {
 	if _, err := RunSteal(rt, StealConfig{M: 100, ChunkDim: 30}); err == nil {
 		t.Fatal("invalid config accepted")
 	}
+}
+
+// stealGoldenCase is one pinned run of the leaf balancer.
+type stealGoldenCase struct {
+	name       string
+	mode       StealMode
+	outage     bool // the leaf GPU is offline for part of the run
+	functional bool
+}
+
+// runStealGolden runs one case on the small APU with a trace recorder and
+// formats every observable the golden pins: elapsed, busy time per
+// category, the scheduling counters, and the FNV of the ordered trace.
+func runStealGolden(t *testing.T, tc stealGoldenCase) string {
+	t.Helper()
+	e := sim.NewEngine()
+	tree := topo.APU(e, topo.APUConfig{Storage: topo.SSD, StorageMiB: 64, DRAMMiB: 16, WithCPU: true})
+	rec := trace.NewRecorder(trace.Options{})
+	opts := core.DefaultOptions()
+	opts.Phantom = !tc.functional
+	opts.Trace = rec
+	if tc.outage {
+		inj := fault.New(e, fault.Config{Seed: 7})
+		inj.TakeProcOffline(tree.Leaves()[0].ID, fault.ClassGPU,
+			fault.Window{From: sim.Milliseconds(1), Until: sim.Milliseconds(3)})
+		opts.Faults = inj
+	}
+	rt := core.NewRuntime(e, tree, opts)
+	cfg := StealConfig{M: 256, ChunkDim: 128, Seed: 5, Iters: 5, GPUQueues: 3, Mode: tc.mode}
+	res, err := RunSteal(rt, cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", tc.name, err)
+	}
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "elapsed=%d busy=", res.Stats.Elapsed)
+	for _, c := range trace.Categories {
+		fmt.Fprintf(&sb, "%d/", res.Stats.Breakdown.Busy(c))
+	}
+	fmt.Fprintf(&sb, " steals=%d pops=%d failovers=%d gpu=%d cpu=%d",
+		res.Steals, res.Pops, res.Failovers, res.TasksByGPU, res.TasksByCPU)
+	h := fnv.New64a()
+	evs := rec.Events()
+	for _, ev := range evs {
+		fmt.Fprintf(h, "%d|%d|%s|%d|%s|%d|%d|%d|%d\n", ev.Kind, ev.Cat, ev.Name,
+			ev.Lane.Node, ev.Lane.Track, ev.Start, ev.Dur, ev.Value, ev.Seq)
+	}
+	fmt.Fprintf(&sb, " events=%d trace=%016x", len(evs), h.Sum64())
+	return sb.String()
+}
+
+// TestStealGolden pins the leaf balancer's schedule in both modes, with
+// and without a GPU outage that opens and closes mid-run, functional and
+// phantom. A change to the worker loop or the victim order that fails it
+// moved a schedule.
+func TestStealGolden(t *testing.T) {
+	for _, mode := range []StealMode{CPUGPU, GPUOnly} {
+		for _, outage := range []bool{false, true} {
+			for _, functional := range []bool{false, true} {
+				tc := stealGoldenCase{name: mode.String(), mode: mode, outage: outage, functional: functional}
+				if outage {
+					tc.name += "/outage"
+				}
+				if functional {
+					tc.name += "/functional"
+				}
+				t.Run(tc.name, func(t *testing.T) {
+					got := runStealGolden(t, tc)
+					if w, ok := stealGoldenWant[tc.name]; !ok || got != w {
+						t.Errorf("%s:\n got %s\nwant %s", tc.name, got, w)
+					}
+				})
+			}
+		}
+	}
+}
+
+// stealGoldenWant holds each case's pinned observables.
+var stealGoldenWant = map[string]string{
+	"cpu+gpu":                    "elapsed=2451564 busy=1426800/486400/0/0/40000/53300/3442053/106000/ steals=12 pops=148 failovers=0 gpu=80 cpu=80 events=374 trace=bc48b3e10222415c",
+	"cpu+gpu/functional":         "elapsed=2451564 busy=1426800/486400/0/0/40000/53300/3442053/106000/ steals=12 pops=148 failovers=0 gpu=80 cpu=80 events=374 trace=bc48b3e10222415c",
+	"cpu+gpu/outage":             "elapsed=2563064 busy=2140200/243200/0/0/40000/53300/3318350/106000/ steals=46 pops=114 failovers=40 gpu=40 cpu=120 events=408 trace=09002cc3e587a4d1",
+	"cpu+gpu/outage/functional":  "elapsed=2563064 busy=2140200/243200/0/0/40000/53300/3318350/106000/ steals=46 pops=114 failovers=40 gpu=40 cpu=120 events=408 trace=09002cc3e587a4d1",
+	"gpu-only":                   "elapsed=2449589 busy=0/972800/0/0/40000/53300/3447978/90000/ steals=24 pops=136 failovers=0 gpu=160 cpu=0 events=370 trace=159e148ebdbbeb7e",
+	"gpu-only/functional":        "elapsed=2449589 busy=0/972800/0/0/40000/53300/3447978/90000/ steals=24 pops=136 failovers=0 gpu=160 cpu=0 events=370 trace=159e148ebdbbeb7e",
+	"gpu-only/outage":            "elapsed=3820914 busy=0/972800/0/0/40000/53300/3053340/90000/ steals=24 pops=136 failovers=0 gpu=160 cpu=0 events=370 trace=2bdd702a69e10e37",
+	"gpu-only/outage/functional": "elapsed=3820914 busy=0/972800/0/0/40000/53300/3053340/90000/ steals=24 pops=136 failovers=0 gpu=160 cpu=0 events=370 trace=2bdd702a69e10e37",
 }

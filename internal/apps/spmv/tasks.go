@@ -22,13 +22,9 @@ func RunTasks(rt *core.Runtime, cfg Config, opts taskgraph.Options) (*Result, *t
 	if err != nil {
 		return nil, nil, err
 	}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 2
-	}
 	// Shards are sized for the worker pool: each in-flight task holds one
 	// shard's extents pinned at the staging level.
-	if err := p.planShards(workers); err != nil {
+	if err := p.planShards(opts.Width()); err != nil {
 		return nil, nil, err
 	}
 

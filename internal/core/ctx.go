@@ -290,8 +290,11 @@ func (c *Ctx) Sequential(n, depth int, stages ...func(sub *Ctx, i int) error) er
 }
 
 // GPUModel returns the GPU attached to the current node, or nil.
-func (c *Ctx) GPUModel() *gpu.GPU {
-	if g, ok := c.node.Processor(proc.GPU).(*gpu.GPU); ok {
+func (c *Ctx) GPUModel() *gpu.GPU { return GPUAt(c.node) }
+
+// GPUAt returns the GPU attached to n, or nil: what Ctx.GPUModel finds at n.
+func GPUAt(n *topo.Node) *gpu.GPU {
+	if g, ok := n.Processor(proc.GPU).(*gpu.GPU); ok {
 		return g
 	}
 	return nil
@@ -299,14 +302,16 @@ func (c *Ctx) GPUModel() *gpu.GPU {
 
 // CPUModel returns the CPU attached to the current node or — following the
 // paper's CPU-on-non-leaf exception — to any ancestor.
-func (c *Ctx) CPUModel() *proc.CPUModel {
-	return c.throughputProc(proc.CPU)
-}
+func (c *Ctx) CPUModel() *proc.CPUModel { return CPUAt(c.node) }
+
+// CPUAt returns the CPU a context at n computes on, or nil: what
+// Ctx.CPUModel finds at n.
+func CPUAt(n *topo.Node) *proc.CPUModel { return throughputAt(n, proc.CPU) }
 
 // PIMModel returns the processor-in-memory attached to the current node or
 // an ancestor (§VI: a PIM is a Northup subtree rooted at its memory node).
 func (c *Ctx) PIMModel() *proc.CPUModel {
-	return c.throughputProc(proc.PIM)
+	return throughputAt(c.node, proc.PIM)
 }
 
 // FPGAModel returns the FPGA attached to the current node's branch, or nil.
@@ -339,18 +344,18 @@ func (c *Ctx) RunFPGA(spec proc.BitstreamSpec, elements int64, fn func()) (sim.T
 	return t, nil
 }
 
-// throughputProc finds a CPUModel-backed processor of the given kind on
-// the current node's branch: first at the node or its ancestors (the
-// paper's CPU-on-non-leaf exception), then down the first-child chain
-// toward the leaf (trees that attach the host CPU at a deeper staging
-// level, e.g. storage -> NVM -> DRAM+CPU).
-func (c *Ctx) throughputProc(k proc.Kind) *proc.CPUModel {
-	for n := c.node; n != nil; n = n.Parent {
+// throughputAt finds a CPUModel-backed processor of the given kind on
+// node's branch: first at the node or its ancestors (the paper's
+// CPU-on-non-leaf exception), then down the first-child chain toward the
+// leaf (trees that attach the host CPU at a deeper staging level, e.g.
+// storage -> NVM -> DRAM+CPU).
+func throughputAt(node *topo.Node, k proc.Kind) *proc.CPUModel {
+	for n := node; n != nil; n = n.Parent {
 		if m, ok := n.Processor(k).(*proc.CPUModel); ok {
 			return m
 		}
 	}
-	for n := c.node; n != nil; {
+	for n := node; n != nil; {
 		if m, ok := n.Processor(k).(*proc.CPUModel); ok {
 			return m
 		}
@@ -388,7 +393,7 @@ func (c *Ctx) RunCPU(flops, bytes float64, fn func()) (sim.Time, error) {
 // RunCPUParallel executes fn functionally and occupies every CPU core for
 // the data-parallel roofline time (an OpenMP-style parallel region).
 func (c *Ctx) RunCPUParallel(flops, bytes float64, fn func()) (sim.Time, error) {
-	m := c.throughputProc(proc.CPU)
+	m := throughputAt(c.node, proc.CPU)
 	if m == nil {
 		return 0, fmt.Errorf("core: no %v at or above %v", proc.CPU, c.node)
 	}
@@ -403,7 +408,7 @@ func (c *Ctx) RunCPUParallel(flops, bytes float64, fn func()) (sim.Time, error) 
 // the memory's internal bandwidth. Running at the data's own node is the
 // point: no move_data to a leaf is needed.
 func (c *Ctx) RunPIM(flops, bytes float64, fn func()) (sim.Time, error) {
-	m := c.throughputProc(proc.PIM)
+	m := throughputAt(c.node, proc.PIM)
 	if m == nil {
 		return 0, fmt.Errorf("core: no %v at or above %v", proc.PIM, c.node)
 	}
@@ -414,7 +419,7 @@ func (c *Ctx) RunPIM(flops, bytes float64, fn func()) (sim.Time, error) {
 }
 
 func (c *Ctx) runThroughput(k proc.Kind, cat trace.Category, flops, bytes float64, fn func()) (sim.Time, error) {
-	m := c.throughputProc(k)
+	m := throughputAt(c.node, k)
 	if m == nil {
 		return 0, fmt.Errorf("core: no %v at or above %v", k, c.node)
 	}

@@ -26,8 +26,8 @@ func BenchmarkDequeStealPath(b *testing.B) {
 	}
 }
 
-// BenchmarkStealFromScan measures victim scanning across many queues.
-func BenchmarkStealFromScan(b *testing.B) {
+// BenchmarkTakeScan measures a dry owner's victim scan across many queues.
+func BenchmarkTakeScan(b *testing.B) {
 	items := make([]int, 32)
 	qs := Partition(items, 32, "q")
 	// Leave work only in the last queue, worst case for the scan.
@@ -36,8 +36,8 @@ func BenchmarkStealFromScan(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if v, victim, ok := StealFrom(qs, 0); ok {
-			qs[victim].PushTail(v)
+		if v, _, ok := Take(qs, 0, nil); ok {
+			qs[31].PushTail(v)
 		}
 	}
 }

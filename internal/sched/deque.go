@@ -150,19 +150,36 @@ type Monitor interface {
 
 var _ Monitor = (*Deque[int])(nil)
 
-// StealFrom attempts to steal one task for owner idx from the other queues,
-// scanning round-robin starting after idx. It returns the task, the victim
-// index, and whether anything was found.
-func StealFrom[T any](queues []*Deque[T], idx int) (T, int, bool) {
-	var zero T
-	n := len(queues)
-	for k := 1; k < n; k++ {
-		v := (idx + k) % n
-		if t, ok := queues[v].StealHead(); ok {
-			return t, v, true
+// Source says where Take found a task.
+type Source int
+
+const (
+	FromOwn     Source = iota // the owner's own tail
+	FromOther                 // the head of a queue of the other processor class
+	FromSibling               // the head of a sibling queue of the owner's class
+)
+
+// Take returns the next task for the owner of own[idx] in the leaf
+// balancer's one victim order (§V-E): the owner's tail, then the head of
+// each queue of the other processor class in index order, then the
+// siblings' heads round-robin after idx. It reports where the task came
+// from, and false when every queue is empty.
+func Take[T any](own []*Deque[T], idx int, other []*Deque[T]) (T, Source, bool) {
+	if t, ok := own[idx].PopTail(); ok {
+		return t, FromOwn, true
+	}
+	for _, q := range other {
+		if t, ok := q.StealHead(); ok {
+			return t, FromOther, true
 		}
 	}
-	return zero, -1, false
+	for k := 1; k < len(own); k++ {
+		if t, ok := own[(idx+k)%len(own)].StealHead(); ok {
+			return t, FromSibling, true
+		}
+	}
+	var zero T
+	return zero, FromOwn, false
 }
 
 // TotalStats sums Stats over the queues: how many tasks left through the

@@ -147,8 +147,8 @@ func TestInterleavedStealingConservesTasks(t *testing.T) {
 				if v, ok := queues[q].PopTail(); ok && !deliver(v) {
 					return false
 				}
-			case 3:
-				if v, _, ok := StealFrom(queues, q); ok && !deliver(v) {
+			case 3: // q's owner takes its own tail, or steals a sibling's head when dry
+				if v, _, ok := Take(queues, q, nil); ok && !deliver(v) {
 					return false
 				}
 			}
@@ -196,23 +196,42 @@ func TestPartitionRoundRobin(t *testing.T) {
 	}
 }
 
+// TestStealFromScansOthers checks Take's victim order on a GPU class of
+// four queues and a CPU class of three: the owner's tail first, then every
+// head of the other class in index order, then the siblings' heads
+// round-robin after the owner, each with its source, and every task
+// exactly once.
 func TestStealFromScansOthers(t *testing.T) {
-	qs := Partition([]int{10, 20, 30}, 3, "q")
-	// Empty own queue 0 via its owner, then steal: should visit queue 1 first.
-	qs[0].PopTail()
-	v, victim, ok := StealFrom(qs, 0)
-	if !ok || v != 20 || victim != 1 {
-		t.Fatalf("StealFrom = %d from %d (%v)", v, victim, ok)
+	gpu := Partition([]int{10, 11, 12, 13, 14, 15, 16, 17}, 4, "gpu") // gpu1 holds 11, 15
+	cpu := Partition([]int{20, 21, 22, 23, 24}, 3, "cpu")             // cpu0 holds 20, 23
+	type take struct {
+		v   int
+		src Source
 	}
-	qs[1].PopTail() // drain remaining... queue1 now empty
-	v, victim, ok = StealFrom(qs, 0)
-	if !ok || v != 30 || victim != 2 {
-		t.Fatalf("second StealFrom = %d from %d (%v)", v, victim, ok)
+	want := []take{
+		{15, FromOwn}, {11, FromOwn},
+		{20, FromOther}, {23, FromOther}, {21, FromOther}, {24, FromOther}, {22, FromOther},
+		{12, FromSibling}, {16, FromSibling}, {13, FromSibling}, {17, FromSibling},
+		{10, FromSibling}, {14, FromSibling},
 	}
-	if _, _, ok = StealFrom(qs, 0); ok {
-		t.Fatal("steal from all-empty queues succeeded")
+	for i, w := range want {
+		v, src, ok := Take(gpu, 1, cpu)
+		if !ok || v != w.v || src != w.src {
+			t.Fatalf("take %d = %d from %d (%v), want %d from %d", i, v, src, ok, w.v, w.src)
+		}
 	}
-	if TotalLen(qs) != 0 {
-		t.Fatalf("TotalLen = %d", TotalLen(qs))
+	if _, _, ok := Take(gpu, 1, cpu); ok {
+		t.Fatal("take from all-empty queues succeeded")
+	}
+	if TotalLen(gpu)+TotalLen(cpu) != 0 {
+		t.Fatalf("TotalLen = %d", TotalLen(gpu)+TotalLen(cpu))
+	}
+	// Without another class, a dry owner goes straight to its siblings,
+	// starting after itself and wrapping.
+	qs := Partition([]int{10, 20, 30, 40}, 4, "q")
+	for i, w := range []take{{20, FromOwn}, {30, FromSibling}, {40, FromSibling}, {10, FromSibling}} {
+		if v, src, ok := Take(qs, 1, nil); !ok || v != w.v || src != w.src {
+			t.Fatalf("sibling take %d = %d from %d (%v), want %d from %d", i, v, src, ok, w.v, w.src)
+		}
 	}
 }

@@ -279,6 +279,56 @@ func (r *Resource) Use(p *Proc, d Time) {
 	r.Release()
 }
 
+// Tokens is a count of interchangeable tokens in virtual time: a Chan of
+// empty values without the buffer. Takers wait in arrival order, and each
+// token Put hands goes straight to the oldest waiting one.
+type Tokens struct {
+	e       *Engine
+	n       int
+	closed  bool
+	waiters waitList
+}
+
+// NewTokens returns an empty, open count bound to e.
+func NewTokens(e *Engine) *Tokens { return &Tokens{e: e} }
+
+// Put adds a token, waking the oldest waiting taker with it. Put after
+// Close does nothing.
+func (t *Tokens) Put() {
+	if t.closed {
+		return
+	}
+	if t.waiters.empty() {
+		t.n++
+		return
+	}
+	t.waiters.wakeOne(t.e)
+}
+
+// Take removes a token, blocking p while there is none. It returns false
+// once the count is closed, whatever tokens are left.
+func (t *Tokens) Take(p *Proc) bool {
+	if t.closed {
+		return false
+	}
+	if t.n > 0 {
+		t.n--
+		return true
+	}
+	t.waiters.push(p)
+	p.block()
+	return !t.closed
+}
+
+// Close closes the count and wakes every waiting taker empty-handed.
+// Closing twice does nothing.
+func (t *Tokens) Close() {
+	if !t.closed {
+		t.closed = true
+		t.waiters.wakeAll(t.e)
+	}
+}
+
 // Chan is a bounded FIFO channel in virtual time. A capacity of zero gives
 // rendezvous (unbuffered) semantics. Values are handed to receivers in send
 // order; blocked senders and receivers are served in arrival order.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -502,5 +503,107 @@ func TestResourceQueueStats(t *testing.T) {
 	// Job 2 waits 10, job 3 waits 20.
 	if total != 30 {
 		t.Fatalf("wait total = %v, want 30", total)
+	}
+}
+
+// tokenOps is one implementation of a ready count under test.
+type tokenOps struct {
+	put   func()
+	take  func(*Proc) bool
+	close func()
+}
+
+// TestTokensMatchChan runs one seeded script of bursty puts, busy takers
+// and a final close over Tokens and over a Chan of empty values big enough
+// never to block. Every dispatch and every take must happen at the same
+// instant and in the same order: Tokens wakes idle takers exactly as the
+// channel wakes its receivers.
+func TestTokensMatchChan(t *testing.T) {
+	run := func(seed uint64, newOps func(e *Engine) tokenOps) string {
+		e := NewEngine()
+		ops := newOps(e)
+		var sb strings.Builder
+		e.SetTrace(func(tm Time, p *Proc) { fmt.Fprintf(&sb, "%d:%s;", tm, p.Name()) })
+		state := seed
+		next := func(mod int) int {
+			state = state*6364136223846793005 + 1442695040888963407
+			return int(state>>33) % mod
+		}
+		e.Spawn("producer", func(p *Proc) {
+			for i := 0; i < 60; i++ {
+				p.Sleep(Time(next(4)))
+				for n := next(4); n > 0; n-- {
+					ops.put()
+				}
+			}
+			p.Sleep(1000) // long enough for every taker to go idle
+			ops.close()
+		})
+		for k := 0; k < 4; k++ {
+			k := k
+			e.Spawn(fmt.Sprintf("taker%d", k), func(p *Proc) {
+				for n := 0; ops.take(p); n++ {
+					fmt.Fprintf(&sb, "take%d@%d;", k, p.Now())
+					p.Sleep(Time(1 + (k+n)%5))
+				}
+				fmt.Fprintf(&sb, "done%d@%d;", k, p.Now())
+			})
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	for seed := uint64(1); seed <= 20; seed++ {
+		tokens := run(seed, func(e *Engine) tokenOps {
+			tk := NewTokens(e)
+			return tokenOps{tk.Put, tk.Take, tk.Close}
+		})
+		chans := run(seed, func(e *Engine) tokenOps {
+			c := NewChan(e, 1<<20)
+			return tokenOps{
+				put:   func() { c.TrySend(struct{}{}) },
+				take:  func(p *Proc) bool { _, ok := c.Recv(p); return ok },
+				close: c.Close,
+			}
+		})
+		if tokens != chans {
+			t.Fatalf("seed %d: Tokens and Chan schedules differ:\n%s\n%s", seed, tokens, chans)
+		}
+		if !strings.Contains(tokens, "take3@") {
+			t.Fatalf("seed %d: a taker never took a token: %s", seed, tokens)
+		}
+	}
+}
+
+// TestTokensClose checks what Close promises: waiting takers wake
+// empty-handed, later takes fail at once even with tokens left, and puts
+// after it do nothing.
+func TestTokensClose(t *testing.T) {
+	e := NewEngine()
+	tk := NewTokens(e)
+	var log []string
+	for k := 0; k < 2; k++ {
+		k := k
+		e.Spawn(fmt.Sprintf("w%d", k), func(p *Proc) {
+			log = append(log, fmt.Sprintf("w%d:%v@%d", k, tk.Take(p), p.Now()))
+		})
+	}
+	e.Spawn("closer", func(p *Proc) {
+		p.Sleep(5)
+		tk.Close()
+		tk.Put()
+		tk.Close()
+		log = append(log, fmt.Sprintf("late:%v", tk.Take(p)))
+		left := NewTokens(e)
+		left.Put()
+		left.Close()
+		log = append(log, fmt.Sprintf("left:%v", left.Take(p)))
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(log, " "), "late:false left:false w0:false@5 w1:false@5"; got != want {
+		t.Fatalf("got %q, want %q", got, want)
 	}
 }

@@ -434,3 +434,119 @@ var goldenPlacementWant = map[string]string{
 	"grid/invalidate":      "elapsed=4122299 stats=36/0/0/36/3735552 cache=54/18/7/0/0/0/3/0/3538944/1179648 places=36/cfd6471f7ab53c0c events=482 trace=0cf2fe7c7cd0e9a2",
 	"grid/release":         "elapsed=1608875 stats=36/0/0/36/2359296 cache=36/12/4/0/0/0/0/0/2359296/786432 places=36/a1e6eba31b06fd17 events=287 trace=536b24293553fc80",
 }
+
+// policyLog hashes each placement as (task id, policy): the "place"
+// instant carries the task, and the policy's placement counter has
+// already counted the decision when the instant is emitted.
+type policyLog struct {
+	counters map[string]*obs.Counter
+	last     map[string]int64
+	n        int
+	h        hash.Hash64
+}
+
+func (l *policyLog) Span(*sim.Proc, trace.Lane, trace.Category, string, sim.Time, sim.Time, int64) {
+}
+func (l *policyLog) Counter(trace.Lane, string, sim.Time, int64) {}
+func (l *policyLog) Instant(_ trace.Lane, name string, _ sim.Time, id int64) {
+	if name != "place" {
+		return
+	}
+	for _, policy := range []string{"queue", "steal", "affinity"} {
+		if v := l.counters[policy].Value(); v != l.last[policy] {
+			fmt.Fprintf(l.h, "%d|%s\n", id, policy)
+			l.last[policy] = v
+		}
+	}
+	l.n++
+}
+
+// stealingCase is one pinned run of the stealing table.
+type stealingCase struct {
+	name     string
+	env      goldenEnv
+	run      goldenRun
+	workers  int
+	affinity bool
+}
+
+// stealingCases builds the stealing table: the apps' task graphs for
+// every worker count, with and without the staging cache, then a grid
+// whose task [2,3] fails, under both policies, so the abort path that
+// releases idle workers is pinned too.
+func stealingCases() []stealingCase {
+	var cases []stealingCase
+	for _, app := range []struct {
+		name string
+		run  goldenRun
+		set  int64
+	}{
+		{"gemm", gemmRun, goldenGemmN * goldenGemmN * 4},
+		{"spmv", spmvRun, goldenSpmvRows * goldenSpmvNNZ * 8 / 2},
+	} {
+		for _, w := range []int{1, 2, 4} {
+			cases = append(cases,
+				stealingCase{name: fmt.Sprintf("%s/w%d/nocache", app.name, w), run: app.run, workers: w},
+				stealingCase{name: fmt.Sprintf("%s/w%d/set", app.name, w), run: app.run, workers: w,
+					env: goldenEnv{cacheBytes: app.set}})
+		}
+	}
+	failing := gridRun(gridOpts{dim: 5, shardBytes: 64 << 10,
+		poke: func(c *core.Ctx, g *grid, i, j int) error {
+			if i == 2 && j == 3 {
+				return fmt.Errorf("task [%d,%d] failed", i, j)
+			}
+			return nil
+		}})
+	return append(cases,
+		stealingCase{name: "grid/error", run: failing, workers: 3},
+		stealingCase{name: "grid/error/affinity", run: failing, workers: 3, affinity: true})
+}
+
+// TestStealingPlacementGolden pins the locality-blind baseline's ordered
+// placements with their policies, its statistics, makespan and trace; the
+// grid cases pin a failing run under either policy.
+func TestStealingPlacementGolden(t *testing.T) {
+	for _, tc := range stealingCases() {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			rt, rec, reg := newGoldenRuntime(tc.env)
+			log := &policyLog{h: fnv.New64a(), counters: map[string]*obs.Counter{}, last: map[string]int64{}}
+			for _, policy := range []string{"queue", "steal", "affinity"} {
+				log.counters[policy] = reg.Counter("northup_sched_placements_total", "", obs.L("policy", policy))
+			}
+			defer rt.Subscribe(log)()
+			elapsed, st, err := tc.run(rt, taskgraph.Options{Workers: tc.workers, Affinity: tc.affinity})
+			h := fnv.New64a()
+			evs := rec.Events()
+			for _, ev := range evs {
+				fmt.Fprintf(h, "%d|%d|%s|%d|%s|%d|%d|%d|%d\n", ev.Kind, ev.Cat, ev.Name,
+					ev.Lane.Node, ev.Lane.Track, ev.Start, ev.Dur, ev.Value, ev.Seq)
+			}
+			got := fmt.Sprintf("elapsed=%d now=%d stats=%d/%d/%d/%d/%d places=%d/%016x events=%d trace=%016x err=%v",
+				elapsed, rt.Engine().Now(), st.Tasks, st.Pops, st.Steals, st.AffinityPicks, st.SavedBytes,
+				log.n, log.h.Sum64(), len(evs), h.Sum64(), err)
+			if want, ok := goldenStealingWant[tc.name]; !ok || got != want {
+				t.Errorf("%s:\n got %s\nwant %s", tc.name, got, want)
+			}
+		})
+	}
+}
+
+// goldenStealingWant holds each stealing case's pinned observables.
+var goldenStealingWant = map[string]string{
+	"gemm/w1/nocache":     "elapsed=18736616 now=18736616 stats=64/64/0/0/0 places=64/a1322928d368e69f events=1409 trace=a25e8155f96c240c err=<nil>",
+	"gemm/w1/set":         "elapsed=13833936 now=13833936 stats=64/64/0/0/0 places=64/a1322928d368e69f events=1369 trace=f535d189f7243437 err=<nil>",
+	"gemm/w2/nocache":     "elapsed=14962704 now=14962704 stats=64/64/0/0/0 places=64/4d1ad8248bc183dd events=1410 trace=207d3b7dad1cd889 err=<nil>",
+	"gemm/w2/set":         "elapsed=10329024 now=10329024 stats=64/64/0/0/0 places=64/4d1ad8248bc183dd events=1370 trace=e5a8a05230b36c03 err=<nil>",
+	"gemm/w4/nocache":     "elapsed=14962704 now=14962704 stats=64/64/0/0/0 places=64/b6102217b8d31c85 events=1412 trace=f6169a4c4d7f821d err=<nil>",
+	"gemm/w4/set":         "elapsed=10329024 now=10329024 stats=64/64/0/0/0 places=64/b6102217b8d31c85 events=1372 trace=8917c2ea87d7cd62 err=<nil>",
+	"spmv/w1/nocache":     "elapsed=9454136 now=9454136 stats=26/26/0/0/0 places=26/ef9e652fc63d6c9a events=593 trace=f8deedfb27743990 err=<nil>",
+	"spmv/w1/set":         "elapsed=9444136 now=9444136 stats=26/26/0/0/0 places=26/ef9e652fc63d6c9a events=717 trace=1761633404516f0b err=<nil>",
+	"spmv/w2/nocache":     "elapsed=7181015 now=7181015 stats=26/16/10/0/0 places=26/b1bba57f7a51481a events=604 trace=22f901543087f839 err=<nil>",
+	"spmv/w2/set":         "elapsed=6635856 now=6635856 stats=26/15/11/0/0 places=26/77e25959e80b76f8 events=699 trace=d5a3ed443cebb4c4 err=<nil>",
+	"spmv/w4/nocache":     "elapsed=7157156 now=7157156 stats=26/12/14/0/0 places=26/1099a2ff86128898 events=610 trace=b8b2466b3cbb0149 err=<nil>",
+	"spmv/w4/set":         "elapsed=6594714 now=6594714 stats=26/12/14/0/0 places=26/2e49639fa90516ca events=704 trace=da9e367d6a464251 err=<nil>",
+	"grid/error":          "elapsed=0 now=2878467 stats=25/13/0/0/0 places=13/a3d0e5a96d4b12ec events=211 trace=7ff517f9233f7fbb err=task [2,3] failed",
+	"grid/error/affinity": "elapsed=0 now=3728955 stats=25/0/0/17/0 places=17/48fe32b22f3501ac events=275 trace=0c3c1832e4f6e300 err=task [2,3] failed",
+}

@@ -287,6 +287,15 @@ type Options struct {
 	Profile *sched.ProfileScheduler
 }
 
+// Width returns the worker-pool width Run uses for a graph of more tasks
+// than workers: Workers, or 2 when unset.
+func (o Options) Width() int {
+	if o.Workers < 1 {
+		return 2
+	}
+	return o.Workers
+}
+
 // Stats reports how the pool dispatched the graph.
 type Stats struct {
 	// Tasks is the number of tasks in the graph.
@@ -340,27 +349,13 @@ type run struct {
 	workers int
 	nblock  []int // per task: predecessors not yet completed
 
-	// tokens carries one send per task that becomes ready; its capacity
-	// covers the whole graph so sends never block, and closing it (all
-	// done, or first error) releases every idle worker.
-	tokens    *sim.Chan
-	closed    bool
+	// ready counts the ready tasks no worker has taken yet; an idle worker
+	// waits on it, and closing it (all done, or first error) releases
+	// every idle worker.
+	ready     *sim.Tokens
 	err       error // the first task error; later tasks are skipped
 	completed int
 	depth     *core.QueueDepthSlot
-}
-
-func (r *run) signal() {
-	if !r.closed {
-		r.tokens.TrySend(struct{}{})
-	}
-}
-
-func (r *run) close() {
-	if !r.closed {
-		r.closed = true
-		r.tokens.Close()
-	}
 }
 
 // Run executes the graph on a pool of workers spawned at c's node and
@@ -384,13 +379,8 @@ func (g *Graph) runWith(c *core.Ctx, o Options, policy func(*run)) (*Stats, erro
 	if len(g.tasks) == 0 {
 		return st, nil
 	}
-	r := &run{g: g, c: c, o: o, st: st, node: o.Node, workers: o.Workers,
-		nblock: make([]int, len(g.tasks)),
-		tokens: sim.NewChan(c.Proc().Engine(), len(g.tasks))}
-	if r.workers < 1 {
-		r.workers = 2
-	}
-	r.workers = min(r.workers, len(g.tasks))
+	r := &run{g: g, c: c, o: o, st: st, node: o.Node, workers: min(o.Width(), len(g.tasks)),
+		nblock: make([]int, len(g.tasks)), ready: sim.NewTokens(c.Proc().Engine())}
 	if r.node == nil {
 		r.node = c.Node()
 	}
@@ -401,6 +391,51 @@ func (g *Graph) runWith(c *core.Ctx, o Options, policy func(*run)) (*Stats, erro
 	defer r.depth.Close()
 	policy(r)
 	return st, r.err
+}
+
+// work runs the worker pool both policies share. push hands the policy a
+// ready task, naming the worker whose completion readied it (initially
+// ready tasks are dealt round-robin in program order), and settle follows
+// each batch of pushes; take places a ready task for idle worker w, naming
+// the policy that placed it and the input bytes it found resident. Workers
+// run until every task has completed or one has failed.
+func (r *run) work(push func(w, id int), settle func(), take func(w int) (id int, policy string, saved int64, ok bool)) {
+	k := 0
+	for id := range r.g.tasks {
+		if r.nblock[id] == 0 {
+			push(k%r.workers, id)
+			k++
+			r.ready.Put()
+		}
+	}
+	settle()
+	c := r.c
+	wg := sim.NewWaitGroup(c.Runtime().Engine())
+	for w := 0; w < r.workers; w++ {
+		wg.Add(1)
+		c.Spawn(fmt.Sprintf("tg-worker%d", w), c.Node(), func(sub *core.Ctx) error {
+			defer wg.Done()
+			for r.ready.Take(sub.Proc()) {
+				id, policy, saved, ok := take(w)
+				if !ok || !r.execute(sub, id, policy, saved) {
+					continue
+				}
+				for _, d := range r.g.tasks[id].outs {
+					r.nblock[d]--
+					if r.nblock[d] == 0 {
+						push(w, d)
+						r.ready.Put()
+					}
+				}
+				settle()
+				if r.completed == len(r.g.tasks) {
+					r.ready.Close()
+				}
+			}
+			return nil
+		})
+	}
+	wg.Wait(c.Proc())
 }
 
 // execute runs one placed task on a worker context, feeding the profile and
@@ -415,7 +450,7 @@ func (r *run) execute(sub *core.Ctx, id int, policy string, saved int64) bool {
 		if r.err == nil {
 			r.err = err
 		}
-		r.close()
+		r.ready.Close()
 		return false
 	}
 	if r.o.Profile != nil {
@@ -425,81 +460,26 @@ func (r *run) execute(sub *core.Ctx, id int, policy string, saved int64) bool {
 	return true
 }
 
-// unblock readies id's successors that no longer wait on anything,
-// handing each to push and signalling a worker.
-func (r *run) unblock(id int, push func(int)) {
-	for _, d := range r.g.tasks[id].outs {
-		r.nblock[d]--
-		if r.nblock[d] == 0 {
-			push(d)
-			r.signal()
-		}
-	}
-}
-
-// closeIfDone releases the workers once every task has completed.
-func (r *run) closeIfDone() {
-	if r.completed == len(r.g.tasks) {
-		r.close()
-	}
-}
-
-// runStealing is the locality-blind baseline: per-worker deques, initially
-// round-robin partitioned, owners popping their own tails and stealing from
-// siblings when dry — the same topology every app's bespoke scheduler used.
+// runStealing is the locality-blind baseline: per-worker deques, owners
+// popping their own tails and stealing from siblings when dry (sched.Take's
+// victim order with no other class) — the same topology every app's
+// bespoke scheduler used. A readied task lands on its worker's own queue:
+// successors follow their producer unless stolen. The deque hooks keep the
+// depth gauge.
 func (r *run) runStealing() {
-	c := r.c
 	queues := make([]*sched.Deque[int], r.workers)
 	for i := range queues {
 		queues[i] = sched.NewDeque[int](fmt.Sprintf("tg%d", i))
 	}
-	detach := core.WatchDeques(c, r.node, r.depth, queues)
+	detach := core.WatchDeques(r.c, r.node, r.depth, queues)
 	defer detach()
-
-	// Initially ready tasks spread round-robin in program order, the layout
-	// sched.Partition gives the apps' hand-wired queues.
-	k := 0
-	for id := range r.g.tasks {
-		if r.nblock[id] == 0 {
-			queues[k%r.workers].PushTail(id)
-			k++
-			r.signal()
+	r.work(func(w, id int) { queues[w].PushTail(id) }, func() {}, func(w int) (int, string, int64, bool) {
+		id, src, ok := sched.Take(queues, w, nil)
+		if src == sched.FromOwn {
+			return id, "queue", 0, ok
 		}
-	}
-
-	wg := sim.NewWaitGroup(c.Runtime().Engine())
-	for w := 0; w < r.workers; w++ {
-		wg.Add(1)
-		w := w
-		own := queues[w]
-		c.Spawn(fmt.Sprintf("tg-worker%d", w), c.Node(), func(sub *core.Ctx) error {
-			defer wg.Done()
-			for {
-				if _, ok := r.tokens.Recv(sub.Proc()); !ok {
-					return nil
-				}
-				if r.err != nil {
-					continue // draining after an abort
-				}
-				id, ok := own.PopTail()
-				policy := "queue"
-				if !ok {
-					if id, _, ok = sched.StealFrom(queues, w); !ok {
-						continue
-					}
-					policy = "steal"
-				}
-				if !r.execute(sub, id, policy, 0) {
-					continue
-				}
-				// Newly unblocked tasks land on the completing worker's own
-				// queue: successors follow their producer unless stolen.
-				r.unblock(id, own.PushTail)
-				r.closeIfDone()
-			}
-		})
-	}
-	wg.Wait(c.Proc())
+		return id, "steal", 0, ok
+	})
 	r.st.Pops, r.st.Steals = sched.TotalStats(queues)
 }
 
@@ -511,55 +491,28 @@ func (r *run) runStealing() {
 // cache state: the pick is the minimum of (price, -overlap, id), whatever
 // order the ready list is in.
 func (r *run) runAffinity() {
-	c := r.c
-	rt := c.Runtime()
 	p := newPrices(r)
-	detach := rt.WatchResidency(r.node, p.watch)
+	detach := r.c.Runtime().WatchResidency(r.node, p.watch)
 	defer detach()
 
 	ready := make([]int, 0, len(r.g.tasks))
 	noteDepth := func() { r.depth.Set(int64(len(ready))) }
-	for id := range r.g.tasks {
-		if r.nblock[id] == 0 {
-			ready = append(ready, id)
-			r.signal()
+	last := make([]*Task, r.workers) // each worker's previous task
+	r.work(func(_, id int) { ready = append(ready, id) }, noteDepth, func(w int) (int, string, int64, bool) {
+		if len(ready) == 0 {
+			return 0, "", 0, false
 		}
-	}
-	noteDepth()
-	push := func(d int) { ready = append(ready, d) }
-
-	wg := sim.NewWaitGroup(rt.Engine())
-	for w := 0; w < r.workers; w++ {
-		wg.Add(1)
-		c.Spawn(fmt.Sprintf("tg-worker%d", w), c.Node(), func(sub *core.Ctx) error {
-			defer wg.Done()
-			var last *Task
-			for {
-				if _, ok := r.tokens.Recv(sub.Proc()); !ok {
-					return nil
-				}
-				if r.err != nil || len(ready) == 0 {
-					continue
-				}
-				best := p.pick(ready, last)
-				id := ready[best]
-				ready[best] = ready[len(ready)-1]
-				ready = ready[:len(ready)-1]
-				noteDepth()
-				saved := p.resident[id]
-				r.st.AffinityPicks++
-				r.st.SavedBytes += saved
-				last = r.g.tasks[id]
-				if !r.execute(sub, id, "affinity", saved) {
-					continue
-				}
-				r.unblock(id, push)
-				noteDepth()
-				r.closeIfDone()
-			}
-		})
-	}
-	wg.Wait(c.Proc())
+		best := p.pick(ready, last[w])
+		id := ready[best]
+		ready[best] = ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
+		noteDepth()
+		saved := p.resident[id]
+		r.st.AffinityPicks++
+		r.st.SavedBytes += saved
+		last[w] = r.g.tasks[id]
+		return id, "affinity", saved, true
+	})
 }
 
 // prices is affinity placement's cache of each task's move price: the

@@ -459,16 +459,31 @@ func BenchmarkAffinityPick(b *testing.B) {
 // rescanAffinity is affinity placement as it was before prices were
 // cached: every pick rescores every ready task against the cache from
 // scratch and removes the winner in place. It is the oracle the cached
-// scorer must agree with pick for pick.
+// scorer must agree with pick for pick, and it keeps its own worker loop,
+// woken by a channel of ready tokens, so the comparison also holds run.work
+// and its ready count to an independent loop.
 func rescanAffinity(r *run) {
 	c := r.c
 	rt := c.Runtime()
+	tokens := sim.NewChan(rt.Engine(), len(r.g.tasks))
+	closed := false
+	signal := func() {
+		if !closed {
+			tokens.TrySend(struct{}{})
+		}
+	}
+	stop := func() {
+		if !closed {
+			closed = true
+			tokens.Close()
+		}
+	}
 	var ready []int
 	noteDepth := func() { r.depth.Set(int64(len(ready))) }
 	for id := range r.g.tasks {
 		if r.nblock[id] == 0 {
 			ready = append(ready, id)
-			r.signal()
+			signal()
 		}
 	}
 	noteDepth()
@@ -498,7 +513,7 @@ func rescanAffinity(r *run) {
 			defer wg.Done()
 			var last *Task
 			for {
-				if _, ok := r.tokens.Recv(sub.Proc()); !ok {
+				if _, ok := tokens.Recv(sub.Proc()); !ok {
 					return nil
 				}
 				if r.err != nil || len(ready) == 0 {
@@ -531,11 +546,20 @@ func rescanAffinity(r *run) {
 				r.st.SavedBytes += bestSaved
 				last = r.g.tasks[id]
 				if !r.execute(sub, id, "affinity", bestSaved) {
+					stop()
 					continue
 				}
-				r.unblock(id, func(d int) { ready = append(ready, d) })
+				for _, d := range r.g.tasks[id].outs {
+					r.nblock[d]--
+					if r.nblock[d] == 0 {
+						ready = append(ready, d)
+						signal()
+					}
+				}
 				noteDepth()
-				r.closeIfDone()
+				if r.completed == len(r.g.tasks) {
+					stop()
+				}
 			}
 		})
 	}
