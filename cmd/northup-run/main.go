@@ -358,11 +358,7 @@ func main() {
 		fmt.Printf("gemm: N=%d shard=%d\n", n, res.ShardDim)
 	case "hotspot":
 		if o.steal {
-			chunkDim := o.chunk
-			if chunkDim <= 0 {
-				chunkDim = n
-			}
-			scfg := northup.StealConfig{M: n, ChunkDim: chunkDim, Seed: 1,
+			scfg := northup.StealConfig{M: n, ChunkDim: o.chunk, Seed: 1,
 				Iters: iters, Mode: northup.CPUGPU}
 			res, err := northup.HotSpotSteal(rt, scfg)
 			if err != nil {
@@ -370,7 +366,7 @@ func main() {
 			}
 			stats = res.Stats
 			fmt.Printf("hotspot: M=%d chunk=%d iters=%d pops=%d steals=%d gpu-tasks=%d cpu-tasks=%d failovers=%d\n",
-				n, chunkDim, iters, res.Pops, res.Steals, res.TasksByGPU, res.TasksByCPU, res.Failovers)
+				n, res.ChunkDim, iters, res.Pops, res.Steals, res.TasksByGPU, res.TasksByCPU, res.Failovers)
 			break
 		}
 		cfg := northup.HotSpotConfig{N: n, Seed: 1, ChunkDim: o.chunk, Iters: iters,

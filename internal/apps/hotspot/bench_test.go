@@ -50,9 +50,12 @@ func BenchmarkNorthupPaperScalePhantom(b *testing.B) {
 	b.ReportMetric(elapsed.Seconds(), "virtual-s")
 }
 
-// BenchmarkStealPaperScale measures the Figure 11 inner loop (one cell).
+// BenchmarkStealPaperScale measures the Figure 11 inner loop (one cell),
+// with the engine's events, callbacks and procs per op.
 func BenchmarkStealPaperScale(b *testing.B) {
+	b.ReportAllocs()
 	var elapsed sim.Time
+	var st sim.Stats
 	for i := 0; i < b.N; i++ {
 		e := sim.NewEngine()
 		tree := topo.APU(e, topo.APUConfig{Storage: topo.SSD,
@@ -66,6 +69,10 @@ func BenchmarkStealPaperScale(b *testing.B) {
 			b.Fatal(err)
 		}
 		elapsed = res.Stats.Elapsed
+		st = e.Stats()
 	}
 	b.ReportMetric(elapsed.Seconds(), "virtual-s")
+	b.ReportMetric(float64(st.Events), "events/op")
+	b.ReportMetric(float64(st.Callbacks), "callbacks/op")
+	b.ReportMetric(float64(st.Procs), "procs/op")
 }

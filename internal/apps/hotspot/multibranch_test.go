@@ -340,6 +340,55 @@ func TestDerivedChunksUseEveryBranch(t *testing.T) {
 	}
 }
 
+// TestStealDerivedChunksUseEveryBranch leaves RunSteal's blocking to
+// runChunked. On a tree of two CPU+GPU branches the whole 1024-wide grid
+// fits one branch as one chunk, which would leave the other idle; the
+// derived chunk must give each branch one, so both branches' GPUs compute.
+// On the single-branch APU it must stay the whole grid, the chunk a run
+// without one took before, and a negative chunk is refused.
+func TestStealDerivedChunksUseEveryBranch(t *testing.T) {
+	spec, err := topo.ParseSpec([]byte(`{"name": "two-apus", "nodes": [
+		{"name": "ssd", "device": "ssd", "capacity_mib": 512},
+		{"name": "dram-a", "parent": "ssd", "device": "dram", "capacity_mib": 2048, "procs": ["apu-gpu", "cpu"]},
+		{"name": "dram-b", "parent": "ssd", "device": "dram", "capacity_mib": 2048, "procs": ["apu-gpu", "cpu"]}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := sim.NewEngine()
+	tree, err := topo.BuildSpec(e, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.DefaultOptions()
+	opts.Phantom = true
+	rt := core.NewRuntime(e, tree, opts)
+	busy := &gpuBusy{byNode: map[int]sim.Time{}}
+	rt.Subscribe(busy)
+	res, err := RunSteal(rt, StealConfig{M: 1024, Iters: 3, Mode: CPUGPU})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ChunkDim != 512 {
+		t.Fatalf("derived chunk %d, want 512 (the largest that gives both branches a chunk)", res.ChunkDim)
+	}
+	for _, dram := range tree.Root().Children {
+		if busy.byNode[dram.ID] <= 0 {
+			t.Fatalf("the GPU at %v computed nothing (GPU busy by node %v)", dram, busy.byNode)
+		}
+	}
+
+	one, err := RunSteal(newStealRuntime(true, true), StealConfig{M: 512, Iters: 3, Mode: CPUGPU})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one.ChunkDim != 512 {
+		t.Fatalf("single branch derived chunk %d, want the whole 512-wide grid", one.ChunkDim)
+	}
+	if _, err := RunSteal(newStealRuntime(true, true), StealConfig{M: 512, ChunkDim: -256}); err == nil {
+		t.Fatal("negative chunk accepted")
+	}
+}
+
 // TestMissingLeafProcessorRefusedUpFront runs the schedules that need a CPU
 // beside the GPU on the asymmetric spec, whose hbm-b leaf has none: each
 // must refuse the tree naming hbm-b before anything is staged, however the

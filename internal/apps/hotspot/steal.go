@@ -43,7 +43,8 @@ const CPUThreads = 4
 
 // StealConfig parameterizes a load-balancing run. M and ChunkDim correspond
 // to the paper's (m, n): the square input lives on the SSD at dimension M
-// and moves to main memory in ChunkDim-sized chunks.
+// and moves to main memory in ChunkDim-sized chunks. ChunkDim 0 derives
+// the chunks from the staging capacity, as Config.ChunkDim does.
 type StealConfig struct {
 	M        int
 	ChunkDim int
@@ -57,8 +58,8 @@ type StealConfig struct {
 }
 
 func (cfg *StealConfig) setDefaults() error {
-	if cfg.M <= 0 || cfg.ChunkDim <= 0 ||
-		cfg.M%cfg.ChunkDim != 0 || cfg.ChunkDim%BlockDim != 0 {
+	if cfg.M <= 0 || cfg.ChunkDim < 0 ||
+		cfg.ChunkDim > 0 && (cfg.M%cfg.ChunkDim != 0 || cfg.ChunkDim%BlockDim != 0) {
 		return fmt.Errorf("hotspot: invalid steal config M=%d chunk=%d", cfg.M, cfg.ChunkDim)
 	}
 	if cfg.Iters <= 0 {
@@ -110,52 +111,120 @@ func RunSteal(rt *core.Runtime, cfg StealConfig) (*StealResult, error) {
 }
 
 // leafClass is one processor class's side of the leaf balancer: its
-// queues, the time and charge of one row on it, its task counter, and when
-// it is offline (nil: never).
+// queues, the time and busy-time category of one row on it, its task
+// counter, and when it is offline (nil: never).
 type leafClass struct {
-	proc     string // worker name prefix; the names are trace lanes
+	name     string // worker name prefix; the names are trace lanes
 	queues   []*sched.Deque[rowTask]
 	taskTime sim.Time
-	charge   func(*core.Ctx, sim.Time)
+	cat      trace.Category
 	tasks    *int64
 	offline  func() (until sim.Time, off bool)
 	peer     *leafClass // the other class, the first victims of a dry worker
 }
 
-// drain runs worker qi of class cl through one iteration: it takes rows in
-// sched.Take's victim order (its own tail, the other class's heads, its
-// siblings' heads) until every queue is dry. An offline worker leaves its
-// queue to the other class's thieves and sits out the iteration; with no
-// other class to fail over to it stalls until the outage window closes.
-func (cl *leafClass) drain(sub *core.Ctx, qi int, res *StealResult, runRow func(rowTask)) {
-	for {
-		if cl.offline != nil {
-			if until, off := cl.offline(); off {
-				if len(cl.peer.queues) > 0 {
-					return
-				}
-				sub.Proc().Sleep(until - sub.Proc().Now())
-				continue
-			}
-		}
-		t, src, ok := sched.Take(cl.queues, qi, cl.peer.queues)
-		if !ok {
-			return
-		}
-		if src != sched.FromOwn {
-			res.Steals++
-			if src == sched.FromOther && cl.peer.offline != nil {
-				if _, off := cl.peer.offline(); off {
-					res.Failovers++
-					sub.Runtime().NoteFailover()
-				}
-			}
-		}
-		runRow(t)
-		sub.Proc().Sleep(cl.taskTime)
-		cl.charge(sub, cl.taskTime)
+// leafRun is the state one chunk's workers share with the chunk's proc,
+// which refills the queues and starts each Jacobi iteration.
+type leafRun struct {
+	lc     *core.Ctx
+	engine *sim.Engine
+	res    *StealResult
+	runRow func(rowTask)
+	// queued counts the rows still in the chunk's queues this iteration: a
+	// worker that reads zero is dry without probing every queue.
+	queued int
+	// started is set when iteration 0 starts; idle holds the workers
+	// waiting for the next iteration, in the order they went dry (or, for
+	// iteration 0, started).
+	started bool
+	idle    []*worker
+	// done is the iteration barrier the chunk's proc waits on.
+	done *sim.WaitGroup
+}
+
+// startIteration releases every idle worker, in the order it went idle.
+func (r *leafRun) startIteration() {
+	r.started = true
+	for _, w := range r.idle {
+		r.engine.At(r.engine.Now(), w.next)
+	}
+	r.idle = r.idle[:0]
+}
+
+// goDry ends w's iteration: it passes the barrier and waits for the next.
+func (r *leafRun) goDry(w *worker) {
+	r.done.Done()
+	r.idle = append(r.idle, w)
+}
+
+// worker is one persistent GPU workgroup or CPU thread (the paper's
+// persistent workgroups): a chain of engine callbacks, one per row it runs,
+// that lives for the chunk.
+type worker struct {
+	run   *leafRun
+	cl    *leafClass
+	qi    int
+	track string // the worker's trace lane
+	busy  bool   // a row is running; the next step charges it
+	next  func() // step, bound once
+}
+
+// start is the worker's first event, where a spawned proc's first
+// resumption would be: it joins iteration 0 if that has started, or waits
+// for it.
+func (w *worker) start() {
+	if !w.run.started {
+		w.run.idle = append(w.run.idle, w)
+		return
+	}
+	w.step()
+}
+
+// step is one link of the chain. It charges the row that just finished,
+// then takes the next row in sched.Take's victim order (its own tail, the
+// other class's heads, its siblings' heads) and runs it, scheduling itself
+// for when the row completes, until every queue is dry. An offline worker
+// leaves its queue to the other class's thieves and sits out the
+// iteration; with no other class to fail over to it stalls until the
+// outage window closes.
+func (w *worker) step() {
+	cl, r := w.cl, w.run
+	if w.busy {
+		w.busy = false
+		r.lc.ChargeTask(w.track, cl.cat, cl.taskTime)
 		*cl.tasks++
 	}
+	if cl.offline != nil {
+		if until, off := cl.offline(); off {
+			if len(cl.peer.queues) > 0 {
+				r.goDry(w)
+			} else {
+				r.engine.At(until, w.next)
+			}
+			return
+		}
+	}
+	if r.queued == 0 {
+		r.goDry(w)
+		return
+	}
+	t, src, ok := sched.Take(cl.queues, w.qi, cl.peer.queues)
+	if !ok {
+		panic(fmt.Sprintf("hotspot: %s found no row with %d queued", w.track, r.queued))
+	}
+	r.queued--
+	if src != sched.FromOwn {
+		r.res.Steals++
+		if src == sched.FromOther && cl.peer.offline != nil {
+			if _, off := cl.peer.offline(); off {
+				r.res.Failovers++
+				r.lc.Runtime().NoteFailover()
+			}
+		}
+	}
+	r.runRow(t)
+	w.busy = true
+	r.engine.At(r.engine.Now()+cl.taskTime, w.next)
 }
 
 // stealCompute runs cfg.Iters stencil iterations over one chunk using work
@@ -186,14 +255,15 @@ func stealCompute(lc *core.Ctx, blk *Block, d int, cfg StealConfig, res *StealRe
 	// GPU workgroups process rows faster, so stealing flows mostly from the
 	// CPU queues to them; dry CPU threads steal from GPU queues too
 	// (stealing is "across the CPU and the GPU", §V-E).
-	gpu := &leafClass{proc: "gpu-wg", queues: queues[:cfg.GPUQueues],
+	gpu := &leafClass{name: "gpu-wg", queues: queues[:cfg.GPUQueues],
 		taskTime: lc.GPUModel().GroupTaskTime(cfg.GPUQueues, rowFlops, rowBytes),
-		charge:   (*core.Ctx).ChargeGPU, tasks: &res.TasksByGPU}
-	cpu := &leafClass{proc: "cpu-th", queues: queues[cfg.GPUQueues:], taskTime: cpuTime,
-		charge: (*core.Ctx).ChargeCPU, tasks: &res.TasksByCPU}
+		cat:      trace.GPUCompute, tasks: &res.TasksByGPU}
+	cpu := &leafClass{name: "cpu-th", queues: queues[cfg.GPUQueues:], taskTime: cpuTime,
+		cat: trace.CPUCompute, tasks: &res.TasksByCPU}
 	gpu.peer, cpu.peer = cpu, gpu
-	// Under fault injection the GPU can go offline (drain degrades to the
-	// CPU threads, or stalls in GPUOnly mode); the CPU class never does.
+	// Under fault injection the GPU can go offline (its rows fail over to
+	// the CPU threads, or it stalls in GPUOnly mode); the CPU class never
+	// does.
 	if inj := lc.Runtime().Faults(); inj != nil {
 		gpu.offline = func() (sim.Time, bool) {
 			return inj.ProcOfflineAt(nodeID, fault.ClassGPU, engine.Now())
@@ -210,36 +280,24 @@ func stealCompute(lc *core.Ctx, blk *Block, d int, cfg StealConfig, res *StealRe
 	detach := core.WatchDeques(lc, lc.Node(), depthSlot, queues)
 	defer detach()
 
-	runRow := func(t rowTask) {
-		if blk != nil {
-			for tx := 0; tx < tilesPerRow; tx++ {
-				blk.StepTile(int(t), tx)
+	run := &leafRun{lc: lc, engine: engine, res: res, queued: rows, done: sim.NewWaitGroup(engine),
+		runRow: func(t rowTask) {
+			if blk != nil {
+				for tx := 0; tx < tilesPerRow; tx++ {
+					blk.StepTile(int(t), tx)
+				}
 			}
-		}
-	}
+		}}
 
 	// Workers persist across iterations (the paper's persistent GPU
-	// workgroups); a latch per iteration releases them and a WaitGroup
-	// forms the inter-iteration barrier, after which queues are refilled.
-	start := make([]*sim.Latch, cfg.Iters)
-	for i := range start {
-		start[i] = sim.NewLatch(engine)
-	}
-	done := sim.NewWaitGroup(engine)
-	workers := sim.NewWaitGroup(engine)
-
+	// workgroups). Each iteration the chunk's proc starts them and waits
+	// at the done barrier for all of them to go dry, then refills the
+	// queues for the next one.
 	for _, cl := range []*leafClass{gpu, cpu} {
 		for qi := range cl.queues {
-			workers.Add(1)
-			lc.Spawn(fmt.Sprintf("%s%d", cl.proc, qi), lc.Node(), func(sub *core.Ctx) error {
-				defer workers.Done()
-				for it := 0; it < cfg.Iters; it++ {
-					start[it].Wait(sub.Proc())
-					cl.drain(sub, qi, res, runRow)
-					done.Done()
-				}
-				return nil
-			})
+			w := &worker{run: run, cl: cl, qi: qi, track: fmt.Sprintf("%s%d", cl.name, qi)}
+			w.next = w.step
+			lc.SpawnCallback(w.start)
 		}
 	}
 	for it := 0; it < cfg.Iters; it++ {
@@ -248,6 +306,7 @@ func stealCompute(lc *core.Ctx, blk *Block, d int, cfg StealConfig, res *StealRe
 			for i, t := range tasks {
 				queues[i%nq].PushTail(t)
 			}
+			run.queued = rows
 		}
 		// Sample the queue depth at each iteration barrier: full after the
 		// refill, and (once the iteration drains) empty again — the sawtooth
@@ -255,16 +314,15 @@ func stealCompute(lc *core.Ctx, blk *Block, d int, cfg StealConfig, res *StealRe
 		// same instants (plus every push/pop/steal through the hooks above).
 		lc.TraceCounter(trace.TrackQueue, "depth", int64(sched.TotalLen(queues)))
 		depthSlot.Set(int64(sched.TotalLen(queues)))
-		done.Add(nq)
-		start[it].Fire()
-		done.Wait(lc.Proc())
+		run.done.Add(nq)
+		run.startIteration()
+		run.done.Wait(lc.Proc())
 		lc.TraceCounter(trace.TrackQueue, "depth", int64(sched.TotalLen(queues)))
 		depthSlot.Set(int64(sched.TotalLen(queues)))
 		if blk != nil {
 			blk.Swap()
 		}
 	}
-	workers.Wait(lc.Proc())
 	pops, _ := sched.TotalStats(queues)
 	res.Pops += pops
 	return nil

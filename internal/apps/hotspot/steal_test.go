@@ -248,6 +248,50 @@ func TestStealConfigValidation(t *testing.T) {
 	}
 }
 
+// TestStealWorkersAreCallbacks guards that the leaf balancer's workers run
+// as engine callbacks, not procs: the proc count does not grow with the
+// queue count, and every executed row costs at least one callback.
+func TestStealWorkersAreCallbacks(t *testing.T) {
+	for _, mode := range []StealMode{CPUGPU, GPUOnly} {
+		var procs []int64
+		for _, q := range []int{3, 32} {
+			rt := newStealRuntime(true, mode == CPUGPU)
+			res, err := RunSteal(rt, StealConfig{M: 512, ChunkDim: 256, Iters: 3, GPUQueues: q, Mode: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := rt.Engine().Stats()
+			procs = append(procs, st.Procs)
+			if rows := res.TasksByGPU + res.TasksByCPU; st.Callbacks < rows {
+				t.Errorf("%v, %d queues: %d callbacks for %d rows", mode, q, st.Callbacks, rows)
+			}
+		}
+		if procs[0] != procs[1] {
+			t.Errorf("%v: %d procs with 3 GPU queues, %d with 32", mode, procs[0], procs[1])
+		}
+	}
+}
+
+// TestStealAllocsDoNotGrowWithIterations guards the steady state of the
+// callback workers: a Jacobi iteration allocates nothing, so a run of 40
+// iterations allocates no more than a run of 5.
+func TestStealAllocsDoNotGrowWithIterations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	allocs := func(iters int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			cfg := StealConfig{M: 512, ChunkDim: 256, Iters: iters, GPUQueues: 8, Mode: CPUGPU}
+			if _, err := RunSteal(newStealRuntime(true, true), cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(5), allocs(40); many > few {
+		t.Fatalf("%v allocations at 40 iterations, %v at 5", many, few)
+	}
+}
+
 // stealGoldenCase is one pinned run of the leaf balancer.
 type stealGoldenCase struct {
 	name       string

@@ -167,6 +167,16 @@ func (c *Ctx) Spawn(name string, node *topo.Node, fn func(*Ctx) error) *Join {
 	return j
 }
 
+// SpawnCallback is Spawn for work that never blocks: it charges the same
+// bookkeeping, then schedules fn as an engine callback at the instant and
+// in the order where Spawn would first resume a new proc, so a scheduler
+// that turns its procs into callback chains keeps their schedule. fn must
+// not block (see sim.Engine.At).
+func (c *Ctx) SpawnCallback(fn func()) {
+	c.rt.chargeOverhead(c.p)
+	c.rt.engine.At(c.rt.engine.Now(), fn)
+}
+
 // errOnce latches the first error a group of cooperating tasks reports, so
 // no error is ever dropped between the check and the assignment. The
 // single-threaded simulation interleaves tasks only at blocking points, so
@@ -444,17 +454,12 @@ func computeTrack(cat trace.Category) (track, name string) {
 	}
 }
 
-// ChargeCPU accounts externally computed CPU time (used by the stealing
-// scheduler, whose workers manage their own functional execution). The
-// caller has just slept t, so the span covers [now-t, now) on the worker's
-// own lane — each worker process renders as its own timeline track.
-func (c *Ctx) ChargeCPU(t sim.Time) {
-	c.rt.chargeSpan(c.p, trace.Lane{Node: c.node.ID, Track: c.p.Name()},
-		trace.CPUCompute, spanWorkerTask, c.p.Now()-t, c.p.Now(), 0)
-}
-
-// ChargeGPU accounts externally computed GPU time.
-func (c *Ctx) ChargeGPU(t sim.Time) {
-	c.rt.chargeSpan(c.p, trace.Lane{Node: c.node.ID, Track: c.p.Name()},
-		trace.GPUCompute, spanWorkerTask, c.p.Now()-t, c.p.Now(), 0)
+// ChargeTask accounts d of compute in category cat that a proc-less worker
+// at the current node (an engine-callback chain started by SpawnCallback)
+// has just finished: the span [now-d, now) on the worker's own lane, named
+// by track, so each worker renders as its own timeline track. Like
+// asyncMove's spans it is made from an engine callback and carries no proc.
+func (c *Ctx) ChargeTask(track string, cat trace.Category, d sim.Time) {
+	now := c.rt.engine.Now()
+	c.rt.chargeSpan(nil, trace.Lane{Node: c.node.ID, Track: track}, cat, spanWorkerTask, now-d, now, 0)
 }

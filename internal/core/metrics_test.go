@@ -42,8 +42,8 @@ func metricsWorkload(rt *Runtime) error {
 		if err := c.MoveData(dst, src, 0, 0, 1<<16); err != nil {
 			return err
 		}
-		c.ChargeCPU(sim.Microseconds(500))
-		c.ChargeGPU(sim.Microseconds(250))
+		c.ChargeTask(c.Proc().Name(), trace.CPUCompute, sim.Microseconds(500))
+		c.ChargeTask(c.Proc().Name(), trace.GPUCompute, sim.Microseconds(250))
 		return nil
 	})
 	return err

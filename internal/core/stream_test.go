@@ -292,7 +292,7 @@ func TestStreamedConsumerOverlapSpeedup(t *testing.T) {
 				OnChunk: func(sub *Ctx, i int, off, sz int64) error {
 					d := sim.Time(perByte * float64(sz))
 					sub.Proc().Sleep(d)
-					sub.ChargeGPU(d)
+					sub.ChargeTask(sub.Proc().Name(), trace.GPUCompute, d)
 					return nil
 				},
 			})

@@ -116,29 +116,28 @@ func (m Model) slots() int { return m.CUs * m.GroupsPerCU }
 
 // LaunchTime returns the modeled duration of dispatching the kernel over
 // the given number of workgroups, without executing or charging anything.
+// The groups run in waves of at most slots resident groups; every full
+// wave takes the same rounded time, so the sum is closed-form.
 func (g *GPU) LaunchTime(k Kernel, groups int) sim.Time {
+	t := g.model.LaunchLatency
 	if groups <= 0 {
-		return g.model.LaunchLatency
+		return t
 	}
 	slots := g.model.slots()
-	t := g.model.LaunchLatency
-	remaining := groups
-	for remaining > 0 {
-		active := remaining
-		if active > slots {
-			active = slots
-		}
-		eta := g.model.utilization(active)
-		compute := sim.Seconds(float64(active) * k.FlopsPerGroup / (g.model.FLOPS * eta))
-		mem := sim.Seconds(float64(active) * k.BytesPerGroup / (g.model.MemBW * eta))
-		if mem > compute {
-			t += mem
-		} else {
-			t += compute
-		}
-		remaining -= active
+	t += sim.Time(groups/slots) * g.model.waveTime(k, slots)
+	if tail := groups % slots; tail > 0 {
+		t += g.model.waveTime(k, tail)
 	}
 	return t
+}
+
+// waveTime is the duration of one wave of active (> 0) resident groups:
+// the roofline of their work at the utilization they reach.
+func (m Model) waveTime(k Kernel, active int) sim.Time {
+	eta := m.utilization(active)
+	compute := sim.Seconds(float64(active) * k.FlopsPerGroup / (m.FLOPS * eta))
+	mem := sim.Seconds(float64(active) * k.BytesPerGroup / (m.MemBW * eta))
+	return max(compute, mem)
 }
 
 // ErrLocalMem reports a kernel whose local-memory request exceeds the CU.

@@ -174,3 +174,62 @@ func TestNegativeGroupsRejected(t *testing.T) {
 		t.Fatal("negative group count accepted")
 	}
 }
+
+// launchTimeByWaves is LaunchTime as a loop over waves, the oracle of its
+// closed form.
+func launchTimeByWaves(g *GPU, k Kernel, groups int) sim.Time {
+	if groups <= 0 {
+		return g.model.LaunchLatency
+	}
+	slots := g.model.slots()
+	t := g.model.LaunchLatency
+	remaining := groups
+	for remaining > 0 {
+		active := remaining
+		if active > slots {
+			active = slots
+		}
+		eta := g.model.utilization(active)
+		compute := sim.Seconds(float64(active) * k.FlopsPerGroup / (g.model.FLOPS * eta))
+		mem := sim.Seconds(float64(active) * k.BytesPerGroup / (g.model.MemBW * eta))
+		if mem > compute {
+			t += mem
+		} else {
+			t += compute
+		}
+		remaining -= active
+	}
+	return t
+}
+
+// TestLaunchTimeClosedFormMatchesWaves requires the closed form to equal
+// the wave loop exactly on both GPU profiles over compute- and
+// memory-bound kernels and group counts around and far past the wave
+// boundaries.
+func TestLaunchTimeClosedFormMatchesWaves(t *testing.T) {
+	e := sim.NewEngine()
+	kernels := []Kernel{
+		{FlopsPerGroup: 15 * 256, BytesPerGroup: 6 * 256 * 4}, // a HotSpot tile
+		{FlopsPerGroup: 2 * 64 * 64 * 64, BytesPerGroup: 3 * 64 * 64 * 4},
+		{FlopsPerGroup: 1e7},
+		{BytesPerGroup: 1e5},
+		{FlopsPerGroup: 1.3, BytesPerGroup: 0.7},
+		{},
+	}
+	for _, g := range []*GPU{APUGPU(e), DiscreteGPU(e), New(e, testModel())} {
+		slots := g.model.slots()
+		groups := []int{-1, 0, 1, 2, 7}
+		for _, w := range []int{1, 2, 3, 17, 1000} {
+			groups = append(groups, w*slots-1, w*slots, w*slots+1, w*slots+slots/2)
+		}
+		groups = append(groups, 262144, 1<<20+3)
+		for _, k := range kernels {
+			for _, n := range groups {
+				if got, want := g.LaunchTime(k, n), launchTimeByWaves(g, k, n); got != want {
+					t.Errorf("%s, kernel %+v, %d groups: closed form %d, waves %d",
+						g.model.Name, k, n, got, want)
+				}
+			}
+		}
+	}
+}
