@@ -18,7 +18,7 @@ func TestStreamedNorthupMatchesReference3Level(t *testing.T) {
 		StorageMiB: 64, DRAMMiB: 4, GPUMemMiB: 1})
 	rt := core.NewRuntime(e, tree, core.DefaultOptions())
 	cfg := Config{N: 256, Seed: 13, Streamed: true,
-		StreamOpts: core.StreamOptions{SubChunks: 4, MinSubChunkBytes: 4096}}
+		StreamOpts: core.StreamOptions{SubChunks: 4}}
 	res, err := RunNorthup(rt, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -15,8 +15,22 @@ import (
 // storage edge. With affinity on, the residency scorer walks the grid in a
 // shard-reuse order (the generalization of §IV-A's hand-wired row-shard
 // reuse); with affinity off, locality-blind stealing reloads whatever the
-// deque order happens to evict first.
+// deque order happens to evict first. The graph has no chunk pipeline,
+// staged B or streamed moves, so it refuses Sequential, StageB and
+// Streamed rather than ignore them.
 func RunTasks(rt *core.Runtime, cfg Config, opts taskgraph.Options) (*Result, *taskgraph.Stats, error) {
+	var ignored string
+	switch {
+	case cfg.Sequential:
+		ignored = "Sequential"
+	case cfg.StageB:
+		ignored = "StageB"
+	case cfg.Streamed:
+		ignored = "Streamed"
+	}
+	if ignored != "" {
+		return nil, nil, fmt.Errorf("gemm: the task graph does not honour Config.%s; RunNorthup does", ignored)
+	}
 	p, err := newProblem(rt, cfg, 0)
 	if err != nil {
 		return nil, nil, err

@@ -165,3 +165,20 @@ func TestTasksAffinityReducesMovedBytes(t *testing.T) {
 		t.Fatalf("affinity moved %.0f bytes, baseline %.0f — no reduction", aff, base)
 	}
 }
+
+// TestTasksRefuseIgnoredOptions: the task graph has no chunk pipeline,
+// staged B or streamed moves, so each option that asks for one is refused
+// by name rather than ignored.
+func TestTasksRefuseIgnoredOptions(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"Sequential": {N: 256, Sequential: true},
+		"StageB":     {N: 256, StageB: true},
+		"Streamed":   {N: 256, Streamed: true},
+	} {
+		rt, _ := newTaskRuntime(true, 0)
+		_, _, err := RunTasks(rt, cfg, taskgraph.Options{Affinity: true})
+		if err == nil || !strings.Contains(err.Error(), "Config."+name) {
+			t.Errorf("%s: err = %v, want a refusal naming Config.%s", name, err, name)
+		}
+	}
+}

@@ -17,7 +17,7 @@ func TestStreamed3LevelMatchesReference(t *testing.T) {
 		StorageMiB: 64, DRAMMiB: 8, GPUMemMiB: 4})
 	rt := core.NewRuntime(e, tree, core.DefaultOptions())
 	cfg := Config{N: 64, Seed: 6, ChunkDim: 32, Iters: 3, Passes: 2, Streamed: true,
-		StreamOpts: core.StreamOptions{SubChunks: 3, MinSubChunkBytes: 512}}
+		StreamOpts: core.StreamOptions{SubChunks: 3}}
 	res, err := RunNorthup(rt, cfg)
 	if err != nil {
 		t.Fatal(err)

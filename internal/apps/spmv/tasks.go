@@ -16,8 +16,12 @@ import (
 // barriers. Matrix extents recur verbatim every iteration, so with affinity
 // on the scorer starts each pass from the shards still resident in the
 // staging cache instead of streaming back in the order that just evicted
-// them.
+// them. Shards are sized for the worker pool, not for a pipeline depth, so
+// it refuses Config.Depth rather than ignore it.
 func RunTasks(rt *core.Runtime, cfg Config, opts taskgraph.Options) (*Result, *taskgraph.Stats, error) {
+	if cfg.Depth != 0 {
+		return nil, nil, fmt.Errorf("spmv: the task graph does not honour Config.Depth: it sizes shards for the worker pool; RunNorthup does")
+	}
 	p, err := newProblem(rt, cfg)
 	if err != nil {
 		return nil, nil, err

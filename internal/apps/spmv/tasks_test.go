@@ -137,3 +137,14 @@ func TestTasksCacheHitSurvivesRivalFill(t *testing.T) {
 		t.Fatal("cached affinity power iteration differs from host oracle")
 	}
 }
+
+// TestTasksRefuseDepth: the task graph sizes its shards for the worker
+// pool, so a pipeline depth is refused by name rather than ignored.
+func TestTasksRefuseDepth(t *testing.T) {
+	rt, _ := newTaskRuntime(true, 0)
+	cfg := Config{N: 4096, AvgNNZ: 16, Kind: workload.SparseUniform, Seed: 7, Depth: 4}
+	_, _, err := RunTasks(rt, cfg, taskgraph.Options{Affinity: true})
+	if err == nil || !strings.Contains(err.Error(), "Config.Depth") {
+		t.Fatalf("err = %v, want a refusal naming Config.Depth", err)
+	}
+}

@@ -307,6 +307,57 @@ func TestMoveData2DStorageVsMem(t *testing.T) {
 	}
 }
 
+// TestMoveData2DContiguousMatchesMoveData: a one-row 2-D move between a
+// file and GPU memory is the same move as MoveData, so it must take the
+// same time in both directions, the PCIe crossing included.
+func TestMoveData2DContiguousMatchesMoveData(t *testing.T) {
+	const n = 16 << 20
+	elapsed := func(up, twoD bool) sim.Time {
+		e := sim.NewEngine()
+		tree := topo.Discrete(e, topo.DiscreteConfig{Storage: topo.SSD,
+			StorageMiB: 64, DRAMMiB: 32, GPUMemMiB: 32})
+		opts := DefaultOptions()
+		opts.Phantom = true
+		rt := NewRuntime(e, tree, opts)
+		var took sim.Time
+		_, err := rt.Run("move", func(c *Ctx) error {
+			file, err := c.AllocAt(tree.Root(), n)
+			if err != nil {
+				return err
+			}
+			gpu, err := c.AllocAt(gpuLeaf(rt), n)
+			if err != nil {
+				return err
+			}
+			dst, src := gpu, file
+			if up {
+				dst, src = file, gpu
+			}
+			start := c.Proc().Now()
+			if twoD {
+				err = c.MoveData2D(dst, src, 0, n, 0, n, 1, n)
+			} else {
+				err = c.MoveData(dst, src, 0, 0, n)
+			}
+			took = c.Proc().Now() - start
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return took
+	}
+	for _, up := range []bool{false, true} {
+		dir := "file to GPU"
+		if up {
+			dir = "GPU to file"
+		}
+		if got, want := elapsed(up, true), elapsed(up, false); got != want {
+			t.Errorf("%s: 2-D move took %v, MoveData %v", dir, got, want)
+		}
+	}
+}
+
 func TestDoubleReleaseReturnsError(t *testing.T) {
 	_, rt := newAPURuntime(t)
 	_, err := rt.Run("dblfree", func(c *Ctx) error {
@@ -455,6 +506,37 @@ func TestPipelinePropagatesError(t *testing.T) {
 	})
 	if err != errBoom {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestPipelineAllocsDoNotGrowWithItems: a stage hand-off passes only a
+// count, so a Pipeline allocates nothing per item. A fast stage feeding a
+// slow one keeps putters blocked on full hand-offs, and a slow stage
+// feeding a faster one keeps takers blocked on empty ones.
+func TestPipelineAllocsDoNotGrowWithItems(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	stage := func(d sim.Time) func(*Ctx, int) error {
+		return func(sub *Ctx, i int) error {
+			sub.Proc().Sleep(d)
+			return nil
+		}
+	}
+	allocs := func(items int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			e := sim.NewEngine()
+			tree := topo.APU(e, topo.APUConfig{Storage: topo.SSD, StorageMiB: 64, DRAMMiB: 32})
+			rt := NewRuntime(e, tree, DefaultOptions())
+			if _, err := rt.Run("pipe", func(c *Ctx) error {
+				return c.Pipeline(items, 2, stage(sim.Microsecond), stage(3*sim.Microsecond), stage(2*sim.Microsecond))
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(100), allocs(1000); few != many {
+		t.Fatalf("a Pipeline allocated %v objects over 100 items but %v over 1,000", few, many)
 	}
 }
 

@@ -250,10 +250,13 @@ func (c *Ctx) Pipeline(n, depth int, stages ...func(sub *Ctx, i int) error) erro
 	if depth < 1 {
 		depth = 1
 	}
+	// Items pass between stages in order, so a hand-off carries only the
+	// news that the next item is ready: handoff[s] counts the items stage s
+	// has passed on and stage s+1 has not yet taken.
 	nstages := len(stages)
-	chans := make([]*sim.Chan, nstages-1)
-	for i := range chans {
-		chans[i] = sim.NewChan(c.rt.engine, depth-1)
+	handoff := make([]*sim.Tokens, nstages-1)
+	for i := range handoff {
+		handoff[i] = sim.NewBoundedTokens(c.rt.engine, depth-1)
 	}
 	var eo errOnce
 	wg := sim.NewWaitGroup(c.rt.engine)
@@ -263,19 +266,14 @@ func (c *Ctx) Pipeline(n, depth int, stages ...func(sub *Ctx, i int) error) erro
 			defer wg.Done()
 			for i := 0; i < n; i++ {
 				if s > 0 {
-					if _, ok := chans[s-1].Recv(sub.p); !ok {
-						return nil // upstream aborted
-					}
+					handoff[s-1].Take(sub.p)
 				}
 				if !eo.failed() {
 					eo.record(stages[s](sub, i))
 				}
 				if s < nstages-1 {
-					chans[s].Send(sub.p, i)
+					handoff[s].PutWait(sub.p)
 				}
-			}
-			if s < nstages-1 {
-				chans[s].Close()
 			}
 			return nil
 		})

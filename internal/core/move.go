@@ -389,8 +389,15 @@ func (rt *Runtime) move2DOnce(p *sim.Proc, dst *Buffer, src *Buffer,
 				err = src.file.Peek(dst.data[d:d+row], s)
 			}
 		}
+		if err == nil && dst.node.Kind() == device.KindGPUMem {
+			// The GPUDirect-style crossing, as in moveOnce.
+			rt.pcie.Transfer(p, nil, dst.node.Mem, int64(rows)*row)
+		}
 	case src.file == nil && dst.file != nil:
 		cat = trace.IO
+		if src.node.Kind() == device.KindGPUMem {
+			rt.pcie.Transfer(p, src.node.Mem, nil, int64(rows)*row)
+		}
 		for r := int64(0); r < int64(rows) && err == nil; r++ {
 			s, d := srcOff+r*srcStride, dstOff+r*dstStride
 			if err = dst.file.Charge(p, device.Write, d, row); err == nil && copies {

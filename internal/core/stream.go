@@ -51,17 +51,9 @@ type StreamOptions struct {
 	// balances per-hop service times from the device/link profiles
 	// (stream.Size) and degenerates to 1 when splitting cannot help.
 	SubChunks int
-	// SubChunkBytes fixes the sub-chunk size instead; it takes precedence
-	// over SubChunks when both are set.
-	SubChunkBytes int64
 	// Depth is the number of staging slots per intermediate node. 0 means 2
 	// (double buffering).
 	Depth int
-	// MaxSubChunks caps the adaptive sizer's search. 0 means 32.
-	MaxSubChunks int
-	// MinSubChunkBytes floors the adaptive sub-chunk size so latency-bound
-	// slivers are never profitable. 0 means 256 KiB.
-	MinSubChunkBytes int64
 	// OnChunk, when set, is invoked at the destination node as each
 	// sub-chunk lands (index i, payload range [off, off+n) relative to the
 	// move), on its own proc — compute overlaps the remaining transfers.
@@ -70,9 +62,12 @@ type StreamOptions struct {
 }
 
 const (
-	defaultStreamDepth       = 2
-	defaultStreamMaxChunks   = 32
-	defaultStreamMinSubChunk = 256 << 10
+	defaultStreamDepth = 2
+	// The adaptive sizer searches up to streamMaxChunks sub-chunks and
+	// floors the sub-chunk size at streamMinSubChunk, so latency-bound
+	// slivers are never profitable.
+	streamMaxChunks   = 32
+	streamMinSubChunk = 256 << 10
 )
 
 // StreamStats counts streamed-move activity.
@@ -234,19 +229,8 @@ func (rt *Runtime) hopProfile(src, dst *topo.Node) stream.Hop {
 
 // streamPlan resolves the options into a concrete sub-chunking plan.
 func streamPlan(hops []stream.Hop, n int64, o StreamOptions) stream.Plan {
-	switch {
-	case o.SubChunkBytes > 0:
-		return stream.FixedBytes(hops, n, o.SubChunkBytes)
-	case o.SubChunks > 0:
+	if o.SubChunks > 0 {
 		return stream.Fixed(hops, n, o.SubChunks)
-	}
-	maxC := o.MaxSubChunks
-	if maxC <= 0 {
-		maxC = defaultStreamMaxChunks
-	}
-	minS := o.MinSubChunkBytes
-	if minS <= 0 {
-		minS = defaultStreamMinSubChunk
 	}
 	sizeHops := hops
 	if o.OnChunk != nil && len(hops) > 0 {
@@ -262,7 +246,7 @@ func streamPlan(hops []stream.Hop, n int64, o StreamOptions) stream.Plan {
 		}
 		sizeHops = append(append(make([]stream.Hop, 0, len(hops)+1), hops...), bot)
 	}
-	return stream.Size(sizeHops, n, maxC, minS)
+	return stream.Size(sizeHops, n, streamMaxChunks, streamMinSubChunk)
 }
 
 // moveDataStreamed drives a streamed move along the tree path between
@@ -330,7 +314,7 @@ func (rt *Runtime) moveDataStreamed(c *Ctx, dst, src *Buffer, dstOff, srcOff, n 
 		}
 	}
 	if o.OnChunk != nil {
-		s.landed = sim.NewChan(rt.engine, count)
+		s.landed = sim.NewTokens(rt.engine)
 		s.consumed = sim.NewLatch(rt.engine)
 		rt.engine.Spawn(c.p.Name()+"-stream-consume", s.consume)
 	}
@@ -367,20 +351,21 @@ type streamPump struct {
 	stage          [][]*Buffer // stage[j]: the slots at path[j], 0 < j < len(hops)
 	running        int         // hops not yet finished
 	eo             errOnce
-	done           *sim.Latch // fired when the last hop finishes
-	landed         *sim.Chan  // landed sub-chunk indices, for the OnChunk consumer
-	consumed       *sim.Latch // fired when the consumer returns
+	done           *sim.Latch  // fired when the last hop finishes
+	landed         *sim.Tokens // landed sub-chunks the OnChunk consumer has not taken
+	consumed       *sim.Latch  // fired when the consumer returns
 }
 
 // consume is the OnChunk consumer's process: it runs the consumer on each
-// sub-chunk as it lands, in order, until the stream fails.
+// sub-chunk as it lands, in order, until the stream fails. The last hop
+// lands sub-chunks in index order, so the i-th token is sub-chunk i.
 func (s *streamPump) consume(p *sim.Proc) {
 	sub := &Ctx{rt: s.rt, p: p, node: s.dst.node}
 	for i := 0; i < s.plan.Count; i++ {
-		v, _ := s.landed.Recv(p)
-		if idx := v.(int); !s.eo.failed() {
-			off, sz := s.plan.ChunkRange(idx)
-			s.eo.record(s.onChunk(sub, idx, off, sz))
+		s.landed.Take(p)
+		if !s.eo.failed() {
+			off, sz := s.plan.ChunkRange(i)
+			s.eo.record(s.onChunk(sub, i, off, sz))
 		}
 	}
 	s.consumed.Fire()
@@ -493,7 +478,7 @@ func (h *streamHop) post() {
 	} else {
 		s.rt.noteStreamInflight(now, s.dst.node.ID, -1)
 		if s.landed != nil {
-			s.landed.TrySend(h.i)
+			s.landed.Put()
 		}
 	}
 	h.i++

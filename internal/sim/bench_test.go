@@ -126,21 +126,18 @@ func BenchmarkSpawnChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkChanPingPong measures rendezvous channel handoffs.
-func BenchmarkChanPingPong(b *testing.B) {
+// BenchmarkTokensPingPong measures rendezvous hand-offs.
+func BenchmarkTokensPingPong(b *testing.B) {
 	e := NewEngine()
-	c := NewChan(e, 0)
-	e.Spawn("sender", func(p *Proc) {
+	tk := NewBoundedTokens(e, 0)
+	e.Spawn("putter", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
-			c.Send(p, i)
+			tk.PutWait(p)
 		}
-		c.Close()
+		tk.Close()
 	})
-	e.Spawn("receiver", func(p *Proc) {
-		for {
-			if _, ok := c.Recv(p); !ok {
-				return
-			}
+	e.Spawn("taker", func(p *Proc) {
+		for tk.Take(p) {
 		}
 	})
 	b.ResetTimer()

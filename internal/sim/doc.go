@@ -19,10 +19,11 @@
 // increasing sequence number breaks ties), so a simulation is a pure function
 // of its inputs.
 //
-// The package provides the usual structured primitives on top of the engine:
-// WaitGroup, Latch, Resource (counting semaphore with FIFO wakeup), and Chan
-// (bounded FIFO channel). These mirror their Go standard-library namesakes
-// but block in virtual time rather than real time.
+// The package provides a few structured primitives on top of the engine:
+// WaitGroup, Latch, Resource (counting semaphore with FIFO wakeup), and
+// Tokens (a count handed from stage to stage, optionally bounded, so a put
+// waits for room as a send on a buffered Go channel waits). They block in
+// virtual time rather than real time.
 //
 // # Dispatch fast path
 //
@@ -30,14 +31,15 @@
 // skip the coroutine entirely. Engine.At and Engine.After schedule a bare
 // callback that the dispatch loop runs inline — no switch, roughly 7x
 // cheaper per event — under the same (time, seq) ordering as process
-// wakeups. Callbacks may Spawn, fire latches and use the Try* primitives,
-// but must not block, and SetTrace does not report them (they are not
-// resumptions). Internally the engine keeps pending events in an
-// allocation-free 4-ary heap of concrete values, dispatches all events
-// sharing an instant as one batch, and recycles finished processes' IDs
-// through a free list and their coroutines through an idle list, which every
-// Run empties before it returns. Stats reports event and callback counts,
-// live/spawned processes and wall-clock dispatch throughput; the perf
-// baseline (BENCH_perf.json) records the deterministic counts of each of
-// its runs, and `make bench-sim` times both dispatch paths.
+// wakeups. Callbacks may Spawn, fire latches, put tokens and take
+// resources with AcquireAsync, but must not block, and SetTrace does not
+// report them (they are not resumptions). Internally the engine keeps
+// pending events in an allocation-free 4-ary heap of concrete values,
+// dispatches all events sharing an instant as one batch, and recycles
+// finished processes' IDs through a free list and their coroutines through
+// an idle list, which every Run empties before it returns. Stats reports
+// event and callback counts, live/spawned processes and wall-clock dispatch
+// throughput; the perf baseline (BENCH_perf.json) records the deterministic
+// counts of each of its runs, and `make bench-sim` times both dispatch
+// paths.
 package sim

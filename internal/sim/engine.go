@@ -236,9 +236,9 @@ func (e *Engine) wake(p *Proc) { e.schedule(p, e.now) }
 // dispatch loop: no coroutine switch, just a heap pop and a call. It is the
 // fast path for leaf, non-blocking work — timer chains, arrival generators,
 // completion notifications. fn must not block: it has no Proc, so it may
-// read Now, schedule further callbacks, Spawn processes, Fire latches or use
-// TrySend/TryRecv, but never Sleep, Acquire, Wait, Send or Recv. Code that
-// blocks keeps full Proc semantics.
+// read Now, schedule further callbacks, Spawn processes, Fire latches, Put
+// tokens or AcquireAsync, but never Sleep, Acquire, Wait, Take or PutWait.
+// Code that blocks keeps full Proc semantics.
 func (e *Engine) At(t Time, fn func()) {
 	if fn == nil {
 		panic("sim: Engine.At with nil callback")

@@ -103,23 +103,23 @@ func TestCallbackSpawnsProc(t *testing.T) {
 func TestCallbackFiresPrimitives(t *testing.T) {
 	e := NewEngine()
 	l := NewLatch(e)
-	c := NewChan(e, 1)
-	var got interface{}
+	tk := NewBoundedTokens(e, 1)
+	var got bool
+	var at Time
 	e.Spawn("waiter", func(p *Proc) {
 		l.Wait(p)
-		got, _ = c.Recv(p)
+		got = tk.Take(p)
+		at = p.Now()
 	})
 	e.After(9, func() {
-		if !c.TrySend(42) {
-			t.Error("TrySend failed on empty buffered chan")
-		}
+		tk.Put()
 		l.Fire()
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got != 42 {
-		t.Fatalf("received %v, want 42", got)
+	if !got || at != 9 {
+		t.Fatalf("took %v at %v, want a token at 9", got, at)
 	}
 }
 

@@ -89,9 +89,6 @@ func (l *Latch) Fire() {
 	l.waiters.wakeAll(l.e)
 }
 
-// Fired reports whether the latch has been fired.
-func (l *Latch) Fired() bool { return l.fired }
-
 // Wait blocks p until the latch fires.
 func (l *Latch) Wait(p *Proc) {
 	if l.fired {
@@ -100,42 +97,6 @@ func (l *Latch) Wait(p *Proc) {
 	l.waiters.push(p)
 	p.block()
 }
-
-// Barrier is a cyclic barrier: Wait blocks until `parties` processes have
-// arrived, then releases them all and resets for the next round — the
-// synchronization shape of per-iteration stencil phases.
-type Barrier struct {
-	e       *Engine
-	parties int
-	arrived int
-	waiters waitList
-	rounds  int
-}
-
-// NewBarrier returns a barrier for the given number of parties (>= 1).
-func NewBarrier(e *Engine, parties int) *Barrier {
-	if parties < 1 {
-		panic("sim: Barrier with no parties")
-	}
-	return &Barrier{e: e, parties: parties}
-}
-
-// Wait blocks p until all parties arrive. The last arriver does not block;
-// it trips the barrier and wakes everyone.
-func (b *Barrier) Wait(p *Proc) {
-	b.arrived++
-	if b.arrived == b.parties {
-		b.arrived = 0
-		b.rounds++
-		b.waiters.wakeAll(b.e)
-		return
-	}
-	b.waiters.push(p)
-	p.block()
-}
-
-// Rounds returns how many times the barrier has tripped.
-func (b *Barrier) Rounds() int { return b.rounds }
 
 // Resource is a counting semaphore with FIFO wakeup. With capacity 1 it is a
 // fair mutex; device models use it to serialize (or K-way parallelize)
@@ -211,7 +172,7 @@ func (r *Resource) Acquire(p *Proc) {
 // when one is immediately free, otherwise as an engine callback when Release
 // hands the unit over, in the same FIFO position a blocked process would
 // occupy. fn must follow the inline-callback contract (Engine.At): it may
-// schedule, fire, try-send — never block. fn must eventually lead to a
+// schedule, fire, put tokens — never block. fn must eventually lead to a
 // Release, exactly like a successful Acquire.
 func (r *Resource) AcquireAsync(fn func()) {
 	r.acquires++
@@ -227,17 +188,6 @@ func (r *Resource) AcquireAsync(fn func()) {
 // and the cumulative waiting time.
 func (r *Resource) QueueStats() (acquires, waited int64, waitTotal Time) {
 	return r.acquires, r.waited, r.waitTotal
-}
-
-// TryAcquire takes a unit if one is immediately available and no earlier
-// waiter is queued; it reports whether it succeeded.
-func (r *Resource) TryAcquire() bool {
-	if r.inUse < r.cap && len(r.waiters) == 0 {
-		r.acquires++
-		r.inUse++
-		return true
-	}
-	return false
 }
 
 // Release returns a unit of the resource. If acquirers are waiting, the unit
@@ -262,15 +212,6 @@ func (r *Resource) Release() {
 	r.inUse--
 }
 
-// InUse returns the number of currently held units.
-func (r *Resource) InUse() int { return r.inUse }
-
-// Capacity returns the total number of units.
-func (r *Resource) Capacity() int { return r.cap }
-
-// QueueLen returns the number of acquirers waiting for a unit.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
-
 // Use acquires the resource, sleeps for d, and releases it: the basic
 // "request a server for a service time" pattern of queueing models.
 func (r *Resource) Use(p *Proc, d Time) {
@@ -279,209 +220,95 @@ func (r *Resource) Use(p *Proc, d Time) {
 	r.Release()
 }
 
-// Tokens is a count of interchangeable tokens in virtual time: a Chan of
-// empty values without the buffer. Takers wait in arrival order, and each
-// token Put hands goes straight to the oldest waiting one.
+// Tokens is a count of interchangeable tokens in virtual time: the
+// hand-off between stages that pass readiness and nothing else. Takers
+// wait in arrival order, and each token a put hands goes straight to the
+// oldest waiting one. A bounded count holds at most its bound: a blocking
+// put waits while it is full, in arrival order, and a take that frees room
+// admits the oldest waiting putter. A bound of 0 is a rendezvous: each put
+// waits for the take that receives its token.
 type Tokens struct {
 	e       *Engine
 	n       int
+	bound   int // the most tokens held; negative when unbounded
 	closed  bool
-	waiters waitList
+	takers  waitList
+	putters waitList
 }
 
-// NewTokens returns an empty, open count bound to e.
-func NewTokens(e *Engine) *Tokens { return &Tokens{e: e} }
+// NewTokens returns an empty, open, unbounded count bound to e.
+func NewTokens(e *Engine) *Tokens { return &Tokens{e: e, bound: -1} }
 
-// Put adds a token, waking the oldest waiting taker with it. Put after
-// Close does nothing.
+// NewBoundedTokens returns an empty, open count bound to e that holds at
+// most bound (>= 0) tokens.
+func NewBoundedTokens(e *Engine, bound int) *Tokens {
+	if bound < 0 {
+		panic(fmt.Sprintf("sim: Tokens bound %d < 0", bound))
+	}
+	return &Tokens{e: e, bound: bound}
+}
+
+// Put adds a token without blocking, so engine callbacks may call it,
+// waking the oldest waiting taker with it. Put after Close does nothing. A
+// Put that would have to wait for room panics: a bounded count is filled
+// with PutWait.
 func (t *Tokens) Put() {
-	if t.closed {
-		return
+	if !t.put() {
+		panic("sim: Put on a full Tokens")
 	}
-	if t.waiters.empty() {
+}
+
+// PutWait adds a token as Put does, blocking p while the count is full.
+func (t *Tokens) PutWait(p *Proc) {
+	if !t.put() {
+		t.putters.push(p)
+		p.block()
+	}
+}
+
+// put hands a token to the oldest waiting taker or adds it to the count,
+// and reports false, doing nothing, when a bounded count is full. After
+// Close it drops the token.
+func (t *Tokens) put() bool {
+	switch {
+	case t.closed:
+	case !t.takers.empty():
+		t.takers.wakeOne(t.e)
+	case t.bound >= 0 && t.n >= t.bound:
+		return false
+	default:
 		t.n++
-		return
 	}
-	t.waiters.wakeOne(t.e)
+	return true
 }
 
 // Take removes a token, blocking p while there is none. It returns false
 // once the count is closed, whatever tokens are left.
 func (t *Tokens) Take(p *Proc) bool {
-	if t.closed {
+	switch {
+	case t.closed:
 		return false
-	}
-	if t.n > 0 {
+	case !t.putters.empty():
+		// The oldest waiting putter's token fills the room this take frees
+		// (at a bound of 0, it is the token taken).
+		t.putters.wakeOne(t.e)
+		return true
+	case t.n > 0:
 		t.n--
 		return true
 	}
-	t.waiters.push(p)
+	t.takers.push(p)
 	p.block()
 	return !t.closed
 }
 
-// Close closes the count and wakes every waiting taker empty-handed.
-// Closing twice does nothing.
+// Close closes the count, wakes every waiting taker empty-handed and lets
+// every waiting putter return, its token dropped. Closing twice does
+// nothing.
 func (t *Tokens) Close() {
 	if !t.closed {
 		t.closed = true
-		t.waiters.wakeAll(t.e)
+		t.takers.wakeAll(t.e)
+		t.putters.wakeAll(t.e)
 	}
-}
-
-// Chan is a bounded FIFO channel in virtual time. A capacity of zero gives
-// rendezvous (unbuffered) semantics. Values are handed to receivers in send
-// order; blocked senders and receivers are served in arrival order.
-type Chan struct {
-	e      *Engine
-	buf    []interface{}
-	cap    int
-	closed bool
-
-	sendq []*chanSender
-	recvq []*chanReceiver
-}
-
-type chanSender struct {
-	p *Proc
-	v interface{}
-}
-
-type chanReceiver struct {
-	p      *Proc
-	v      interface{}
-	filled bool
-}
-
-// NewChan returns a channel bound to e with the given buffer capacity.
-func NewChan(e *Engine, capacity int) *Chan {
-	if capacity < 0 {
-		panic("sim: negative Chan capacity")
-	}
-	return &Chan{e: e, cap: capacity}
-}
-
-// Len returns the number of buffered (sent but not yet received) values.
-func (c *Chan) Len() int { return len(c.buf) }
-
-// Closed reports whether Close has been called.
-func (c *Chan) Closed() bool { return c.closed }
-
-// Send enqueues v, blocking p while the buffer is full (or, for a rendezvous
-// channel, until a receiver arrives). Sending on a closed channel panics.
-func (c *Chan) Send(p *Proc, v interface{}) {
-	if c.closed {
-		panic("sim: send on closed Chan")
-	}
-	if len(c.recvq) > 0 {
-		// Hand the value directly to the oldest waiting receiver.
-		rx := c.recvq[0]
-		c.recvq = c.recvq[:copy(c.recvq, c.recvq[1:])]
-		rx.v, rx.filled = v, true
-		c.e.wake(rx.p)
-		return
-	}
-	if len(c.buf) < c.cap {
-		c.buf = append(c.buf, v)
-		return
-	}
-	// Buffer full (or rendezvous with no receiver): queue and block. A
-	// receiver (or Close) will wake us after consuming our value.
-	s := &chanSender{p: p, v: v}
-	c.sendq = append(c.sendq, s)
-	p.block()
-	if c.closed && s.v != nil {
-		// Close woke us without a receiver taking the value.
-		panic("sim: send on closed Chan")
-	}
-}
-
-// TrySend enqueues v if the channel can accept it without blocking,
-// reporting whether it did.
-func (c *Chan) TrySend(v interface{}) bool {
-	if c.closed {
-		panic("sim: send on closed Chan")
-	}
-	if len(c.recvq) > 0 {
-		rx := c.recvq[0]
-		c.recvq = c.recvq[:copy(c.recvq, c.recvq[1:])]
-		rx.v, rx.filled = v, true
-		c.e.wake(rx.p)
-		return true
-	}
-	if len(c.buf) < c.cap {
-		c.buf = append(c.buf, v)
-		return true
-	}
-	return false
-}
-
-// Recv dequeues a value, blocking p while the channel is empty. ok is false
-// only when the channel is closed and fully drained.
-func (c *Chan) Recv(p *Proc) (v interface{}, ok bool) {
-	if v, ok = c.takeReady(); ok {
-		return v, true
-	}
-	if c.closed {
-		return nil, false
-	}
-	rx := &chanReceiver{p: p}
-	c.recvq = append(c.recvq, rx)
-	p.block()
-	if rx.filled {
-		return rx.v, true
-	}
-	// Woken by Close with nothing delivered.
-	return nil, false
-}
-
-// TryRecv dequeues a value without blocking; ok is false when nothing is
-// immediately available.
-func (c *Chan) TryRecv() (v interface{}, ok bool) {
-	return c.takeReady()
-}
-
-// takeReady removes and returns the next deliverable value: from the buffer
-// first, otherwise directly from a blocked sender (rendezvous).
-func (c *Chan) takeReady() (interface{}, bool) {
-	if len(c.buf) > 0 {
-		v := c.buf[0]
-		c.buf = c.buf[:copy(c.buf, c.buf[1:])]
-		// A freed buffer slot admits the oldest blocked sender.
-		if len(c.sendq) > 0 {
-			s := c.sendq[0]
-			c.sendq = c.sendq[:copy(c.sendq, c.sendq[1:])]
-			c.buf = append(c.buf, s.v)
-			s.v = nil
-			c.e.wake(s.p)
-		}
-		return v, true
-	}
-	if len(c.sendq) > 0 { // rendezvous (cap == 0)
-		s := c.sendq[0]
-		c.sendq = c.sendq[:copy(c.sendq, c.sendq[1:])]
-		v := s.v
-		s.v = nil
-		c.e.wake(s.p)
-		return v, true
-	}
-	return nil, false
-}
-
-// Close marks the channel closed, waking all blocked receivers (which see
-// ok == false once the buffer drains) and panicking any blocked senders.
-// Closing twice panics, as with native channels.
-func (c *Chan) Close() {
-	if c.closed {
-		panic("sim: close of closed Chan")
-	}
-	c.closed = true
-	for _, rx := range c.recvq {
-		c.e.wake(rx.p)
-	}
-	c.recvq = nil
-	for _, s := range c.sendq {
-		c.e.wake(s.p) // wakes into the "send on closed Chan" panic
-	}
-	c.sendq = nil
 }

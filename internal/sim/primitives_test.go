@@ -62,6 +62,12 @@ func TestLatch(t *testing.T) {
 		l.Fire()
 		l.Fire() // idempotent
 	})
+	var lateAt Time
+	e.Spawn("late", func(p *Proc) {
+		p.Sleep(30)
+		l.Wait(p) // already fired: returns at once
+		lateAt = p.Now()
+	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -73,8 +79,8 @@ func TestLatch(t *testing.T) {
 			t.Fatalf("woke at %v, want 25", w)
 		}
 	}
-	if !l.Fired() {
-		t.Fatal("latch not marked fired")
+	if lateAt != 30 {
+		t.Fatalf("late waiter returned at %v, want 30", lateAt)
 	}
 }
 
@@ -146,28 +152,6 @@ func TestResourceFIFOOrder(t *testing.T) {
 	}
 }
 
-func TestResourceTryAcquire(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, 1)
-	var got []bool
-	e.Spawn("a", func(p *Proc) {
-		got = append(got, r.TryAcquire()) // true
-		got = append(got, r.TryAcquire()) // false: full
-		r.Release()
-		got = append(got, r.TryAcquire()) // true again
-		r.Release()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := []bool{true, false, true}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("TryAcquire results = %v", got)
-		}
-	}
-}
-
 func TestResourceOverRelease(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -209,279 +193,6 @@ func TestResourceQueueingDelay(t *testing.T) {
 	}
 }
 
-func TestChanBuffered(t *testing.T) {
-	e := NewEngine()
-	c := NewChan(e, 2)
-	var got []int
-	e.Spawn("producer", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			c.Send(p, i)
-			p.Sleep(1)
-		}
-		c.Close()
-	})
-	e.Spawn("consumer", func(p *Proc) {
-		for {
-			v, ok := c.Recv(p)
-			if !ok {
-				return
-			}
-			got = append(got, v.(int))
-			p.Sleep(3)
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("got %v", got)
-		}
-	}
-	if len(got) != 5 {
-		t.Fatalf("received %d values", len(got))
-	}
-}
-
-func TestChanRendezvous(t *testing.T) {
-	e := NewEngine()
-	c := NewChan(e, 0)
-	var sendDone, recvAt Time
-	e.Spawn("s", func(p *Proc) {
-		c.Send(p, "x")
-		sendDone = p.Now()
-	})
-	e.Spawn("r", func(p *Proc) {
-		p.Sleep(42)
-		v, ok := c.Recv(p)
-		if !ok || v.(string) != "x" {
-			t.Errorf("recv = %v,%v", v, ok)
-		}
-		recvAt = p.Now()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if sendDone != 42 || recvAt != 42 {
-		t.Fatalf("send done %v, recv %v; want both 42", sendDone, recvAt)
-	}
-}
-
-func TestChanBlockingBackpressure(t *testing.T) {
-	// A capacity-1 channel with a slow consumer throttles the producer.
-	e := NewEngine()
-	c := NewChan(e, 1)
-	var lastSend Time
-	e.Spawn("producer", func(p *Proc) {
-		for i := 0; i < 4; i++ {
-			c.Send(p, i)
-		}
-		lastSend = p.Now()
-		c.Close()
-	})
-	e.Spawn("consumer", func(p *Proc) {
-		for {
-			if _, ok := c.Recv(p); !ok {
-				return
-			}
-			p.Sleep(10)
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// Consumer takes v0 at t=0, sleeps to 10, takes v1 (buffered), ...
-	// The 4th send can only complete once a slot frees at t=20.
-	if lastSend != 20 {
-		t.Fatalf("last send at %v, want 20", lastSend)
-	}
-}
-
-func TestChanCloseWakesReceivers(t *testing.T) {
-	e := NewEngine()
-	c := NewChan(e, 4)
-	okSeen := true
-	e.Spawn("r", func(p *Proc) {
-		_, ok := c.Recv(p)
-		okSeen = ok
-	})
-	e.Spawn("closer", func(p *Proc) {
-		p.Sleep(5)
-		c.Close()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if okSeen {
-		t.Fatal("Recv on closed empty chan returned ok=true")
-	}
-}
-
-func TestChanDrainAfterClose(t *testing.T) {
-	e := NewEngine()
-	c := NewChan(e, 4)
-	var got []int
-	e.Spawn("p", func(p *Proc) {
-		c.Send(p, 1)
-		c.Send(p, 2)
-		c.Close()
-	})
-	e.Spawn("r", func(p *Proc) {
-		p.Sleep(10) // start after close
-		for {
-			v, ok := c.Recv(p)
-			if !ok {
-				return
-			}
-			got = append(got, v.(int))
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("drained %v", got)
-	}
-}
-
-func TestChanTryOps(t *testing.T) {
-	e := NewEngine()
-	c := NewChan(e, 1)
-	e.Spawn("t", func(p *Proc) {
-		if _, ok := c.TryRecv(); ok {
-			t.Error("TryRecv on empty chan succeeded")
-		}
-		if !c.TrySend(7) {
-			t.Error("TrySend on empty chan failed")
-		}
-		if c.TrySend(8) {
-			t.Error("TrySend on full chan succeeded")
-		}
-		v, ok := c.TryRecv()
-		if !ok || v.(int) != 7 {
-			t.Errorf("TryRecv = %v,%v", v, ok)
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestChanFIFOThroughManyValues(t *testing.T) {
-	// Property: for any (cap, count), the consumer sees 0..count-1 in order.
-	f := func(capRaw, nRaw uint8) bool {
-		capacity := int(capRaw % 5)
-		n := int(nRaw%64) + 1
-		e := NewEngine()
-		c := NewChan(e, capacity)
-		var got []int
-		e.Spawn("p", func(p *Proc) {
-			for i := 0; i < n; i++ {
-				c.Send(p, i)
-			}
-			c.Close()
-		})
-		e.Spawn("r", func(p *Proc) {
-			for {
-				v, ok := c.Recv(p)
-				if !ok {
-					return
-				}
-				got = append(got, v.(int))
-			}
-		})
-		if err := e.Run(); err != nil {
-			return false
-		}
-		if len(got) != n {
-			return false
-		}
-		for i, v := range got {
-			if v != i {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBarrierSynchronizes(t *testing.T) {
-	e := NewEngine()
-	b := NewBarrier(e, 3)
-	var releases []Time
-	for i := 0; i < 3; i++ {
-		i := i
-		e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
-			p.Sleep(Time(10 * (i + 1))) // arrive at 10, 20, 30
-			b.Wait(p)
-			releases = append(releases, p.Now())
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(releases) != 3 {
-		t.Fatalf("%d releases", len(releases))
-	}
-	for _, r := range releases {
-		if r != 30 {
-			t.Fatalf("released at %v, want 30 (last arriver)", r)
-		}
-	}
-	if b.Rounds() != 1 {
-		t.Fatalf("rounds = %d", b.Rounds())
-	}
-}
-
-func TestBarrierCycles(t *testing.T) {
-	// Two processes alternate through 5 rounds; the barrier must reset
-	// each time.
-	e := NewEngine()
-	b := NewBarrier(e, 2)
-	var aRounds, bRounds int
-	e.Spawn("a", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			p.Sleep(1)
-			b.Wait(p)
-			aRounds++
-		}
-	})
-	e.Spawn("b", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			p.Sleep(7)
-			b.Wait(p)
-			bRounds++
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if aRounds != 5 || bRounds != 5 || b.Rounds() != 5 {
-		t.Fatalf("rounds: a=%d b=%d barrier=%d", aRounds, bRounds, b.Rounds())
-	}
-	if e.Now() != 35 {
-		t.Fatalf("final time %v, want 35 (slower process paces rounds)", e.Now())
-	}
-}
-
-func TestBarrierSingleParty(t *testing.T) {
-	e := NewEngine()
-	b := NewBarrier(e, 1)
-	e.Spawn("solo", func(p *Proc) {
-		b.Wait(p) // must not block
-		b.Wait(p)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if b.Rounds() != 2 {
-		t.Fatalf("rounds = %d", b.Rounds())
-	}
-}
-
 func TestResourceQueueStats(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, 1)
@@ -506,82 +217,268 @@ func TestResourceQueueStats(t *testing.T) {
 	}
 }
 
-// tokenOps is one implementation of a ready count under test.
+// tokenOps is one implementation of a count under test. put adds a token,
+// blocking p while a bounded count is full.
 type tokenOps struct {
-	put   func()
-	take  func(*Proc) bool
+	put   func(p *Proc)
+	take  func(p *Proc) bool
 	close func()
 }
 
-// TestTokensMatchChan runs one seeded script of bursty puts, busy takers
-// and a final close over Tokens and over a Chan of empty values big enough
-// never to block. Every dispatch and every take must happen at the same
-// instant and in the same order: Tokens wakes idle takers exactly as the
-// channel wakes its receivers.
-func TestTokensMatchChan(t *testing.T) {
-	run := func(seed uint64, newOps func(e *Engine) tokenOps) string {
-		e := NewEngine()
-		ops := newOps(e)
-		var sb strings.Builder
-		e.SetTrace(func(tm Time, p *Proc) { fmt.Fprintf(&sb, "%d:%s;", tm, p.Name()) })
-		state := seed
-		next := func(mod int) int {
-			state = state*6364136223846793005 + 1442695040888963407
-			return int(state>>33) % mod
-		}
-		e.Spawn("producer", func(p *Proc) {
-			for i := 0; i < 60; i++ {
+// tokensOps returns Tokens with the given bound, unbounded when it is
+// negative. An unbounded count is filled with the non-blocking Put, a
+// bounded one with PutWait.
+func tokensOps(e *Engine, bound int) tokenOps {
+	if bound < 0 {
+		tk := NewTokens(e)
+		return tokenOps{func(*Proc) { tk.Put() }, tk.Take, tk.Close}
+	}
+	tk := NewBoundedTokens(e, bound)
+	return tokenOps{tk.PutWait, tk.Take, tk.Close}
+}
+
+// chanOps returns the oracle for tokensOps(e, bound): a Chan of empty
+// values, with that capacity and blocking sends when bounded, or big enough
+// never to fill and non-blocking sends when not.
+func chanOps(e *Engine, bound int) tokenOps {
+	var c *Chan
+	put := func(p *Proc) { c.Send(p, struct{}{}) }
+	if bound < 0 {
+		c = NewChan(e, 1<<20)
+		put = func(*Proc) { c.TrySend(struct{}{}) }
+	} else {
+		c = NewChan(e, bound)
+	}
+	take := func(p *Proc) bool { _, ok := c.Recv(p); return ok }
+	return tokenOps{put, take, c.Close}
+}
+
+// tokenScript runs one seeded script over a count and renders every
+// resumption, put and take with its instant, in order. The putters add
+// bursts of tokens at random gaps, 60 bursts between them; the takers stay
+// busy a while after each take; once every putter is done and the takers
+// have long gone idle, the count closes.
+func tokenScript(tb testing.TB, seed uint64, putters, takers int, newOps func(e *Engine) tokenOps) string {
+	tb.Helper()
+	e := NewEngine()
+	ops := newOps(e)
+	var sb strings.Builder
+	e.SetTrace(func(tm Time, p *Proc) { fmt.Fprintf(&sb, "%d:%s;", tm, p.Name()) })
+	state := seed
+	next := func(mod int) int {
+		state = state*6364136223846793005 + 1442695040888963407
+		return int(state>>33) % mod
+	}
+	wg := NewWaitGroup(e)
+	for k := 0; k < putters; k++ {
+		k := k
+		wg.Add(1)
+		e.Spawn(fmt.Sprintf("putter%d", k), func(p *Proc) {
+			defer wg.Done()
+			for i := 0; i < 60/putters; i++ {
 				p.Sleep(Time(next(4)))
 				for n := next(4); n > 0; n-- {
-					ops.put()
+					ops.put(p)
+					fmt.Fprintf(&sb, "put%d@%d;", k, p.Now())
 				}
 			}
-			p.Sleep(1000) // long enough for every taker to go idle
-			ops.close()
 		})
-		for k := 0; k < 4; k++ {
-			k := k
-			e.Spawn(fmt.Sprintf("taker%d", k), func(p *Proc) {
-				for n := 0; ops.take(p); n++ {
-					fmt.Fprintf(&sb, "take%d@%d;", k, p.Now())
-					p.Sleep(Time(1 + (k+n)%5))
-				}
-				fmt.Fprintf(&sb, "done%d@%d;", k, p.Now())
-			})
+	}
+	e.Spawn("closer", func(p *Proc) {
+		wg.Wait(p)
+		p.Sleep(1000) // long enough for every taker to go idle
+		ops.close()
+	})
+	for k := 0; k < takers; k++ {
+		k := k
+		e.Spawn(fmt.Sprintf("taker%d", k), func(p *Proc) {
+			for n := 0; ops.take(p); n++ {
+				fmt.Fprintf(&sb, "take%d@%d;", k, p.Now())
+				p.Sleep(Time(1 + (k+n)%5))
+			}
+			fmt.Fprintf(&sb, "done%d@%d;", k, p.Now())
+		})
+	}
+	if err := e.Run(); err != nil {
+		tb.Fatal(err)
+	}
+	return sb.String()
+}
+
+// TestTokensMatchChan runs seeded scripts of bursty puts, busy takers and
+// a final close over Tokens and over the Chan of empty values that is its
+// oracle: unbounded with non-blocking puts, and bounded at 0, 1 and 2 with
+// blocking putters. Every resumption, put and take must happen at the
+// same instant and in the same order: Tokens wakes takers exactly as the
+// channel wakes its receivers, and admits putters exactly as it admits
+// its senders.
+func TestTokensMatchChan(t *testing.T) {
+	for _, bound := range []int{-1, 0, 1, 2} {
+		for seed := uint64(1); seed <= 20; seed++ {
+			putters := 1
+			if bound >= 0 {
+				putters += int(seed % 3)
+			}
+			tokens := tokenScript(t, seed, putters, 4, func(e *Engine) tokenOps { return tokensOps(e, bound) })
+			chans := tokenScript(t, seed, putters, 4, func(e *Engine) tokenOps { return chanOps(e, bound) })
+			if tokens != chans {
+				t.Fatalf("bound %d, seed %d: Tokens and Chan schedules differ:\n%s\n%s", bound, seed, tokens, chans)
+			}
+			if !strings.Contains(tokens, "take3@") {
+				t.Fatalf("bound %d, seed %d: a taker never took a token: %s", bound, seed, tokens)
+			}
 		}
+	}
+}
+
+// FuzzTokensMatchChan is TestTokensMatchChan over drawn bounds (unbounded,
+// or 0 to 3), script seeds and counts of putters and takers.
+func FuzzTokensMatchChan(f *testing.F) {
+	f.Add(uint64(1), uint8(0), uint8(0), uint8(3))
+	f.Add(uint64(7), uint8(1), uint8(2), uint8(0))
+	f.Add(uint64(42), uint8(3), uint8(3), uint8(1))
+	f.Fuzz(func(t *testing.T, seed uint64, boundRaw, puttersRaw, takersRaw uint8) {
+		bound := int(boundRaw%5) - 1
+		putters, takers := 1+int(puttersRaw%4), 1+int(takersRaw%4)
+		tokens := tokenScript(t, seed, putters, takers, func(e *Engine) tokenOps { return tokensOps(e, bound) })
+		chans := tokenScript(t, seed, putters, takers, func(e *Engine) tokenOps { return chanOps(e, bound) })
+		if tokens != chans {
+			t.Fatalf("bound %d, %d putters, %d takers: Tokens and Chan schedules differ:\n%s\n%s",
+				bound, putters, takers, tokens, chans)
+		}
+	})
+}
+
+// TestTokensBackpressure: a count bounded at 1 with a slow taker throttles
+// its putter, and a non-blocking Put on the full count panics.
+func TestTokensBackpressure(t *testing.T) {
+	e := NewEngine()
+	tk := NewBoundedTokens(e, 1)
+	var lastPut Time
+	var takes []Time
+	e.Spawn("putter", func(p *Proc) {
+		for i := 0; i < 4; i++ {
+			tk.PutWait(p)
+		}
+		lastPut = p.Now()
+	})
+	e.Spawn("taker", func(p *Proc) {
+		for i := 0; i < 4; i++ {
+			tk.Take(p)
+			takes = append(takes, p.Now())
+			p.Sleep(10)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// The taker takes token 0 at t=0 and sleeps to 10; token 1 waits in the
+	// count. The 4th put completes only when the take at t=20 frees room.
+	if lastPut != 20 {
+		t.Fatalf("last put at %v, want 20", lastPut)
+	}
+	if fmt.Sprintf("%d", takes) != "[0 10 20 30]" {
+		t.Fatalf("takes at %v, want [0 10 20 30]", takes)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Put on a full bounded count did not panic")
+		}
+	}()
+	full := NewBoundedTokens(e, 1)
+	full.Put()
+	full.Put()
+}
+
+// TestTokensRendezvous: at a bound of 0 a put waits for its taker, and a
+// taker for its put, and both resume at the hand-off.
+func TestTokensRendezvous(t *testing.T) {
+	for _, putFirst := range []bool{true, false} {
+		e := NewEngine()
+		tk := NewBoundedTokens(e, 0)
+		var putAt, takeAt Time
+		e.Spawn("putter", func(p *Proc) {
+			if !putFirst {
+				p.Sleep(42)
+			}
+			tk.PutWait(p)
+			putAt = p.Now()
+		})
+		e.Spawn("taker", func(p *Proc) {
+			if putFirst {
+				p.Sleep(42)
+			}
+			if !tk.Take(p) {
+				t.Error("take on an open count failed")
+			}
+			takeAt = p.Now()
+		})
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return sb.String()
+		if putAt != 42 || takeAt != 42 {
+			t.Fatalf("put first %v: put done %v, take %v; want both 42", putFirst, putAt, takeAt)
+		}
 	}
-	for seed := uint64(1); seed <= 20; seed++ {
-		tokens := run(seed, func(e *Engine) tokenOps {
-			tk := NewTokens(e)
-			return tokenOps{tk.Put, tk.Take, tk.Close}
-		})
-		chans := run(seed, func(e *Engine) tokenOps {
-			c := NewChan(e, 1<<20)
-			return tokenOps{
-				put:   func() { c.TrySend(struct{}{}) },
-				take:  func(p *Proc) bool { _, ok := c.Recv(p); return ok },
-				close: c.Close,
+}
+
+// TestTokensFIFOWakeOrder: for any bound and any number of waiters,
+// blocked putters are admitted and blocked takers woken in arrival order.
+func TestTokensFIFOWakeOrder(t *testing.T) {
+	inOrder := func(order []int, k int) bool {
+		if len(order) != k {
+			return false
+		}
+		for i, v := range order {
+			if v != i {
+				return false
+			}
+		}
+		return true
+	}
+	f := func(boundRaw, kRaw uint8) bool {
+		bound, k := int(boundRaw%4), int(kRaw%8)+1
+		e := NewEngine()
+		puts, takes := NewBoundedTokens(e, bound), NewBoundedTokens(e, bound)
+		var putOrder, takeOrder []int
+		for i := 0; i < k; i++ {
+			i := i
+			e.Spawn(fmt.Sprintf("putter%d", i), func(p *Proc) {
+				p.Sleep(Time(i)) // arrive at 0, 1, ..., k-1
+				puts.PutWait(p)
+				putOrder = append(putOrder, i)
+			})
+			e.Spawn(fmt.Sprintf("taker%d", i), func(p *Proc) {
+				p.Sleep(Time(i))
+				takes.Take(p)
+				takeOrder = append(takeOrder, i)
+			})
+		}
+		e.Spawn("drain", func(p *Proc) {
+			p.Sleep(100)
+			for i := 0; i < k; i++ {
+				puts.Take(p)
+				takes.PutWait(p)
+				p.Sleep(1)
 			}
 		})
-		if tokens != chans {
-			t.Fatalf("seed %d: Tokens and Chan schedules differ:\n%s\n%s", seed, tokens, chans)
+		if err := e.Run(); err != nil {
+			return false
 		}
-		if !strings.Contains(tokens, "take3@") {
-			t.Fatalf("seed %d: a taker never took a token: %s", seed, tokens)
-		}
+		return inOrder(putOrder, k) && inOrder(takeOrder, k)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestTokensClose checks what Close promises: waiting takers wake
-// empty-handed, later takes fail at once even with tokens left, and puts
-// after it do nothing.
+// empty-handed, waiting putters return, later takes fail at once even with
+// tokens left, and puts after it do nothing.
 func TestTokensClose(t *testing.T) {
 	e := NewEngine()
 	tk := NewTokens(e)
+	full := NewBoundedTokens(e, 0)
 	var log []string
 	for k := 0; k < 2; k++ {
 		k := k
@@ -589,9 +486,14 @@ func TestTokensClose(t *testing.T) {
 			log = append(log, fmt.Sprintf("w%d:%v@%d", k, tk.Take(p), p.Now()))
 		})
 	}
+	e.Spawn("putter", func(p *Proc) {
+		full.PutWait(p)
+		log = append(log, fmt.Sprintf("put@%d", p.Now()))
+	})
 	e.Spawn("closer", func(p *Proc) {
 		p.Sleep(5)
 		tk.Close()
+		full.Close()
 		tk.Put()
 		tk.Close()
 		log = append(log, fmt.Sprintf("late:%v", tk.Take(p)))
@@ -603,7 +505,7 @@ func TestTokensClose(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := strings.Join(log, " "), "late:false left:false w0:false@5 w1:false@5"; got != want {
+	if got, want := strings.Join(log, " "), "late:false left:false w0:false@5 w1:false@5 put@5"; got != want {
 		t.Fatalf("got %q, want %q", got, want)
 	}
 }

@@ -133,17 +133,4 @@ func Fixed(hops []Hop, total int64, count int) Plan {
 		Predicted: Makespan(hops, total, count)}
 }
 
-// FixedBytes builds a plan from an explicit sub-chunk size.
-func FixedBytes(hops []Hop, total, subChunk int64) Plan {
-	if subChunk < 1 || subChunk > total {
-		subChunk = total
-	}
-	count := 1
-	if total > 0 {
-		count = int(ceilDiv(total, subChunk))
-	}
-	return Plan{Total: total, Count: count, SubChunk: subChunk,
-		Predicted: Makespan(hops, total, count)}
-}
-
 func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }

@@ -130,13 +130,3 @@ func TestFixedClampsCount(t *testing.T) {
 		t.Fatalf("Fixed(0 bytes) = %+v, want count 1", p)
 	}
 }
-
-func TestFixedBytes(t *testing.T) {
-	p := FixedBytes(balancedHops(), 10*MiB, 4*MiB)
-	if p.Count != 3 || p.SubChunk != 4*MiB {
-		t.Fatalf("FixedBytes = %+v, want 3 x 4 MiB", p)
-	}
-	if p := FixedBytes(nil, 10, 0); p.Count != 1 || p.SubChunk != 10 {
-		t.Fatalf("FixedBytes zero sub = %+v", p)
-	}
-}

@@ -460,30 +460,18 @@ func BenchmarkAffinityPick(b *testing.B) {
 // cached: every pick rescores every ready task against the cache from
 // scratch and removes the winner in place. It is the oracle the cached
 // scorer must agree with pick for pick, and it keeps its own worker loop,
-// woken by a channel of ready tokens, so the comparison also holds run.work
-// and its ready count to an independent loop.
+// woken by a count of ready tokens, so the comparison also holds run.work
+// to an independent loop.
 func rescanAffinity(r *run) {
 	c := r.c
 	rt := c.Runtime()
-	tokens := sim.NewChan(rt.Engine(), len(r.g.tasks))
-	closed := false
-	signal := func() {
-		if !closed {
-			tokens.TrySend(struct{}{})
-		}
-	}
-	stop := func() {
-		if !closed {
-			closed = true
-			tokens.Close()
-		}
-	}
+	tokens := sim.NewTokens(rt.Engine())
 	var ready []int
 	noteDepth := func() { r.depth.Set(int64(len(ready))) }
 	for id := range r.g.tasks {
 		if r.nblock[id] == 0 {
 			ready = append(ready, id)
-			signal()
+			tokens.Put()
 		}
 	}
 	noteDepth()
@@ -512,10 +500,7 @@ func rescanAffinity(r *run) {
 		c.Spawn(fmt.Sprintf("tg-worker%d", w), c.Node(), func(sub *core.Ctx) error {
 			defer wg.Done()
 			var last *Task
-			for {
-				if _, ok := tokens.Recv(sub.Proc()); !ok {
-					return nil
-				}
+			for tokens.Take(sub.Proc()) {
 				if r.err != nil || len(ready) == 0 {
 					continue
 				}
@@ -546,21 +531,22 @@ func rescanAffinity(r *run) {
 				r.st.SavedBytes += bestSaved
 				last = r.g.tasks[id]
 				if !r.execute(sub, id, "affinity", bestSaved) {
-					stop()
+					tokens.Close()
 					continue
 				}
 				for _, d := range r.g.tasks[id].outs {
 					r.nblock[d]--
 					if r.nblock[d] == 0 {
 						ready = append(ready, d)
-						signal()
+						tokens.Put()
 					}
 				}
 				noteDepth()
 				if r.completed == len(r.g.tasks) {
-					stop()
+					tokens.Close()
 				}
 			}
+			return nil
 		})
 	}
 	wg.Wait(c.Proc())

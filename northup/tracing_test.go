@@ -215,7 +215,7 @@ func TestTracingOffChangesNothing(t *testing.T) {
 			run: func(rt *northup.Runtime) (northup.RunStats, error) {
 				res, err := northup.HotSpotNorthup(rt, northup.HotSpotConfig{N: 64, Seed: 6, ChunkDim: 32,
 					Iters: 3, Passes: 2, Streamed: true,
-					StreamOpts: northup.StreamOptions{SubChunks: 3, MinSubChunkBytes: 512}})
+					StreamOpts: northup.StreamOptions{SubChunks: 3}})
 				if err != nil {
 					return northup.RunStats{}, err
 				}

@@ -58,7 +58,7 @@ func runStreamCase(t *testing.T, cc streamCase, streamed bool) ([]byte, core.Str
 		opts.Faults = fault.New(e, fault.Config{Seed: 2000 + cc.seed, TransferFailRate: cc.faultRate})
 	}
 	rt := core.NewRuntime(e, tree, opts)
-	so := core.StreamOptions{SubChunks: cc.subChunks, MinSubChunkBytes: 512}
+	so := core.StreamOptions{SubChunks: cc.subChunks}
 
 	var out []byte
 	var err error
@@ -145,7 +145,7 @@ func TestStreamedRunBitCorrectUnderFaultsAndCache(t *testing.T) {
 		opts.Cache = core.CacheOptions{Enabled: true, Prefetch: true}
 		opts.Faults = fault.New(e, fault.Config{Seed: 2000 + cc.seed, TransferFailRate: cc.faultRate})
 		rt := core.NewRuntime(e, tree, opts)
-		so := core.StreamOptions{SubChunks: cc.subChunks, MinSubChunkBytes: 512}
+		so := core.StreamOptions{SubChunks: cc.subChunks}
 		var streamedOut []byte
 		if app == 0 {
 			res, err := gemm.RunNorthup(rt, gemm.Config{N: 128, Seed: cc.seed, ShardDim: 64,
