@@ -58,6 +58,7 @@ fuzz:
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzFileHash$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzChromeTrace$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzTokensMatchChan$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/workload -run '^$$' -fuzz '^FuzzSparseMatchesRand$$' -fuzztime $(FUZZTIME)
 
 # The benchmark harness is its own module (benchmark/go.mod), so the root
 # `go test ./...` skips it, yet it compiles against the runtime's public

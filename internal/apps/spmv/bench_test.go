@@ -9,15 +9,27 @@ import (
 	"repro/internal/workload"
 )
 
-// BenchmarkBinning measures the CPU-side CSR-Adaptive row binning.
+// BenchmarkBinning measures the CPU-side CSR-Adaptive row binning of a
+// power-law matrix and of the benchmark's out-of-core uniform one.
 func BenchmarkBinning(b *testing.B) {
-	m := workload.Sparse(workload.SparsePowerLaw, 100_000, 16, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		blocks := BuildRowBlocks(m.RowPtr)
-		if len(blocks) == 0 {
-			b.Fatal("no blocks")
-		}
+	for _, in := range []struct {
+		name string
+		kind workload.SparseKind
+		rows int
+	}{{"powerlaw-100k", workload.SparsePowerLaw, 100_000}, {"uniform-4M", workload.SparseUniform, 4 << 20}} {
+		b.Run(in.name, func(b *testing.B) {
+			rowPtr, err := workload.SparseRowPtr(in.kind, in.rows, 16, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if len(BuildRowBlocks(rowPtr)) == 0 {
+					b.Fatal("no blocks")
+				}
+			}
+		})
 	}
 }
 

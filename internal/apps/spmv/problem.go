@@ -30,8 +30,13 @@ type problem struct {
 }
 
 // hostMatrix returns the run's input: the provided matrix, the generated
-// one, or in phantom mode only the generated row structure.
+// one, or in phantom mode only the generated row structure. A generated
+// matrix with more non-zeros than an int32 row_ptr indexes is refused here,
+// before any file exists.
 func hostMatrix(cfg Config, functional bool) (*workload.CSR, []int32, error) {
+	var m *workload.CSR
+	var rowPtr []int32
+	var err error
 	switch {
 	case cfg.Matrix != nil:
 		if !functional {
@@ -39,11 +44,16 @@ func hostMatrix(cfg Config, functional bool) (*workload.CSR, []int32, error) {
 		}
 		return cfg.Matrix, cfg.Matrix.RowPtr, nil
 	case functional:
-		m := workload.Sparse(cfg.Kind, cfg.N, cfg.AvgNNZ, cfg.Seed)
-		return m, m.RowPtr, nil
+		if m, err = workload.NewSparse(cfg.Kind, cfg.N, cfg.AvgNNZ, cfg.Seed); err == nil {
+			rowPtr = m.RowPtr
+		}
 	default:
-		return nil, workload.SparseRowPtr(cfg.Kind, cfg.N, cfg.AvgNNZ, cfg.Seed), nil
+		rowPtr, err = workload.SparseRowPtr(cfg.Kind, cfg.N, cfg.AvgNNZ, cfg.Seed)
 	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("spmv: N=%d AvgNNZ=%d: %w", cfg.N, cfg.AvgNNZ, err)
+	}
+	return m, rowPtr, nil
 }
 
 // newProblem validates cfg against the runtime's tree and puts row_ptr,

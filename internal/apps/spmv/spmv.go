@@ -67,7 +67,10 @@ type RowBlock struct {
 func BuildRowBlocks(rowPtr []int32) []RowBlock {
 	nRows := len(rowPtr) - 1
 	base := rowPtr[0]
-	var blocks []RowBlock
+	// Room for two blocks per NNZPerGroup non-zeros: a stream block and the
+	// row after it hold more than NNZPerGroup together, so the slice rarely
+	// grows.
+	blocks := make([]RowBlock, 0, 2*int(rowPtr[nRows]-base)/NNZPerGroup+1)
 	r := 0
 	for r < nRows {
 		nnz := int(rowPtr[r+1] - rowPtr[r])
@@ -96,18 +99,12 @@ func BuildRowBlocks(rowPtr []int32) []RowBlock {
 			r++
 			continue
 		}
-		// Greedily pack consecutive short rows into one stream window.
-		r1 := r
-		acc := 0
-		for r1 < nRows {
-			next := int(rowPtr[r1+1] - rowPtr[r1])
-			if next > NNZPerGroup {
-				break
-			}
-			if acc+next > NNZPerGroup {
-				break
-			}
-			acc += next
+		// Greedily pack consecutive short rows into one stream window: the
+		// rows after r while the window's non-zeros stay within
+		// NNZPerGroup. The limit is an int, so it cannot wrap.
+		limit := int(rowPtr[r]) + NNZPerGroup
+		r1 := r + 1
+		for r1 < nRows && int(rowPtr[r1+1]) <= limit {
 			r1++
 		}
 		kind := Stream

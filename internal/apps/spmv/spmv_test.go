@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/taskgraph"
 	"repro/internal/topo"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -239,6 +240,41 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := RunInMemory(rt, Config{N: 100}); err == nil {
 		t.Fatal("in-memory baseline ran on storage tree")
+	}
+}
+
+// TestRefusesRowPtrOverflow asks for 1<<20 rows of about 3000 non-zeros,
+// some 3.1e9 in all, more than an int32 row_ptr indexes. Every schedule
+// must refuse the input, naming N and AvgNNZ, in phantom and in functional
+// mode, before it creates a file.
+func TestRefusesRowPtrOverflow(t *testing.T) {
+	cfg := Config{N: 1 << 20, AvgNNZ: 3000, Kind: workload.SparseUniform, Seed: 1}
+	for _, sched := range []struct {
+		name     string
+		inMemory bool
+		run      func(rt *core.Runtime) error
+	}{
+		{"northup", false, func(rt *core.Runtime) error { _, err := RunNorthup(rt, cfg); return err }},
+		{"tasks", false, func(rt *core.Runtime) error { _, _, err := RunTasks(rt, cfg, taskgraph.Options{}); return err }},
+		{"in-memory", true, func(rt *core.Runtime) error { _, err := RunInMemory(rt, cfg); return err }},
+	} {
+		for _, phantom := range []bool{true, false} {
+			e := sim.NewEngine()
+			tree := topo.APU(e, topo.APUConfig{Storage: topo.SSD, StorageMiB: 64, DRAMMiB: 4, WithCPU: true})
+			if sched.inMemory {
+				tree = topo.InMemory(e, 64)
+			}
+			opts := core.DefaultOptions()
+			opts.Phantom = phantom
+			err := sched.run(core.NewRuntime(e, tree, opts))
+			if err == nil || !strings.Contains(err.Error(), "N=1048576 AvgNNZ=3000") {
+				t.Errorf("%s phantom=%v: err = %v, want a refusal naming N=1048576 AvgNNZ=3000",
+					sched.name, phantom, err)
+			}
+			if store := tree.Root().Store; store != nil && len(store.List()) > 0 {
+				t.Errorf("%s phantom=%v: created %v", sched.name, phantom, store.List())
+			}
+		}
 	}
 }
 

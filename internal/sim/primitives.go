@@ -120,7 +120,6 @@ type Resource struct {
 	acquires  int64
 	waited    int64
 	waitTotal Time
-	enqueued  map[*Proc]Time
 }
 
 // resWaiter is one queued acquirer: a blocked process or a continuation.
@@ -156,16 +155,12 @@ func (r *Resource) Acquire(p *Proc) {
 		r.inUse++
 		return
 	}
-	if r.enqueued == nil {
-		r.enqueued = make(map[*Proc]Time)
-	}
-	r.enqueued[p] = r.e.now
+	at := r.e.now
 	r.waiters = append(r.waiters, resWaiter{p: p})
 	p.block()
 	// Release reserved the unit for us before waking us; account the wait.
 	r.waited++
-	r.waitTotal += r.e.now - r.enqueued[p]
-	delete(r.enqueued, p)
+	r.waitTotal += r.e.now - at
 }
 
 // AcquireAsync takes a unit of the resource and runs fn holding it — inline

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Dense returns a rows x cols row-major float32 matrix with deterministic
@@ -140,103 +141,156 @@ func (k SparseKind) String() string {
 // seed): the row-length structure without materializing columns and values.
 // The out-of-core planner (nnz-adaptive shard splitting, §IV-C) needs
 // exactly this much even in phantom (timing-only) runs, where a 16M-row
-// matrix's values never exist on the host.
-func SparseRowPtr(kind SparseKind, n, avgNNZ int, seed int64) []int32 {
-	rng := rand.New(rand.NewSource(seed))
-	rowPtr := make([]int32, n+1)
-	for r := 0; r < n; r++ {
-		rowPtr[r+1] = rowPtr[r] + int32(rowLength(kind, rng, n, avgNNZ, r))
+// matrix's values never exist on the host. It fails, at the row where the
+// sum would wrap, when the rows hold more non-zeros than an int32 row_ptr
+// indexes.
+//
+// The draws are math/rand's, Rand.Intn and Rand.Float64 over
+// rand.NewSource(seed), written out (intn, unitFloat) so that the compiler
+// inlines the source's Int63 into each loop: a call through rand.Rand per
+// row was most of the generator's time.
+func SparseRowPtr(kind SparseKind, n, avgNNZ int, seed int64) ([]int32, error) {
+	if kind < SparseUniform || kind > SparseBanded {
+		return nil, fmt.Errorf("workload: unknown sparse kind %v", kind)
 	}
-	return rowPtr
-}
-
-// rowLength draws one row's non-zero count.
-func rowLength(kind SparseKind, rng *rand.Rand, n, avgNNZ, row int) int {
-	var rowLen int
+	// Every row holds a non-zero, so more rows than math.MaxInt32 cannot fit.
+	if n < 0 || n > math.MaxInt32 || avgNNZ < 0 || avgNNZ >= math.MaxInt32 {
+		return nil, fmt.Errorf("workload: %d rows of %d non-zeros: want 0 <= rows <= %d and 0 <= non-zeros < %d",
+			n, avgNNZ, math.MaxInt32, math.MaxInt32)
+	}
+	rowPtr := make([]int32, n+1)
+	src := rand.NewSource(seed)
+	var sum int64
+	r := 0
 	switch kind {
 	case SparseUniform:
-		rowLen = avgNNZ/2 + rng.Intn(avgNNZ+1)
+		span := newIntn(avgNNZ + 1)
+		for ; r < n; r++ {
+			sum += int64(min(max(avgNNZ/2+int(span.draw(src)), 1), n))
+			if sum > math.MaxInt32 {
+				break
+			}
+			rowPtr[r+1] = int32(sum)
+		}
 	case SparsePowerLaw:
 		// Zipf-ish via inverse transform; mean scaled to avgNNZ.
-		u := rng.Float64()
-		rowLen = int(float64(avgNNZ) / 3 * math.Pow(u, -0.55))
-		if rowLen > n {
-			rowLen = n
+		scale := float64(avgNNZ) / 3
+		for ; r < n; r++ {
+			sum += int64(max(min(int(scale*math.Pow(unitFloat(src), -0.55)), n), 1))
+			if sum > math.MaxInt32 {
+				break
+			}
+			rowPtr[r+1] = int32(sum)
 		}
 	case SparseBanded:
-		rowLen = avgNNZ
-	}
-	if rowLen < 1 {
-		rowLen = 1
-	}
-	if kind == SparseBanded {
-		// Banded rows clip at the matrix edges; mirror the fill loop below.
-		half := rowLen / 2
-		lo := row - half
-		count := 0
-		for c := lo; count < rowLen && c < n; c++ {
-			if c >= 0 {
-				count++
+		// A band of avgNNZ columns centred on the diagonal, clipped at the
+		// matrix edges.
+		band := max(avgNNZ, 1)
+		for ; r < n; r++ {
+			sum += int64(min(band, n-max(r-band/2, 0)))
+			if sum > math.MaxInt32 {
+				break
 			}
+			rowPtr[r+1] = int32(sum)
 		}
-		return count
 	}
-	if rowLen > n {
-		rowLen = n
+	if r < n {
+		return nil, fmt.Errorf("workload: %v rows 0..%d of %d hold %d non-zeros, more than an int32 row_ptr indexes",
+			kind, r, n, sum)
 	}
-	return rowLen
+	return rowPtr, nil
+}
+
+// intn draws Rand.Intn(n) for 0 < n <= math.MaxInt32, which is Int31n(n):
+// a 31-bit draw, redrawn while it lies above bound, in the last, partial
+// run of n values below 2^31, then taken modulo n. When n is a power of
+// two nothing is redrawn and the remainder is Int31n's mask.
+type intn struct{ n, bound int32 }
+
+func newIntn(n int) intn {
+	return intn{int32(n), int32(math.MaxInt32 - (1<<31)%uint32(n))}
+}
+
+// draw takes the next value from src. Callers hold src as the local that
+// rand.NewSource returned, so the compiler devirtualizes its Int63. draw
+// and unitFloat are just within the inliner's budget; `go build
+// -gcflags=-m` must still report both inlined after a change.
+func (d intn) draw(src rand.Source) int32 {
+	for {
+		if v := int32(src.Int63() >> 32); v <= d.bound {
+			return v % d.n
+		}
+	}
+}
+
+// unitFloat is Rand.Float64 over src.
+func unitFloat(src rand.Source) float64 {
+	for {
+		if f := float64(src.Int63()) / (1 << 63); f != 1 {
+			return f
+		}
+	}
 }
 
 // Sparse generates an n x n CSR matrix with roughly avgNNZ non-zeros per
 // row, structured per kind, deterministically from seed. Its row_ptr is
-// bit-identical to SparseRowPtr(kind, n, avgNNZ, seed).
+// bit-identical to SparseRowPtr(kind, n, avgNNZ, seed). It panics where
+// SparseRowPtr fails; NewSparse returns that error instead.
 func Sparse(kind SparseKind, n, avgNNZ int, seed int64) *CSR {
-	m := &CSR{NRows: n, NCols: n,
-		RowPtr: SparseRowPtr(kind, n, avgNNZ, seed)}
-	nnz := int(m.RowPtr[n])
-	m.ColIdx = make([]int32, 0, nnz)
-	m.Val = make([]float32, 0, nnz)
-	// Columns and values come from an independent stream so that the row
-	// structure alone can be regenerated cheaply.
-	rng := rand.New(rand.NewSource(seed ^ 0x5eed5eed))
-	cols := make([]int32, 0, avgNNZ)
-	for r := 0; r < n; r++ {
-		rowLen := int(m.RowPtr[r+1] - m.RowPtr[r])
-		cols = cols[:0]
-		switch kind {
-		case SparseBanded:
-			// Use the pre-clip band half-width so edge rows enumerate the
-			// same columns the row-length generator counted.
-			base := avgNNZ
-			if base < 1 {
-				base = 1
-			}
-			half := base / 2
-			for c := r - half; len(cols) < rowLen; c++ {
-				if c >= 0 && c < n {
-					cols = append(cols, int32(c))
-				}
-				if c >= n {
-					break
-				}
-			}
-		default:
-			seen := make(map[int32]bool, rowLen)
-			for len(cols) < rowLen && len(cols) < n {
-				c := int32(rng.Intn(n))
-				if !seen[c] {
-					seen[c] = true
-					cols = append(cols, c)
-				}
-			}
-			sortInt32(cols)
-		}
-		for _, c := range cols {
-			m.ColIdx = append(m.ColIdx, c)
-			m.Val = append(m.Val, float32(rng.Float64()*2-1))
-		}
+	m, err := NewSparse(kind, n, avgNNZ, seed)
+	if err != nil {
+		panic(err)
 	}
 	return m
+}
+
+// NewSparse is Sparse, failing where SparseRowPtr fails.
+func NewSparse(kind SparseKind, n, avgNNZ int, seed int64) (*CSR, error) {
+	rowPtr, err := SparseRowPtr(kind, n, avgNNZ, seed)
+	if err != nil {
+		return nil, err
+	}
+	nnz := rowPtr[n]
+	m := &CSR{NRows: n, NCols: n, RowPtr: rowPtr,
+		ColIdx: make([]int32, nnz), Val: make([]float32, nnz)}
+	// Columns and values come from an independent stream so that the row
+	// structure alone can be regenerated cheaply. A random column is
+	// Rand.Intn(n) (n fits an int32: every row holds a non-zero), redrawn
+	// when the row already holds it; seen keeps, per column, the last row
+	// that drew it, plus one.
+	src := rand.NewSource(seed ^ 0x5eed5eed)
+	half := max(avgNNZ, 1) / 2
+	var col intn
+	var seen []int32
+	if kind != SparseBanded && n > 0 {
+		col, seen = newIntn(n), make([]int32, n)
+	}
+	for r := 0; r < n; r++ {
+		lo, hi := rowPtr[r], rowPtr[r+1]
+		cols := m.ColIdx[lo:hi]
+		if kind == SparseBanded {
+			// The band starts at the pre-clip half-width, so edge rows
+			// enumerate the columns SparseRowPtr counted.
+			c := int32(max(r-half, 0))
+			for i := range cols {
+				cols[i] = c + int32(i)
+			}
+		} else {
+			stamp := int32(r + 1)
+			for i := 0; i < len(cols); {
+				if c := col.draw(src); seen[c] != stamp {
+					seen[c] = stamp
+					cols[i] = c
+					i++
+				}
+			}
+			slices.Sort(cols)
+		}
+		for i := lo; i < hi; i++ {
+			m.Val[i] = float32(unitFloat(src)*2 - 1)
+		}
+	}
+	return m, nil
 }
 
 // Vector returns a deterministic dense vector of length n.
@@ -247,13 +301,4 @@ func Vector(n int, seed int64) []float32 {
 		v[i] = float32(rng.Float64()*2 - 1)
 	}
 	return v
-}
-
-// sortInt32 is insertion sort: rows are short and mostly sorted already.
-func sortInt32(a []int32) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j-1] > a[j]; j-- {
-			a[j-1], a[j] = a[j], a[j-1]
-		}
-	}
 }

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -150,7 +152,10 @@ func TestSparseRowPtrMatchesFullGenerator(t *testing.T) {
 			if err := m.Validate(); err != nil {
 				t.Fatalf("%v n=%d: %v", kind, n, err)
 			}
-			rp := SparseRowPtr(kind, n, 6, 99)
+			rp, err := SparseRowPtr(kind, n, 6, 99)
+			if err != nil {
+				t.Fatalf("%v n=%d: %v", kind, n, err)
+			}
 			if len(rp) != len(m.RowPtr) {
 				t.Fatalf("%v n=%d: length mismatch", kind, n)
 			}
@@ -163,11 +168,83 @@ func TestSparseRowPtrMatchesFullGenerator(t *testing.T) {
 	}
 }
 
+// TestSparseRowPtrRefusesOverflow checks the int32 row_ptr limit exactly:
+// power-law rows of a huge average all clamp to n, so n rows hold n*n
+// non-zeros, which fits at n = 46340 and does not at 46341.
+func TestSparseRowPtrRefusesOverflow(t *testing.T) {
+	const avg = 1 << 30
+	rp, err := SparseRowPtr(SparsePowerLaw, 46340, avg, 1)
+	if err != nil || rp[46340] != 46340*46340 {
+		t.Fatalf("46340 full rows: err = %v", err)
+	}
+	for _, tc := range []struct {
+		kind   SparseKind
+		n, avg int
+	}{{SparsePowerLaw, 46341, avg}, {SparseUniform, 46341, avg}, {SparseUniform, 1 << 20, 3000}} {
+		if _, err := SparseRowPtr(tc.kind, tc.n, tc.avg, 1); err == nil || !strings.Contains(err.Error(), "int32 row_ptr") {
+			t.Errorf("%v n=%d avg=%d: SparseRowPtr err = %v, want the int32 row_ptr limit", tc.kind, tc.n, tc.avg, err)
+		}
+		if _, err := NewSparse(tc.kind, tc.n, tc.avg, 1); err == nil {
+			t.Errorf("%v n=%d avg=%d: NewSparse accepted", tc.kind, tc.n, tc.avg)
+		}
+	}
+	for _, tc := range []struct {
+		kind   SparseKind
+		n, avg int
+	}{{SparseKind(3), 10, 4}, {SparseUniform, -1, 4}, {SparseBanded, math.MaxInt, 4}, {SparseBanded, 10, -1}, {SparsePowerLaw, 10, math.MaxInt32}} {
+		if _, err := SparseRowPtr(tc.kind, tc.n, tc.avg, 1); err == nil {
+			t.Errorf("%v n=%d avg=%d accepted", tc.kind, tc.n, tc.avg)
+		}
+	}
+}
+
+// TestSparseAllocsDoNotGrowWithRows guards the per-row map the generator
+// used to allocate: a matrix costs the same few allocations at any size.
+func TestSparseAllocsDoNotGrowWithRows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	for _, kind := range []SparseKind{SparseUniform, SparsePowerLaw, SparseBanded} {
+		small := testing.AllocsPerRun(3, func() { Sparse(kind, 1<<10, 16, 5) })
+		large := testing.AllocsPerRun(1, func() { Sparse(kind, 64<<10, 16, 5) })
+		if small != large {
+			t.Errorf("%v: %v allocations at 1k rows, %v at 64k", kind, small, large)
+		}
+	}
+}
+
 func TestVectorDeterministic(t *testing.T) {
 	a, b := Vector(100, 3), Vector(100, 3)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("vector not deterministic")
 		}
+	}
+}
+
+// BenchmarkSparseRowPtr times each kind's row structure at the benchmark's
+// out-of-core SpMV size: 4M rows of 16 non-zeros.
+func BenchmarkSparseRowPtr(b *testing.B) {
+	for _, kind := range []SparseKind{SparseUniform, SparsePowerLaw, SparseBanded} {
+		b.Run(kind.String(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := SparseRowPtr(kind, 4<<20, 16, int64(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSparse times each kind's whole matrix at the benchmark's
+// functional SpMV size: 64k rows of 16 non-zeros.
+func BenchmarkSparse(b *testing.B) {
+	for _, kind := range []SparseKind{SparseUniform, SparsePowerLaw, SparseBanded} {
+		b.Run(kind.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Sparse(kind, 64<<10, 16, int64(i))
+			}
+		})
 	}
 }
