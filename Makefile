@@ -54,6 +54,7 @@ race:
 fuzz:
 	$(GO) test ./northup -run '^$$' -fuzz '^FuzzParseFaults$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzParseScenario$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzScenarioRun$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/taskgraph -run '^$$' -fuzz '^FuzzGraphAdd$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzFileHash$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzChromeTrace$$' -fuzztime $(FUZZTIME)

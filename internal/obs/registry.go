@@ -187,7 +187,14 @@ func (h *Histogram) Bounds() []int64 { return append([]int64(nil), h.bounds...) 
 // histograms. Observations beyond the last bound resolve to Max(). Returns
 // 0 when the histogram is empty.
 func (h *Histogram) Quantile(q float64) int64 {
-	if h.n == 0 {
+	return quantile(h.bounds, h.counts, h.n, h.max, q)
+}
+
+// quantile is the bucket rule behind Histogram.Quantile and
+// HistSnapshot.Quantile over n observations in counts (one per bound, then
+// +Inf) whose largest is max.
+func quantile(bounds, counts []int64, n, max int64, q float64) int64 {
+	if n <= 0 {
 		return 0
 	}
 	if q < 0 {
@@ -196,24 +203,24 @@ func (h *Histogram) Quantile(q float64) int64 {
 	if q > 1 {
 		q = 1
 	}
-	rank := int64(q * float64(h.n))
-	if float64(rank) < q*float64(h.n) {
+	rank := int64(q * float64(n))
+	if float64(rank) < q*float64(n) {
 		rank++
 	}
 	if rank < 1 {
 		rank = 1
 	}
 	cum := int64(0)
-	for i, b := range h.bounds {
-		cum += h.counts[i]
+	for i, b := range bounds {
+		cum += counts[i]
 		if cum >= rank {
-			if b > h.max {
-				return h.max
+			if b > max {
+				return max
 			}
 			return b
 		}
 	}
-	return h.max
+	return max
 }
 
 // metric is one registered instrument.

@@ -72,33 +72,7 @@ func (s HistSnapshot) Sum() int64 { return s.sum }
 // (windowed) snapshot, observations beyond the last bound resolve to the
 // source histogram's lifetime max — a deterministic upper estimate.
 func (s HistSnapshot) Quantile(q float64) int64 {
-	if s.n <= 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int64(q * float64(s.n))
-	if float64(rank) < q*float64(s.n) {
-		rank++
-	}
-	if rank < 1 {
-		rank = 1
-	}
-	cum := int64(0)
-	for i, b := range s.bounds {
-		cum += s.counts[i]
-		if cum >= rank {
-			if b > s.max {
-				return s.max
-			}
-			return b
-		}
-	}
-	return s.max
+	return quantile(s.bounds, s.counts, s.n, s.max, q)
 }
 
 // winSample is one ring entry: a cumulative value observed at instant t.

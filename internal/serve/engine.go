@@ -72,6 +72,7 @@ type tenantState struct {
 	inflight int64   // footprint of dispatched, unfinished jobs
 	vft      float64 // weighted-fair-queueing virtual finish time
 	mixCum   []float64
+	plans    []jobPlan // one per mix entry, sized against quota
 	jobSeq   int
 	jnyAcc   float64 // journey sampling stride accumulator (no RNG draws)
 
@@ -126,8 +127,9 @@ type Engine struct {
 	outstanding  int    // admitted but not yet finished jobs
 	detachQueues func() // releases the staging node's queue monitors
 
-	records []JobRecord
-	ran     bool
+	records   []JobRecord
+	workBytes int64 // planned WFQ cost of the jobs that completed
+	ran       bool
 }
 
 // New builds an engine for a scenario. Defaults are applied to a private
@@ -222,11 +224,13 @@ func (e *Engine) newTenantState(idx int, spec *Tenant) *tenantState {
 		depthG:     reg.Gauge("northup_serve_queue_depth", "admitted jobs waiting for dispatch", lbl),
 		inflightG:  reg.Gauge("northup_serve_inflight_bytes", "staging footprint of running jobs", lbl),
 	}
-	// Weight prefix sums for mix draws.
+	// Weight prefix sums for mix draws, and each entry's plan.
 	cum := 0.0
-	for _, m := range spec.Mix {
+	t.plans = make([]jobPlan, len(spec.Mix))
+	for i, m := range spec.Mix {
 		cum += m.Weight
 		t.mixCum = append(t.mixCum, cum)
+		t.plans[i] = planJob(shapeOf(m), t.quota)
 	}
 	// The tenant queue publishes its depth both as a tenant-labelled serve
 	// gauge and — through an additive slot — into the shared runtime's
@@ -242,16 +246,17 @@ func (e *Engine) newTenantState(idx int, spec *Tenant) *tenantState {
 	return t
 }
 
-// pickMix draws one mix entry by weight from the tenant RNG.
-func (t *tenantState) pickMix() MixEntry {
+// pickPlan draws one mix entry by weight from the tenant RNG and returns
+// its plan.
+func (t *tenantState) pickPlan() *jobPlan {
 	total := t.mixCum[len(t.mixCum)-1]
 	x := t.rng.Float64() * total
 	for i, c := range t.mixCum {
 		if x < c {
-			return t.spec.Mix[i]
+			return &t.plans[i]
 		}
 	}
-	return t.spec.Mix[len(t.spec.Mix)-1]
+	return &t.plans[len(t.plans)-1]
 }
 
 // Run executes the scenario to completion — every tenant's arrival process
@@ -368,16 +373,16 @@ func (e *Engine) closeArrivals() {
 	}
 }
 
-// admit runs admission control for one arrival: plan the job against the
-// tenant quota, apply the backlog cap, and enqueue or reject.
+// admit runs admission control for one arrival: look up the drawn mix
+// entry's plan against the tenant quota, apply the backlog cap, and
+// enqueue or reject.
 func (e *Engine) admit(t *tenantState) {
 	t.arrivals.Inc()
-	mix := t.pickMix()
+	plan := t.pickPlan()
 	seed := t.rng.Int63()
-	plan, reason, err := planJob(mix, t.quota)
-	if err != nil {
+	if plan.reject != "" {
 		t.rejQuota.Inc()
-		e.noteReject(t, reason)
+		e.noteReject(t, plan.reject)
 		return
 	}
 	if t.q.Len() >= t.spec.MaxQueue {
@@ -388,7 +393,6 @@ func (e *Engine) admit(t *tenantState) {
 	jb := &job{
 		tenant: t.spec.Name,
 		id:     t.jobSeq,
-		mix:    mix,
 		seed:   seed,
 		arrive: e.eng.Now(),
 		plan:   plan,
@@ -459,9 +463,8 @@ func (e *Engine) dispatch(p *sim.Proc, t *tenantState, jb *job) {
 		jb.jny.Dispatched(start)
 	}
 
-	body := jb.body(e)
 	var hash uint64
-	name := fmt.Sprintf("serve:%s-j%04d-%s", jb.tenant, jb.id, jb.mix.Workload)
+	name := fmt.Sprintf("serve:%s-j%04d-%s", jb.tenant, jb.id, jb.plan.workload)
 	join := e.rt.Start(name, func(c *core.Ctx) error {
 		// The job runs on its own fresh proc, so keying its journey by that
 		// proc feeds it exactly the charges this job incurs — a pure read
@@ -470,7 +473,7 @@ func (e *Engine) dispatch(p *sim.Proc, t *tenantState, jb *job) {
 			e.feed.jobs[c.Proc()] = jb.jny
 			defer delete(e.feed.jobs, c.Proc())
 		}
-		h, err := body(c)
+		h, err := jb.run(c, e)
 		hash = h
 		return err
 	})
@@ -489,6 +492,7 @@ func (e *Engine) dispatch(p *sim.Proc, t *tenantState, jb *job) {
 		t.jobErrors.Inc()
 	} else {
 		t.completed.Inc()
+		e.workBytes += jb.plan.WorkBytes
 		if t.spec.SLO > 0 && lat > int64(t.spec.SLO) {
 			t.sloViol.Inc()
 		}
@@ -496,8 +500,8 @@ func (e *Engine) dispatch(p *sim.Proc, t *tenantState, jb *job) {
 	rec := JobRecord{
 		Tenant:   jb.tenant,
 		ID:       jb.id,
-		Workload: jb.mix.Workload,
-		N:        jb.mix.N,
+		Workload: jb.plan.workload,
+		N:        jb.plan.n,
 		ArriveNS: int64(jb.arrive),
 		StartNS:  int64(start),
 		DoneNS:   int64(done),

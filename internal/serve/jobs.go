@@ -20,13 +20,20 @@ import (
 type job struct {
 	tenant string
 	id     int
-	mix    MixEntry
 	seed   int64 // input-data seed, drawn from the tenant's arrival RNG
 	arrive sim.Time
-	plan   jobPlan
+	plan   *jobPlan // the tenant's plan for the drawn mix entry
 	// jny is the job's journey, nil when journeys are off or the job was
-	// not sampled. journey.Job methods are nil-safe where bodies call them.
+	// not sampled. journey.Job methods are nil-safe where the driver calls
+	// them.
 	jny *journey.Job
+
+	// The driver's buffers, indexed like the shape's files, resident
+	// buffers and strip buffers; the leaf reads them.
+	files [3]*core.Buffer
+	res   [2]*core.Buffer
+	buf   [3]*core.Buffer
+	csr   *workload.CSR // SpMV's host matrix (functional runs)
 }
 
 // Admission reject reasons: the label set of
@@ -43,101 +50,140 @@ const (
 	rejectBacklog = "backlog"
 )
 
-// jobPlan is the admission-time sizing of a job against its tenant's quota.
-type jobPlan struct {
-	// Footprint is the job's peak staging-memory demand in bytes: what the
-	// quota admits and what dispatch holds as in-flight while it runs.
-	Footprint int64
+// noFile marks a buffer that loads from, or stores to, no file.
+const noFile = -1
+
+// fileSpec is one of a job's files: its name suffix and size in bytes.
+type fileSpec struct {
+	part  string
+	bytes int64
+}
+
+// bufSpec is one staging buffer of a shape: its bytes per row, and the
+// indexes into the shape's files that it loads from and stores to (noFile
+// for either). A strip buffer covers the strip's rows, a resident buffer
+// all n rows; either moves the same rows of its files.
+type bufSpec struct {
+	perRow   int64
+	from, to int
+}
+
+// shape is one mix entry's layout, the only thing the admission planner
+// and the job driver read: the job's files, the buffers it keeps resident
+// in staging, the buffers of one strip, the strip alignment, the
+// iteration count, the output file and the WFQ cost. A workload supplies
+// only its inputs and its leaf computation.
+type shape struct {
+	workload string
+	n        int
+	iters    int
+	files    []fileSpec
+	resident []bufSpec
+	strip    []bufSpec
+	align    int
+	out      int // the file whose hash is the job's result
 	// WorkBytes is the job's weighted-fair-queueing cost — the bytes it
 	// stages through the memory hierarchy.
 	WorkBytes int64
-	// Strip is the workload-specific chunking (rows or keys per piece)
-	// that achieves the footprint.
-	Strip int
+	// inputs returns the payloads of the job's files in file order (nil
+	// for a file that starts empty) and sets any host state the leaf
+	// reads. Functional runs only.
+	inputs func(jb *job) [3][]byte
+	// leaf computes rows [r0, r0+rows) at the staging node.
+	leaf func(lc *core.Ctx, jb *job, r0, rows int) error
 }
 
-// name builds a per-job-unique simulated file name: CreateInput requires
-// distinct names, and several jobs share one storage node.
-func (jb *job) name(part string) string {
-	return fmt.Sprintf("%s-j%04d-%s", jb.tenant, jb.id, part)
-}
+// spmvRowBytes is the staged bytes of one serve SpMV row: spmvAvgNNZ
+// entries of a 4 B column index and a 4 B value.
+const spmvRowBytes = spmvAvgNNZ * 8
 
-// planJob sizes a mix entry's working set against a tenant quota. The
-// divide-and-conquer chunking adapts to the quota exactly like the paper's
-// runtime adapts to a level's capacity — a smaller quota means thinner
-// strips, not failure — until even the minimum strip no longer fits, at
-// which point the job is rejected. On rejection the returned reason
-// distinguishes a resident set that can never fit (rejectQuota) from a
-// minimum strip that does not fit beside it (rejectMinStrip).
-func planJob(m MixEntry, quota int64) (jobPlan, string, error) {
-	n64 := int64(m.N)
+// shapeOf lays out a validated mix entry.
+func shapeOf(m MixEntry) shape {
+	n := int64(m.N)
+	s := shape{workload: m.Workload, n: m.N, iters: 1, align: 1}
 	switch m.Workload {
 	case WorkloadGEMM:
-		// B stays resident; A and C stream through in row strips.
-		resident := 4 * n64 * n64
-		stripCost := 2 * 4 * n64 // bytes per strip row (one A row + one C row)
-		s := chunkRows(quota-resident, stripCost, m.N, gemm.TileDim)
-		if s < gemm.TileDim {
-			reason := rejectMinStrip
-			if resident > quota {
-				reason = rejectQuota
-			}
-			return jobPlan{}, reason, fmt.Errorf("gemm n=%d needs %d B for its minimum working set", m.N,
-				resident+int64(gemm.TileDim)*stripCost)
-		}
-		return jobPlan{
-			Footprint: resident + int64(s)*stripCost,
-			WorkBytes: 3 * 4 * n64 * n64,
-			Strip:     s,
-		}, "", nil
+		// C = A x B: B stays resident; A and C stream through in row strips.
+		s.files = []fileSpec{{"A", 4 * n * n}, {"B", 4 * n * n}, {"C", 4 * n * n}}
+		s.resident = []bufSpec{{4 * n, 1, noFile}}
+		s.strip = []bufSpec{{4 * n, 0, noFile}, {4 * n, noFile, 2}}
+		s.align, s.out = gemm.TileDim, 2
+		s.WorkBytes = 3 * 4 * n * n
+		s.inputs, s.leaf = denseInputs, gemmLeaf
 	case WorkloadSpMV:
-		// x and y stay resident; CSR row chunks stream through. Sizing uses
-		// the uniform expectation avgNNZ per row, which the serve generator
-		// also produces.
-		resident := 2 * 4 * n64
-		rowCost := int64(spmvAvgNNZ) * 8 // 4 B column index + 4 B value
-		c := chunkRows(quota-resident, rowCost, m.N, 1)
-		if c < 1 {
-			reason := rejectMinStrip
-			if resident > quota {
-				reason = rejectQuota
-			}
-			return jobPlan{}, reason, fmt.Errorf("spmv n=%d needs %d B for its minimum working set", m.N,
-				resident+rowCost)
-		}
-		return jobPlan{
-			Footprint: resident + int64(c)*rowCost,
-			WorkBytes: resident + n64*rowCost,
-			Strip:     c,
-		}, "", nil
+		// y = A x: x and y stay resident; CSR row chunks stream through.
+		// The matrix file is sized by the uniform expectation spmvAvgNNZ
+		// per row, which the serve generator also produces; its staged
+		// bytes drive timing while the functional kernel reads the host CSR.
+		s.files = []fileSpec{{"M", n * spmvRowBytes}, {"x", 4 * n}, {"y", 4 * n}}
+		s.resident = []bufSpec{{4, 1, noFile}, {4, noFile, 2}}
+		s.strip = []bufSpec{{spmvRowBytes, 0, noFile}}
+		s.out = 2
+		s.WorkBytes = 2*4*n + n*spmvRowBytes
+		s.inputs, s.leaf = spmvInputs, spmvLeaf
 	case WorkloadHotSpot:
-		// Double-buffered temperature band plus its power band.
-		bandCost := 3 * 4 * n64 // bytes per band row (temp in, temp out, power)
-		c := chunkRows(quota, bandCost, m.N, hotspot.BlockDim)
-		if c < hotspot.BlockDim {
-			return jobPlan{}, rejectMinStrip, fmt.Errorf("hotspot n=%d needs %d B for its minimum working set", m.N,
-				int64(hotspot.BlockDim)*bandCost)
-		}
-		return jobPlan{
-			Footprint: int64(c) * bandCost,
-			WorkBytes: int64(m.Iters)*2*4*n64*n64 + 4*n64*n64,
-			Strip:     c,
-		}, "", nil
+		// The grid streams through staging in bands every iteration: the
+		// temperature band in and out, and its power band.
+		s.files = []fileSpec{{"T", 4 * n * n}, {"P", 4 * n * n}}
+		s.strip = []bufSpec{{4 * n, 0, noFile}, {4 * n, noFile, 0}, {4 * n, 1, noFile}}
+		s.align, s.iters = hotspot.BlockDim, m.Iters
+		// Not the staged traffic (iters·3·4n²): this is the cost every
+		// serve number has been measured with.
+		s.WorkBytes = int64(m.Iters)*2*4*n*n + 4*n*n
+		s.inputs, s.leaf = denseInputs, hotspotLeaf
 	case WorkloadSort:
 		// One in-place run at a time (the sorted-runs pass of the paper's
-		// out-of-core sort).
-		c := chunkRows(quota, 4, m.N, 1)
-		if c < 1 {
-			return jobPlan{}, rejectMinStrip, fmt.Errorf("sort n=%d needs at least 4 B of quota", m.N)
-		}
-		return jobPlan{
-			Footprint: int64(c) * 4,
-			WorkBytes: 2 * 4 * n64,
-			Strip:     c,
-		}, "", nil
+		// out-of-core sort), written back as an independent sorted run.
+		s.files = []fileSpec{{"keys", 4 * n}, {"runs", 4 * n}}
+		s.strip = []bufSpec{{4, 0, 1}}
+		s.out = 1
+		s.WorkBytes = 2 * 4 * n
+		s.inputs, s.leaf = sortInputs, sortLeaf
 	default:
-		return jobPlan{}, rejectQuota, fmt.Errorf("unknown workload %q", m.Workload)
+		panic(fmt.Sprintf("serve: no shape for workload %q", m.Workload))
 	}
+	return s
+}
+
+// jobPlan is a mix entry's shape sized against its tenant's quota. New
+// makes one per (tenant, mix entry), since it depends on nothing else;
+// admission only looks it up.
+type jobPlan struct {
+	shape
+	// Footprint is the job's peak staging-memory demand in bytes: what the
+	// quota admits and what dispatch holds as in-flight while it runs.
+	Footprint int64
+	// Strip is the rows (keys, for sort) per strip that achieve the
+	// footprint.
+	Strip int
+	// reject is the admission reject reason, "" when the job fits.
+	reject string
+}
+
+// planJob sizes a shape against a tenant quota. The divide-and-conquer
+// chunking adapts to the quota exactly like the paper's runtime adapts to a
+// level's capacity — a smaller quota means thinner strips, not failure —
+// until even the minimum strip no longer fits, at which point the plan
+// rejects: rejectQuota for a resident set that can never fit,
+// rejectMinStrip for a minimum strip that does not fit beside it.
+func planJob(s shape, quota int64) jobPlan {
+	var resident, perRow int64
+	for _, b := range s.resident {
+		resident += int64(s.n) * b.perRow
+	}
+	for _, b := range s.strip {
+		perRow += b.perRow
+	}
+	p := jobPlan{shape: s, Strip: chunkRows(quota-resident, perRow, s.n, s.align)}
+	switch {
+	case resident > quota:
+		p.reject = rejectQuota
+	case p.Strip < s.align:
+		p.reject = rejectMinStrip
+	default:
+		p.Footprint = resident + int64(p.Strip)*perRow
+	}
+	return p
 }
 
 // chunkRows returns the largest row count, a multiple of align and at most
@@ -154,21 +200,113 @@ func chunkRows(budget, costPerRow int64, max, align int) int {
 	return int(rows)
 }
 
-// body returns the job's root-task function for the shared runtime.
-func (jb *job) body(e *Engine) func(*core.Ctx) (uint64, error) {
-	switch jb.mix.Workload {
-	case WorkloadGEMM:
-		return jb.gemmBody(e)
-	case WorkloadSpMV:
-		return jb.spmvBody(e)
-	case WorkloadHotSpot:
-		return jb.hotspotBody(e)
-	case WorkloadSort:
-		return jb.sortBody(e)
-	default:
-		return func(*core.Ctx) (uint64, error) {
-			return 0, fmt.Errorf("serve: unknown workload %q", jb.mix.Workload)
+// name builds a per-job-unique simulated file name: CreateInput requires
+// distinct names, and several jobs share one storage node.
+func (jb *job) name(part string) string {
+	return fmt.Sprintf("%s-j%04d-%s", jb.tenant, jb.id, part)
+}
+
+// run is every job's root task, driven by its shape: it creates the
+// files, allocates and loads each resident buffer in turn, runs every
+// strip of every iteration, stores the resident results and hashes the
+// output file.
+func (jb *job) run(c *core.Ctx, e *Engine) (uint64, error) {
+	s := &jb.plan.shape
+	rt := c.Runtime()
+	var data [3][]byte
+	if !rt.Phantom() {
+		data = s.inputs(jb)
+	}
+	nf, nr := 0, 0
+	defer func() {
+		release(c, jb.res[:nr])
+		release(c, jb.files[:nf])
+	}()
+	for ; nf < len(s.files); nf++ {
+		f, err := rt.CreateInput(c.Node(), jb.name(s.files[nf].part), s.files[nf].bytes, data[nf])
+		if err != nil {
+			return 0, err
 		}
+		jb.files[nf] = f
+	}
+	for _, b := range s.resident {
+		buf, err := c.AllocAt(e.dram, int64(s.n)*b.perRow)
+		if err != nil {
+			return 0, err
+		}
+		jb.res[nr] = buf
+		nr++
+		if err := jb.load(c, b, buf, 0, s.n); err != nil {
+			return 0, err
+		}
+	}
+	for it := 0; it < s.iters; it++ {
+		for r0 := 0; r0 < s.n; r0 += jb.plan.Strip {
+			if err := jb.runStrip(c, e, r0, min(jb.plan.Strip, s.n-r0)); err != nil {
+				return 0, err
+			}
+		}
+	}
+	if err := jb.store(c, s.resident, jb.res[:], 0, s.n); err != nil {
+		return 0, err
+	}
+	return fileHash(jb.files[s.out]), nil
+}
+
+// runStrip allocates the strip buffers in order, loads them, runs the
+// leaf at the staging node, stores the results and releases the buffers
+// in reverse order.
+func (jb *job) runStrip(c *core.Ctx, e *Engine, r0, rows int) error {
+	s := &jb.plan.shape
+	nb := 0
+	defer func() { release(c, jb.buf[:nb]) }()
+	for ; nb < len(s.strip); nb++ {
+		buf, err := c.AllocAt(e.dram, int64(rows)*s.strip[nb].perRow)
+		if err != nil {
+			return err
+		}
+		jb.buf[nb] = buf
+	}
+	for i, b := range s.strip {
+		if err := jb.load(c, b, jb.buf[i], r0, rows); err != nil {
+			return err
+		}
+	}
+	if err := c.Descend(e.dram, func(lc *core.Ctx) error { return s.leaf(lc, jb, r0, rows) }); err != nil {
+		return err
+	}
+	return jb.store(c, s.strip, jb.buf[:], r0, rows)
+}
+
+// load fills buf with rows [r0, r0+rows) of its source file, if it has one.
+func (jb *job) load(c *core.Ctx, b bufSpec, buf *core.Buffer, r0, rows int) error {
+	if b.from == noFile {
+		return nil
+	}
+	return c.MoveDataDown(buf, jb.files[b.from], 0, int64(r0)*b.perRow, int64(rows)*b.perRow)
+}
+
+// store writes each buffer that has a target file back to rows [r0,
+// r0+rows) of it, inside the journey's merge marks.
+func (jb *job) store(c *core.Ctx, specs []bufSpec, bufs []*core.Buffer, r0, rows int) error {
+	for i, b := range specs {
+		if b.to == noFile {
+			continue
+		}
+		jb.jny.Mark(journey.PhaseMerge)
+		err := c.MoveDataUp(jb.files[b.to], bufs[i], int64(r0)*b.perRow, 0, int64(rows)*b.perRow)
+		jb.jny.Mark("")
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// release frees bufs in reverse order.
+func release(c *core.Ctx, bufs []*core.Buffer) {
+	for i := len(bufs) - 1; i >= 0; i-- {
+		c.Release(bufs[i])
 	}
 }
 
@@ -188,393 +326,113 @@ func fileHash(b *core.Buffer) uint64 {
 	return h
 }
 
-// gemmBody computes C = A x B with B resident in the tenant's staging
-// allowance and A/C streamed in row strips of plan.Strip rows.
-func (jb *job) gemmBody(e *Engine) func(*core.Ctx) (uint64, error) {
-	n := jb.mix.N
-	return func(c *core.Ctx) (uint64, error) {
-		rt := c.Runtime()
-		matBytes := int64(n) * int64(n) * 4
-		var aData, bData []byte
-		if !rt.Phantom() {
-			aData = view.F32Bytes(workload.Dense(n, n, jb.seed))
-			bData = view.F32Bytes(workload.Dense(n, n, jb.seed+1))
-		}
-		fA, err := rt.CreateInput(c.Node(), jb.name("A"), matBytes, aData)
-		if err != nil {
-			return 0, err
-		}
-		defer c.Release(fA)
-		fB, err := rt.CreateInput(c.Node(), jb.name("B"), matBytes, bData)
-		if err != nil {
-			return 0, err
-		}
-		defer c.Release(fB)
-		fC, err := rt.CreateInput(c.Node(), jb.name("C"), matBytes, nil)
-		if err != nil {
-			return 0, err
-		}
-		defer c.Release(fC)
-
-		err = func() error {
-			bB, err := c.AllocAt(e.dram, matBytes)
-			if err != nil {
-				return err
-			}
-			defer c.Release(bB)
-			if err := c.MoveDataDown(bB, fB, 0, 0, matBytes); err != nil {
-				return err
-			}
-			for r0 := 0; r0 < n; r0 += jb.plan.Strip {
-				rows := jb.plan.Strip
-				if n-r0 < rows {
-					rows = n - r0
-				}
-				stripBytes := int64(rows) * int64(n) * 4
-				stripOff := int64(r0) * int64(n) * 4
-				bA, err := c.AllocAt(e.dram, stripBytes)
-				if err != nil {
-					return err
-				}
-				bC, err := c.AllocAt(e.dram, stripBytes)
-				if err != nil {
-					c.Release(bA)
-					return err
-				}
-				err = func() error {
-					if err := c.MoveDataDown(bA, fA, 0, stripOff, stripBytes); err != nil {
-						return err
-					}
-					var Cv, Av, Bv []float32
-					if !rt.Phantom() {
-						Cv, Av, Bv = view.F32(bC.Bytes()), view.F32(bA.Bytes()), view.F32(bB.Bytes())
-					}
-					kern, groups := gemm.TileKernel(Cv, Av, Bv, rows, n, n, false)
-					if err := c.Descend(e.dram, func(lc *core.Ctx) error {
-						_, kerr := lc.LaunchKernel(kern, groups)
-						return kerr
-					}); err != nil {
-						return err
-					}
-					jb.jny.Mark(journey.PhaseMerge)
-					uerr := c.MoveDataUp(fC, bC, stripOff, 0, stripBytes)
-					jb.jny.Mark("")
-					return uerr
-				}()
-				c.Release(bC)
-				c.Release(bA)
-				if err != nil {
-					return err
-				}
-			}
-			return nil
-		}()
-		if err != nil {
-			return 0, err
-		}
-		return fileHash(fC), nil
-	}
+// denseInputs is GEMM's A and B, or HotSpot's temperature and power: two
+// dense n x n inputs seeded seed and seed+1.
+func denseInputs(jb *job) [3][]byte {
+	n := jb.plan.n
+	return [3][]byte{view.F32Bytes(workload.Dense(n, n, jb.seed)), view.F32Bytes(workload.Dense(n, n, jb.seed+1))}
 }
 
-// spmvBody computes y = A x for a uniform CSR matrix, x and y resident,
-// row chunks of plan.Strip rows streamed through staging.
-func (jb *job) spmvBody(e *Engine) func(*core.Ctx) (uint64, error) {
-	n := jb.mix.N
-	return func(c *core.Ctx) (uint64, error) {
-		rt := c.Runtime()
-		vecBytes := int64(n) * 4
-		rowCost := int64(spmvAvgNNZ) * 8
-		var csr *workload.CSR
-		var xv []float32
-		var xData []byte
-		if !rt.Phantom() {
-			csr = workload.Sparse(workload.SparseUniform, n, spmvAvgNNZ, jb.seed)
-			xv = workload.Vector(n, jb.seed+1)
-			xData = view.F32Bytes(xv)
-		}
-		// The matrix file is sized by the uniform expectation; its staged
-		// bytes drive timing while the functional kernel reads the host CSR.
-		fM, err := rt.CreateInput(c.Node(), jb.name("M"), int64(n)*rowCost, nil)
-		if err != nil {
-			return 0, err
-		}
-		defer c.Release(fM)
-		fX, err := rt.CreateInput(c.Node(), jb.name("x"), vecBytes, xData)
-		if err != nil {
-			return 0, err
-		}
-		defer c.Release(fX)
-		fY, err := rt.CreateInput(c.Node(), jb.name("y"), vecBytes, nil)
-		if err != nil {
-			return 0, err
-		}
-		defer c.Release(fY)
-
-		err = func() error {
-			bX, err := c.AllocAt(e.dram, vecBytes)
-			if err != nil {
-				return err
-			}
-			defer c.Release(bX)
-			if err := c.MoveDataDown(bX, fX, 0, 0, vecBytes); err != nil {
-				return err
-			}
-			bY, err := c.AllocAt(e.dram, vecBytes)
-			if err != nil {
-				return err
-			}
-			defer c.Release(bY)
-			var yv []float32
-			if !rt.Phantom() {
-				yv = view.F32(bY.Bytes())
-			}
-			for r0 := 0; r0 < n; r0 += jb.plan.Strip {
-				rows := jb.plan.Strip
-				if n-r0 < rows {
-					rows = n - r0
-				}
-				chunkBytes := int64(rows) * rowCost
-				bRows, err := c.AllocAt(e.dram, chunkBytes)
-				if err != nil {
-					return err
-				}
-				err = func() error {
-					if err := c.MoveDataDown(bRows, fM, 0, int64(r0)*rowCost, chunkBytes); err != nil {
-						return err
-					}
-					nnz := rows * spmvAvgNNZ
-					r0, rows := r0, rows
-					var fn func()
-					if !rt.Phantom() {
-						fn = func() {
-							for r := r0; r < r0+rows; r++ {
-								var sum float32
-								for k := csr.RowPtr[r]; k < csr.RowPtr[r+1]; k++ {
-									sum += csr.Val[k] * xv[csr.ColIdx[k]]
-								}
-								yv[r] = sum
-							}
-						}
-					}
-					return c.Descend(e.dram, func(lc *core.Ctx) error {
-						_, cerr := lc.RunCPUParallel(2*float64(nnz), float64(chunkBytes)+2*4*float64(rows), fn)
-						return cerr
-					})
-				}()
-				c.Release(bRows)
-				if err != nil {
-					return err
-				}
-			}
-			jb.jny.Mark(journey.PhaseMerge)
-			uerr := c.MoveDataUp(fY, bY, 0, 0, vecBytes)
-			jb.jny.Mark("")
-			return uerr
-		}()
-		if err != nil {
-			return 0, err
-		}
-		return fileHash(fY), nil
+// gemmLeaf multiplies the strip of A by the resident B into the strip of C.
+func gemmLeaf(lc *core.Ctx, jb *job, _, rows int) error {
+	n := jb.plan.n
+	var C, A, B []float32
+	if !lc.Runtime().Phantom() {
+		C, A, B = view.F32(jb.buf[1].Bytes()), view.F32(jb.buf[0].Bytes()), view.F32(jb.res[0].Bytes())
 	}
+	kern, groups := gemm.TileKernel(C, A, B, rows, n, n, false)
+	_, err := lc.LaunchKernel(kern, groups)
+	return err
 }
 
-// hotspotBody runs the thermal stencil with an in-band Jacobi sweep: the
-// grid streams through staging in bands of plan.Strip rows per iteration.
-// Band edges are treated as boundary rows — a per-job simplification that
-// keeps each band independent (and therefore quota-bounded).
-func (jb *job) hotspotBody(e *Engine) func(*core.Ctx) (uint64, error) {
-	n := jb.mix.N
-	return func(c *core.Ctx) (uint64, error) {
-		rt := c.Runtime()
-		gridBytes := int64(n) * int64(n) * 4
-		kernName := jb.name("hs") // one name for every band of every iteration
-		var tempData, powerData []byte
-		if !rt.Phantom() {
-			tempData = view.F32Bytes(workload.Dense(n, n, jb.seed))
-			powerData = view.F32Bytes(workload.Dense(n, n, jb.seed+1))
-		}
-		fT, err := rt.CreateInput(c.Node(), jb.name("T"), gridBytes, tempData)
-		if err != nil {
-			return 0, err
-		}
-		defer c.Release(fT)
-		fP, err := rt.CreateInput(c.Node(), jb.name("P"), gridBytes, powerData)
-		if err != nil {
-			return 0, err
-		}
-		defer c.Release(fP)
-
-		err = func() error {
-			for iter := 0; iter < jb.mix.Iters; iter++ {
-				for r0 := 0; r0 < n; r0 += jb.plan.Strip {
-					rows := jb.plan.Strip
-					if n-r0 < rows {
-						rows = n - r0
-					}
-					bandBytes := int64(rows) * int64(n) * 4
-					bandOff := int64(r0) * int64(n) * 4
-					bIn, err := c.AllocAt(e.dram, bandBytes)
-					if err != nil {
-						return err
-					}
-					bOut, err := c.AllocAt(e.dram, bandBytes)
-					if err != nil {
-						c.Release(bIn)
-						return err
-					}
-					bPow, err := c.AllocAt(e.dram, bandBytes)
-					if err != nil {
-						c.Release(bOut)
-						c.Release(bIn)
-						return err
-					}
-					err = func() error {
-						if err := c.MoveDataDown(bIn, fT, 0, bandOff, bandBytes); err != nil {
-							return err
-						}
-						if err := c.MoveDataDown(bPow, fP, 0, bandOff, bandBytes); err != nil {
-							return err
-						}
-						kern := bandKernel(kernName, rt.Phantom(), bIn, bOut, bPow, rows, n)
-						groups := (rows / hotspot.BlockDim) * (n / hotspot.BlockDim)
-						if err := c.Descend(e.dram, func(lc *core.Ctx) error {
-							_, kerr := lc.LaunchKernel(kern, groups)
-							return kerr
-						}); err != nil {
-							return err
-						}
-						jb.jny.Mark(journey.PhaseMerge)
-						uerr := c.MoveDataUp(fT, bOut, bandOff, 0, bandBytes)
-						jb.jny.Mark("")
-						return uerr
-					}()
-					c.Release(bPow)
-					c.Release(bOut)
-					c.Release(bIn)
-					if err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		}()
-		if err != nil {
-			return 0, err
-		}
-		return fileHash(fT), nil
-	}
+// spmvInputs builds the host CSR matrix and the x vector.
+func spmvInputs(jb *job) [3][]byte {
+	n := jb.plan.n
+	jb.csr = workload.Sparse(workload.SparseUniform, n, spmvAvgNNZ, jb.seed)
+	return [3][]byte{1: view.F32Bytes(workload.Vector(n, jb.seed+1))}
 }
 
-// bandKernel builds the per-band stencil kernel: hotspot's roofline costs,
-// and functionally a 5-point Jacobi step over the band with clamped edges.
-func bandKernel(name string, phantom bool, bIn, bOut, bPow *core.Buffer, rows, n int) gpu.Kernel {
+// spmvLeaf multiplies rows [r0, r0+rows) of the host CSR by the resident x
+// into the resident y, on the CPU.
+func spmvLeaf(lc *core.Ctx, jb *job, r0, rows int) error {
+	var fn func()
+	if !lc.Runtime().Phantom() {
+		csr, x, y := jb.csr, view.F32(jb.res[0].Bytes()), view.F32(jb.res[1].Bytes())
+		fn = func() {
+			for r := r0; r < r0+rows; r++ {
+				var sum float32
+				for k := csr.RowPtr[r]; k < csr.RowPtr[r+1]; k++ {
+					sum += csr.Val[k] * x[csr.ColIdx[k]]
+				}
+				y[r] = sum
+			}
+		}
+	}
+	chunkBytes := int64(rows) * spmvRowBytes
+	_, err := lc.RunCPUParallel(2*float64(rows*spmvAvgNNZ), float64(chunkBytes)+2*4*float64(rows), fn)
+	return err
+}
+
+// hotspotLeaf runs one in-band Jacobi sweep: hotspot's roofline costs,
+// and functionally a 5-point step over the band with clamped edges. Band
+// edges are treated as boundary rows — a per-job simplification that keeps
+// each band independent (and therefore quota-bounded).
+func hotspotLeaf(lc *core.Ctx, jb *job, _, rows int) error {
+	n := jb.plan.n
 	k := gpu.Kernel{
-		Name:          name,
+		Name:          "serve-hotspot-band",
 		FlopsPerGroup: hotspot.TileFlops,
 		BytesPerGroup: hotspot.TileBytes,
 		LocalBytes:    4 * (hotspot.BlockDim + 2) * (hotspot.BlockDim + 2),
 	}
-	if phantom {
-		return k
-	}
-	in, out, pow := view.F32(bIn.Bytes()), view.F32(bOut.Bytes()), view.F32(bPow.Bytes())
-	tilesX := n / hotspot.BlockDim
-	at := func(i, j int) float32 {
-		if i < 0 {
-			i = 0
+	if !lc.Runtime().Phantom() {
+		in, out, pow := view.F32(jb.buf[0].Bytes()), view.F32(jb.buf[1].Bytes()), view.F32(jb.buf[2].Bytes())
+		tilesX := n / hotspot.BlockDim
+		at := func(i, j int) float32 {
+			if i < 0 {
+				i = 0
+			}
+			if i >= rows {
+				i = rows - 1
+			}
+			if j < 0 {
+				j = 0
+			}
+			if j >= n {
+				j = n - 1
+			}
+			return in[i*n+j]
 		}
-		if i >= rows {
-			i = rows - 1
-		}
-		if j < 0 {
-			j = 0
-		}
-		if j >= n {
-			j = n - 1
-		}
-		return in[i*n+j]
-	}
-	k.Run = func(group int) {
-		ty, tx := group/tilesX, group%tilesX
-		for i := ty * hotspot.BlockDim; i < (ty+1)*hotspot.BlockDim; i++ {
-			for j := tx * hotspot.BlockDim; j < (tx+1)*hotspot.BlockDim; j++ {
-				center := in[i*n+j]
-				out[i*n+j] = center + float32(0.1)*(at(i-1, j)+at(i+1, j)+at(i, j-1)+at(i, j+1)-4*center) +
-					float32(0.05)*pow[i*n+j]
+		k.Run = func(group int) {
+			ty, tx := group/tilesX, group%tilesX
+			for i := ty * hotspot.BlockDim; i < (ty+1)*hotspot.BlockDim; i++ {
+				for j := tx * hotspot.BlockDim; j < (tx+1)*hotspot.BlockDim; j++ {
+					center := in[i*n+j]
+					out[i*n+j] = center + float32(0.1)*(at(i-1, j)+at(i+1, j)+at(i, j-1)+at(i, j+1)-4*center) +
+						float32(0.05)*pow[i*n+j]
+				}
 			}
 		}
 	}
-	return k
+	_, err := lc.LaunchKernel(k, (rows/hotspot.BlockDim)*(n/hotspot.BlockDim))
+	return err
 }
 
-// sortBody runs the sorted-runs pass of an out-of-core sort: chunks of
-// plan.Strip keys are staged, sorted on the CPU, and written back as
-// independent sorted runs.
-func (jb *job) sortBody(e *Engine) func(*core.Ctx) (uint64, error) {
-	n := jb.mix.N
-	return func(c *core.Ctx) (uint64, error) {
-		rt := c.Runtime()
-		keysBytes := int64(n) * 4
-		var inData []byte
-		if !rt.Phantom() {
-			inData = view.F32Bytes(oocsort.Keys(n, jb.seed))
-		}
-		fIn, err := rt.CreateInput(c.Node(), jb.name("keys"), keysBytes, inData)
-		if err != nil {
-			return 0, err
-		}
-		defer c.Release(fIn)
-		fOut, err := rt.CreateInput(c.Node(), jb.name("runs"), keysBytes, nil)
-		if err != nil {
-			return 0, err
-		}
-		defer c.Release(fOut)
+// sortInputs draws the keys.
+func sortInputs(jb *job) [3][]byte {
+	return [3][]byte{view.F32Bytes(oocsort.Keys(jb.plan.n, jb.seed))}
+}
 
-		err = func() error {
-			for k0 := 0; k0 < n; k0 += jb.plan.Strip {
-				keys := jb.plan.Strip
-				if n-k0 < keys {
-					keys = n - k0
-				}
-				chunkBytes := int64(keys) * 4
-				chunkOff := int64(k0) * 4
-				b, err := c.AllocAt(e.dram, chunkBytes)
-				if err != nil {
-					return err
-				}
-				err = func() error {
-					if err := c.MoveDataDown(b, fIn, 0, chunkOff, chunkBytes); err != nil {
-						return err
-					}
-					flops := float64(keys) * math.Log2(float64(keys)+2)
-					var fn func()
-					if !rt.Phantom() {
-						fn = func() {
-							v := view.F32(b.Bytes())
-							sort.Slice(v, func(i, j int) bool { return v[i] < v[j] })
-						}
-					}
-					if err := c.Descend(e.dram, func(lc *core.Ctx) error {
-						_, cerr := lc.RunCPUParallel(flops, 2*float64(chunkBytes), fn)
-						return cerr
-					}); err != nil {
-						return err
-					}
-					jb.jny.Mark(journey.PhaseMerge)
-					uerr := c.MoveDataUp(fOut, b, chunkOff, 0, chunkBytes)
-					jb.jny.Mark("")
-					return uerr
-				}()
-				c.Release(b)
-				if err != nil {
-					return err
-				}
-			}
-			return nil
-		}()
-		if err != nil {
-			return 0, err
+// sortLeaf sorts the strip's keys in place on the CPU.
+func sortLeaf(lc *core.Ctx, jb *job, _, keys int) error {
+	b := jb.buf[0]
+	var fn func()
+	if !lc.Runtime().Phantom() {
+		fn = func() {
+			v := view.F32(b.Bytes())
+			sort.Slice(v, func(i, j int) bool { return v[i] < v[j] })
 		}
-		return fileHash(fOut), nil
 	}
+	_, err := lc.RunCPUParallel(float64(keys)*math.Log2(float64(keys)+2), 2*float64(int64(keys)*4), fn)
+	return err
 }

@@ -46,7 +46,7 @@ func (e *Engine) sampleJourney(t *tenantState, jb *job) {
 			behind = append(behind, journey.TraceID(e.scn.Seed, q.tenant, q.id))
 		}
 	}
-	jb.jny = e.jny.Admit(jb.tenant, jb.id, jb.mix.Workload, jb.mix.N, jb.arrive, behind)
+	jb.jny = e.jny.Admit(jb.tenant, jb.id, jb.plan.workload, jb.plan.n, jb.arrive, behind)
 }
 
 // noteReject records one admission rejection: a reason-labelled counter in

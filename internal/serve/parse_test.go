@@ -170,6 +170,8 @@ tenants:
 			"duration: 1s", "duration: soon", 1), "not a duration"},
 		{"huge n", strings.Replace(base(func(s string) string { return s }),
 			"n: 100", "n: 99999999", 1), "ceiling"},
+		{"hotspot cost overflow", `{"name":"x","duration":"1s","tenants":[{"name":"a","rate":1,"quota_mib":1,` +
+			`"mix":[{"workload":"hotspot","n":65536,"iters":2147483647}]}]}`, `tenant "a" mix[0]: hotspot iters 2147483647`},
 		{"bad json", `{"name": 3 &&&`, "bad JSON"},
 		{"json trailing", `{"name": "x"} tail`, "trailing data"},
 		{"duplicate tenant", strings.Replace(base(func(s string) string { return s }),

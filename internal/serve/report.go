@@ -62,11 +62,12 @@ type Report struct {
 // buildReport snapshots per-tenant metrics after the engine drains.
 func (e *Engine) buildReport() *Report {
 	rep := &Report{
-		Schema:    ReportSchema,
-		Scenario:  e.scn.Name,
-		Seed:      e.scn.Seed,
-		Phantom:   e.opts.Phantom,
-		ElapsedNS: int64(e.eng.Now()),
+		Schema:     ReportSchema,
+		Scenario:   e.scn.Name,
+		Seed:       e.scn.Seed,
+		Phantom:    e.opts.Phantom,
+		ElapsedNS:  int64(e.eng.Now()),
+		TotalBytes: e.workBytes,
 	}
 	elapsedSec := float64(e.eng.Now()) / float64(sim.Second)
 	for _, t := range e.tenants {
@@ -99,15 +100,6 @@ func (e *Engine) buildReport() *Report {
 		rep.TotalJobs += tr.Completed
 		rep.Tenants = append(rep.Tenants, tr)
 	}
-	for _, rec := range e.records {
-		if rec.Err == "" {
-			// Work accounting uses the planned WFQ bytes of finished jobs.
-			plan, _, err := planJob(MixEntry{Workload: rec.Workload, N: rec.N, Iters: itersOf(e.scn, rec)}, quotaOf(e.scn, rec.Tenant))
-			if err == nil {
-				rep.TotalBytes += plan.WorkBytes
-			}
-		}
-	}
 	rep.Alerts = e.AlertEvents()
 	st := e.eng.Stats()
 	rep.Engine = &EngineStats{Events: st.Events, Callbacks: st.Callbacks, Procs: st.Procs}
@@ -116,29 +108,6 @@ func (e *Engine) buildReport() *Report {
 		rep.Engine.WallMS = float64(st.Wall.Nanoseconds()) / 1e6
 	}
 	return rep
-}
-
-func quotaOf(s *Scenario, tenant string) int64 {
-	for i := range s.Tenants {
-		if s.Tenants[i].Name == tenant {
-			return s.Tenants[i].QuotaBytes()
-		}
-	}
-	return 0
-}
-
-func itersOf(s *Scenario, rec JobRecord) int {
-	for i := range s.Tenants {
-		if s.Tenants[i].Name != rec.Tenant {
-			continue
-		}
-		for _, m := range s.Tenants[i].Mix {
-			if m.Workload == rec.Workload && m.N == rec.N {
-				return m.Iters
-			}
-		}
-	}
-	return 1
 }
 
 // WriteJSON writes the report as indented, key-stable JSON (maps render

@@ -23,6 +23,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/apps/gemm"
 	"repro/internal/apps/hotspot"
@@ -448,6 +449,12 @@ func validateMix(m *MixEntry) error {
 		}
 		if m.Iters <= 0 {
 			return fmt.Errorf("hotspot iters %d must be positive", m.Iters)
+		}
+		// The job's WFQ cost, iters·8n² + 4n², must fit an int64, or its
+		// tenant's virtual finish time runs backwards. n <= maxMixN keeps
+		// 8n² itself far from overflow, so the bound divides safely.
+		if sq := int64(m.N) * int64(m.N); int64(m.Iters) > (math.MaxInt64-4*sq)/(8*sq) {
+			return fmt.Errorf("hotspot iters %d at n %d overflows the job's WFQ cost", m.Iters, m.N)
 		}
 	case WorkloadSpMV, WorkloadSort:
 		// Any positive size; chunking handles remainders.
