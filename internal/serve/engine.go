@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 
 	"repro/internal/core"
@@ -349,7 +350,14 @@ func (e *Engine) startArrivals(t *tenantState) func() {
 			e.closeArrivals()
 			return
 		}
-		dt := sim.Time(t.rng.ExpFloat64() / t.spec.Rate * float64(sim.Second))
+		gap := t.rng.ExpFloat64() / t.spec.Rate * float64(sim.Second)
+		// A gap past the clock's range would wrap negative when converted
+		// and land the arrival now; such an arrival never comes.
+		if gap >= float64(math.MaxInt64-e.eng.Now()) {
+			e.closeArrivals()
+			return
+		}
+		dt := sim.Time(gap)
 		if e.scn.Duration > 0 && e.eng.Now()+dt > e.scn.Duration {
 			e.closeArrivals()
 			return

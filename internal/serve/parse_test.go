@@ -316,6 +316,24 @@ func TestParseBurnRateScenarioFile(t *testing.T) {
 	}
 }
 
+// TestCommittedScenariosParse parses every committed scenario: each must
+// pass validation, the bound on window ring steps included.
+func TestCommittedScenariosParse(t *testing.T) {
+	specs, err := filepath.Glob(filepath.Join("..", "..", "specs", "scenarios", "*"))
+	if err != nil || len(specs) == 0 {
+		t.Fatalf("no committed scenarios (%v)", err)
+	}
+	for _, path := range specs {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ParseScenario(data); err != nil {
+			t.Errorf("%s: %v", path, err)
+		}
+	}
+}
+
 // TestParseOpsAndAlertErrors walks the strict-parser and validation
 // rejections for the ops block and alert rules.
 func TestParseOpsAndAlertErrors(t *testing.T) {
@@ -342,6 +360,10 @@ func TestParseOpsAndAlertErrors(t *testing.T) {
 		{"negative threshold", mut("threshold: 14.4", "threshold: -1"), "must be non-negative"},
 		{"bad threshold", mut("threshold: 14.4", "threshold: lots"), "not a number or duration"},
 		{"window below step", mut("window: 20s", "window: 1s"), "shorter than step"},
+		{"ops window ring too long", strings.Replace(mut("window: 20s", "window: 10s"), "step: 2s", "step: 1ns", 1),
+			"ops window 10s spans 10000000000 steps of 1ns, more than the 100000"},
+		{"slow window ring too long", mut("slow_window: 1h\n    severity: ticket", "slow_window: 10000h\n    severity: ticket"),
+			`alert[1]: rule "a-slow-p99" slow window 3.6e+07s spans 18000000 steps of 2s`},
 		{"negative ops field", mut("top_k: 5", "top_k: -2"), "out of range"},
 		{"slo_target too high", mut("slo_target: 0.995", "slo_target: 1.5"), "must lie in (0, 1)"},
 		{"rule without name", mut("name: a-fast-burn", "name: ''"), "rule has no name"},

@@ -71,6 +71,21 @@ const DefaultSLOTarget = 0.99
 // overflow and a typo'd dimension fails at parse time, not at runtime.
 const maxMixN = 1 << 20
 
+// maxWindowSteps bounds how many steps the ops window or a rule's slow
+// window may span. The plane sizes every series' ring to the widest window
+// up front, one sample per step (16 bytes, a histogram snapshot for the
+// latency series), so a fine step under a wide window would exhaust memory.
+const maxWindowSteps = 100_000
+
+// checkWindowSteps refuses a window that spans more steps than a ring holds.
+func checkWindowSteps(what string, window, step sim.Time) error {
+	if step > 0 && window/step > maxWindowSteps {
+		return fmt.Errorf("%s %v spans %d steps of %v, more than the %d a window ring holds",
+			what, window, window/step, step, maxWindowSteps)
+	}
+	return nil
+}
+
 // MixEntry is one workload in a tenant's mix, drawn with probability
 // proportional to Weight.
 type MixEntry struct {
@@ -372,6 +387,11 @@ func (s *Scenario) Validate() error {
 	if s.OpsEnabled() && s.Ops.Step > 0 && s.Ops.Window > 0 && s.Ops.Window < s.Ops.Step {
 		return fmt.Errorf("serve: ops window %v shorter than step %v", s.Ops.Window, s.Ops.Step)
 	}
+	if s.OpsEnabled() {
+		if err := checkWindowSteps("ops window", s.Ops.Window, s.Ops.Step); err != nil {
+			return fmt.Errorf("serve: %w", err)
+		}
+	}
 	if s.Journeys.Enabled {
 		if s.Journeys.Sample <= 0 || s.Journeys.Sample > 1 {
 			return fmt.Errorf("serve: journeys sample %g must lie in (0, 1]", s.Journeys.Sample)
@@ -384,6 +404,9 @@ func (s *Scenario) Validate() error {
 	for i := range s.Alerts {
 		r := &s.Alerts[i]
 		if err := validateAlert(r, seen); err != nil {
+			return fmt.Errorf("serve: alert[%d]: %w", i, err)
+		}
+		if err := checkWindowSteps(fmt.Sprintf("rule %q slow window", r.Name), r.SlowWindow, s.Ops.Step); err != nil {
 			return fmt.Errorf("serve: alert[%d]: %w", i, err)
 		}
 		if ruleSeen[r.Name] {

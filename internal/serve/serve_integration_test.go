@@ -184,6 +184,38 @@ func TestBacklogRejection(t *testing.T) {
 	}
 }
 
+// TestTinyRateAdmitsNoJob: at 1e-12 jobs/s the first arrival gap (about
+// 1e21 ns) is past the end of a 1 s scenario, and past the largest time the
+// clock holds when the scenario has no duration, so no job arrives. The gap
+// used to wrap negative when converted, landing every arrival at t=0.
+func TestTinyRateAdmitsNoJob(t *testing.T) {
+	for _, duration := range []string{"duration: 1s\n", ""} {
+		scn, err := ParseScenario([]byte("name: tiny\nseed: 1\n" + duration + `tenants:
+  - name: slow
+    rate: 0.000000000001/s
+    quota_mib: 4
+    max_jobs: 3
+    mix:
+      - workload: sort
+        n: 100
+`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := New(scn, RunOptions{Phantom: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr := rep.Tenants[0]; tr.Arrivals != 0 || tr.Admitted != 0 {
+			t.Fatalf("%q: %d arrivals, %d admitted, want none", duration, tr.Arrivals, tr.Admitted)
+		}
+	}
+}
+
 // TestWeightedFairness checks the WFQ dispatcher favours the heavier
 // tenant when both queues are persistently backlogged: with equal demand
 // and weights 3:1, the heavy tenant should finish clearly more work.

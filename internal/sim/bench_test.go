@@ -145,3 +145,26 @@ func BenchmarkTokensPingPong(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkSameInstantRuns measures lockstep callback chains: 32 chains
+// sharing one period, so every instant schedules 32 events for one later
+// instant, the shape of the HotSpot stealer's GPU workgroups.
+func BenchmarkSameInstantRuns(b *testing.B) {
+	e := NewEngine()
+	const chains = 32
+	scheduled := chains
+	var step func()
+	step = func() {
+		if scheduled < b.N {
+			scheduled++
+			e.After(7, step)
+		}
+	}
+	for i := 0; i < chains; i++ {
+		e.After(7, step)
+	}
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}

@@ -34,8 +34,9 @@
 // wakeups. Callbacks may Spawn, fire latches, put tokens and take
 // resources with AcquireAsync, but must not block, and SetTrace does not
 // report them (they are not resumptions). Internally the engine keeps
-// pending events in an allocation-free 4-ary heap of concrete values,
-// dispatches all events sharing an instant as one batch, and recycles
+// pending events in an allocation-free 4-ary heap of concrete values, in
+// which consecutive pushes for one time share one entry, dispatches all
+// events sharing an instant as one batch, and recycles
 // finished processes' IDs through a free list and their coroutines through
 // an idle list, which every Run empties before it returns. Stats reports
 // event and callback counts, live/spawned processes and wall-clock dispatch

@@ -15,13 +15,15 @@ import (
 // process executes at any moment, so simulation state needs no locking.
 //
 // Dispatch hot path. Events live in a hand-rolled 4-ary min-heap of concrete
-// event values (no container/heap, no interface{} boxing), so scheduling a
-// wakeup performs no allocation in steady state. When the clock advances to
-// an instant, every event carrying that timestamp is drained from the heap
-// in one pass into a ready ring and dispatched in sequence order; events
-// scheduled *for the current instant while it is being dispatched* are
-// appended directly to the ring and never touch the heap at all — the wake
-// storms of FIFO resources, barriers and fair queues cost one append each.
+// event values (no container/heap, no interface{} boxing) in which
+// consecutive pushes for one time share one entry (eventQueue), so
+// scheduling a wakeup performs no allocation in steady state and a lockstep
+// storm pays the heap once. When the clock advances to an instant, every
+// event carrying that timestamp is drained from the heap in one pass into a
+// ready ring and dispatched in sequence order; events scheduled *for the
+// current instant while it is being dispatched* are appended directly to
+// the ring and never touch the heap at all — the wake storms of FIFO
+// resources, barriers and fair queues cost one append each.
 // Timed callbacks (Engine.At / Engine.After) run inline in the dispatch
 // loop; only full processes pay a resumption, a switch to the process's
 // coroutine and back on the same thread. A process's coroutine is bound at
@@ -32,7 +34,7 @@ import (
 type Engine struct {
 	now    Time
 	seq    uint64
-	events eventHeap
+	events eventQueue
 
 	// ready holds the current instant's dispatch batch in sequence order;
 	// readyAt is the cursor of the next event to dispatch. The slice is
@@ -121,7 +123,8 @@ const (
 
 // event is one scheduled dispatch: a process wakeup (p != nil) or an inline
 // callback (fn != nil). Events order by (t, seq); seq is strictly increasing
-// per schedule call, so equal-time events fire in scheduling order.
+// per schedule call, so equal-time events fire in scheduling order. Inside
+// the queue, an entry with neither is a run's marker.
 type event struct {
 	t   Time
 	seq uint64
@@ -136,42 +139,90 @@ func eventLess(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// eventHeap is a 4-ary min-heap of concrete event values. A wider node
-// halves the tree depth of the binary layout, trading a few extra compares
-// per level for fewer cache-missing swaps — the classic d-ary win for
-// DES event queues — and the concrete element type keeps push/pop free of
-// the interface{} boxing allocation container/heap would impose.
-type eventHeap struct{ ev []event }
-
-func (h *eventHeap) len() int { return len(h.ev) }
-
-func (h *eventHeap) push(ev event) {
-	h.ev = append(h.ev, ev)
-	i := len(h.ev) - 1
-	for i > 0 {
-		parent := (i - 1) >> 2
-		if !eventLess(&h.ev[i], &h.ev[parent]) {
-			break
-		}
-		h.ev[i], h.ev[parent] = h.ev[parent], h.ev[i]
-		i = parent
-	}
+// eventQueue holds the pending events in a 4-ary min-heap of concrete
+// entries ordered by (t, seq). A wider node halves the tree depth of the
+// binary layout, trading a few extra compares per level for fewer
+// cache-missing swaps, and the concrete element type keeps push and pop free
+// of the interface{} boxing container/heap would impose.
+//
+// An entry is a lone event or a run: the events of consecutive pushes for
+// one time, kept in a buffer outside the heap and represented in it by a
+// marker keyed by the run's first event. A lockstep storm (every workgroup
+// scheduling its next row one period ahead) pays the heap's log once per run
+// instead of once per event. No other push lands between a run's events, so
+// their sequence numbers are consecutive among the queue's, and emptying the
+// run whole where its marker pops keeps the exact (t, seq) order.
+type eventQueue struct {
+	heap []event
+	// open is 1 + the heap index of the latest push's entry, which a push
+	// for the same time joins; 0 once a pop may have moved it.
+	open  int
+	runs  []eventRun // live runs; while open names a marker, its run is last
+	spare [][]event  // emptied run buffers, reused by the next runs
 }
 
-func (h *eventHeap) pop() event {
-	ev := h.ev[0]
-	n := len(h.ev) - 1
-	h.ev[0] = h.ev[n]
-	h.ev[n] = event{} // drop the proc/closure references
-	h.ev = h.ev[:n]
+type eventRun struct {
+	seq uint64 // the marker's key: the run's first sequence number
+	ev  []event
+}
+
+func (q *eventQueue) len() int { return len(q.heap) }
+
+func (q *eventQueue) push(ev event) {
+	// With the open entry alone in the heap, a push for its time lands
+	// under the root after one compare and the pops sift nothing, which
+	// costs less than a run: two holders of a resource releasing together.
+	if i := q.open - 1; len(q.heap) > 1 && i >= 0 && q.heap[i].t == ev.t {
+		q.join(i, ev)
+		return
+	}
+	q.heap = append(q.heap, ev)
+	i := len(q.heap) - 1
+	for i > 0 {
+		parent := (i - 1) >> 2
+		if !eventLess(&q.heap[i], &q.heap[parent]) {
+			break
+		}
+		q.heap[i], q.heap[parent] = q.heap[parent], q.heap[i]
+		i = parent
+	}
+	q.open = i + 1
+}
+
+// join appends ev to the run of the entry at heap index i, first turning a
+// lone event there into a run of one under a marker with the same key.
+func (q *eventQueue) join(i int, ev event) {
+	if head := &q.heap[i]; head.p != nil || head.fn != nil {
+		var buf []event
+		if n := len(q.spare); n > 0 {
+			buf = q.spare[n-1]
+			q.spare[n-1] = nil
+			q.spare = q.spare[:n-1]
+		}
+		q.runs = append(q.runs, eventRun{seq: head.seq, ev: append(buf, *head)})
+		head.p, head.fn = nil, nil
+	}
+	r := &q.runs[len(q.runs)-1]
+	r.ev = append(r.ev, ev)
+}
+
+// pop removes the earliest entry: a lone event, or a run's marker, whose
+// events takeRun hands over.
+func (q *eventQueue) pop() event {
+	q.open = 0
+	ev := q.heap[0]
+	n := len(q.heap) - 1
+	q.heap[0] = q.heap[n]
+	q.heap[n] = event{} // drop the proc/closure references
+	q.heap = q.heap[:n]
 	if n > 1 {
-		h.siftDown()
+		q.siftDown()
 	}
 	return ev
 }
 
-func (h *eventHeap) siftDown() {
-	n := len(h.ev)
+func (q *eventQueue) siftDown() {
+	n := len(q.heap)
 	i := 0
 	for {
 		first := i<<2 + 1
@@ -184,16 +235,38 @@ func (h *eventHeap) siftDown() {
 			last = n
 		}
 		for c := first + 1; c < last; c++ {
-			if eventLess(&h.ev[c], &h.ev[min]) {
+			if eventLess(&q.heap[c], &q.heap[min]) {
 				min = c
 			}
 		}
-		if !eventLess(&h.ev[min], &h.ev[i]) {
+		if !eventLess(&q.heap[min], &q.heap[i]) {
 			return
 		}
-		h.ev[i], h.ev[min] = h.ev[min], h.ev[i]
+		q.heap[i], q.heap[min] = q.heap[min], q.heap[i]
 		i = min
 	}
+}
+
+// takeRun appends the events of the run whose marker has key seq to ready
+// and recycles its buffer. Lockstep chains keep few times pending, so live
+// runs are few (at most three in the benchmark's workloads) and a scan
+// finds it.
+func (q *eventQueue) takeRun(seq uint64, ready []event) []event {
+	for k := range q.runs {
+		if q.runs[k].seq != seq {
+			continue
+		}
+		buf := q.runs[k].ev
+		ready = append(ready, buf...)
+		clear(buf) // drop the proc/closure references
+		q.spare = append(q.spare, buf[:0])
+		last := len(q.runs) - 1
+		q.runs[k] = q.runs[last]
+		q.runs[last] = eventRun{}
+		q.runs = q.runs[:last]
+		return ready
+	}
+	panic("sim: run marker without a run")
 }
 
 // enqueue stamps the event with a clamped time and the next sequence number
@@ -264,7 +337,7 @@ func (e *Engine) Peek() (Time, bool) {
 	if e.events.len() == 0 {
 		return 0, false
 	}
-	return e.events.ev[0].t, true
+	return e.events.heap[0].t, true
 }
 
 // DeadlockError reports that the event queue drained while processes were
@@ -317,17 +390,21 @@ func (e *Engine) RunUntil(deadline Time) error {
 		if e.events.len() == 0 {
 			break
 		}
-		t := e.events.ev[0].t
+		t := e.events.heap[0].t
 		if deadline >= 0 && t > deadline {
 			e.now = deadline
 			return nil
 		}
 		e.now = t
-		// Batch pop: every event at this instant leaves the heap in one
+		// Batch pop: every event at this instant leaves the queue in one
 		// pass (in sequence order), so a same-timestamp storm pays the
-		// heap's log once per event popped and nothing for re-wakes.
-		for e.events.len() > 0 && e.events.ev[0].t == t {
-			e.ready = append(e.ready, e.events.pop())
+		// heap's log once per entry popped and nothing for re-wakes.
+		for e.events.len() > 0 && e.events.heap[0].t == t {
+			if ev := e.events.pop(); ev.p != nil || ev.fn != nil {
+				e.ready = append(e.ready, ev)
+			} else {
+				e.ready = e.events.takeRun(ev.seq, e.ready)
+			}
 		}
 	}
 	if e.live > 0 {

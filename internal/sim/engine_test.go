@@ -256,3 +256,186 @@ func TestEngineStats(t *testing.T) {
 		t.Fatalf("wall-clock stats not recorded: %+v", st)
 	}
 }
+
+// mixTarget is what an event mix drives: the engine, or heapScheduler, its
+// oracle.
+type mixTarget interface {
+	now() Time
+	at(t Time, fn func())
+	// spawn starts a process at now that runs step at each resumption and
+	// then sleeps the time step returns, until step returns false.
+	spawn(step func() (Time, bool))
+	peek() (Time, bool)
+	runUntil(deadline Time) error
+}
+
+type engineTarget struct{ e *Engine }
+
+func (x engineTarget) now() Time             { return x.e.Now() }
+func (x engineTarget) at(t Time, fn func())  { x.e.At(t, fn) }
+func (x engineTarget) peek() (Time, bool)    { return x.e.Peek() }
+func (x engineTarget) runUntil(d Time) error { return x.e.RunUntil(d) }
+
+func (x engineTarget) spawn(step func() (Time, bool)) {
+	x.e.Spawn("mix", func(p *Proc) {
+		for {
+			d, ok := step()
+			if !ok {
+				return
+			}
+			p.Sleep(d)
+		}
+	})
+}
+
+// eventMix is a seeded random mix of events: width lockstep chains that
+// mostly schedule their successors one shared period ahead (same-time
+// storms), mixed with lone events at random gaps, events for the current
+// instant and times in the past, run in slices with more events pushed from
+// outside between them. procs in 8ths of the new events start a process
+// instead of scheduling a callback. Every choice comes from a hash of the
+// seed and an event ID, and IDs are given in scheduling order, so two
+// targets that dispatch the same events in the same order log the same mix.
+type eventMix struct {
+	tgt    mixTarget
+	seed   uint64
+	period Time
+	procs  int
+	budget int // events to schedule in all
+	ids    int
+	log    strings.Builder
+}
+
+func (m *eventMix) draw(id, k int) uint64 {
+	z := m.seed + uint64(id)*0x9e3779b97f4a7c15 + uint64(k)*0xd1b54a32d192ed03
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
+}
+
+// delay draws how far ahead of now a new event lands.
+func (m *eventMix) delay(r uint64) Time {
+	switch r % 8 {
+	case 0, 1, 2, 3:
+		return m.period // the chains' shared period: a storm
+	case 4, 5:
+		return Time(1 + r>>8%97) // a lone event
+	case 6:
+		return 0 // the current instant
+	default:
+		return -Time(1 + r>>8%20) // the past, clamped to now
+	}
+}
+
+// add schedules a new event at t, or starts a process at now.
+func (m *eventMix) add(t Time, r uint64) {
+	m.ids++
+	id := m.ids
+	if int(r>>40%8) >= m.procs {
+		m.tgt.at(t, func() { m.fire(id) })
+		return
+	}
+	m.tgt.spawn(func() (Time, bool) {
+		m.fire(id)
+		r := m.draw(id, -1)
+		if m.ids >= m.budget || r%8 == 0 {
+			return 0, false
+		}
+		m.ids++
+		id = m.ids
+		return m.delay(r >> 3), true
+	})
+}
+
+// fire logs event id at now and schedules its successors: usually one,
+// sometimes none or a burst of two to four.
+func (m *eventMix) fire(id int) {
+	now := m.tgt.now()
+	fmt.Fprintf(&m.log, "%d@%d;", id, now)
+	r := m.draw(id, 0)
+	n := 1
+	switch r % 10 {
+	case 0:
+		n = 0
+	case 1, 2:
+		n = 2 + int(r>>4%3)
+	}
+	for k := 1; k <= n && m.ids < m.budget; k++ {
+		c := m.draw(id, k)
+		m.add(now+m.delay(c), c)
+	}
+}
+
+// runEventMix runs one mix on tgt and returns its log: every event with
+// the instant it fired, and the clock and Peek after each slice.
+func runEventMix(tgt mixTarget, seed uint64, width, procs, slices int) (string, error) {
+	m := &eventMix{tgt: tgt, seed: seed, period: Time(1 + seed%13), procs: procs, budget: 3000}
+	for i := 1; i <= width; i++ {
+		m.add(m.period, m.draw(-i, 0))
+	}
+	span := m.period * Time(1+m.budget/(width*slices))
+	for k := 1; k <= slices; k++ {
+		if err := tgt.runUntil(Time(k) * span); err != nil {
+			return "", err
+		}
+		t, ok := tgt.peek()
+		fmt.Fprintf(&m.log, "slice@%d:peek=%d,%v;", tgt.now(), t, ok)
+		r := m.draw(-1000-k, 0)
+		for j := 1; j <= int(r%6) && m.ids < m.budget; j++ {
+			c := m.draw(-1000-k, j)
+			m.add(tgt.now()+m.delay(c), c)
+		}
+	}
+	if err := tgt.runUntil(-1); err != nil {
+		return "", err
+	}
+	fmt.Fprintf(&m.log, "end@%d", tgt.now())
+	return m.log.String(), nil
+}
+
+// checkEventMix runs one mix on a new engine and on the oracle and fails
+// at the first difference in their logs. It returns the engine.
+func checkEventMix(tb testing.TB, seed uint64, width, procs, slices int) *Engine {
+	tb.Helper()
+	e := NewEngine()
+	got, err := runEventMix(engineTarget{e}, seed, width, procs, slices)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	want, _ := runEventMix(&heapScheduler{}, seed, width, procs, slices)
+	if got != want {
+		i := 0
+		for i < len(got) && i < len(want) && got[i] == want[i] {
+			i++
+		}
+		from := strings.LastIndexByte(got[:i], ';') + 1
+		tb.Fatalf("seed %d, width %d, procs %d/8, %d slices: dispatch differs from the heap's at byte %d:\nengine: %.80s\nheap:   %.80s",
+			seed, width, procs, slices, i, got[from:], want[from:])
+	}
+	return e
+}
+
+// TestEventQueueMatchesHeap runs seeded event mixes on the engine and on
+// heapScheduler, which pops a plain heap one event at a time: every event
+// must fire at the same instant and in the same order, and Peek must agree
+// between slices. Every mix must form runs, or it would not check them.
+func TestEventQueueMatchesHeap(t *testing.T) {
+	for seed := uint64(1); seed <= 40; seed++ {
+		width, procs, slices := 1+int(seed*7%40), int(seed%9), 1+int(seed%5)
+		e := checkEventMix(t, seed, width, procs, slices)
+		if len(e.events.spare) == 0 {
+			t.Fatalf("seed %d, width %d: no run formed", seed, width)
+		}
+	}
+}
+
+// FuzzEventQueueMatchesHeap is TestEventQueueMatchesHeap over drawn seeds,
+// chain counts, process shares and slice counts.
+func FuzzEventQueueMatchesHeap(f *testing.F) {
+	f.Add(uint64(1), uint8(32), uint8(0), uint8(0))
+	f.Add(uint64(7), uint8(3), uint8(4), uint8(2))
+	f.Add(uint64(42), uint8(17), uint8(8), uint8(4))
+	f.Fuzz(func(t *testing.T, seed uint64, widthRaw, procsRaw, slicesRaw uint8) {
+		checkEventMix(t, seed, 1+int(widthRaw%40), int(procsRaw%9), 1+int(slicesRaw%6))
+	})
+}

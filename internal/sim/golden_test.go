@@ -11,9 +11,10 @@ import (
 // goldenTraceSHA256 is the SHA-256 of the resumption trace produced by
 // goldenWorkload on the pre-fast-path engine (container/heap scheduling, one
 // pop per event, every event a goroutine handoff). The rebuilt dispatch path
-// — concrete 4-ary heap, same-instant batch dispatch, callback fast path —
-// must reproduce the sequence byte for byte: virtual timestamps, resumption
-// order and tie-breaks are observable semantics, not implementation detail.
+// — concrete 4-ary heap, same-time runs, same-instant batch dispatch,
+// callback fast path — must reproduce the sequence byte for byte: virtual
+// timestamps, resumption order and tie-breaks are observable semantics, not
+// implementation detail.
 const goldenTraceSHA256 = "80b09e47d354ab069350c4f457c7ccca8f83b5be34f5f8762127e9b478a78a46"
 
 // goldenWorkload stresses every scheduling shape the runtime generates at

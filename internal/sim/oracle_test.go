@@ -12,6 +12,12 @@ import (
 // (golden_test.go) runs both, so its pinned resumption trace covers their
 // wake-ups, and Chan is the oracle that TestTokensMatchChan and
 // FuzzTokensMatchChan hold Tokens to; the tests below check the oracle.
+//
+// eventHeap, the engine's event store before same-time pushes shared one
+// entry, is test code too: heapScheduler pops it one event at a time, in
+// plain (time, sequence) order, and is the oracle that
+// TestEventQueueMatchesHeap and FuzzEventQueueMatchesHeap hold the engine's
+// dispatch order to.
 
 // Chan is a bounded FIFO channel in virtual time. A capacity of zero gives
 // rendezvous (unbuffered) semantics. Values are handed to receivers in send
@@ -471,4 +477,116 @@ func TestBarrierSingleParty(t *testing.T) {
 	if b.Rounds() != 2 {
 		t.Fatalf("rounds = %d", b.Rounds())
 	}
+}
+
+// eventHeap is a 4-ary min-heap of concrete event values ordered by
+// (t, seq): one entry per event.
+type eventHeap struct{ ev []event }
+
+func (h *eventHeap) len() int { return len(h.ev) }
+
+func (h *eventHeap) push(ev event) {
+	h.ev = append(h.ev, ev)
+	i := len(h.ev) - 1
+	for i > 0 {
+		parent := (i - 1) >> 2
+		if !eventLess(&h.ev[i], &h.ev[parent]) {
+			break
+		}
+		h.ev[i], h.ev[parent] = h.ev[parent], h.ev[i]
+		i = parent
+	}
+}
+
+func (h *eventHeap) pop() event {
+	ev := h.ev[0]
+	n := len(h.ev) - 1
+	h.ev[0] = h.ev[n]
+	h.ev[n] = event{} // drop the proc/closure references
+	h.ev = h.ev[:n]
+	if n > 1 {
+		h.siftDown()
+	}
+	return ev
+}
+
+func (h *eventHeap) siftDown() {
+	n := len(h.ev)
+	i := 0
+	for {
+		first := i<<2 + 1
+		if first >= n {
+			return
+		}
+		min := first
+		last := first + 4
+		if last > n {
+			last = n
+		}
+		for c := first + 1; c < last; c++ {
+			if eventLess(&h.ev[c], &h.ev[min]) {
+				min = c
+			}
+		}
+		if !eventLess(&h.ev[min], &h.ev[i]) {
+			return
+		}
+		h.ev[i], h.ev[min] = h.ev[min], h.ev[i]
+		i = min
+	}
+}
+
+// heapScheduler runs callbacks from an eventHeap with the engine's
+// contract: times in the past are clamped to now, equal times fire in
+// scheduling order, and a deadline stops the run with the clock at it. A
+// process is a callback that reschedules itself after each step.
+type heapScheduler struct {
+	clock Time
+	seq   uint64
+	h     eventHeap
+}
+
+func (s *heapScheduler) now() Time { return s.clock }
+
+func (s *heapScheduler) at(t Time, fn func()) {
+	if t < s.clock {
+		t = s.clock
+	}
+	s.seq++
+	s.h.push(event{t: t, seq: s.seq, fn: fn})
+}
+
+func (s *heapScheduler) spawn(step func() (Time, bool)) {
+	var wake func()
+	wake = func() {
+		if d, ok := step(); ok {
+			if d < 0 {
+				d = 0
+			}
+			s.at(s.clock+d, wake)
+		}
+	}
+	s.at(s.clock, wake)
+}
+
+func (s *heapScheduler) peek() (Time, bool) {
+	if s.h.len() == 0 {
+		return 0, false
+	}
+	return s.h.ev[0].t, true
+}
+
+// runUntil fires events with times <= deadline one at a time (a negative
+// deadline means no limit), as Engine.RunUntil does.
+func (s *heapScheduler) runUntil(deadline Time) error {
+	for s.h.len() > 0 {
+		if t := s.h.ev[0].t; deadline >= 0 && t > deadline {
+			s.clock = deadline
+			return nil
+		}
+		ev := s.h.pop()
+		s.clock = ev.t
+		ev.fn()
+	}
+	return nil
 }
