@@ -20,12 +20,15 @@
 #   make bench-check  committed-artifact gate: regenerate the paper-scale perf
 #                     profile and sweeps (race detector on) and require the
 #                     committed BENCH_*.json bytes
+#   make identity OUT=dir  write the CLI outputs a byte-identity claim rests
+#                     on into dir; `diff -r` two checkouts' dirs to check it
 #   make all          both gates plus the benchmark artifacts
 
 GO ?= go
 FUZZTIME ?= 10s
+OUT ?= identity-out
 
-.PHONY: all build test benchmod vet race lint fuzz check strict bench bench-json bench-stream bench-serve bench-affinity bench-sim bench-check trace-demo serve-demo ops-demo tail-demo examples clean
+.PHONY: all build test benchmod vet race lint fuzz check strict bench bench-json bench-stream bench-serve bench-affinity bench-sim bench-check identity trace-demo serve-demo ops-demo tail-demo examples clean
 
 all: check strict bench-json
 
@@ -202,6 +205,45 @@ bench-sim:
 bench-check:
 	$(GO) test -race -count=1 -run '^TestCommittedSweepsRegenerate$$' ./internal/figures
 
+# Byte-identity outputs: build the CLIs, then write under OUT the outputs
+# that a "this change moves no number" claim rests on. Each northup-run
+# entry (directory name, then arguments) writes stdout, a Chrome trace and
+# the metrics registry as JSON and Prometheus text; every committed serve
+# scenario writes its JSON report, records, metrics, journeys, trace,
+# alerts and windows; and every figure is printed as CSV. Each run starts
+# in its own directory with relative output paths, so the paths a CLI
+# echoes match across checkouts. Run it on two checkouts and compare with
+# `diff -r parent-dir change-dir`. Not part of `make check`.
+identity:
+	sh -c 'set -e; \
+	  mkdir -p "$(OUT)"; out=$$(cd "$(OUT)" && pwd); \
+	  bin=$$(mktemp -d); trap "rm -rf $$bin" EXIT; \
+	  for c in northup-run northup-serve northup-bench; do $(GO) build -o $$bin/$$c ./cmd/$$c; done; \
+	  run() { \
+	    dir=$$out/run/$$1; shift; mkdir -p $$dir; \
+	    (cd $$dir && $$bin/northup-run "$$@" -metrics -trace-out t.json \
+	      -metrics-out m.json -metrics-prom m.prom > out.txt 2>&1); \
+	  }; \
+	  run gemm -app gemm -n 512 -chunk 128; \
+	  run hotspot -app hotspot -n 512 -chunk 128; \
+	  run spmv -app spmv -n 65536 -iters 2; \
+	  run steal -app hotspot -n 512 -steal; \
+	  run steal-offline -app hotspot -n 256 -steal -faults seed=7,offline=1/gpu:0:2; \
+	  run affinity -app gemm -n 512 -chunk 128 -phantom -cache -affinity on; \
+	  run streamed -app hotspot -n 256 -preset discrete -streamed; \
+	  run cache-prefetch -app spmv -n 65536 -iters 4 -cache -prefetch; \
+	  run faults -app gemm -n 256 -faults seed=42,rate=0.05; \
+	  run steal-sampled -app hotspot -n 2048 -steal -phantom -sample-tick-ms 1; \
+	  run affinity-sampled -app gemm -n 1024 -chunk 128 -phantom -cache -affinity on -sample-tick-ms 1; \
+	  for sc in specs/scenarios/*; do \
+	    dir=$$out/serve/$$(basename $$sc); mkdir -p $$dir; \
+	    (cd $$dir && $$bin/northup-serve -scenario $(CURDIR)/$$sc -journeys -format json \
+	      -records r.json -metrics m.prom -journeys-out j.json -trace-out t.json \
+	      -alerts a.json -windows w.json > report.json); \
+	  done; \
+	  $$bin/northup-bench -fig all -format csv > $$out/figures.csv'
+
 clean:
 	$(GO) clean ./...
+	rm -rf identity-out
 	rm -f BENCH_cache.json trace-demo.json serve-demo-serve serve-demo-a.json serve-demo-b.json serve-demo-a.records serve-demo-b.records ops-demo-serve ops-demo-alerts.json tail-demo-serve tail-demo-trace tail-demo.trace.json tail-demo-alerts.json tail-demo-tail.txt

@@ -107,6 +107,7 @@ func RunSteal(rt *core.Runtime, cfg StealConfig) (*StealResult, error) {
 		return nil, err
 	}
 	res.Result = *r
+	res.Failovers = r.Stats.Resilience.Failovers
 	return res, nil
 }
 
@@ -128,7 +129,6 @@ type leafClass struct {
 type leafRun struct {
 	lc     *core.Ctx
 	engine *sim.Engine
-	res    *StealResult
 	runRow func(rowTask)
 	// queued counts the rows still in the chunk's queues this iteration: a
 	// worker that reads zero is dry without probing every queue.
@@ -213,13 +213,9 @@ func (w *worker) step() {
 		panic(fmt.Sprintf("hotspot: %s found no row with %d queued", w.track, r.queued))
 	}
 	r.queued--
-	if src != sched.FromOwn {
-		r.res.Steals++
-		if src == sched.FromOther && cl.peer.offline != nil {
-			if _, off := cl.peer.offline(); off {
-				r.res.Failovers++
-				r.lc.Runtime().NoteFailover()
-			}
+	if src == sched.FromOther && cl.peer.offline != nil {
+		if _, off := cl.peer.offline(); off {
+			r.lc.Runtime().NoteFailover()
 		}
 	}
 	r.runRow(t)
@@ -271,16 +267,12 @@ func stealCompute(lc *core.Ctx, blk *Block, d int, cfg StealConfig, res *StealRe
 	}
 
 	// Expose the queues on the tree node with the standard deque
-	// telemetry. The depth goes through this scheduler's own additive
-	// slot, so concurrent jobs on the node sum instead of overwriting each
-	// other; detaching and closing when the chunk is done leaves nothing
-	// stale on the shared tree.
-	depthSlot := lc.Runtime().NewQueueDepthSlot(nodeID)
-	defer depthSlot.Close()
-	detach := core.WatchDeques(lc, lc.Node(), depthSlot, queues)
+	// telemetry, which the node's queue-depth gauge reads; detaching when
+	// the chunk is done leaves nothing stale on the shared tree.
+	detach := core.WatchDeques(lc, lc.Node(), queues)
 	defer detach()
 
-	run := &leafRun{lc: lc, engine: engine, res: res, queued: rows, done: sim.NewWaitGroup(engine),
+	run := &leafRun{lc: lc, engine: engine, queued: rows, done: sim.NewWaitGroup(engine),
 		runRow: func(t rowTask) {
 			if blk != nil {
 				for tx := 0; tx < tilesPerRow; tx++ {
@@ -310,20 +302,18 @@ func stealCompute(lc *core.Ctx, blk *Block, d int, cfg StealConfig, res *StealRe
 		}
 		// Sample the queue depth at each iteration barrier: full after the
 		// refill, and (once the iteration drains) empty again — the sawtooth
-		// a traced timeline shows per Jacobi step. The metrics gauge sees the
-		// same instants (plus every push/pop/steal through the hooks above).
+		// a traced timeline shows per Jacobi step.
 		lc.TraceCounter(trace.TrackQueue, "depth", int64(sched.TotalLen(queues)))
-		depthSlot.Set(int64(sched.TotalLen(queues)))
 		run.done.Add(nq)
 		run.startIteration()
 		run.done.Wait(lc.Proc())
 		lc.TraceCounter(trace.TrackQueue, "depth", int64(sched.TotalLen(queues)))
-		depthSlot.Set(int64(sched.TotalLen(queues)))
 		if blk != nil {
 			blk.Swap()
 		}
 	}
-	pops, _ := sched.TotalStats(queues)
+	pops, steals := sched.TotalStats(queues)
 	res.Pops += pops
+	res.Steals += steals
 	return nil
 }

@@ -70,11 +70,6 @@ func (e *Entry) SetPrefetched() { e.prefetched = true }
 // ClearPrefetched marks the prefetched entry as consumed by demand.
 func (e *Entry) ClearPrefetched() { e.prefetched = false }
 
-// Doomed reports whether the entry was invalidated while pinned or in
-// flight; its buffer must be freed by the last user instead of re-entering
-// the pool.
-func (e *Entry) Doomed() bool { return e.doomed }
-
 // Pool is the buffer pool of one memory node. It is not safe for true
 // concurrent use; the discrete-event simulation interleaves tasks only at
 // blocking points, and the pool's mutating methods never block.

@@ -111,7 +111,8 @@ type Runtime struct {
 
 	bd        trace.Breakdown
 	res       ResilienceStats
-	observers []Observer // the observation stream's subscribers (tracing.go)
+	observers []Observer      // the observation stream's subscribers (tracing.go)
+	metrics   *runtimeMetrics // the registry's subscription among them, nil when metrics are off
 	bufSeq    int
 	bufIDs    int64 // stable buffer identities keying cache entries
 
@@ -164,7 +165,8 @@ func NewRuntime(e *sim.Engine, t *topo.Tree, opts Options) *Runtime {
 		rt.Subscribe(recorderObserver{opts.Trace})
 	}
 	if opts.Metrics != nil {
-		rt.Subscribe(newRuntimeMetrics(rt, opts.Metrics))
+		rt.metrics = newRuntimeMetrics(rt, opts.Metrics)
+		rt.Subscribe(rt.metrics)
 	}
 	return rt
 }

@@ -11,16 +11,17 @@ import (
 )
 
 // This file subscribes the continuous-metrics registry (package obs) to
-// the runtime's observation stream (tracing.go). Busy time, span counts
-// and span-duration histograms come from the charged spans, steals from
-// the queue lane's steal instants and ring occupancy from the stream
-// counters: the events the recorder keeps, so metric totals reconcile with
-// the Breakdown bit for bit by construction. The counters the runtime
-// already keeps in its own structs (cache, resilience, fault injector,
-// streams) and the derived gauges (hit rate, bandwidth utilization, hop
-// bandwidth, trace drops, elapsed) are read-through instruments: the
-// registry reads their source whenever it is snapshotted, sampled or
-// merged, so each has one source and nothing is ever synced.
+// the runtime's observation stream (tracing.go). Span counts, span-duration
+// histograms and moved bytes come from the charged spans, steals from the
+// queue lane's steal instants and ring occupancy from the stream counters:
+// the events the recorder keeps, so metric totals reconcile with the
+// Breakdown bit for bit by construction. What the runtime already keeps in
+// its own structs (busy time in the Breakdown, cache, resilience, fault
+// injector and stream counters, the work queues attached to tree nodes)
+// and the derived gauges (hit rate, bandwidth utilization, hop bandwidth,
+// trace drops, elapsed) are read-through instruments: the registry reads
+// their source whenever it is snapshotted, sampled or merged, so each has
+// one source and nothing is ever synced.
 //
 // With Options.Metrics nil (the default) nothing subscribes and every hook
 // collapses to one branch with zero allocations.
@@ -66,7 +67,6 @@ type runtimeMetrics struct {
 	reg *obs.Registry
 
 	// Per-category instruments, indexed by trace.Category.
-	busy   []*obs.Counter
 	spans  []*obs.Counter
 	spanNS []*obs.Histogram
 
@@ -79,12 +79,9 @@ type runtimeMetrics struct {
 	streamRing  map[int]*obs.Gauge
 	streamHopBW map[int]bool
 
-	// Scheduler instruments: per-node queue-depth gauges (lazy) plus pop
-	// and steal totals. The gauge publishes the sum over live
-	// QueueDepthSlots, so concurrent schedulers on one node compose
-	// additively instead of overwriting each other's absolute depth.
-	queueDepth  map[int]*obs.Gauge
-	depthTotal  map[int]int64 // node -> sum of live slot depths
+	// Scheduler instruments: which nodes' queue-depth gauges are
+	// registered (Runtime.AttachQueues), plus pop and steal totals.
+	queueDepth  map[int]bool
 	queuePops   *obs.Counter
 	queueSteals *obs.Counter
 
@@ -100,20 +97,19 @@ type runtimeMetrics struct {
 // the subscription that drives them.
 func newRuntimeMetrics(rt *Runtime, reg *obs.Registry) *runtimeMetrics {
 	m := &runtimeMetrics{rt: rt, reg: reg,
-		busy:        make([]*obs.Counter, len(trace.Categories)),
 		spans:       make([]*obs.Counter, len(trace.Categories)),
 		spanNS:      make([]*obs.Histogram, len(trace.Categories)),
 		movedBytes:  map[int]*obs.Counter{},
 		streamRing:  map[int]*obs.Gauge{},
 		streamHopBW: map[int]bool{},
-		queueDepth:  map[int]*obs.Gauge{},
-		depthTotal:  map[int]int64{},
+		queueDepth:  map[int]bool{},
 		schedPlace:  map[string]*obs.Counter{},
 		schedSaved:  map[int]*obs.Counter{},
 	}
 	for _, c := range trace.Categories {
 		lbl := obs.L("cat", c.String())
-		m.busy[c] = reg.Counter(mBusyNS, "virtual busy time per execution category", lbl)
+		reg.CounterFunc(mBusyNS, "virtual busy time per execution category",
+			func() int64 { return int64(rt.bd.Busy(c)) }, lbl)
 		m.spans[c] = reg.Counter(mSpans, "completed spans per execution category", lbl)
 		m.spanNS[c] = reg.Histogram(mSpanNS, "span duration distribution", spanNSBuckets, lbl)
 	}
@@ -180,21 +176,19 @@ func newRuntimeMetrics(rt *Runtime, reg *obs.Registry) *runtimeMetrics {
 // the handle maps memoise away the strconv after first use.
 func nodeLabel(node int) obs.Label { return obs.L("node", strconv.Itoa(node)) }
 
-// Span implements Observer: a charged span adds the identical duration
-// the Breakdown received to the busy counter, plus span count, duration
-// histogram and — for data movement — per-node byte totals. A node's
-// first stream hop registers its hop-bandwidth gauge.
+// Span implements Observer: a charged span adds to the span count and the
+// duration histogram of its category (whose busy total the registry reads
+// from the Breakdown) and, for data movement, to per-node byte totals. A
+// node's first stream hop registers its hop-bandwidth gauge.
 func (m *runtimeMetrics) Span(_ *sim.Proc, lane trace.Lane, cat trace.Category, _ string, start, end sim.Time, value int64) {
-	if cat < 0 || int(cat) >= len(m.busy) {
+	if cat < 0 || int(cat) >= len(m.spans) {
 		if lane.Track == trace.TrackStream {
 			m.noteHop(lane.Node)
 		}
 		return
 	}
-	d := int64(end - start)
-	m.busy[cat].Add(d)
 	m.spans[cat].Inc()
-	m.spanNS[cat].Observe(d)
+	m.spanNS[cat].Observe(int64(end - start))
 	if (cat == trace.Transfer || cat == trace.IO) && value > 0 && lane.Node >= 0 {
 		m.movedInto(lane.Node).Add(value)
 	}
@@ -267,18 +261,6 @@ func (m *runtimeMetrics) ringGauge(node int) *obs.Gauge {
 	return g
 }
 
-// metrics returns the registry's subscription, nil when metrics are off.
-// The registry-only scheduler notes (pops, placements, queue depth) reach
-// it here; everything else arrives through Observe.
-func (rt *Runtime) metrics() *runtimeMetrics {
-	for _, o := range rt.observers {
-		if m, ok := o.(*runtimeMetrics); ok {
-			return m
-		}
-	}
-	return nil
-}
-
 // Metrics returns the runtime's registry, nil when metrics are off.
 func (rt *Runtime) Metrics() *obs.Registry { return rt.opts.Metrics }
 
@@ -301,88 +283,49 @@ func (rt *Runtime) maybeSample(now sim.Time) {
 // Deprecated: exports need no sync; the method stays for existing callers.
 func (rt *Runtime) SyncMetrics() {}
 
-// QueueDepthSlot is one scheduler's contribution to a node's queue-depth
-// gauge. The gauge always publishes the sum of all live slots on the node,
-// which is what makes the metric correct when several jobs run leaf
-// schedulers on the same node concurrently: an absolute-set gauge would
-// let the last writer win, so one job finishing could freeze another
-// job's stale depth into the gauge forever.
-//
-// A scheduler obtains a slot at setup (NewQueueDepthSlot), calls Set with
-// its own total on every queue event, and must Close the slot when it
-// winds down so its contribution returns to zero.
-type QueueDepthSlot struct {
-	m      *runtimeMetrics // nil when metrics are off
-	node   int
-	depth  int64
-	closed bool
-}
-
-// NewQueueDepthSlot registers a scheduler's depth contribution for node.
-// Usable (as a no-op) even when metrics are off.
-func (rt *Runtime) NewQueueDepthSlot(node int) *QueueDepthSlot {
-	return &QueueDepthSlot{m: rt.metrics(), node: node}
-}
-
-// Set publishes the slot's current depth; the node gauge moves by the
-// delta from the slot's previous value.
-func (s *QueueDepthSlot) Set(depth int64) {
-	if s == nil || s.closed || s.m == nil {
-		return
+// AttachQueues attaches a scheduler's work queues to node for the
+// scheduler's lifetime (topo.Node.AttachQueues) and, with metrics on,
+// publishes the node's load: the first attach at a node registers
+// northup_queue_depth{node}, a read-through gauge summing the lengths of
+// every queue attached there. Schedulers running concurrently on one node
+// therefore sum, and each detach withdraws exactly its own queues.
+func (rt *Runtime) AttachQueues(node *topo.Node, qs ...sched.Monitor) (detach func()) {
+	if m := rt.metrics; m != nil && !m.queueDepth[node.ID] {
+		m.queueDepth[node.ID] = true
+		m.reg.GaugeFunc(mQueueDepth, "work-queue depth per leaf scheduler", func() float64 {
+			n := 0
+			for _, q := range node.Queues {
+				n += q.Len()
+			}
+			return float64(n)
+		}, nodeLabel(node.ID))
 	}
-	m := s.m
-	m.depthTotal[s.node] += depth - s.depth
-	s.depth = depth
-	g, ok := m.queueDepth[s.node]
-	if !ok {
-		g = m.reg.Gauge(mQueueDepth, "work-queue depth per leaf scheduler", nodeLabel(s.node))
-		m.queueDepth[s.node] = g
-	}
-	g.Set(float64(m.depthTotal[s.node]))
-	m.rt.maybeSample(m.rt.engine.Now())
-}
-
-// Close withdraws the slot's contribution. Further Sets are no-ops.
-func (s *QueueDepthSlot) Close() {
-	if s == nil || s.closed {
-		return
-	}
-	s.Set(0)
-	s.closed = true
+	return node.AttachQueues(qs...)
 }
 
 // WatchDeques is the standard telemetry of a leaf scheduler's deques. It
-// attaches them to node's queue monitors, so subtree load is observable as
-// Listing 1's work_queue links intend, and, when anything subscribes,
-// wires their hooks: each steal is an instant on c's queue lane naming the
-// victim queue (the registry counts steals from it), each pop feeds the
-// registry's pop total, and every push, pop and steal republishes the
-// deques' total length through depth. The caller owns depth (it may also
-// Set it at its own barriers) and calls detach when the deques retire.
-func WatchDeques[T any](c *Ctx, node *topo.Node, depth *QueueDepthSlot, queues []*sched.Deque[T]) (detach func()) {
+// attaches them to node (Runtime.AttachQueues), so subtree load and the
+// node's queue-depth gauge read them as Listing 1's work_queue links
+// intend, and, when anything subscribes, wires their hooks: each steal is
+// an instant on c's queue lane naming the victim queue (the registry
+// counts steals from it) and each pop feeds the registry's pop total. The
+// caller calls detach when the deques retire.
+func WatchDeques[T any](c *Ctx, node *topo.Node, queues []*sched.Deque[T]) (detach func()) {
 	monitors := make([]sched.Monitor, len(queues))
 	for i, q := range queues {
 		monitors[i] = q
 	}
-	detach = node.AttachQueues(monitors...)
+	detach = c.rt.AttachQueues(node, monitors...)
 	if !c.rt.observed() {
 		return detach
 	}
-	m := c.rt.metrics()
-	noteDepth := func() { depth.Set(int64(sched.TotalLen(queues))) }
+	m := c.rt.metrics
 	for i, q := range queues {
 		qi := int64(i)
-		q.OnPush = noteDepth
-		q.OnPop = func() {
-			if m != nil {
-				m.queuePops.Inc()
-			}
-			noteDepth()
+		if m != nil {
+			q.OnPop = m.queuePops.Inc
 		}
-		q.OnSteal = func() {
-			c.TraceInstant(trace.TrackQueue, instantSteal, qi)
-			noteDepth()
-		}
+		q.OnSteal = func() { c.TraceInstant(trace.TrackQueue, instantSteal, qi) }
 	}
 	return detach
 }
@@ -393,7 +336,7 @@ func WatchDeques[T any](c *Ctx, node *topo.Node, depth *QueueDepthSlot, queues [
 // input bytes the decision found already resident (so no edge crossing was
 // needed). No-op without metrics.
 func (rt *Runtime) NoteSchedPlacement(policy string, node int, savedBytes int64) {
-	m := rt.metrics()
+	m := rt.metrics
 	if m == nil {
 		return
 	}

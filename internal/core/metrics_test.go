@@ -57,10 +57,8 @@ func TestMetricsDisabledZeroAlloc(t *testing.T) {
 		t.Fatal("metrics enabled on a default runtime")
 	}
 	lane := trace.Lane{Node: 1, Track: trace.TrackXfer}
-	depth := rt.NewQueueDepthSlot(1)
 	allocs := testing.AllocsPerRun(200, func() {
 		rt.chargeSpan(nil, lane, trace.Transfer, spanMove, 0, 10, 64)
-		depth.Set(5)
 		rt.emitInstant(trace.Lane{Node: 1, Track: trace.TrackQueue}, instantSteal, 5, 0)
 		rt.NoteSchedPlacement("affinity", 1, 64)
 	})

@@ -64,12 +64,3 @@ func (rt *Runtime) MoveDataTransposeF32(p *sim.Proc, dst, src *Buffer, dstOff, s
 		return nil
 	})
 }
-
-// TransposeCostF32 returns the extra virtual time a transforming move adds
-// over a plain move for an n-byte block landing on node's device: useful
-// for the reuse-count break-even analysis of §VI ("layout transformation
-// is beneficial for applications with sufficient data reuse").
-func (rt *Runtime) TransposeCostF32(nodeBuf *Buffer, n int64) sim.Time {
-	prof := nodeBuf.node.Mem.Profile()
-	return prof.Latency + sim.TransferTime(n, prof.WriteBW)
-}

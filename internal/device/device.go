@@ -230,30 +230,11 @@ func (d *Device) ServiceTime(op Op, offset, n int64, seek bool) sim.Time {
 // process queues for one of the device's service slots and holds it for the
 // service time. It returns the service time charged (excluding queueing).
 func (d *Device) Access(p *sim.Proc, op Op, offset, n int64) sim.Time {
-	seek := d.profile.SeekTime > 0 && offset != d.lastEnd
-	t := d.ServiceTime(op, offset, n, seek)
 	d.server.Acquire(p)
-	// Re-evaluate sequentiality at service start: an interleaved request
-	// may have moved the head while we queued.
-	seekNow := d.profile.SeekTime > 0 && offset != d.lastEnd
-	if seekNow != seek {
-		t = d.ServiceTime(op, offset, n, seekNow)
-		seek = seekNow
-	}
-	d.lastEnd = offset + n
+	t, seek := d.startService(op, offset, n)
 	p.Sleep(t)
 	d.server.Release()
-
-	if op == Read {
-		d.readBytes += n
-		d.readTime += t
-	} else {
-		d.writeBytes += n
-		d.writeTime += t
-	}
-	if d.recorder != nil {
-		d.recorder(IORecord{Device: d.profile.Name, Op: op, Bytes: n, Seek: seek, Time: t})
-	}
+	d.endService(op, n, seek, t)
 	return t
 }
 
@@ -266,28 +247,40 @@ func (d *Device) Access(p *sim.Proc, op Op, offset, n int64) sim.Time {
 // requests can share one device without perturbing each other's timing.
 func (d *Device) AccessAsync(op Op, offset, n int64, done func(sim.Time)) {
 	d.server.AcquireAsync(func() {
-		// Sequentiality is evaluated at service start, exactly as Access does
-		// after its Acquire returns.
-		seek := d.profile.SeekTime > 0 && offset != d.lastEnd
-		t := d.ServiceTime(op, offset, n, seek)
-		d.lastEnd = offset + n
+		t, seek := d.startService(op, offset, n)
 		d.engine.After(t, func() {
 			d.server.Release()
-			if op == Read {
-				d.readBytes += n
-				d.readTime += t
-			} else {
-				d.writeBytes += n
-				d.writeTime += t
-			}
-			if d.recorder != nil {
-				d.recorder(IORecord{Device: d.profile.Name, Op: op, Bytes: n, Seek: seek, Time: t})
-			}
+			d.endService(op, n, seek, t)
 			if done != nil {
 				done(t)
 			}
 		})
 	})
+}
+
+// startService begins an access that holds a service slot: sequentiality is
+// judged at service start, since an interleaved request may have moved the
+// head while this one queued. It returns the service time and whether the
+// access seeks.
+func (d *Device) startService(op Op, offset, n int64) (t sim.Time, seek bool) {
+	seek = d.profile.SeekTime > 0 && offset != d.lastEnd
+	d.lastEnd = offset + n
+	return d.ServiceTime(op, offset, n, seek), seek
+}
+
+// endService accounts a completed access per direction and hands it to
+// the recorder.
+func (d *Device) endService(op Op, n int64, seek bool, t sim.Time) {
+	if op == Read {
+		d.readBytes += n
+		d.readTime += t
+	} else {
+		d.writeBytes += n
+		d.writeTime += t
+	}
+	if d.recorder != nil {
+		d.recorder(IORecord{Device: d.profile.Name, Op: op, Bytes: n, Seek: seek, Time: t})
+	}
 }
 
 // Stats reports cumulative traffic and busy time per direction.
@@ -335,14 +328,7 @@ func NewLink(e *sim.Engine, name string, bw float64, latency sim.Time, paralleli
 // calling process for setup latency plus the bottleneck bandwidth time.
 // Either endpoint may be nil (meaning "not a modeled bottleneck").
 func (l *Link) Transfer(p *sim.Proc, src, dst *Device, n int64) sim.Time {
-	bw := l.BW
-	if src != nil && src.profile.ReadBW > 0 && src.profile.ReadBW < bw {
-		bw = src.profile.ReadBW
-	}
-	if dst != nil && dst.profile.WriteBW > 0 && dst.profile.WriteBW < bw {
-		bw = dst.profile.WriteBW
-	}
-	t := l.Latency + sim.TransferTime(n, bw)
+	t := l.transferTime(src, dst, n)
 	l.server.Use(p, t)
 	return t
 }
@@ -352,14 +338,7 @@ func (l *Link) Transfer(p *sim.Proc, src, dst *Device, n int64) sim.Time {
 // an engine timer, and invokes done with the time charged. done runs as an
 // engine callback and must not block.
 func (l *Link) TransferAsync(src, dst *Device, n int64, done func(sim.Time)) {
-	bw := l.BW
-	if src != nil && src.profile.ReadBW > 0 && src.profile.ReadBW < bw {
-		bw = src.profile.ReadBW
-	}
-	if dst != nil && dst.profile.WriteBW > 0 && dst.profile.WriteBW < bw {
-		bw = dst.profile.WriteBW
-	}
-	t := l.Latency + sim.TransferTime(n, bw)
+	t := l.transferTime(src, dst, n)
 	l.server.AcquireAsync(func() {
 		l.engine.After(t, func() {
 			l.server.Release()
@@ -368,4 +347,17 @@ func (l *Link) TransferAsync(src, dst *Device, n int64, done func(sim.Time)) {
 			}
 		})
 	})
+}
+
+// transferTime is the setup latency plus n bytes at the slowest of the
+// link's bandwidth, src's read bandwidth and dst's write bandwidth.
+func (l *Link) transferTime(src, dst *Device, n int64) sim.Time {
+	bw := l.BW
+	if src != nil && src.profile.ReadBW > 0 && src.profile.ReadBW < bw {
+		bw = src.profile.ReadBW
+	}
+	if dst != nil && dst.profile.WriteBW > 0 && dst.profile.WriteBW < bw {
+		bw = dst.profile.WriteBW
+	}
+	return l.Latency + sim.TransferTime(n, bw)
 }

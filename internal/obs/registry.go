@@ -177,9 +177,6 @@ func (h *Histogram) Count() int64 { return h.n }
 // Max returns the largest observation (0 before any Observe).
 func (h *Histogram) Max() int64 { return h.max }
 
-// Bounds returns the bucket upper bounds (without +Inf).
-func (h *Histogram) Bounds() []int64 { return append([]int64(nil), h.bounds...) }
-
 // Quantile returns the q-quantile (q in [0,1]) as the upper bound of the
 // bucket where the cumulative count reaches ceil(q*n): a deterministic,
 // merge-stable estimate with bucket-granularity resolution, which is how

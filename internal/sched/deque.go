@@ -23,18 +23,14 @@ type Deque[T any] struct {
 	steals int64
 	pops   int64
 
-	// OnPush, OnPop and OnSteal, when set, observe every PushTail and every
-	// successful PopTail and StealHead — the hooks tracing and metrics use
-	// to timestamp queue activity and maintain live depth gauges. Nil (the
-	// default) costs one branch.
+	// OnPop and OnSteal, when set, observe every successful PopTail and
+	// StealHead — the hooks the runtime uses to count pops and to mark
+	// steals on the trace (core.WatchDeques). Nil (the default) costs one
+	// branch. Queue depth needs no hook: the node's depth gauge reads Len
+	// through the queue monitors attached to the tree.
 	//
 	// Contract: each hook fires after the deque's own state is updated, so
-	// Len() observed inside a hook reflects the operation. Hooks belong to
-	// one deque and one scheduler; when several concurrent schedulers share
-	// a node-level aggregate (a depth gauge), each must publish through its
-	// own additive slot (core.Runtime.NewQueueDepthSlot) rather than writing
-	// an absolute total, or concurrent jobs clobber each other's value.
-	OnPush  func()
+	// Len() observed inside a hook reflects the operation.
 	OnPop   func()
 	OnSteal func()
 }
@@ -50,9 +46,6 @@ func (d *Deque[T]) Name() string { return d.name }
 
 // Len returns the number of queued tasks.
 func (d *Deque[T]) Len() int { return d.n }
-
-// Empty reports whether the deque holds no tasks.
-func (d *Deque[T]) Empty() bool { return d.n == 0 }
 
 // Snapshot returns the queued tasks oldest-first without removing them.
 // Observability callers use it to record what a newly admitted task is
@@ -86,9 +79,6 @@ func (d *Deque[T]) PushTail(t T) {
 	d.buf[d.tail] = t
 	d.tail = (d.tail + 1) & (len(d.buf) - 1)
 	d.n++
-	if d.OnPush != nil {
-		d.OnPush()
-	}
 }
 
 // PopTail removes the newest task; the owner's fast path.

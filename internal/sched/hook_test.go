@@ -2,27 +2,29 @@ package sched
 
 import "testing"
 
-// TestHooksFireAfterStateUpdate pins the hook contract the serve engine
-// and the metrics layer rely on: OnPush/OnPop/OnSteal observe the deque
-// AFTER the operation, so Len() read inside a hook reflects it. Admission
-// control publishes depth gauges from these hooks; firing them before the
-// update would make every published depth off by one.
+// TestHooksFireAfterStateUpdate pins the hook contract: OnPop and OnSteal
+// observe the deque AFTER the operation, so Len() read inside a hook
+// reflects it, and a push fires neither.
 func TestHooksFireAfterStateUpdate(t *testing.T) {
 	d := NewDeque[int]("hooked")
 	var depths []int
 	record := func() { depths = append(depths, d.Len()) }
-	d.OnPush, d.OnPop, d.OnSteal = record, record, record
+	d.OnPop, d.OnSteal = record, record
 
-	d.PushTail(1)                  // len 1
-	d.PushTail(2)                  // len 2
-	if _, ok := d.PopTail(); !ok { // len 1
+	d.PushTail(1)
+	d.PushTail(2)
+	d.PushTail(3)
+	if _, ok := d.PopTail(); !ok { // len 2
 		t.Fatal("pop failed")
 	}
-	d.PushTail(3)                    // len 2
+	d.PushTail(4)                    // len 3
+	if _, ok := d.StealHead(); !ok { // len 2
+		t.Fatal("steal failed")
+	}
 	if _, ok := d.StealHead(); !ok { // len 1
 		t.Fatal("steal failed")
 	}
-	want := []int{1, 2, 1, 2, 1}
+	want := []int{2, 2, 1}
 	if len(depths) != len(want) {
 		t.Fatalf("hook firings = %v, want %v", depths, want)
 	}
@@ -34,8 +36,8 @@ func TestHooksFireAfterStateUpdate(t *testing.T) {
 }
 
 // TestHooksSkippedOnFailedOps: unsuccessful PopTail/StealHead on an empty
-// deque must not fire hooks — a depth gauge must not be re-published for
-// a no-op.
+// deque must not fire hooks — a failed pop is not a pop, nor a failed
+// steal a steal.
 func TestHooksSkippedOnFailedOps(t *testing.T) {
 	d := NewDeque[int]("empty")
 	fired := 0

@@ -88,10 +88,6 @@ type tenantState struct {
 	sloViol    *obs.Counter
 	latHist    *obs.Histogram
 	waitHist   *obs.Histogram
-	depthG     *obs.Gauge
-	inflightG  *obs.Gauge
-
-	depthSlot *core.QueueDepthSlot
 }
 
 // Engine executes one scenario: per-tenant Poisson admitters feed
@@ -222,9 +218,11 @@ func (e *Engine) newTenantState(idx int, spec *Tenant) *tenantState {
 		sloViol:    reg.Counter("northup_serve_slo_violations_total", "completions slower than the tenant SLO", lbl),
 		latHist:    reg.Histogram("northup_serve_latency_ns", "arrival-to-completion latency", latencyBuckets, lbl),
 		waitHist:   reg.Histogram("northup_serve_wait_ns", "arrival-to-dispatch queueing delay", latencyBuckets, lbl),
-		depthG:     reg.Gauge("northup_serve_queue_depth", "admitted jobs waiting for dispatch", lbl),
-		inflightG:  reg.Gauge("northup_serve_inflight_bytes", "staging footprint of running jobs", lbl),
 	}
+	reg.GaugeFunc("northup_serve_queue_depth", "admitted jobs waiting for dispatch",
+		func() float64 { return float64(t.q.Len()) }, lbl)
+	reg.GaugeFunc("northup_serve_inflight_bytes", "staging footprint of running jobs",
+		func() float64 { return float64(t.inflight) }, lbl)
 	// Weight prefix sums for mix draws, and each entry's plan.
 	cum := 0.0
 	t.plans = make([]jobPlan, len(spec.Mix))
@@ -233,17 +231,6 @@ func (e *Engine) newTenantState(idx int, spec *Tenant) *tenantState {
 		t.mixCum = append(t.mixCum, cum)
 		t.plans[i] = planJob(shapeOf(m), t.quota)
 	}
-	// The tenant queue publishes its depth both as a tenant-labelled serve
-	// gauge and — through an additive slot — into the shared runtime's
-	// per-node northup_queue_depth, alongside any in-job stealing queues.
-	t.depthSlot = e.rt.NewQueueDepthSlot(e.dram.ID)
-	depth := func() {
-		t.depthG.Set(float64(t.q.Len()))
-		t.depthSlot.Set(int64(t.q.Len()))
-	}
-	t.q.OnPush = depth
-	t.q.OnPop = depth
-	t.q.OnSteal = depth
 	return t
 }
 
@@ -286,12 +273,13 @@ func (e *Engine) start() error {
 	e.ran = true
 
 	// Tenant queues are visible on the staging node for the lifetime of
-	// the run, next to any queues the jobs themselves attach.
+	// the run, next to any queues the jobs themselves attach; the node's
+	// northup_queue_depth reads them all.
 	var monitors []sched.Monitor
 	for _, t := range e.tenants {
 		monitors = append(monitors, t.q)
 	}
-	e.detachQueues = e.dram.AttachQueues(monitors...)
+	e.detachQueues = e.rt.AttachQueues(e.dram, monitors...)
 
 	// Arrival processes ride the engine's callback fast path: each tenant is
 	// a self-rescheduling timer, not a goroutine — an arrival draws the next
@@ -316,14 +304,11 @@ func (e *Engine) start() error {
 }
 
 // finish settles the drained run: a final plane tick at the drain instant
-// (deduplicated if a step tick already landed there), depth slots close,
-// queues detach, and the report is built.
+// (deduplicated if a step tick already landed there), queues detach, and
+// the report is built.
 func (e *Engine) finish() *Report {
 	if e.plane != nil {
 		e.plane.Tick(e.eng.Now())
-	}
-	for _, t := range e.tenants {
-		t.depthSlot.Close()
 	}
 	e.detach()
 	return e.buildReport()
@@ -462,7 +447,6 @@ func (e *Engine) runWorker(p *sim.Proc) {
 // on the shared runtime, and settles metrics and records at completion.
 func (e *Engine) dispatch(p *sim.Proc, t *tenantState, jb *job) {
 	t.inflight += jb.plan.Footprint
-	t.inflightG.Set(float64(t.inflight))
 	t.vft += float64(jb.plan.WorkBytes) / t.spec.Weight
 
 	start := p.Now()
@@ -521,7 +505,6 @@ func (e *Engine) dispatch(p *sim.Proc, t *tenantState, jb *job) {
 	e.records = append(e.records, rec)
 
 	t.inflight -= jb.plan.Footprint
-	t.inflightG.Set(float64(t.inflight))
 	e.outstanding--
 	// Retired footprint may unblock any tenant's head (and the drain
 	// condition), so every parked worker gets to re-evaluate.

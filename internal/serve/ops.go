@@ -89,27 +89,28 @@ func (e *Engine) watchTenant(t *tenantState) *tenantWatch {
 		"latency observations over the trailing window", t.latHist, lbl)
 	w.depth = p.WatchGauge("northup_window_queue_depth",
 		"max queue depth over the trailing window", func() float64 {
-			return t.depthG.Value()
+			return float64(t.q.Len())
 		}, lbl)
 	w.inflight = p.WatchGauge("northup_window_inflight_bytes",
 		"max staging footprint over the trailing window", func() float64 {
-			return t.inflightG.Value()
+			return float64(t.inflight)
 		}, lbl)
 	return w
 }
 
-// watchRuntime registers windowed views over the shared runtime registry:
-// per-category busy time and per-node moved bytes — the node-level signals
-// attribution reports are cross-checked against. Handles resolve through
-// the registry's idempotent register path, so the runtime's own lazy
+// watchRuntime registers windowed views over the shared runtime: per-
+// category busy time, read from its Breakdown, and per-node moved bytes,
+// read from its registry — the node-level signals attribution reports are
+// cross-checked against. The moved-bytes handles resolve through the
+// registry's idempotent register path, so the runtime's own lazy
 // registration later lands on the same instruments.
 func (e *Engine) watchRuntime() {
 	p := e.plane
+	bd := e.rt.Breakdown()
 	for _, c := range trace.Categories {
-		lbl := obs.L("cat", c.String())
-		cc := e.runReg.Counter("northup_busy_ns_total", "virtual busy time per execution category", lbl)
 		p.WatchCounter("northup_window_busy_ns",
-			"busy time per execution category over the trailing window", counterRead(cc), lbl)
+			"busy time per execution category over the trailing window",
+			func() float64 { return float64(bd.Busy(c)) }, obs.L("cat", c.String()))
 	}
 	for _, n := range e.tree.Nodes() {
 		lbl := obs.L("node", strconv.Itoa(n.ID))

@@ -161,6 +161,11 @@ type eventQueue struct {
 	spare [][]event  // emptied run buffers, reused by the next runs
 }
 
+// maxLiveRuns bounds the live runs, so takeRun's scan stays short: a push
+// that would start one more becomes a lone entry, in the same (t, seq)
+// order. The benchmark's workloads hold at most three.
+const maxLiveRuns = 8
+
 type eventRun struct {
 	seq uint64 // the marker's key: the run's first sequence number
 	ev  []event
@@ -172,7 +177,8 @@ func (q *eventQueue) push(ev event) {
 	// With the open entry alone in the heap, a push for its time lands
 	// under the root after one compare and the pops sift nothing, which
 	// costs less than a run: two holders of a resource releasing together.
-	if i := q.open - 1; len(q.heap) > 1 && i >= 0 && q.heap[i].t == ev.t {
+	if i := q.open - 1; len(q.heap) > 1 && i >= 0 && q.heap[i].t == ev.t &&
+		(q.isMarker(i) || len(q.runs) < maxLiveRuns) {
 		q.join(i, ev)
 		return
 	}
@@ -189,10 +195,13 @@ func (q *eventQueue) push(ev event) {
 	q.open = i + 1
 }
 
+// isMarker reports whether the heap entry at index i is a run's marker.
+func (q *eventQueue) isMarker(i int) bool { return q.heap[i].p == nil && q.heap[i].fn == nil }
+
 // join appends ev to the run of the entry at heap index i, first turning a
 // lone event there into a run of one under a marker with the same key.
 func (q *eventQueue) join(i int, ev event) {
-	if head := &q.heap[i]; head.p != nil || head.fn != nil {
+	if head := &q.heap[i]; !q.isMarker(i) {
 		var buf []event
 		if n := len(q.spare); n > 0 {
 			buf = q.spare[n-1]
@@ -248,8 +257,7 @@ func (q *eventQueue) siftDown() {
 }
 
 // takeRun appends the events of the run whose marker has key seq to ready
-// and recycles its buffer. Lockstep chains keep few times pending, so live
-// runs are few (at most three in the benchmark's workloads) and a scan
+// and recycles its buffer. Live runs are at most maxLiveRuns, so a scan
 // finds it.
 func (q *eventQueue) takeRun(seq uint64, ready []event) []event {
 	for k := range q.runs {

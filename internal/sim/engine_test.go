@@ -412,20 +412,34 @@ func checkEventMix(tb testing.TB, seed uint64, width, procs, slices int) *Engine
 		tb.Fatalf("seed %d, width %d, procs %d/8, %d slices: dispatch differs from the heap's at byte %d:\nengine: %.80s\nheap:   %.80s",
 			seed, width, procs, slices, i, got[from:], want[from:])
 	}
+	// Every run has been taken, so the recycled buffers count the most
+	// runs that were live at once.
+	if n := len(e.events.spare); n > maxLiveRuns {
+		tb.Fatalf("seed %d, width %d: %d runs live at once, bound %d", seed, width, n, maxLiveRuns)
+	}
 	return e
 }
 
 // TestEventQueueMatchesHeap runs seeded event mixes on the engine and on
 // heapScheduler, which pops a plain heap one event at a time: every event
 // must fire at the same instant and in the same order, and Peek must agree
-// between slices. Every mix must form runs, or it would not check them.
+// between slices. Every mix must form runs, or it would not check them,
+// and some must reach maxLiveRuns, where a push that would start a run
+// stays a lone entry.
 func TestEventQueueMatchesHeap(t *testing.T) {
+	capped := 0
 	for seed := uint64(1); seed <= 40; seed++ {
 		width, procs, slices := 1+int(seed*7%40), int(seed%9), 1+int(seed%5)
 		e := checkEventMix(t, seed, width, procs, slices)
 		if len(e.events.spare) == 0 {
 			t.Fatalf("seed %d, width %d: no run formed", seed, width)
 		}
+		if len(e.events.spare) == maxLiveRuns {
+			capped++
+		}
+	}
+	if capped == 0 {
+		t.Fatalf("no mix held %d live runs", maxLiveRuns)
 	}
 }
 

@@ -76,10 +76,6 @@ func (p *Proc) Sleep(d Time) {
 	p.park()
 }
 
-// Yield reschedules the process at the current time, letting every other
-// process that is ready at this instant run first.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // park blocks the process until some event or primitive wakes it.
 // The caller must have arranged for a future wakeup (an event in the heap or
 // membership in a primitive's wait list); otherwise the run ends in deadlock.

@@ -111,9 +111,6 @@ func (f *File) Name() string { return f.name }
 // Size returns the file's fixed logical size.
 func (f *File) Size() int64 { return f.size }
 
-// DeviceOffset returns the start of the file's extent on the device.
-func (f *File) DeviceOffset() int64 { return f.off }
-
 func (f *File) checkRange(op string, off int64, n int) error {
 	if !f.live {
 		return fmt.Errorf("storage: %s %q: file removed", op, f.name)

@@ -355,7 +355,6 @@ type run struct {
 	ready     *sim.Tokens
 	err       error // the first task error; later tasks are skipped
 	completed int
-	depth     *core.QueueDepthSlot
 }
 
 // Run executes the graph on a pool of workers spawned at c's node and
@@ -387,19 +386,17 @@ func (g *Graph) runWith(c *core.Ctx, o Options, policy func(*run)) (*Stats, erro
 	for i, t := range g.tasks {
 		r.nblock[i] = t.nblock
 	}
-	r.depth = c.Runtime().NewQueueDepthSlot(r.node.ID)
-	defer r.depth.Close()
 	policy(r)
 	return st, r.err
 }
 
 // work runs the worker pool both policies share. push hands the policy a
 // ready task, naming the worker whose completion readied it (initially
-// ready tasks are dealt round-robin in program order), and settle follows
-// each batch of pushes; take places a ready task for idle worker w, naming
-// the policy that placed it and the input bytes it found resident. Workers
-// run until every task has completed or one has failed.
-func (r *run) work(push func(w, id int), settle func(), take func(w int) (id int, policy string, saved int64, ok bool)) {
+// ready tasks are dealt round-robin in program order); take places a ready
+// task for idle worker w, naming the policy that placed it and the input
+// bytes it found resident. Workers run until every task has completed or
+// one has failed.
+func (r *run) work(push func(w, id int), take func(w int) (id int, policy string, saved int64, ok bool)) {
 	k := 0
 	for id := range r.g.tasks {
 		if r.nblock[id] == 0 {
@@ -408,7 +405,6 @@ func (r *run) work(push func(w, id int), settle func(), take func(w int) (id int
 			r.ready.Put()
 		}
 	}
-	settle()
 	c := r.c
 	wg := sim.NewWaitGroup(c.Runtime().Engine())
 	for w := 0; w < r.workers; w++ {
@@ -427,7 +423,6 @@ func (r *run) work(push func(w, id int), settle func(), take func(w int) (id int
 						r.ready.Put()
 					}
 				}
-				settle()
 				if r.completed == len(r.g.tasks) {
 					r.ready.Close()
 				}
@@ -464,16 +459,16 @@ func (r *run) execute(sub *core.Ctx, id int, policy string, saved int64) bool {
 // popping their own tails and stealing from siblings when dry (sched.Take's
 // victim order with no other class) — the same topology every app's
 // bespoke scheduler used. A readied task lands on its worker's own queue:
-// successors follow their producer unless stolen. The deque hooks keep the
-// depth gauge.
+// successors follow their producer unless stolen. The deques are attached
+// at the placement node, whose queue-depth gauge reads them.
 func (r *run) runStealing() {
 	queues := make([]*sched.Deque[int], r.workers)
 	for i := range queues {
 		queues[i] = sched.NewDeque[int](fmt.Sprintf("tg%d", i))
 	}
-	detach := core.WatchDeques(r.c, r.node, r.depth, queues)
+	detach := core.WatchDeques(r.c, r.node, queues)
 	defer detach()
-	r.work(func(w, id int) { queues[w].PushTail(id) }, func() {}, func(w int) (int, string, int64, bool) {
+	r.work(func(w, id int) { queues[w].PushTail(id) }, func(w int) (int, string, int64, bool) {
 		id, src, ok := sched.Take(queues, w, nil)
 		if src == sched.FromOwn {
 			return id, "queue", 0, ok
@@ -489,24 +484,26 @@ func (r *run) runStealing() {
 // overlapping the worker's previous inputs (locality bias), then the
 // lowest task ID, so the schedule is a pure function of graph order and
 // cache state: the pick is the minimum of (price, -overlap, id), whatever
-// order the ready list is in.
+// order the ready list is in. The ready list is attached at the placement
+// node as its work queue, which the node's queue-depth gauge reads.
 func (r *run) runAffinity() {
 	p := newPrices(r)
 	detach := r.c.Runtime().WatchResidency(r.node, p.watch)
 	defer detach()
 
-	ready := make([]int, 0, len(r.g.tasks))
-	noteDepth := func() { r.depth.Set(int64(len(ready))) }
+	rl := &readyList{ids: make([]int, 0, len(r.g.tasks))}
+	detachReady := r.c.Runtime().AttachQueues(r.node, rl)
+	defer detachReady()
 	last := make([]*Task, r.workers) // each worker's previous task
-	r.work(func(_, id int) { ready = append(ready, id) }, noteDepth, func(w int) (int, string, int64, bool) {
+	r.work(func(_, id int) { rl.ids = append(rl.ids, id) }, func(w int) (int, string, int64, bool) {
+		ready := rl.ids
 		if len(ready) == 0 {
 			return 0, "", 0, false
 		}
 		best := p.pick(ready, last[w])
 		id := ready[best]
 		ready[best] = ready[len(ready)-1]
-		ready = ready[:len(ready)-1]
-		noteDepth()
+		rl.ids = ready[:len(ready)-1]
 		saved := p.resident[id]
 		r.st.AffinityPicks++
 		r.st.SavedBytes += saved
@@ -514,6 +511,17 @@ func (r *run) runAffinity() {
 		return id, "affinity", saved, true
 	})
 }
+
+// readyList is affinity placement's shared ready list: the IDs of the
+// ready tasks no worker has taken, in no particular order. It is the
+// policy's work queue on the tree (a sched.Monitor).
+type readyList struct{ ids []int }
+
+// Name names the list in queue reports.
+func (l *readyList) Name() string { return "tg-ready" }
+
+// Len returns the number of ready tasks not yet placed.
+func (l *readyList) Len() int { return len(l.ids) }
 
 // prices is affinity placement's cache of each task's move price: the
 // seconds to fetch the read bytes missing at the placement node, and the

@@ -467,14 +467,12 @@ func rescanAffinity(r *run) {
 	rt := c.Runtime()
 	tokens := sim.NewTokens(rt.Engine())
 	var ready []int
-	noteDepth := func() { r.depth.Set(int64(len(ready))) }
 	for id := range r.g.tasks {
 		if r.nblock[id] == 0 {
 			ready = append(ready, id)
 			tokens.Put()
 		}
 	}
-	noteDepth()
 	score := func(t *Task) (float64, int64) {
 		var computeSec float64
 		if r.o.Profile != nil {
@@ -526,7 +524,6 @@ func rescanAffinity(r *run) {
 				}
 				id := ready[best]
 				ready = append(ready[:best], ready[best+1:]...)
-				noteDepth()
 				r.st.AffinityPicks++
 				r.st.SavedBytes += bestSaved
 				last = r.g.tasks[id]
@@ -541,7 +538,6 @@ func rescanAffinity(r *run) {
 						tokens.Put()
 					}
 				}
-				noteDepth()
 				if r.completed == len(r.g.tasks) {
 					tokens.Close()
 				}

@@ -154,18 +154,6 @@ func (t *Tree) Leaves() []*Node {
 	return ls
 }
 
-// FirstOfKind returns the lowest-ID node whose memory is of the given
-// device kind, or nil if the tree has none. Handy for pointing tools at
-// "the DRAM node" or "the GPU memory" without hard-coding BFS IDs.
-func (t *Tree) FirstOfKind(k device.Kind) *Node {
-	for _, n := range t.nodes {
-		if n.Kind() == k {
-			return n
-		}
-	}
-	return nil
-}
-
 // AtLevel returns the nodes at the given level, in ID order.
 func (t *Tree) AtLevel(level int) []*Node {
 	var ns []*Node
