@@ -64,6 +64,7 @@ fuzz:
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzTokensMatchChan$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzEventQueueMatchesHeap$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/workload -run '^$$' -fuzz '^FuzzSparseMatchesRand$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/journey -run '^$$' -fuzz '^FuzzJourneySegments$$' -fuzztime $(FUZZTIME)
 
 # The benchmark harness is its own module (benchmark/go.mod), so the root
 # `go test ./...` skips it, yet it compiles against the runtime's public
@@ -235,6 +236,8 @@ identity:
 	  run faults -app gemm -n 256 -faults seed=42,rate=0.05; \
 	  run steal-sampled -app hotspot -n 2048 -steal -phantom -sample-tick-ms 1; \
 	  run affinity-sampled -app gemm -n 1024 -chunk 128 -phantom -cache -affinity on -sample-tick-ms 1; \
+	  run cache-saturated -app spmv -n 262144 -iters 3 -cache -cache-share 1 -affinity on; \
+	  run cache-saturated-discrete -app spmv -n 1048576 -iters 3 -phantom -cache -cache-share 1 -prefetch -preset discrete; \
 	  for sc in specs/scenarios/*; do \
 	    dir=$$out/serve/$$(basename $$sc); mkdir -p $$dir; \
 	    (cd $$dir && $$bin/northup-serve -scenario $(CURDIR)/$$sc -journeys -format json \

@@ -37,7 +37,9 @@
 // outages (see northup.ParseFaults for the full syntax); the runtime absorbs
 // them with retries and failover, and the report gains resilience counters.
 // A GPU outage needs -app hotspot -steal, the one scheduler that fails GPU
-// work over; any other run refuses it.
+// work over; any other run refuses it. An outage naming a node the tree
+// lacks, or the GPU of a node that has none, is refused once the tree is
+// built.
 //
 // With -affinity on the gemm and spmv runs route through the extent-declared
 // task-graph scheduler with residency-aware placement: shards become tasks
@@ -284,6 +286,9 @@ func main() {
 
 	e := northup.NewEngine()
 	tree, err := buildTree(e, o.preset, o.spec, o.storageMiB, o.dramMiB)
+	if err == nil {
+		err = checkOutageTargets(o.plan, tree)
+	}
 	if err != nil {
 		fatal(err)
 	}
@@ -485,6 +490,35 @@ func checkOutages(plan *northup.FaultPlan, app string, steal bool) error {
 		}
 	}
 	return nil
+}
+
+// checkOutageTargets refuses an outage the built tree cannot honour: a
+// node ID past the tree's nodes, or a GPU outage at a node with no GPU.
+func checkOutageTargets(plan *northup.FaultPlan, tree *northup.Tree) error {
+	if plan == nil {
+		return nil
+	}
+	nodes := tree.Nodes()
+	for _, o := range plan.Outages {
+		if o.Node >= len(nodes) {
+			return fmt.Errorf("-faults offline=%d: no node %d; the tree has %d nodes (IDs 0..%d)",
+				o.Node, o.Node, len(nodes), len(nodes)-1)
+		}
+		if o.Class == northup.ProcClassGPU && !hasGPU(nodes[o.Node]) {
+			return fmt.Errorf("-faults offline=%d/gpu: %v has no GPU", o.Node, nodes[o.Node])
+		}
+	}
+	return nil
+}
+
+// hasGPU reports whether a GPU is attached at n.
+func hasGPU(n *northup.Node) bool {
+	for _, p := range n.Procs {
+		if _, ok := p.(*northup.GPU); ok {
+			return true
+		}
+	}
+	return false
 }
 
 // checkPlacement refuses a gemm affinity run whose whole matrix fit one

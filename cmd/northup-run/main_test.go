@@ -48,6 +48,48 @@ func TestCheckOutagesRefusesIgnoredGPUOutage(t *testing.T) {
 	}
 }
 
+// TestOutageTargetsCheckedAgainstTree checks each outage against the
+// built tree: a node ID past the tree is refused naming the ID and the
+// node count, a GPU outage at a node without a GPU naming the node, and
+// outages the default apu tree honours pass.
+func TestOutageTargetsCheckedAgainstTree(t *testing.T) {
+	for _, tc := range []struct {
+		args string
+		want []string // empty: accepted
+	}{
+		{"-app gemm -n 256 -faults seed=1,offline=99:0:5", []string{"offline=99", "no node 99", "2 nodes"}},
+		{"-app gemm -n 256 -faults seed=1,offline=2:0:5", []string{"no node 2", "2 nodes"}},
+		{"-app hotspot -n 256 -steal -faults seed=1,offline=0/gpu:0:5", []string{"offline=0/gpu", "node0(ssd,L0)", "no GPU"}},
+		{"-app gemm -n 256 -faults seed=1,offline=1:0:5", nil},
+		{"-app hotspot -n 256 -steal -faults seed=1,offline=1/gpu:0:5", nil},
+	} {
+		o, err := parseFlags(strings.Fields(tc.args))
+		if err == nil {
+			err = o.validate()
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.args, err)
+		}
+		tree, err := buildTree(northup.NewEngine(), o.preset, o.spec, o.storageMiB, o.dramMiB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = checkOutageTargets(o.plan, tree)
+		switch {
+		case len(tc.want) == 0 && err != nil:
+			t.Errorf("%s: refused: %v", tc.args, err)
+		case len(tc.want) > 0 && err == nil:
+			t.Errorf("%s: accepted", tc.args)
+		case len(tc.want) > 0:
+			for _, want := range tc.want {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("%s: message %q does not name %s", tc.args, err, want)
+				}
+			}
+		}
+	}
+}
+
 // TestValidateRefusesIgnoredFlags runs the validation table over every
 // combination a run would silently ignore: each must be refused with a
 // message naming the flag.

@@ -221,8 +221,8 @@ func (p *Pool) EvictFor(need int64) (victims []any, ok bool) {
 }
 
 // EvictOne evicts the single least-recently-used unpinned ready entry —
-// the allocator's pressure valve — returning its buffer, or ok=false when
-// nothing is evictable.
+// the pressure valve of an allocation its node cannot otherwise hold —
+// returning its buffer, or ok=false when nothing is evictable.
 func (p *Pool) EvictOne() (victim any, ok bool) {
 	e := p.lruVictim()
 	if e == nil {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/alloc"
 	"repro/internal/device"
 	"repro/internal/sim"
 	"repro/internal/storage"
@@ -24,12 +23,12 @@ type Buffer struct {
 	size int64
 	id   int64 // stable identity; cache entries key on it
 
-	ext  alloc.Extent  // mem-kind nodes
 	data []byte        // mem-kind nodes: functional payload
 	file *storage.File // file-backed nodes
 
 	cref     *cacheRef // non-nil when the cached move path owns/tracks it
 	released bool
+	freed    bool // its space is back on its node (freeBuffer)
 }
 
 // ID returns the buffer's stable identity (the Src half of a cache key).
@@ -57,6 +56,17 @@ func (b *Buffer) Bytes() []byte {
 // File returns the backing file of a storage buffer (nil otherwise);
 // used by preprocessing utilities.
 func (b *Buffer) File() *storage.File { return b.file }
+
+// bufferAlign is the allocation granularity of memory-kind nodes: a
+// buffer reserves its size rounded up to a multiple of it on the node's
+// device, matching typical DMA alignment.
+const bufferAlign = 64
+
+// reservedBytes is what a memory-kind buffer of size bytes holds on its
+// node's device.
+func reservedBytes(size int64) int64 {
+	return (size + bufferAlign - 1) / bufferAlign * bufferAlign
+}
 
 // allocSetupCost models the buffer-creation overhead per device kind:
 // file creation is a metadata operation; clCreateBuffer-style device
@@ -107,18 +117,17 @@ func (rt *Runtime) AllocAt(p *sim.Proc, node *topo.Node, size int64) (*Buffer, e
 			b.file = f
 			return nil
 		}
-		ext, err := rt.allocs[node.ID].Alloc(size)
+		err := node.Mem.Reserve(reservedBytes(size))
 		// Under pressure the node's staging cache gives ground: evict one
 		// LRU entry at a time until the allocation fits or nothing
 		// evictable remains — the application's working set always wins
 		// over cached copies.
 		for err != nil && rt.cacheRelieve(p, node) {
-			ext, err = rt.allocs[node.ID].Alloc(size)
+			err = node.Mem.Reserve(reservedBytes(size))
 		}
 		if err != nil {
 			return fmt.Errorf("core: alloc on %v: %w", node, err)
 		}
-		b.ext = ext
 		if !rt.opts.Phantom {
 			b.data = make([]byte, size)
 		}
@@ -152,15 +161,21 @@ func (rt *Runtime) Release(p *sim.Proc, b *Buffer) error {
 }
 
 // freeBuffer returns a released buffer's space to its node: the end of
-// Release, after its bookkeeping charge.
+// Release, after its bookkeeping charge. A buffer freed twice panics: the
+// stream's victim path reaches here without Release's checks, so a second
+// free is always a runtime bug.
 func (rt *Runtime) freeBuffer(b *Buffer) error {
+	if b.freed {
+		panic(fmt.Sprintf("core: buffer on %v freed twice", b.node))
+	}
+	b.freed = true
 	if b.file != nil {
 		if err := b.node.Store.Remove(b.file.Name()); err != nil {
 			return fmt.Errorf("core: releasing storage buffer: %w", err)
 		}
 		return nil
 	}
-	rt.allocs[b.node.ID].Free(b.ext)
+	b.node.Mem.Unreserve(reservedBytes(b.size))
 	b.data = nil
 	return nil
 }

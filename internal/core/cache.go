@@ -471,9 +471,10 @@ func (rt *Runtime) checkMoveDst(dst *Buffer) error {
 }
 
 // cacheRelieve evicts one least-recently-used unpinned cache entry on node
-// to relieve allocation pressure, cooperating with internal/alloc: the
-// application's own working set always wins over cached copies. It reports
-// whether anything was freed.
+// to relieve allocation pressure: AllocAt calls it while the node's device
+// cannot reserve the bytes an allocation needs, so the application's own
+// working set always wins over cached copies. It reports whether anything
+// was freed.
 func (rt *Runtime) cacheRelieve(p *sim.Proc, node *topo.Node) bool {
 	nc := rt.caches[node.ID]
 	if nc == nil {

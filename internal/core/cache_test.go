@@ -113,8 +113,8 @@ func TestCacheDisabledFallsBackToPlainMove(t *testing.T) {
 	if cs := rt.CacheStats(); cs.Any() {
 		t.Fatalf("disabled cache counted activity: %+v", cs)
 	}
-	if live := rt.Allocator(rt.Tree().Root().Children[0]).LiveCount(); live != 0 {
-		t.Fatalf("fallback buffer leaked: %d live extents", live)
+	if used := dram.Mem.Used(); used != 0 {
+		t.Fatalf("fallback buffer leaked: %d bytes still reserved", used)
 	}
 }
 
@@ -427,7 +427,8 @@ func TestPrefetchDisabledIsNoOp(t *testing.T) {
 
 func TestAllocPressureEvictsCacheEntries(t *testing.T) {
 	// An application allocation larger than the remaining free bytes must
-	// squeeze resident cache entries out instead of failing.
+	// squeeze resident cache entries out instead of failing, one LRU entry
+	// at a time, and stop as soon as it fits.
 	_, rt := newCachedAPU(t, CacheOptions{Enabled: true, CapacityBytes: 512 << 10})
 	src := mkInput(t, rt, "in", 1<<20)
 	dram := rt.Tree().Root().Children[0]
@@ -442,13 +443,16 @@ func TestAllocPressureEvictsCacheEntries(t *testing.T) {
 				return err
 			}
 		}
-		// Allocate nearly everything: the cache must give ground.
-		big, err := c.AllocAt(dram, free-(64<<10))
+		// Two of the four cached entries must give ground.
+		big, err := c.AllocAt(dram, free-(256<<10))
 		if err != nil {
 			return fmt.Errorf("allocation despite evictable cache failed: %w", err)
 		}
-		if rt.CacheStats().Evictions == 0 {
-			return fmt.Errorf("no evictions under allocation pressure")
+		if ev := rt.CacheStats().Evictions; ev != 2 {
+			return fmt.Errorf("%d evictions under allocation pressure, want 2", ev)
+		}
+		if n := rt.caches[dram.ID].pool.Len(); n != 2 {
+			return fmt.Errorf("%d entries still cached, want 2", n)
 		}
 		return c.Release(big)
 	})

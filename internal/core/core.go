@@ -29,7 +29,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/alloc"
 	"repro/internal/device"
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -104,8 +103,7 @@ type Runtime struct {
 	tree   *topo.Tree
 	opts   Options
 
-	allocs map[int]*alloc.Allocator // node ID -> allocator (mem-kind nodes)
-	caches map[int]*nodeCache       // node ID -> staging cache (lazy, see cache.go)
+	caches map[int]*nodeCache // node ID -> staging cache (lazy, see cache.go)
 	pcie   *device.Link
 	dma    *device.Link
 
@@ -150,16 +148,10 @@ func NewRuntime(e *sim.Engine, t *topo.Tree, opts Options) *Runtime {
 		engine:     e,
 		tree:       t,
 		opts:       opts,
-		allocs:     make(map[int]*alloc.Allocator),
 		caches:     make(map[int]*nodeCache),
 		pcie:       device.PCIeLink(e),
 		dma:        device.DMALink(e),
 		streamHops: make(map[int]*streamHopAgg),
-	}
-	for _, n := range t.Nodes() {
-		if !n.Kind().IsFileStore() {
-			rt.allocs[n.ID] = alloc.New(n.Mem)
-		}
 	}
 	if opts.Trace != nil {
 		rt.Subscribe(recorderObserver{opts.Trace})
@@ -179,10 +171,6 @@ func (rt *Runtime) Engine() *sim.Engine { return rt.engine }
 
 // Breakdown returns the accumulated execution breakdown.
 func (rt *Runtime) Breakdown() *trace.Breakdown { return &rt.bd }
-
-// Allocator returns the space allocator of a memory-kind node (nil for
-// file-backed nodes, which allocate through their file store).
-func (rt *Runtime) Allocator(n *topo.Node) *alloc.Allocator { return rt.allocs[n.ID] }
 
 // chargeOverhead models one unit of runtime bookkeeping on the calling
 // process and accounts it to the Runtime category.

@@ -431,7 +431,7 @@ func TestStreamedConsumerErrorPropagatesAndReleasesStaging(t *testing.T) {
 		t.Fatal(err)
 	}
 	dram := rt.tree.Root().Children[0]
-	before := rt.Allocator(dram).LiveCount()
+	before := dram.Mem.Used()
 	_, err = rt.Run("stream-err", func(c *Ctx) error {
 		dst, err := c.AllocAt(gpuLeaf(rt), n)
 		if err != nil {
@@ -451,7 +451,7 @@ func TestStreamedConsumerErrorPropagatesAndReleasesStaging(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "stream test") {
 		t.Fatalf("err = %v, want the consumer error", err)
 	}
-	if after := rt.Allocator(dram).LiveCount(); after != before {
+	if after := dram.Mem.Used(); after != before {
 		t.Fatalf("staging leak at DRAM: used %d -> %d", before, after)
 	}
 }

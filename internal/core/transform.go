@@ -58,7 +58,7 @@ func (rt *Runtime) MoveDataTransposeF32(p *sim.Proc, dst, src *Buffer, dstOff, s
 		// Normal migration cost...
 		rt.link(src, dst).Transfer(p, src.node.Mem, dst.node.Mem, n)
 		// ...plus the reorganization pass at the destination.
-		dst.node.Mem.Access(p, device.Write, dst.ext.Off+dstOff, n)
+		dst.node.Mem.Access(p, device.Write, dstOff, n)
 		rt.chargeSpan(p, trace.Lane{Node: dst.node.ID, Track: trace.TrackXfer},
 			trace.Transfer, spanTranspose, start, p.Now(), n)
 		return nil

@@ -113,15 +113,6 @@ func (t *Trace) Project(target Target, measuredTotal sim.Time, criticalFraction 
 	}
 }
 
-// Sweep projects the trace across several targets.
-func (t *Trace) Sweep(targets []Target, measuredTotal sim.Time, criticalFraction float64) []Projection {
-	out := make([]Projection, len(targets))
-	for i, tg := range targets {
-		out[i] = t.Project(tg, measuredTotal, criticalFraction)
-	}
-	return out
-}
-
 // PaperSweep returns the §V-D target spectrum: from the measured
 // 1400/600 MB/s SSD to the 3500/2100 "fastest PCIe SSDs on the market".
 func PaperSweep() []Target {

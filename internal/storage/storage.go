@@ -241,37 +241,3 @@ func (f *File) Hash() (uint64, error) {
 	}
 	return sum, nil
 }
-
-// ReadAt2D reads a 2-D block of rows*rowBytes bytes laid out with the given
-// stride between row starts, issuing one device request per row. On a
-// mechanical drive each row hop pays the seek penalty, which is exactly the
-// "border elements stored non-contiguously" inefficiency the paper calls out
-// for HotSpot-2D (§IV-B) and the motivation for chunk-major preprocessing.
-func (f *File) ReadAt2D(p *sim.Proc, dst []byte, off int64, rows, rowBytes int, stride int64) error {
-	if int64(rows)*int64(rowBytes) > int64(len(dst)) {
-		return fmt.Errorf("storage: read2d %q: dst too small", f.name)
-	}
-	for r := 0; r < rows; r++ {
-		src := off + int64(r)*stride
-		d := dst[r*rowBytes : (r+1)*rowBytes]
-		if err := f.ReadAt(p, d, src); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteAt2D is the write counterpart of ReadAt2D.
-func (f *File) WriteAt2D(p *sim.Proc, src []byte, off int64, rows, rowBytes int, stride int64) error {
-	if int64(rows)*int64(rowBytes) > int64(len(src)) {
-		return fmt.Errorf("storage: write2d %q: src too small", f.name)
-	}
-	for r := 0; r < rows; r++ {
-		dst := off + int64(r)*stride
-		s := src[r*rowBytes : (r+1)*rowBytes]
-		if err := f.WriteAt(p, s, dst); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -148,30 +148,6 @@ func TestUseAfterRemove(t *testing.T) {
 	})
 }
 
-func TestReadWrite2DRoundTrip(t *testing.T) {
-	e := sim.NewEngine()
-	s := newTestStore(e)
-	const rows, rowBytes = 8, 16
-	stride := int64(64) // row starts 64 bytes apart inside the file
-	f, _ := s.Create("m", stride*rows+100)
-	src := make([]byte, rows*rowBytes)
-	for i := range src {
-		src[i] = byte(i * 7)
-	}
-	got := make([]byte, rows*rowBytes)
-	runIO(t, e, func(p *sim.Proc) {
-		if err := f.WriteAt2D(p, src, 10, rows, rowBytes, stride); err != nil {
-			t.Error(err)
-		}
-		if err := f.ReadAt2D(p, got, 10, rows, rowBytes, stride); err != nil {
-			t.Error(err)
-		}
-	})
-	if !bytes.Equal(src, got) {
-		t.Fatal("2-D round trip mismatch")
-	}
-}
-
 func TestStrided2DCostsMoreOnHDD(t *testing.T) {
 	// The motivation for chunk-major preprocessing: a strided block read on
 	// a seeky device is far slower than a contiguous read of the same bytes.
@@ -182,10 +158,13 @@ func TestStrided2DCostsMoreOnHDD(t *testing.T) {
 		f, _ := s.Create("m", 32*device.MiB)
 		buf := make([]byte, 64*1024)
 		e.Spawn("io", func(p *sim.Proc) {
-			if strided {
-				f.ReadAt2D(p, buf, 0, 64, 1024, 128*1024)
-			} else {
+			if !strided {
 				f.ReadAt(p, buf, 0)
+				return
+			}
+			// 64 rows of 1 KiB whose starts lie 128 KiB apart.
+			for r := 0; r < 64; r++ {
+				f.ReadAt(p, buf[r*1024:(r+1)*1024], int64(r)*128*1024)
 			}
 		})
 		if err := e.Run(); err != nil {

@@ -154,29 +154,6 @@ func (t *Tree) Leaves() []*Node {
 	return ls
 }
 
-// AtLevel returns the nodes at the given level, in ID order.
-func (t *Tree) AtLevel(level int) []*Node {
-	var ns []*Node
-	for _, n := range t.nodes {
-		if n.Level == level {
-			ns = append(ns, n)
-		}
-	}
-	return ns
-}
-
-// PathDown returns the chain of nodes from the root to n, inclusive.
-func (t *Tree) PathDown(n *Node) []*Node {
-	var rev []*Node
-	for cur := n; cur != nil; cur = cur.Parent {
-		rev = append(rev, cur)
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-
 // Validate checks the structural invariants: exactly one root at level 0,
 // child levels are parent+1, IDs match positions, every leaf has at least
 // one processor, and parent/child links are mutual.

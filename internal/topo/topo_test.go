@@ -84,14 +84,6 @@ func TestQueries(t *testing.T) {
 	if len(leaves) != 3 {
 		t.Fatalf("%d leaves", len(leaves))
 	}
-	at2 := tree.AtLevel(2)
-	if len(at2) != 3 {
-		t.Fatalf("%d nodes at level 2", len(at2))
-	}
-	path := tree.PathDown(tree.Node(5))
-	if len(path) != 3 || path[0].ID != 0 || path[1].ID != 2 || path[2].ID != 5 {
-		t.Fatalf("path = %v", path)
-	}
 }
 
 func TestValidationCatchesBareLeaf(t *testing.T) {

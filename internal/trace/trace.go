@@ -76,7 +76,7 @@ type CacheStats struct {
 	// A retried (fault-injected) fetch still counts as one miss.
 	Misses int64
 	// Evictions is the number of entries evicted to make room, including
-	// evictions forced by allocation pressure from the allocator.
+	// evictions forced by an allocation its node could not otherwise hold.
 	Evictions int64
 	// Prefetches is the number of lookahead fetches issued.
 	Prefetches int64

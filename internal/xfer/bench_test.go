@@ -28,17 +28,3 @@ func BenchmarkTransposeF32(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkGatherStride measures border packing (a 4-byte-per-8KiB-stride
-// column gather, HotSpot's east/west border case).
-func BenchmarkGatherStride(b *testing.B) {
-	src := make([]float32, 2048*2048)
-	dst := make([]float32, 2048)
-	b.SetBytes(2048 * 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := GatherStrideF32(dst, src, 2047, 2048, 2048); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -1,7 +1,7 @@
 // Package xfer provides the functional data-movement primitives under
 // Northup's unified move_data interface: strided 2-D block copies (the
-// dCopyBlockH2D/D2H operations of the paper's Listing 2), layout
-// transformation (paper §VI "Data Layout"), and border packing support.
+// dCopyBlockH2D/D2H operations of the paper's Listing 2) and layout
+// transformation (paper §VI "Data Layout").
 //
 // These are pure host-side byte manipulations; virtual-time charging is done
 // by the runtime (package core) against the device and link models.
@@ -60,50 +60,6 @@ func TransposeF32(dst, src []float32, rows, cols int) error {
 				}
 			}
 		}
-	}
-	return nil
-}
-
-// GatherStrideF32 packs count elements spaced stride apart (starting at
-// start) from src into dst — how HotSpot-2D's non-contiguous east/west
-// borders are packed into compact vectors before moving down (§IV-B).
-func GatherStrideF32(dst, src []float32, start, stride, count int) error {
-	if count < 0 {
-		return fmt.Errorf("xfer: negative gather count %d", count)
-	}
-	if count == 0 {
-		return nil
-	}
-	last := start + (count-1)*stride
-	if start < 0 || last < 0 || last >= len(src) {
-		return fmt.Errorf("xfer: gather range [%d..%d] outside %d elements", start, last, len(src))
-	}
-	if len(dst) < count {
-		return fmt.Errorf("xfer: gather dst %d < count %d", len(dst), count)
-	}
-	for i := 0; i < count; i++ {
-		dst[i] = src[start+i*stride]
-	}
-	return nil
-}
-
-// ScatterStrideF32 is the inverse of GatherStrideF32.
-func ScatterStrideF32(dst, src []float32, start, stride, count int) error {
-	if count < 0 {
-		return fmt.Errorf("xfer: negative scatter count %d", count)
-	}
-	if count == 0 {
-		return nil
-	}
-	last := start + (count-1)*stride
-	if start < 0 || last < 0 || last >= len(dst) {
-		return fmt.Errorf("xfer: scatter range [%d..%d] outside %d elements", start, last, len(dst))
-	}
-	if len(src) < count {
-		return fmt.Errorf("xfer: scatter src %d < count %d", len(src), count)
-	}
-	for i := 0; i < count; i++ {
-		dst[start+i*stride] = src[i]
 	}
 	return nil
 }

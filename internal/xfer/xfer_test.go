@@ -139,52 +139,3 @@ func TestTransposeKnown(t *testing.T) {
 		t.Fatal("short dst accepted")
 	}
 }
-
-func TestGatherScatterInverse(t *testing.T) {
-	f := func(vals []float32, startRaw, strideRaw uint8) bool {
-		if len(vals) == 0 {
-			return true
-		}
-		start := int(startRaw) % len(vals)
-		stride := int(strideRaw%5) + 1
-		count := (len(vals) - 1 - start) / stride
-		if count <= 0 {
-			return true
-		}
-		packed := make([]float32, count)
-		if GatherStrideF32(packed, vals, start, stride, count) != nil {
-			return false
-		}
-		clone := append([]float32(nil), vals...)
-		if ScatterStrideF32(clone, packed, start, stride, count) != nil {
-			return false
-		}
-		for i := range vals {
-			a, b := vals[i], clone[i]
-			if a != b && !(a != a && b != b) { // NaN-tolerant
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGatherBounds(t *testing.T) {
-	src := make([]float32, 10)
-	dst := make([]float32, 5)
-	if err := GatherStrideF32(dst, src, 8, 3, 3); err == nil {
-		t.Fatal("out-of-range gather accepted")
-	}
-	if err := GatherStrideF32(dst[:1], src, 0, 1, 5); err == nil {
-		t.Fatal("short dst accepted")
-	}
-	if err := ScatterStrideF32(src, dst, 9, 5, 2); err == nil {
-		t.Fatal("out-of-range scatter accepted")
-	}
-	if err := GatherStrideF32(dst, src, 0, 1, 0); err != nil {
-		t.Fatal("empty gather rejected")
-	}
-}
