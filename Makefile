@@ -17,6 +17,7 @@
 #   make bench-serve  multi-tenant saturation sweep -> BENCH_serve.json
 #   make bench-affinity  data-affinity scheduler A/B -> BENCH_affinity.json
 #   make bench-sim    DES-engine dispatch microbenchmarks (ns/event + allocs)
+#                     and the streamed-move pump's (ns and allocs per stream)
 #   make bench-check  committed-artifact gate: regenerate the paper-scale perf
 #                     profile and sweeps (race detector on) and require the
 #                     committed BENCH_*.json bytes
@@ -198,6 +199,7 @@ bench-affinity:
 # record each run's deterministic event, callback and process counts.
 bench-sim:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/sim/
+	$(GO) test -bench=StreamedMove -benchmem -run=^$$ ./internal/core/
 
 # Committed-artifact gate: regenerate BENCH_perf.json and the three sweeps
 # under the race detector and require the committed bytes. Every value is

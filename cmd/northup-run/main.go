@@ -286,16 +286,15 @@ func main() {
 
 	e := northup.NewEngine()
 	tree, err := buildTree(e, o.preset, o.spec, o.storageMiB, o.dramMiB)
-	if err == nil {
-		err = checkOutageTargets(o.plan, tree)
-	}
 	if err != nil {
 		fatal(err)
 	}
 	opts := northup.DefaultOptions()
 	opts.Phantom = o.phantom
 	if o.plan != nil {
-		opts.Faults = o.plan.Inject(e)
+		if opts.Faults, err = o.plan.Inject(e, tree); err != nil {
+			fatal(err)
+		}
 	}
 	if o.retries > 0 {
 		p := northup.DefaultRetryPolicy()
@@ -490,35 +489,6 @@ func checkOutages(plan *northup.FaultPlan, app string, steal bool) error {
 		}
 	}
 	return nil
-}
-
-// checkOutageTargets refuses an outage the built tree cannot honour: a
-// node ID past the tree's nodes, or a GPU outage at a node with no GPU.
-func checkOutageTargets(plan *northup.FaultPlan, tree *northup.Tree) error {
-	if plan == nil {
-		return nil
-	}
-	nodes := tree.Nodes()
-	for _, o := range plan.Outages {
-		if o.Node >= len(nodes) {
-			return fmt.Errorf("-faults offline=%d: no node %d; the tree has %d nodes (IDs 0..%d)",
-				o.Node, o.Node, len(nodes), len(nodes)-1)
-		}
-		if o.Class == northup.ProcClassGPU && !hasGPU(nodes[o.Node]) {
-			return fmt.Errorf("-faults offline=%d/gpu: %v has no GPU", o.Node, nodes[o.Node])
-		}
-	}
-	return nil
-}
-
-// hasGPU reports whether a GPU is attached at n.
-func hasGPU(n *northup.Node) bool {
-	for _, p := range n.Procs {
-		if _, ok := p.(*northup.GPU); ok {
-			return true
-		}
-	}
-	return false
 }
 
 // checkPlacement refuses a gemm affinity run whose whole matrix fit one

@@ -48,10 +48,10 @@ func TestCheckOutagesRefusesIgnoredGPUOutage(t *testing.T) {
 	}
 }
 
-// TestOutageTargetsCheckedAgainstTree checks each outage against the
-// built tree: a node ID past the tree is refused naming the ID and the
-// node count, a GPU outage at a node without a GPU naming the node, and
-// outages the default apu tree honours pass.
+// TestOutageTargetsCheckedAgainstTree injects each outage on the built
+// tree, as a run does: a node ID past the tree is refused naming the ID
+// and the node count, a GPU outage at a node without a GPU naming the
+// node, and outages the default apu tree honours pass.
 func TestOutageTargetsCheckedAgainstTree(t *testing.T) {
 	for _, tc := range []struct {
 		args string
@@ -70,11 +70,12 @@ func TestOutageTargetsCheckedAgainstTree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.args, err)
 		}
-		tree, err := buildTree(northup.NewEngine(), o.preset, o.spec, o.storageMiB, o.dramMiB)
+		e := northup.NewEngine()
+		tree, err := buildTree(e, o.preset, o.spec, o.storageMiB, o.dramMiB)
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = checkOutageTargets(o.plan, tree)
+		_, err = o.plan.Inject(e, tree)
 		switch {
 		case len(tc.want) == 0 && err != nil:
 			t.Errorf("%s: refused: %v", tc.args, err)

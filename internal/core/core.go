@@ -114,12 +114,12 @@ type Runtime struct {
 	bufSeq    int
 	bufIDs    int64 // stable buffer identities keying cache entries
 
-	// Streamed-move telemetry (see stream.go): cumulative counters, the
-	// current number of sub-chunks in flight, and per-hop achieved-bandwidth
-	// aggregates keyed by the hop's destination node.
+	// Streamed-move telemetry (see stream.go): cumulative counters and the
+	// current number of sub-chunks in flight. streams holds the rest of the
+	// streamed-move state, made by the runtime's first stream.
 	streamStats    StreamStats
 	streamInflight int64
-	streamHops     map[int]*streamHopAgg
+	streams        *streamState
 
 	// scratch recycles the file-to-file staging buffers of moveOnce,
 	// asyncMove and move2DOnce, so retries and hot loops stop re-allocating.
@@ -145,13 +145,12 @@ func NewRuntime(e *sim.Engine, t *topo.Tree, opts Options) *Runtime {
 		opts.Sampler = nil
 	}
 	rt := &Runtime{
-		engine:     e,
-		tree:       t,
-		opts:       opts,
-		caches:     make(map[int]*nodeCache),
-		pcie:       device.PCIeLink(e),
-		dma:        device.DMALink(e),
-		streamHops: make(map[int]*streamHopAgg),
+		engine: e,
+		tree:   t,
+		opts:   opts,
+		caches: make(map[int]*nodeCache),
+		pcie:   device.PCIeLink(e),
+		dma:    device.DMALink(e),
 	}
 	if opts.Trace != nil {
 		rt.Subscribe(recorderObserver{opts.Trace})

@@ -242,7 +242,7 @@ func (m *runtimeMetrics) noteHop(node int) {
 		return
 	}
 	m.streamHopBW[node] = true
-	agg := m.rt.streamHops[node]
+	agg := m.rt.streams.hops[node]
 	m.reg.GaugeFunc(mStreamHopBW, "achieved streamed-hop bandwidth into each node, bytes/s", func() float64 {
 		if agg.busy <= 0 {
 			return 0

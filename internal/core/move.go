@@ -103,8 +103,11 @@ func (rt *Runtime) moveOnce(p *sim.Proc, dst *Buffer, src *Buffer, dstOff, srcOf
 // Release does), bookkeeping, fault draws (the injector's stall and fail
 // phases around a timer), charges and retries (retryAfter), in the same
 // order at the same virtual times as MoveData and moveOnce. Its
-// continuations are bound once (newAsyncMove), so a move allocates
-// nothing beyond what the device models allocate per charge.
+// continuations are bound once (newAsyncMove), and its device and link
+// charges all run on the one device.Request it owns: a move never has two
+// charges in flight, and the request is idle again before a charge's
+// continuation runs, so that continuation may start the next charge. A
+// move, and a run of moves through one asyncMove, allocates nothing.
 type asyncMove struct {
 	rt             *Runtime
 	dst, src       *Buffer
@@ -120,6 +123,7 @@ type asyncMove struct {
 	cat     trace.Category
 	victims []any  // invalidated cache copies still to release
 	tmp     []byte // file-to-file staging
+	req     device.Request
 
 	afterVictim, afterPause, afterTry, afterStall, afterRetry func()
 	afterRead, afterWrite, afterLink                          func(sim.Time)
@@ -241,7 +245,7 @@ func (m *asyncMove) dispatch() {
 	case m.dst.file != nil:
 		m.cat = trace.IO
 		if m.src.node.Kind() == device.KindGPUMem {
-			rt.pcie.TransferAsync(m.src.node.Mem, nil, m.n, m.afterLink)
+			rt.pcie.TransferAsync(&m.req, m.src.node.Mem, nil, m.n, m.afterLink)
 			return
 		}
 		m.access(m.dst.file, device.Write, m.dstOff, m.afterWrite)
@@ -250,14 +254,14 @@ func (m *asyncMove) dispatch() {
 		if !rt.opts.Phantom {
 			copy(m.dst.data[m.dstOff:m.dstOff+m.n], m.src.data[m.srcOff:m.srcOff+m.n])
 		}
-		rt.link(m.src, m.dst).TransferAsync(m.src.node.Mem, m.dst.node.Mem, m.n, m.afterLink)
+		rt.link(m.src, m.dst).TransferAsync(&m.req, m.src.node.Mem, m.dst.node.Mem, m.n, m.afterLink)
 	}
 }
 
 // access charges the move's n bytes at off of file f, then runs next; a
 // range error ends the attempt's charges at once.
 func (m *asyncMove) access(f *storage.File, op device.Op, off int64, next func(sim.Time)) {
-	if err := f.ChargeAsync(op, off, m.n, next); err != nil {
+	if err := f.ChargeAsync(&m.req, op, off, m.n, next); err != nil {
 		m.charged(err)
 	}
 }
@@ -277,7 +281,7 @@ func (m *asyncMove) readDone(sim.Time) {
 	case m.dst.file != nil: // file to file, staged through m.tmp
 		m.access(m.dst.file, device.Write, m.dstOff, m.afterWrite)
 	case m.dst.node.Kind() == device.KindGPUMem: // GPUDirect, as moveOnce
-		m.rt.pcie.TransferAsync(nil, m.dst.node.Mem, m.n, m.afterLink)
+		m.rt.pcie.TransferAsync(&m.req, nil, m.dst.node.Mem, m.n, m.afterLink)
 	default:
 		m.charged(nil)
 	}

@@ -42,6 +42,11 @@ import (
 // sub-chunk move is skipped, but each hop still cycles every sub-chunk's
 // slots, so the pump always finishes; per-sub-chunk faults are retried by
 // the move itself, and a re-attempt re-copies the same bytes.
+//
+// Reuse. A runtime builds each node pair's route (the tree path and its
+// hop profiles) once, and keeps finished pumps by hop count with their
+// hops, moves and callbacks still bound, so a stream after the first with
+// as many hops allocates only its staging slots, and a sub-chunk nothing.
 
 // StreamOptions tunes a streamed move. The zero value asks the adaptive
 // sizer to pick the sub-chunk count from the device profiles along the
@@ -154,6 +159,51 @@ func nodeIsProperDescendant(n, anc *topo.Node) bool {
 	return false
 }
 
+// streamState is a runtime's streamed-move state beyond its counters, made
+// by its first stream: the achieved-bandwidth aggregate of each hop, keyed
+// by the hop's destination node, each node pair's route, and the finished
+// pumps by hop count.
+type streamState struct {
+	hops   map[int]*streamHopAgg
+	routes map[[2]*topo.Node]*streamRoute
+	pumps  map[int][]*streamPump
+}
+
+// streaming returns the runtime's streamed-move state, made on first use.
+func (rt *Runtime) streaming() *streamState {
+	if rt.streams == nil {
+		rt.streams = &streamState{hops: make(map[int]*streamHopAgg),
+			routes: make(map[[2]*topo.Node]*streamRoute), pumps: make(map[int][]*streamPump)}
+	}
+	return rt.streams
+}
+
+// streamRoute is a streamed move's path between one (source, destination)
+// node pair, and the profile of each of its hops.
+type streamRoute struct {
+	path []*topo.Node
+	hops []stream.Hop
+}
+
+// route returns the route from one node to another, built on first use;
+// it is nil when the two are not on one root-to-leaf line.
+func (rt *Runtime) route(from, to *topo.Node) *streamRoute {
+	routes := rt.streaming().routes
+	key := [2]*topo.Node{from, to}
+	if r, ok := routes[key]; ok {
+		return r
+	}
+	var r *streamRoute
+	if path := streamPath(from, to); path != nil {
+		r = &streamRoute{path: path, hops: make([]stream.Hop, len(path)-1)}
+		for k := range r.hops {
+			r.hops[k] = rt.hopProfile(path[k], path[k+1])
+		}
+	}
+	routes[key] = r
+	return r
+}
+
 // streamPath returns the node chain [from ... to] walking tree edges, or
 // nil when the endpoints are not on one root-to-leaf line.
 func streamPath(from, to *topo.Node) []*topo.Node {
@@ -186,7 +236,7 @@ func streamPath(from, to *topo.Node) []*topo.Node {
 // what moveOnce charges on that edge.
 func (rt *Runtime) hopProfile(src, dst *topo.Node) stream.Hop {
 	sp, dp := src.Mem.Profile(), dst.Mem.Profile()
-	h := stream.Hop{Name: sp.Name + "->" + dp.Name}
+	var h stream.Hop
 	switch {
 	case src.Kind().IsFileStore() && !dst.Kind().IsFileStore():
 		h.Latency, h.BW = sp.Latency, sp.ReadBW
@@ -256,16 +306,12 @@ func (rt *Runtime) moveDataStreamed(c *Ctx, dst, src *Buffer, dstOff, srcOff, n 
 	if err := rt.checkMoveDst(dst); err != nil {
 		return err
 	}
-	path := streamPath(src.node, dst.node)
-	if path == nil {
+	r := rt.route(src.node, dst.node)
+	if r == nil {
 		return fmt.Errorf("core: streamed move endpoints %v -> %v not on one tree line", src.node, dst.node)
 	}
-	hops := make([]stream.Hop, len(path)-1)
-	for k := range hops {
-		hops[k] = rt.hopProfile(path[k], path[k+1])
-	}
-	plan := streamPlan(hops, n, o)
-	count, nhops := plan.Count, len(hops)
+	plan := streamPlan(r.hops, n, o)
+	count, nhops := plan.Count, len(r.hops)
 
 	rt.streamStats.Streams++
 	rt.streamStats.SubChunks += int64(count)
@@ -292,23 +338,18 @@ func (rt *Runtime) moveDataStreamed(c *Ctx, dst, src *Buffer, dstOff, srcOff, n 
 	if depth > count {
 		depth = count
 	}
-	s := &streamPump{rt: rt, dst: dst, src: src, dstOff: dstOff, srcOff: srcOff,
-		plan: plan, path: path, onChunk: o.OnChunk, running: nhops,
-		hops: make([]streamHop, nhops), stage: make([][]*Buffer, nhops),
-		done: sim.NewLatch(rt.engine)}
+	s := rt.pump(nhops)
+	s.dst, s.src, s.dstOff, s.srcOff = dst, src, dstOff, srcOff
+	s.plan, s.path, s.onChunk = plan, r.path, o.OnChunk
 	// Staging slots at the intermediate nodes path[1..nhops-1] are ordinary
 	// runtime buffers, so allocation pressure triggers the same cache
 	// relief as any AllocAt.
 	for j := 1; j < nhops; j++ {
 		for len(s.stage[j]) < depth {
-			b, err := rt.AllocAt(c.p, path[j], plan.SubChunk)
+			b, err := rt.AllocAt(c.p, r.path[j], plan.SubChunk)
 			if err != nil {
-				for _, slots := range s.stage[1 : j+1] {
-					for _, sb := range slots {
-						_ = rt.Release(c.p, sb)
-					}
-				}
-				return fmt.Errorf("core: streamed move staging at %v: %w", path[j], err)
+				s.eo.record(fmt.Errorf("core: streamed move staging at %v: %w", r.path[j], err))
+				return s.finish(c.p)
 			}
 			s.stage[j] = append(s.stage[j], b)
 		}
@@ -318,10 +359,10 @@ func (rt *Runtime) moveDataStreamed(c *Ctx, dst, src *Buffer, dstOff, srcOff, n 
 		s.consumed = sim.NewLatch(rt.engine)
 		rt.engine.Spawn(c.p.Name()+"-stream-consume", s.consume)
 	}
+	s.done.Add(nhops)
 	for k := range s.hops {
 		h := &s.hops[k]
-		h.s, h.k, h.room = s, k, depth
-		h.resume, h.mv = h.step, newAsyncMove(rt, h.moved)
+		h.hopState = hopState{room: depth}
 		rt.engine.At(rt.engine.Now(), h.resume)
 	}
 
@@ -329,17 +370,13 @@ func (rt *Runtime) moveDataStreamed(c *Ctx, dst, src *Buffer, dstOff, srcOff, n 
 	if s.consumed != nil {
 		s.consumed.Wait(c.p)
 	}
-	for _, slots := range s.stage[1:] {
-		for _, b := range slots {
-			s.eo.record(rt.Release(c.p, b))
-		}
-	}
-	return s.eo.first()
+	return s.finish(c.p)
 }
 
-// streamPump is the state of one streamed move. It and every callback its
-// hops hand the engine are allocated once per move, so driving a sub-chunk
-// allocates nothing in the pump.
+// streamPump is the state of one streamed move. A runtime keeps its
+// finished pumps by hop count (pump, finish), and a pump's hops, their
+// moves and every callback they hand the engine are bound when the pump
+// is built, so neither a sub-chunk nor a reused pump allocates.
 type streamPump struct {
 	rt             *Runtime
 	dst, src       *Buffer
@@ -349,11 +386,43 @@ type streamPump struct {
 	onChunk        func(sub *Ctx, i int, off, n int64) error
 	hops           []streamHop
 	stage          [][]*Buffer // stage[j]: the slots at path[j], 0 < j < len(hops)
-	running        int         // hops not yet finished
 	eo             errOnce
-	done           *sim.Latch  // fired when the last hop finishes
-	landed         *sim.Tokens // landed sub-chunks the OnChunk consumer has not taken
-	consumed       *sim.Latch  // fired when the consumer returns
+	done           *sim.WaitGroup // counts the hops still running
+	landed         *sim.Tokens    // landed sub-chunks the OnChunk consumer has not taken
+	consumed       *sim.Latch     // fired when the consumer returns
+}
+
+// pump returns an idle pump of nhops hops, reusing a finished one.
+func (rt *Runtime) pump(nhops int) *streamPump {
+	if idle := rt.streams.pumps[nhops]; len(idle) > 0 {
+		rt.streams.pumps[nhops] = idle[:len(idle)-1]
+		return idle[len(idle)-1]
+	}
+	s := &streamPump{rt: rt, hops: make([]streamHop, nhops),
+		stage: make([][]*Buffer, nhops), done: sim.NewWaitGroup(rt.engine)}
+	for k := range s.hops {
+		h := &s.hops[k]
+		h.s, h.k = s, k
+		h.resume, h.mv = h.step, newAsyncMove(rt, h.moved)
+	}
+	return s
+}
+
+// finish releases the staging slots and returns the pump to the runtime's
+// idle pumps; its result is the stream's first error.
+func (s *streamPump) finish(p *sim.Proc) error {
+	for j, slots := range s.stage {
+		for _, b := range slots {
+			s.eo.record(s.rt.Release(p, b))
+		}
+		s.stage[j] = slots[:0]
+	}
+	err := s.eo.first()
+	s.eo = errOnce{}
+	s.dst, s.src, s.onChunk, s.landed, s.consumed = nil, nil, nil, nil, nil
+	idle := s.rt.streams.pumps
+	idle[len(s.hops)] = append(idle[len(s.hops)], s)
+	return err
 }
 
 // consume is the OnChunk consumer's process: it runs the consumer on each
@@ -374,17 +443,22 @@ func (s *streamPump) consume(p *sim.Proc) {
 // streamHop is hop k of a pump, the edge path[k] -> path[k+1], moving the
 // sub-chunks through it in order.
 type streamHop struct {
-	s          *streamPump
-	k          int
-	i          int        // the sub-chunk in hand
-	entered    bool       // sub-chunk i has entered the hop
-	in, out    bool       // sub-chunk i holds its input / output slot
-	full, room int        // slots ready to take: filled at path[k], free at path[k+1]
-	ring       int64      // filled slots at path[k], including one being read
-	parked     *int       // the count the hop waits on, nil while it runs
-	start      sim.Time   // when sub-chunk i's move began
-	mv         *asyncMove // the hop's MoveData
-	resume     func()     // step, bound once: the hop's wake-up callback
+	hopState // zeroed for each stream
+	s        *streamPump
+	k        int
+	mv       *asyncMove // the hop's MoveData
+	resume   func()     // step, bound once: the hop's wake-up callback
+}
+
+// hopState is a hop's progress through one stream.
+type hopState struct {
+	i          int      // the sub-chunk in hand
+	entered    bool     // sub-chunk i has entered the hop
+	in, out    bool     // sub-chunk i holds its input / output slot
+	full, room int      // slots ready to take: filled at path[k], free at path[k+1]
+	ring       int64    // filled slots at path[k], including one being read
+	parked     *int     // the count the hop waits on, nil while it runs
+	start      sim.Time // when sub-chunk i's move began
 }
 
 // step runs the hop from where it stopped: for each sub-chunk it takes the
@@ -423,9 +497,7 @@ func (h *streamHop) step() {
 		h.mv.begin(dst, src, do, so, sz)
 		return
 	}
-	if s.running--; s.running == 0 {
-		s.done.Fire()
-	}
+	s.done.Done()
 }
 
 // take takes a slot counted by *n, or parks the hop on *n.
@@ -491,10 +563,11 @@ func (h *streamHop) post() {
 // still equal the Breakdown), plus the achieved-bandwidth aggregate.
 func (rt *Runtime) noteStreamHop(dstNode int, start, end sim.Time, n int64) {
 	rt.streamStats.HopMoves++
-	agg := rt.streamHops[dstNode]
+	hops := rt.streaming().hops
+	agg := hops[dstNode]
 	if agg == nil {
 		agg = &streamHopAgg{}
-		rt.streamHops[dstNode] = agg
+		hops[dstNode] = agg
 	}
 	agg.bytes += n
 	agg.busy += end - start

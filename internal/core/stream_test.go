@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -495,11 +496,11 @@ type streamTestError struct{}
 func (*streamTestError) Error() string { return "stream test consumer failure" }
 
 // TestStreamedMoveAllocsPerSubChunk holds the pump to its allocation
-// budget: each extra sub-chunk of a streamed move may cost only the two
-// closures the device layer allocates per callback-driven charge (the
-// acquire and the timer); the pump's own per-sub-chunk state and
-// continuations are allocated once per stream. A zero-rate fault injector
-// keeps the fault checks on the path without injecting anything.
+// budget: an extra sub-chunk of a streamed move costs nothing. The pump's
+// per-sub-chunk state and continuations are bound once per pump, and its
+// device and link charges run on each hop move's own device.Request. A
+// zero-rate fault injector keeps the fault checks on the path without
+// injecting anything.
 func TestStreamedMoveAllocsPerSubChunk(t *testing.T) {
 	const n = 8 << 20
 	allocs := func(discrete bool, subChunks int) float64 {
@@ -552,9 +553,9 @@ func TestStreamedMoveAllocsPerSubChunk(t *testing.T) {
 		discrete bool
 	}{{"file->dram", false}, {"dram->gpu", true}} {
 		few, many := allocs(tc.discrete, 4), allocs(tc.discrete, 20)
-		if per := (many - few) / 16; per > 2 {
-			t.Errorf("%s: %.2f allocations per extra sub-chunk (%v at 4, %v at 20), want <= 2",
-				tc.name, per, few, many)
+		if many > few {
+			t.Errorf("%s: %v allocations at 20 sub-chunks against %v at 4, want no more",
+				tc.name, many, few)
 		}
 	}
 }
@@ -562,8 +563,8 @@ func TestStreamedMoveAllocsPerSubChunk(t *testing.T) {
 // TestAsyncMoveMatchesMoveData holds a hop's move to the blocking one: for
 // every endpoint kind — clean, under transfer faults, with a firing retry
 // deadline, and with cached copies of a file destination to invalidate — a
-// run of asyncMoves must charge, draw, retry and trace exactly what the
-// same run of MoveData calls does.
+// run of moves through one asyncMove must charge, draw, retry and trace
+// exactly what the same run of MoveData calls does.
 func TestAsyncMoveMatchesMoveData(t *testing.T) {
 	const n, moves = 1 << 20, 6
 	buf := func(leaf bool) func(c *Ctx) (*Buffer, error) {
@@ -623,14 +624,17 @@ func TestAsyncMoveMatchesMoveData(t *testing.T) {
 							}
 						}
 					}
+					// One asyncMove carries the whole run, as a hop's does.
+					moved := sim.NewWaitGroup(c.rt.engine)
+					mv := newAsyncMove(c.rt, func(e error) { err = e; moved.Done() })
 					for i := int64(0); i < moves; i++ {
 						off, sz := i*(n/moves), int64(n/moves)
 						if !async {
 							err = c.rt.MoveData(c.p, dst, src, off, off, sz)
 						} else {
-							done := sim.NewLatch(c.rt.engine)
-							newAsyncMove(c.rt, func(e error) { err = e; done.Fire() }).begin(dst, src, off, off, sz)
-							done.Wait(c.p)
+							moved.Add(1)
+							mv.begin(dst, src, off, off, sz)
+							moved.Wait(c.p)
 						}
 						if err != nil {
 							return err
@@ -644,5 +648,190 @@ func TestAsyncMoveMatchesMoveData(t *testing.T) {
 				t.Errorf("%s %s:\n MoveData  %s\n asyncMove %s", k.name, mode.name, blocking, async)
 			}
 		}
+	}
+}
+
+// TestSecondStreamAllocatesOnlyItsStaging holds a runtime to its reuse of
+// routes and pumps: a second identical two-hop stream allocates no more
+// than its staging slots' AllocAt buffers, allocated and released by hand.
+func TestSecondStreamAllocatesOnlyItsStaging(t *testing.T) {
+	const n, subChunks, depth = 8 << 20, 8, 2
+	allocs := func(streams int, slots bool) float64 {
+		return testing.AllocsPerRun(5, func() {
+			e := sim.NewEngine()
+			tree := topo.Discrete(e, topo.DiscreteConfig{Storage: topo.SSD,
+				StorageMiB: 64, DRAMMiB: 32, GPUMemMiB: 32})
+			opts := DefaultOptions()
+			opts.Phantom = true
+			opts.Faults = fault.New(e, fault.Config{Seed: 1})
+			rt := NewRuntime(e, tree, opts)
+			src, err := rt.CreateInput(tree.Root(), "in", n, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = rt.Run("allocs", func(c *Ctx) error {
+				dst, err := c.AllocAt(gpuLeaf(rt), n)
+				if err != nil {
+					return err
+				}
+				for i := 0; i < streams; i++ {
+					if err := c.MoveDataDownStreamed(dst, src, 0, 0, n, StreamOptions{SubChunks: subChunks}); err != nil {
+						return err
+					}
+				}
+				for i := 0; slots && i < depth; i++ {
+					b, err := c.AllocAt(tree.Root().Children[0], n/subChunks)
+					if err != nil {
+						return err
+					}
+					if err := c.Release(b); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if one, two := allocs(1, true), allocs(2, false); two > one {
+		t.Errorf("two streams allocate %v, one stream and its staging %v", two, one)
+	}
+}
+
+// TestStreamAfterFailedStreamMatchesFresh reuses a failed stream's pump: a
+// clean two-hop stream on a runtime whose previous two-hop stream failed —
+// its consumer erred, or a hop move gave up past its retries in a GPU
+// outage — must land the same payload with the same per-hop span
+// durations as the same stream on a fresh runtime.
+func TestStreamAfterFailedStreamMatchesFresh(t *testing.T) {
+	const n = 4<<20 + 13
+	type hopSpan struct {
+		node int
+		dur  sim.Time
+	}
+	run := func(failing string) ([]byte, []hopSpan) {
+		e := sim.NewEngine()
+		tree := topo.Discrete(e, topo.DiscreteConfig{Storage: topo.SSD,
+			StorageMiB: 64, DRAMMiB: 32, GPUMemMiB: 32})
+		rec := trace.NewRecorder(trace.Options{})
+		opts := DefaultOptions()
+		opts.Trace = rec
+		if failing == "fault" {
+			// Back-to-back GPU outages: the first attempt of the first hop
+			// move into the GPU waits out the first window, and its one
+			// retry lands in the second and gives up.
+			in := fault.New(e, fault.Config{Seed: 1})
+			gpu := tree.Root().Children[0].Children[0].ID
+			in.TakeNodeOffline(gpu, fault.Window{From: sim.Second, Until: 2 * sim.Second})
+			in.TakeNodeOffline(gpu, fault.Window{From: 2 * sim.Second, Until: 3 * sim.Second})
+			opts.Faults = in
+			opts.Retry = RetryPolicy{MaxRetries: 1}
+		}
+		rt := NewRuntime(e, tree, opts)
+		var payload []byte
+		var resumed sim.Time
+		stats, err := rt.Run("reuse", func(c *Ctx) error {
+			src, err := rt.CreateInput(tree.Root(), "in", n, streamPattern(n))
+			if err != nil {
+				return err
+			}
+			dst, err := c.AllocAt(gpuLeaf(rt), n)
+			if err != nil {
+				return err
+			}
+			switch failing {
+			case "consumer":
+				err = c.MoveDataDownStreamed(dst, src, 0, 0, n, StreamOptions{SubChunks: 4,
+					OnChunk: func(sub *Ctx, i int, off, sz int64) error {
+						if i == 1 {
+							return errStreamTest
+						}
+						return nil
+					}})
+			case "fault":
+				c.p.Sleep(sim.Second)
+				err = c.MoveDataDownStreamed(dst, src, 0, 0, n, StreamOptions{SubChunks: 4})
+			}
+			if failing != "" && err == nil {
+				t.Errorf("%s: the first stream did not fail", failing)
+			}
+			c.p.Sleep(4*sim.Second - c.p.Now())
+			clear(dst.Bytes())
+			resumed = c.p.Now()
+			if err := c.MoveDataDownStreamed(dst, src, 0, 0, n, StreamOptions{SubChunks: 6}); err != nil {
+				return err
+			}
+			payload = append(payload, dst.Bytes()...)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", failing, err)
+		}
+		if failing == "fault" && (stats.Resilience.Retries != 1 || stats.Resilience.GaveUp != 1) {
+			t.Errorf("fault: resilience %v, want one retry that gave up", stats.Resilience)
+		}
+		if idle := len(rt.streams.pumps[2]); idle != 1 {
+			t.Errorf("%s: %d idle two-hop pumps, want the one both streams ran on", failing, idle)
+		}
+		var hops []hopSpan
+		for _, ev := range rec.Events() {
+			if ev.Kind == trace.KindSpan && ev.Name == spanStreamHop && ev.Start >= resumed {
+				hops = append(hops, hopSpan{ev.Lane.Node, ev.Dur})
+			}
+		}
+		return payload, hops
+	}
+	wantPayload, wantHops := run("")
+	if !bytes.Equal(wantPayload, streamPattern(n)) {
+		t.Fatal("fresh runtime: payload differs from the source")
+	}
+	if len(wantHops) != 12 {
+		t.Fatalf("fresh runtime: %d hop spans, want 12", len(wantHops))
+	}
+	for _, failing := range []string{"consumer", "fault"} {
+		payload, hops := run(failing)
+		if !bytes.Equal(payload, wantPayload) {
+			t.Errorf("%s: payload differs from the fresh runtime's", failing)
+		}
+		if !reflect.DeepEqual(hops, wantHops) {
+			t.Errorf("%s: hop spans\n %v\nwant %v", failing, hops, wantHops)
+		}
+	}
+}
+
+// BenchmarkStreamedMove times one streamed move from storage through DRAM
+// into GPU memory on the discrete tree, 32 sub-chunks, in phantom mode:
+// the pump's host cost per stream, with every stream after the first on
+// one runtime.
+func BenchmarkStreamedMove(b *testing.B) {
+	const n = 32 << 20
+	e := sim.NewEngine()
+	tree := topo.Discrete(e, topo.DiscreteConfig{Storage: topo.SSD,
+		StorageMiB: 256, DRAMMiB: 64, GPUMemMiB: 64})
+	opts := DefaultOptions()
+	opts.Phantom = true
+	rt := NewRuntime(e, tree, opts)
+	src, err := rt.CreateInput(tree.Root(), "in", n, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	_, err = rt.Run("bench", func(c *Ctx) error {
+		dst, err := c.AllocAt(gpuLeaf(rt), n)
+		if err != nil {
+			return err
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := c.MoveDataDownStreamed(dst, src, 0, 0, n, StreamOptions{SubChunks: 32}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
 	}
 }

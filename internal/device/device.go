@@ -13,6 +13,13 @@
 // itself uses for its faster-storage projection (§V-D): a request occupies
 // one of the device's service slots for latency + size/bandwidth, with an
 // extra seek penalty for discontiguous accesses on mechanical drives.
+//
+// A charge is either blocking (Access, Link.Transfer: the calling process
+// queues and sleeps) or asynchronous (AccessAsync, Link.TransferAsync: a
+// caller-owned Request queues and completes on engine callbacks). Both kinds
+// share one FIFO per device or link, so they can be mixed freely; an
+// asynchronous charge allocates nothing, since its continuations belong to
+// the Request and are bound once.
 package device
 
 import (
@@ -239,23 +246,17 @@ func (d *Device) Access(p *sim.Proc, op Op, offset, n int64) sim.Time {
 }
 
 // AccessAsync performs the same timed access as Access without a driving
-// process: it queues for a service slot via the inline-callback path, holds
-// it for the service time with an engine timer, and invokes done with the
-// service time charged once the access completes. done runs as an engine
-// callback and must not block. The seek model, slot FIFO position, and
-// accounting are identical to Access, so proc-driven and callback-driven
-// requests can share one device without perturbing each other's timing.
-func (d *Device) AccessAsync(op Op, offset, n int64, done func(sim.Time)) {
-	d.server.AcquireAsync(func() {
-		t, seek := d.startService(op, offset, n)
-		d.engine.After(t, func() {
-			d.server.Release()
-			d.endService(op, n, seek, t)
-			if done != nil {
-				done(t)
-			}
-		})
-	})
+// process, on the caller-owned request r: it queues for a service slot via
+// the inline-callback path, holds it for the service time with an engine
+// timer, and invokes done with the service time charged once the access
+// completes. done runs as an engine callback and must not block. The seek
+// model, slot FIFO position, and accounting are identical to Access, so
+// proc-driven and callback-driven requests can share one device without
+// perturbing each other's timing.
+func (d *Device) AccessAsync(r *Request, op Op, offset, n int64, done func(sim.Time)) {
+	r.start(d.engine, d.server, done)
+	r.dev, r.op, r.off, r.n = d, op, offset, n
+	d.server.AcquireAsync(r.grant)
 }
 
 // startService begins an access that holds a service slot: sequentiality is
@@ -333,20 +334,15 @@ func (l *Link) Transfer(p *sim.Proc, src, dst *Device, n int64) sim.Time {
 	return t
 }
 
-// TransferAsync is Transfer without a driving process: it queues for a link
-// slot via the inline-callback path, occupies it for the transfer time with
-// an engine timer, and invokes done with the time charged. done runs as an
-// engine callback and must not block.
-func (l *Link) TransferAsync(src, dst *Device, n int64, done func(sim.Time)) {
-	t := l.transferTime(src, dst, n)
-	l.server.AcquireAsync(func() {
-		l.engine.After(t, func() {
-			l.server.Release()
-			if done != nil {
-				done(t)
-			}
-		})
-	})
+// TransferAsync is Transfer without a driving process, on the caller-owned
+// request r: it queues for a link slot via the inline-callback path,
+// occupies it for the transfer time with an engine timer, and invokes done
+// with the time charged. done runs as an engine callback and must not
+// block.
+func (l *Link) TransferAsync(r *Request, src, dst *Device, n int64, done func(sim.Time)) {
+	r.start(l.engine, l.server, done)
+	r.t = l.transferTime(src, dst, n)
+	l.server.AcquireAsync(r.grant)
 }
 
 // transferTime is the setup latency plus n bytes at the slowest of the
@@ -360,4 +356,60 @@ func (l *Link) transferTime(src, dst *Device, n int64) sim.Time {
 		bw = dst.profile.WriteBW
 	}
 	return l.Latency + sim.TransferTime(n, bw)
+}
+
+// Request is one asynchronous charge on a Device (AccessAsync) or a Link
+// (TransferAsync), owned by the caller that starts it. Its slot-grant and
+// completion continuations are bound the first time it is used and kept,
+// so a charge allocates nothing. The zero value is ready to use. A request
+// carries one charge at a time: starting a charge on it while one is in
+// flight panics. It clears its state before calling done, so done may
+// start the next charge on it.
+type Request struct {
+	noCopy noCopy
+
+	engine *sim.Engine
+	server *sim.Resource // the slot queue; nil while the request is idle
+	dev    *Device       // the accessed device; nil for a link transfer
+	op     Op
+	off, n int64
+	t      sim.Time // the service time: a link's at start, an access's at slot grant
+	seek   bool
+	done   func(sim.Time)
+
+	grant, finish func() // granted and finished, bound once
+}
+
+// start claims the request for one charge queued on server.
+func (r *Request) start(e *sim.Engine, server *sim.Resource, done func(sim.Time)) {
+	if r.server != nil {
+		panic("device: request reused while a charge is in flight")
+	}
+	if r.grant == nil {
+		r.grant, r.finish = r.granted, r.finished
+	}
+	r.engine, r.server, r.done = e, server, done
+}
+
+// granted runs holding a slot: a device access is timed at service start,
+// as Access times it, then the slot is held for the service time.
+func (r *Request) granted() {
+	if r.dev != nil {
+		r.t, r.seek = r.dev.startService(r.op, r.off, r.n)
+	}
+	r.engine.After(r.t, r.finish)
+}
+
+// finished releases the slot, accounts a device access, and hands the
+// time charged to done with the request already idle.
+func (r *Request) finished() {
+	r.server.Release()
+	if r.dev != nil {
+		r.dev.endService(r.op, r.n, r.seek, r.t)
+	}
+	t, done := r.t, r.done
+	r.server, r.dev, r.done = nil, nil, nil
+	if done != nil {
+		done(t)
+	}
 }

@@ -3,6 +3,8 @@ package device
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -275,5 +277,145 @@ func TestDeviceQueueStats(t *testing.T) {
 	}
 	if wait != sim.Second {
 		t.Fatalf("wait = %v, want 1s", wait)
+	}
+}
+
+// TestRequestChargesAllocateNothing holds a caller-owned Request to its
+// promise: once its continuations are bound, a chain of 100 device
+// accesses and 100 link transfers, each started from the previous charge's
+// done, allocates nothing.
+func TestRequestChargesAllocateNothing(t *testing.T) {
+	e := sim.NewEngine()
+	d := testDRAM(e)
+	l := NewLink(e, "l", 1e9, sim.Microsecond, 1)
+	var r Request
+	left, charged := 0, 0
+	var next func(sim.Time)
+	next = func(sim.Time) {
+		switch left--; {
+		case left >= 100:
+			d.AccessAsync(&r, Read, 0, 4096, next)
+		case left >= 0:
+			l.TransferAsync(&r, d, nil, 4096, next)
+		}
+		charged++
+	}
+	const runs = 10
+	allocs := testing.AllocsPerRun(runs, func() {
+		left = 200
+		next(0)
+		if err := e.Run(); err != nil {
+			panic(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocations per 200 charges, want 0", allocs)
+	}
+	if want := (runs + 1) * 201; charged != want {
+		t.Errorf("%d charges completed, want %d", charged, want)
+	}
+}
+
+// TestRequestsAndProcsShareOneFIFO mixes the two kinds of traffic on one
+// seeking device and one link: one stream charges through a Request
+// restarted from its own done, the other is a process calling Access and
+// Transfer, and then the two swap. Every charge must complete when it does
+// in a run where both streams are processes, with the same IORecords in
+// the same order and the same queueing statistics.
+func TestRequestsAndProcsShareOneFIFO(t *testing.T) {
+	type charge struct {
+		link bool
+		op   Op
+		off  int64
+		n    int64
+	}
+	// Each stream reads or writes its own region sequentially, so whether
+	// an access seeks depends on which access the device served last.
+	rng := rand.New(rand.NewSource(5))
+	streams := make([][]charge, 2)
+	starts := make([]sim.Time, len(streams))
+	for i := range streams {
+		starts[i] = sim.Time(rng.Intn(3)) * sim.Millisecond
+		off := int64(i) << 26
+		for j := 0; j < 24; j++ {
+			c := charge{link: rng.Intn(3) == 0, op: Op(rng.Intn(2)), off: off, n: int64(1+rng.Intn(64)) << 10}
+			if !c.link {
+				off += c.n
+			}
+			streams[i] = append(streams[i], c)
+		}
+	}
+	type outcome struct {
+		ends    [][]sim.Time
+		records []IORecord
+		queue   [3]int64
+	}
+	// run makes stream async charge through a Request; -1 makes none.
+	run := func(async int) outcome {
+		e := sim.NewEngine()
+		d := New(e, Profile{Name: "hdd", Kind: KindHDD, Capacity: 1 << 30,
+			ReadBW: 100e6, WriteBW: 80e6, Latency: 50 * sim.Microsecond,
+			SeekTime: 2 * sim.Millisecond})
+		l := NewLink(e, "l", 50e6, 20*sim.Microsecond, 1)
+		var out outcome
+		d.SetRecorder(func(r IORecord) { out.records = append(out.records, r) })
+		out.ends = make([][]sim.Time, len(streams))
+		for i, cs := range streams {
+			if i != async {
+				e.Spawn(fmt.Sprintf("s%d", i), func(p *sim.Proc) {
+					p.Sleep(starts[i])
+					for _, c := range cs {
+						if c.link {
+							l.Transfer(p, d, nil, c.n)
+						} else {
+							d.Access(p, c.op, c.off, c.n)
+						}
+						out.ends[i] = append(out.ends[i], p.Now())
+					}
+				})
+				continue
+			}
+			// The callback twin of the process above: the spawn and the
+			// sleep are one engine event each, as they are for a process.
+			var r Request
+			var next func(sim.Time)
+			startNext := func() {
+				c := cs[len(out.ends[i])]
+				if c.link {
+					l.TransferAsync(&r, d, nil, c.n, next)
+				} else {
+					d.AccessAsync(&r, c.op, c.off, c.n, next)
+				}
+			}
+			next = func(sim.Time) {
+				if out.ends[i] = append(out.ends[i], e.Now()); len(out.ends[i]) < len(cs) {
+					startNext()
+				}
+			}
+			e.At(e.Now(), func() { e.After(starts[i], startNext) })
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		req, queued, wait := d.QueueStats()
+		out.queue = [3]int64{req, queued, int64(wait)}
+		return out
+	}
+	procs := run(-1)
+	sequential := 0
+	for _, r := range procs.records {
+		if !r.Seek {
+			sequential++
+		}
+	}
+	if procs.queue[1] == 0 || sequential == 0 {
+		t.Fatalf("%d charges queued, %d sequential: the streams never contend for the head",
+			procs.queue[1], sequential)
+	}
+	for async := range streams {
+		if mixed := run(async); !reflect.DeepEqual(procs, mixed) {
+			t.Errorf("stream %d on a Request diverges from all-process traffic:\n procs %+v\n mixed %+v",
+				async, procs, mixed)
+		}
 	}
 }

@@ -155,11 +155,11 @@ func (f *File) Charge(p *sim.Proc, op device.Op, off int64, n int64) error {
 }
 
 // ChargeAsync is Charge without a driving process: it queues the timed device
-// access through the inline-callback path and invokes done with the service
-// time once the access completes. Range errors are reported synchronously;
-// done runs as an engine callback and must not block. A zero-length charge
-// completes inline.
-func (f *File) ChargeAsync(op device.Op, off, n int64, done func(sim.Time)) error {
+// access on the caller-owned request r through the inline-callback path and
+// invokes done with the service time once the access completes. Range
+// errors are reported synchronously; done runs as an engine callback and
+// must not block. A zero-length charge completes inline and leaves r idle.
+func (f *File) ChargeAsync(r *device.Request, op device.Op, off, n int64, done func(sim.Time)) error {
 	if err := f.checkRange(op.String(), off, int(n)); err != nil {
 		return err
 	}
@@ -169,7 +169,7 @@ func (f *File) ChargeAsync(op device.Op, off, n int64, done func(sim.Time)) erro
 		}
 		return nil
 	}
-	f.store.dev.AccessAsync(op, f.off+off, n, done)
+	f.store.dev.AccessAsync(r, op, f.off+off, n, done)
 	return nil
 }
 

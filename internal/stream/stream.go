@@ -30,7 +30,6 @@ import (
 // a bandwidth. For device-backed hops the caller folds the link and endpoint
 // profiles into a single effective (latency, bandwidth) pair.
 type Hop struct {
-	Name    string
 	Latency sim.Time
 	BW      float64 // bytes per second
 }

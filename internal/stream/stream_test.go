@@ -14,8 +14,8 @@ const (
 
 func balancedHops() []Hop {
 	return []Hop{
-		{Name: "io", Latency: 60 * sim.Microsecond, BW: 1.4e9},
-		{Name: "pcie", Latency: 10 * sim.Microsecond, BW: 1.5e9},
+		{Latency: 60 * sim.Microsecond, BW: 1.4e9}, // io
+		{Latency: 10 * sim.Microsecond, BW: 1.5e9}, // pcie
 	}
 }
 

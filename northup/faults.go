@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/proc"
 )
 
 // Fault-injection and resilience types.
@@ -63,15 +64,28 @@ type FaultOutage struct {
 }
 
 // FaultPlan is a parsed fault specification: probabilistic rates plus any
-// scheduled outages. Inject realizes it on an engine.
+// scheduled outages. Inject realizes it on an engine and its tree.
 type FaultPlan struct {
 	Config  FaultConfig
 	Outages []FaultOutage
 }
 
-// Inject creates the injector on the engine and schedules the plan's
-// outage windows.
-func (p *FaultPlan) Inject(e *Engine) *FaultInjector {
+// Inject checks the plan's outages against the tree, then creates the
+// injector on the engine and schedules the outage windows. An outage the
+// tree cannot honour is refused: a node ID past the tree's nodes (the
+// error names the ID and the node count), or a GPU outage at a node with
+// no GPU (the error names the node).
+func (p *FaultPlan) Inject(e *Engine, tree *Tree) (*FaultInjector, error) {
+	nodes := tree.Nodes()
+	for _, o := range p.Outages {
+		if o.Node >= len(nodes) {
+			return nil, fmt.Errorf("faults: offline=%d: no node %d; the tree has %d nodes (IDs 0..%d)",
+				o.Node, o.Node, len(nodes), len(nodes)-1)
+		}
+		if o.Class == ProcClassGPU && nodes[o.Node].Processor(proc.GPU) == nil {
+			return nil, fmt.Errorf("faults: offline=%d/gpu: %v has no GPU", o.Node, nodes[o.Node])
+		}
+	}
 	inj := fault.New(e, p.Config)
 	for _, o := range p.Outages {
 		if o.Class == "" {
@@ -80,7 +94,7 @@ func (p *FaultPlan) Inject(e *Engine) *FaultInjector {
 			inj.TakeProcOffline(o.Node, o.Class, o.Window)
 		}
 	}
-	return inj
+	return inj, nil
 }
 
 // ParseFaults parses the command-line fault specification: comma-separated

@@ -136,7 +136,9 @@ func TestFaultInjectionThroughPublicAPI(t *testing.T) {
 	tree := northup.APU(e, northup.APUConfig{Storage: northup.SSD,
 		StorageMiB: 32, DRAMMiB: 4})
 	opts := northup.DefaultOptions()
-	opts.Faults = plan.Inject(e)
+	if opts.Faults, err = plan.Inject(e, tree); err != nil {
+		t.Fatal(err)
+	}
 	opts.Retry = northup.DefaultRetryPolicy()
 	rt := northup.NewRuntime(e, tree, opts)
 
@@ -172,5 +174,32 @@ func TestFaultInjectionThroughPublicAPI(t *testing.T) {
 	}
 	if !strings.Contains(rt.ResilienceReport(), "injected") {
 		t.Error("resilience report missing injected-stats row")
+	}
+}
+
+// TestInjectRefusesOutageOffTheTree is the library half of the CLI's
+// outage check: an outage on node 99 of the 2-node apu tree must be
+// refused by Inject, naming the node and the node count, rather than
+// silently ignored by a GEMM run.
+func TestInjectRefusesOutageOffTheTree(t *testing.T) {
+	plan, err := northup.ParseFaults("seed=1,offline=99:0:5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := northup.NewEngine()
+	tree := northup.APU(e, northup.APUConfig{Storage: northup.SSD,
+		StorageMiB: 1024, DRAMMiB: 16, WithCPU: true})
+	inj, err := plan.Inject(e, tree)
+	if err == nil {
+		opts := northup.DefaultOptions()
+		opts.Faults = inj
+		_, err = northup.GEMMNorthup(northup.NewRuntime(e, tree, opts), northup.GEMMConfig{N: 256, Seed: 1})
+		t.Fatalf("outage on node 99 of a %d-node tree accepted; GEMMNorthup returned %v",
+			len(tree.Nodes()), err)
+	}
+	for _, want := range []string{"offline=99", "no node 99", "2 nodes"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
 	}
 }

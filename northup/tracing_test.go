@@ -250,16 +250,19 @@ func TestTracingOffChangesNothing(t *testing.T) {
 		var want observedOutcome
 		for i, o := range observers {
 			e := northup.NewEngine()
+			tree := r.tree(e)
 			opts := northup.DefaultOptions()
 			if r.cache > 0 {
 				opts.Cache = northup.CacheOptions{Enabled: true, CapacityBytes: r.cache}
 			}
 			if r.faults != "" {
 				plan, err := northup.ParseFaults(r.faults)
+				if err == nil {
+					opts.Faults, err = plan.Inject(e, tree)
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
-				opts.Faults = plan.Inject(e)
 			}
 			if o.recorder {
 				opts.Trace = northup.NewTraceRecorder(northup.TraceOptions{})
@@ -271,7 +274,7 @@ func TestTracingOffChangesNothing(t *testing.T) {
 						northup.SamplerOptions{Tick: 10 * northup.Microsecond})
 				}
 			}
-			rt := northup.NewRuntime(e, r.tree(e), opts)
+			rt := northup.NewRuntime(e, tree, opts)
 			stats, err := r.run(rt)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", r.name, o.name, err)
