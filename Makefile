@@ -16,8 +16,10 @@
 #   make bench-stream streamed-transfer overlap sweep -> BENCH_stream.json
 #   make bench-serve  multi-tenant saturation sweep -> BENCH_serve.json
 #   make bench-affinity  data-affinity scheduler A/B -> BENCH_affinity.json
-#   make bench-sim    DES-engine dispatch microbenchmarks (ns/event + allocs)
-#                     and the streamed-move pump's (ns and allocs per stream)
+#   make bench-sim    DES-engine dispatch microbenchmarks (ns/event + allocs),
+#                     the streamed-move pump's (ns and allocs per stream) and
+#                     the functional kernels' (HotSpot tile, GEMM launch,
+#                     SpMV blocks) at -cpu 1,2
 #   make bench-check  committed-artifact gate: regenerate the paper-scale perf
 #                     profile and sweeps (race detector on) and require the
 #                     committed BENCH_*.json bytes
@@ -50,8 +52,11 @@ lint:
 	fi
 	$(GO) vet ./...
 
+# The GPU launch runs a kernel's workgroups on several goroutines, so its
+# tests also run repeatedly under the detector.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run 'TestLaunchRuns|TestLaunchPanic' ./internal/gpu/
 
 # Each fuzz target on its own (go test fuzzes one target per run), for
 # FUZZTIME each.
@@ -195,11 +200,16 @@ bench-affinity:
 
 # DES-engine microbenchmarks: per-event cost of both dispatch paths (proc
 # resumption vs inline callback vs same-instant fan-out) with allocation
-# counts. Wall-clock numbers stay out of the committed artifacts, which
-# record each run's deterministic event, callback and process counts.
+# counts, then the functional kernels at one and two CPUs (a launch spreads
+# its workgroups over GOMAXPROCS goroutines). Wall-clock numbers stay out
+# of the committed artifacts, which record each run's deterministic event,
+# callback and process counts.
 bench-sim:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/sim/
 	$(GO) test -bench=StreamedMove -benchmem -run=^$$ ./internal/core/
+	$(GO) test -bench=StencilStepFunctional -benchmem -cpu 1,2 -run=^$$ ./internal/apps/hotspot/
+	$(GO) test -bench=TileKernelFunctional -benchmem -cpu 1,2 -run=^$$ ./internal/apps/gemm/
+	$(GO) test -bench=ExecBlocksFunctional -benchmem -cpu 1,2 -run=^$$ ./internal/apps/spmv/
 
 # Committed-artifact gate: regenerate BENCH_perf.json and the three sweeps
 # under the race detector and require the committed bytes. Every value is

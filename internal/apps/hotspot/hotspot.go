@@ -86,25 +86,40 @@ func (blk *Block) at(i, j int) float32 {
 
 // StepTile advances one BlockDim x BlockDim tile (tile coordinates ty, tx)
 // of the block by one Jacobi iteration: the functional body of one GPU
-// workgroup.
+// workgroup. A cell off the chunk's edge rows and columns has all four
+// neighbours inside the chunk and reads them directly; only edge cells
+// go through at.
 func (blk *Block) StepTile(ty, tx int) {
 	d := blk.D
-	i1, j1 := (ty+1)*BlockDim, (tx+1)*BlockDim
-	if i1 > d {
-		i1 = d
-	}
-	if j1 > d {
-		j1 = d
-	}
+	j0 := tx * BlockDim
+	i1, j1 := min((ty+1)*BlockDim, d), min((tx+1)*BlockDim, d)
 	for i := ty * BlockDim; i < i1; i++ {
-		for j := tx * BlockDim; j < j1; j++ {
-			blk.Out[i*d+j] = updateCell(
-				blk.In[i*d+j],
-				blk.at(i-1, j), blk.at(i+1, j),
-				blk.at(i, j-1), blk.at(i, j+1),
-				blk.Power[i*d+j],
-			)
+		if i == 0 || i == d-1 {
+			blk.stepEdge(i, j0, j1)
+			continue
 		}
+		lo, hi := max(j0, 1), min(j1, d-1)
+		blk.stepEdge(i, j0, lo)
+		up, row, down := blk.In[(i-1)*d:i*d], blk.In[i*d:(i+1)*d], blk.In[(i+1)*d:(i+2)*d]
+		out, pow := blk.Out[i*d:(i+1)*d], blk.Power[i*d:(i+1)*d]
+		for j := lo; j < hi; j++ {
+			out[j] = updateCell(row[j], up[j], down[j], row[j-1], row[j+1], pow[j])
+		}
+		blk.stepEdge(i, hi, j1)
+	}
+}
+
+// stepEdge updates cells [j0, j1) of row i, reading every neighbour
+// through at.
+func (blk *Block) stepEdge(i, j0, j1 int) {
+	d := blk.D
+	for j := j0; j < j1; j++ {
+		blk.Out[i*d+j] = updateCell(
+			blk.In[i*d+j],
+			blk.at(i-1, j), blk.at(i+1, j),
+			blk.at(i, j-1), blk.at(i, j+1),
+			blk.Power[i*d+j],
+		)
 	}
 }
 

@@ -121,7 +121,7 @@ func Kernel(blocks []RowBlock, rowPtr []int32, col []int32, val, x, y []float32)
 		LocalBytes:    NNZPerGroup * 8,
 	}
 	if val != nil {
-		kern.Run = func(g int) { ExecBlock(blocks[g], rowPtr, col, val, x, y) }
+		kern.Run = func(g int) { execGroup(blocks, g, rowPtr, col, val, x, y) }
 	}
 	return kern
 }

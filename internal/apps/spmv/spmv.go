@@ -11,6 +11,13 @@
 //   - CSR-Vector: one long row per workgroup.
 //   - CSR-VectorL: one very long row split across several workgroups that
 //     accumulate partial sums.
+//
+// The workgroups of one launch may run at once (package gpu), so the
+// functional CSR-VectorL body does not accumulate across groups: the group
+// of a row's first slice sums every slice of the row in block order, and
+// the other slices' groups do nothing. That is the serial pass's sequence
+// of float32 operations, so the row's sum is the same bit for bit, and the
+// cost model still charges every slice's group.
 package spmv
 
 import "repro/internal/workload"
@@ -134,9 +141,10 @@ func Reference(m *workload.CSR, x []float32) []float32 {
 	return y
 }
 
-// ExecBlock computes one row block functionally: the body of one workgroup.
-// rowPtr is shard-relative as in BuildRowBlocks; col/val are the shard's
-// slices; y is the shard's output segment.
+// ExecBlock computes one row block functionally. rowPtr is shard-relative
+// as in BuildRowBlocks; col/val are the shard's slices; y is the shard's
+// output segment. A CSR-VectorL slice adds to the sum its row's earlier
+// slices left, so a row's slices run in block order (execGroup).
 func ExecBlock(b RowBlock, rowPtr []int32, col []int32, val, x, y []float32) {
 	base := rowPtr[0]
 	switch b.Kind {
@@ -158,6 +166,26 @@ func ExecBlock(b RowBlock, rowPtr []int32, col []int32, val, x, y []float32) {
 		} else {
 			y[b.Row0] += sum // atomic add on real hardware
 		}
+	}
+}
+
+// execGroup computes workgroup g of a launch over blocks functionally. A
+// CSR-VectorL row runs whole in the group of its first slice, in block
+// order; the groups of its later slices do nothing.
+func execGroup(blocks []RowBlock, g int, rowPtr []int32, col []int32, val, x, y []float32) {
+	b := blocks[g]
+	if b.Kind != VectorLong {
+		ExecBlock(b, rowPtr, col, val, x, y)
+		return
+	}
+	if !b.ClearY {
+		return
+	}
+	for _, s := range blocks[g:] {
+		if s.Kind != VectorLong || s.Row0 != b.Row0 {
+			break
+		}
+		ExecBlock(s, rowPtr, col, val, x, y)
 	}
 }
 

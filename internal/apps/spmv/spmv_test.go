@@ -2,6 +2,7 @@ package spmv
 
 import (
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -92,6 +93,43 @@ func TestBuildRowBlocksLongRow(t *testing.T) {
 	want := (VectorLongThreshold + 100 + NNZPerGroup - 1) / NNZPerGroup
 	if longSlices != want {
 		t.Fatalf("%d VectorL slices, want %d", longSlices, want)
+	}
+}
+
+// TestKernelGroupsInAnyOrderMatchBlocksInOrder runs the functional
+// kernel's groups in reverse order over a shard with two adjacent long
+// rows that CSR-VectorL splits: y must equal, bit for bit, ExecBlock over
+// the blocks in order, the serial pass that accumulates each long row's
+// slices.
+func TestKernelGroupsInAnyOrderMatchBlocksInOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	lens := []int{3, VectorLongThreshold + 808, VectorLongThreshold + 1800, 2500, 7}
+	rowPtr := []int32{0}
+	var col []int32
+	var val []float32
+	const nx = 12000
+	for _, n := range lens {
+		for k := 0; k < n; k++ {
+			col = append(col, int32(rng.Intn(nx)))
+			val = append(val, rng.Float32()*2-1)
+		}
+		rowPtr = append(rowPtr, int32(len(col)))
+	}
+	x := workload.Vector(nx, 4)
+	blocks := BuildRowBlocks(rowPtr)
+	want := make([]float32, len(lens))
+	for _, b := range blocks {
+		ExecBlock(b, rowPtr, col, val, x, want)
+	}
+	got := make([]float32, len(lens))
+	kern := Kernel(blocks, rowPtr, col, val, x, got)
+	for g := len(blocks) - 1; g >= 0; g-- {
+		kern.Run(g)
+	}
+	for r := range want {
+		if math.Float32bits(got[r]) != math.Float32bits(want[r]) {
+			t.Errorf("row %d: kernel %v, blocks in order %v", r, got[r], want[r])
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -109,8 +110,9 @@ func (rt *Runtime) cacheAt(n *topo.Node) *nodeCache {
 	if !rt.opts.Cache.Enabled || n.Kind().IsFileStore() {
 		return nil
 	}
-	if nc, ok := rt.caches[n.ID]; ok {
-		return nc
+	i, ok := slices.BinarySearchFunc(rt.caches, n.ID, byNodeID)
+	if ok {
+		return rt.caches[i]
 	}
 	nc := &nodeCache{node: n, pool: cache.New(rt.opts.Cache.capacityAt(n))}
 	nc.pool.OnChange = func(k cache.Key) {
@@ -120,9 +122,21 @@ func (rt *Runtime) cacheAt(n *topo.Node) *nodeCache {
 			}
 		}
 	}
-	rt.caches[n.ID] = nc
+	rt.caches = slices.Insert(rt.caches, i, nc)
 	return nc
 }
+
+// cacheOf returns the staging cache of node id, or nil before its first
+// use.
+func (rt *Runtime) cacheOf(id int) *nodeCache {
+	if i, ok := slices.BinarySearchFunc(rt.caches, id, byNodeID); ok {
+		return rt.caches[i]
+	}
+	return nil
+}
+
+// byNodeID orders node caches by node ID.
+func byNodeID(nc *nodeCache, id int) int { return cmp.Compare(nc.node.ID, id) }
 
 // moveDataDownCached serves the extent src[srcOff:srcOff+n) as a pinned
 // resident buffer at child, from the child's cache when possible.
@@ -390,7 +404,7 @@ func (rt *Runtime) CacheResidentBytes(node *topo.Node, src *Buffer, srcOff, n in
 	if src == nil || src.released || n <= 0 {
 		return 0
 	}
-	nc := rt.caches[node.ID]
+	nc := rt.cacheOf(node.ID)
 	if nc == nil {
 		return 0
 	}
@@ -429,16 +443,17 @@ func (rt *Runtime) WatchResidency(node *topo.Node, fn func(cache.Key)) (detach f
 func (rt *Runtime) markReleased(b *Buffer) {
 	b.released = true
 	for _, w := range rt.watches {
-		if nc := rt.caches[w.node]; nc != nil {
+		if nc := rt.cacheOf(w.node); nc != nil {
 			nc.pool.EachKey(b.id, w.fn)
 		}
 	}
 }
 
 // invalidateRange drops every cache entry whose source extent overlaps the
-// written range [off, off+n) of dst; the write paths call it so cached
-// reads can never observe stale bytes. Pinned and in-flight entries are
-// doomed (invisible at once, freed by their last user).
+// written range [off, off+n) of dst, node by node in node-ID order; the
+// write paths call it so cached reads can never observe stale bytes.
+// Pinned and in-flight entries are doomed (invisible at once, freed by
+// their last user).
 func (rt *Runtime) invalidateRange(p *sim.Proc, dst *Buffer, off, n int64) {
 	for _, nc := range rt.caches {
 		for _, v := range rt.invalidateIn(nc, dst, off, n) {
@@ -476,7 +491,7 @@ func (rt *Runtime) checkMoveDst(dst *Buffer) error {
 // working set always wins over cached copies. It reports whether anything
 // was freed.
 func (rt *Runtime) cacheRelieve(p *sim.Proc, node *topo.Node) bool {
-	nc := rt.caches[node.ID]
+	nc := rt.cacheOf(node.ID)
 	if nc == nil {
 		return false
 	}
@@ -516,7 +531,7 @@ func (rt *Runtime) CacheReport() string {
 		}
 		capBytes := rt.opts.Cache.capacityAt(n)
 		fmt.Fprintf(&sb, "  %v: capacity %.0f MiB", n, float64(capBytes)/(1<<20))
-		if nc, ok := rt.caches[n.ID]; ok {
+		if nc := rt.cacheOf(n.ID); nc != nil {
 			fmt.Fprintf(&sb, " (used %.0f MiB, %d entries)",
 				float64(nc.pool.Used())/(1<<20), nc.pool.Len())
 		}

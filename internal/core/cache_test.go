@@ -4,12 +4,17 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/device"
 	"repro/internal/fault"
+	"repro/internal/gpu"
 	"repro/internal/sim"
 	"repro/internal/topo"
+	"repro/internal/trace"
 )
 
 // newCachedAPU builds a small SSD tree with the staging cache enabled.
@@ -451,7 +456,7 @@ func TestAllocPressureEvictsCacheEntries(t *testing.T) {
 		if ev := rt.CacheStats().Evictions; ev != 2 {
 			return fmt.Errorf("%d evictions under allocation pressure, want 2", ev)
 		}
-		if n := rt.caches[dram.ID].pool.Len(); n != 2 {
+		if n := rt.cacheOf(dram.ID).pool.Len(); n != 2 {
 			return fmt.Errorf("%d entries still cached, want 2", n)
 		}
 		return c.Release(big)
@@ -580,5 +585,79 @@ func TestPipelineNeverDropsErrors(t *testing.T) {
 		if !errors.Is(err, boom) {
 			t.Fatalf("depth %d: error dropped: %v", depth, err)
 		}
+	}
+}
+
+// TestInvalidationRunsInNodeOrder writes into a file range cached at two
+// nodes, a DRAM and an NVM child of the SSD root, the NVM copy staged
+// first. Both write paths, MoveData and a streamed move's hop, must
+// invalidate the DRAM cache before the NVM cache (node-ID order, not
+// creation order) and give one trace over 20 runs.
+func TestInvalidationRunsInNodeOrder(t *testing.T) {
+	const n = 512 << 10
+	write := map[string]func(c *Ctx, dst, src *Buffer) error{
+		"move": func(c *Ctx, dst, src *Buffer) error { return c.MoveData(dst, src, 0, 0, n) },
+		"streamed": func(c *Ctx, dst, src *Buffer) error {
+			return c.MoveDataUpStreamed(dst, src, 0, 0, n, StreamOptions{})
+		},
+	}
+	run := func(t *testing.T, name string) (hash uint64, order []int) {
+		e := sim.NewEngine()
+		b := topo.NewBuilder(e)
+		root := b.Root(device.SSDProfile(64*device.MiB, 1400, 600))
+		b.Attach(b.Child(root, device.DRAMProfile(16*device.MiB)), gpu.APUCPU(e))
+		b.Attach(b.Child(root, device.NVMProfile(16*device.MiB)), gpu.APUCPU(e))
+		tree := b.MustBuild()
+		rec := trace.NewRecorder(trace.Options{})
+		opts := DefaultOptions()
+		opts.Trace = rec
+		opts.Cache = CacheOptions{Enabled: true, CapacityBytes: 4 << 20}
+		rt := NewRuntime(e, tree, opts)
+		dram, nvm := tree.Node(1), tree.Node(2)
+		src := mkInput(t, rt, "in", n)
+		_, err := rt.Run(name, func(c *Ctx) error {
+			for _, child := range []*topo.Node{nvm, dram} {
+				cb, err := c.MoveDataDownCached(child, src, 0, n)
+				if err != nil {
+					return err
+				}
+				if err := c.Unpin(cb); err != nil {
+					return err
+				}
+			}
+			patch, err := c.AllocAt(dram, n)
+			if err != nil {
+				return err
+			}
+			if err := write[name](c, src, patch); err != nil {
+				return err
+			}
+			return c.Release(patch)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		for _, ev := range rec.Events() {
+			fmt.Fprintf(h, "%d|%d|%s|%d|%s|%d|%d|%d|%d\n", ev.Kind, ev.Cat, ev.Name,
+				ev.Lane.Node, ev.Lane.Track, ev.Start, ev.Dur, ev.Value, ev.Seq)
+			if ev.Name == "invalidate" {
+				order = append(order, ev.Lane.Node)
+			}
+		}
+		return h.Sum64(), order
+	}
+	for name := range write {
+		t.Run(name, func(t *testing.T) {
+			want, order := run(t, name)
+			if !slices.Equal(order, []int{1, 2}) {
+				t.Fatalf("invalidated caches at nodes %v, want [1 2]", order)
+			}
+			for i := 1; i < 20; i++ {
+				if got, _ := run(t, name); got != want {
+					t.Fatalf("run %d: trace hash %016x, run 0: %016x", i, got, want)
+				}
+			}
+		})
 	}
 }

@@ -103,7 +103,7 @@ type Runtime struct {
 	tree   *topo.Tree
 	opts   Options
 
-	caches map[int]*nodeCache // node ID -> staging cache (lazy, see cache.go)
+	caches []*nodeCache // staging caches in node-ID order, each made on first use (cache.go)
 	pcie   *device.Link
 	dma    *device.Link
 
@@ -148,7 +148,6 @@ func NewRuntime(e *sim.Engine, t *topo.Tree, opts Options) *Runtime {
 		engine: e,
 		tree:   t,
 		opts:   opts,
-		caches: make(map[int]*nodeCache),
 		pcie:   device.PCIeLink(e),
 		dma:    device.DMALink(e),
 	}

@@ -4,7 +4,11 @@
 // FirePro W9100. Neither is available here, so this model substitutes both:
 //
 //   - Functionally, a kernel is a Go closure executed once per workgroup, so
-//     out-of-core runs produce real, bit-checkable results.
+//     out-of-core runs produce real, bit-checkable results. As in OpenCL,
+//     the workgroups of one launch are not ordered against each other: a
+//     launch spreads them over the host's CPUs and returns once all have
+//     run, so a body must not write state another group of the same
+//     launch reads or writes.
 //   - Temporally, a launch charges virtual time from a roofline cost model:
 //     each wave of resident workgroups takes max(compute, memory) time at
 //     the device's sustained rates, scaled by a latency-hiding utilization
@@ -18,6 +22,8 @@ package gpu
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 
 	"repro/internal/proc"
 	"repro/internal/sim"
@@ -98,7 +104,10 @@ type Kernel struct {
 	// LocalBytes is the local-memory allocation per workgroup.
 	LocalBytes int64
 	// Run executes workgroup i functionally. May be nil for timing-only
-	// studies.
+	// studies. Run may be called concurrently for distinct groups of one
+	// launch, so groups must not share written state: each group writes
+	// only its own part of the output, and reads nothing another group
+	// writes.
 	Run func(group int)
 }
 
@@ -155,6 +164,8 @@ func (e *ErrLocalMem) Error() string {
 // Launch executes k over the given number of workgroups: the functional body
 // runs for every group, and the calling process is charged the modeled time.
 // Kernels serialize on the device, as on a single OpenCL in-order queue.
+// The functional body runs to completion before the launch charges any
+// time, so the schedule does not depend on how the groups were spread.
 func (g *GPU) Launch(p *sim.Proc, k Kernel, groups int) (sim.Time, error) {
 	if k.LocalBytes > g.model.LocalMemPerCU {
 		return 0, &ErrLocalMem{Kernel: k.Name, Need: k.LocalBytes, Have: g.model.LocalMemPerCU}
@@ -163,9 +174,7 @@ func (g *GPU) Launch(p *sim.Proc, k Kernel, groups int) (sim.Time, error) {
 		return 0, fmt.Errorf("gpu: kernel %s: negative group count %d", k.Name, groups)
 	}
 	if k.Run != nil {
-		for i := 0; i < groups; i++ {
-			k.Run(i)
-		}
+		runGroups(k.Run, groups)
 	}
 	t := g.LaunchTime(k, groups)
 	g.compute.Acquire(p)
@@ -174,6 +183,45 @@ func (g *GPU) Launch(p *sim.Proc, k Kernel, groups int) (sim.Time, error) {
 	g.kernelTime += t
 	g.kernelCount++
 	return t, nil
+}
+
+// runGroups calls run once for each group in [0, groups), in contiguous
+// ranges on min(GOMAXPROCS, groups) goroutines, and returns when every
+// range has. The calling goroutine runs the first range, so at width 1 this
+// is a loop over the groups in order. A panic in a group ends its range;
+// once all ranges have returned, the panic of the lowest such group is
+// raised again here, which is the one a loop in group order would raise.
+func runGroups(run func(int), groups int) {
+	width := min(runtime.GOMAXPROCS(0), groups)
+	if width == 0 {
+		return
+	}
+	panics := make([]any, width)
+	var wg sync.WaitGroup
+	wg.Add(width - 1)
+	for w := 1; w < width; w++ {
+		go func() {
+			defer wg.Done()
+			panics[w] = runRange(run, w*groups/width, (w+1)*groups/width)
+		}()
+	}
+	panics[0] = runRange(run, 0, groups/width)
+	wg.Wait()
+	for _, v := range panics {
+		if v != nil {
+			panic(v)
+		}
+	}
+}
+
+// runRange runs groups [g0, g1) in order and returns the value of a panic
+// that ended it, or nil.
+func runRange(run func(int), g0, g1 int) (panicked any) {
+	defer func() { panicked = recover() }()
+	for g := g0; g < g1; g++ {
+		run(g)
+	}
+	return nil
 }
 
 // GroupTaskTime returns the time for one persistent workgroup to execute a

@@ -2,9 +2,12 @@ package gpu
 
 import (
 	"errors"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/sim"
 )
@@ -17,28 +20,47 @@ func testModel() Model {
 	}
 }
 
+// atWidth runs f with GOMAXPROCS set to width, the launch width, and
+// restores the setting afterwards.
+func atWidth(width int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(width))
+	f()
+}
+
+// TestLaunchRunsEveryGroup launches kernels of many sizes at launch
+// widths (GOMAXPROCS) 1, 2 and 4: every group must run exactly once, and
+// at every width the launch must take LaunchTime and count one kernel.
 func TestLaunchRunsEveryGroup(t *testing.T) {
-	e := sim.NewEngine()
-	g := New(e, testModel())
-	var ran int64
-	k := Kernel{
-		Name: "count", FlopsPerGroup: 1e6, BytesPerGroup: 0,
-		Run: func(i int) { atomic.AddInt64(&ran, 1) },
-	}
-	e.Spawn("host", func(p *sim.Proc) {
-		if _, err := g.Launch(p, k, 37); err != nil {
-			t.Error(err)
+	for _, width := range []int{1, 2, 4} {
+		for _, groups := range []int{0, 1, 2, 3, 7, 37, 64, 1000} {
+			runs := make([]atomic.Int32, groups)
+			k := Kernel{Name: "count", FlopsPerGroup: 1e6,
+				Run: func(g int) { runs[g].Add(1) }}
+			atWidth(width, func() {
+				e := sim.NewEngine()
+				g := New(e, testModel())
+				var took sim.Time
+				e.Spawn("host", func(p *sim.Proc) {
+					var err error
+					if took, err = g.Launch(p, k, groups); err != nil {
+						t.Error(err)
+					}
+				})
+				if err := e.Run(); err != nil {
+					t.Fatal(err)
+				}
+				busy, kernels := g.Stats()
+				if want := g.LaunchTime(k, groups); took != want || busy != want || kernels != 1 {
+					t.Errorf("width %d, %d groups: took %v, stats %v, %d; want %v, 1 kernel",
+						width, groups, took, busy, kernels, want)
+				}
+			})
+			for i := range runs {
+				if n := runs[i].Load(); n != 1 {
+					t.Errorf("width %d, %d groups: group %d ran %d times", width, groups, i, n)
+				}
+			}
 		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if ran != 37 {
-		t.Fatalf("ran %d groups, want 37", ran)
-	}
-	busy, kernels := g.Stats()
-	if busy <= 0 || kernels != 1 {
-		t.Fatalf("stats = %v, %d", busy, kernels)
 	}
 }
 
@@ -229,6 +251,89 @@ func TestLaunchTimeClosedFormMatchesWaves(t *testing.T) {
 					t.Errorf("%s, kernel %+v, %d groups: closed form %d, waves %d",
 						g.model.Name, k, n, got, want)
 				}
+			}
+		}
+	}
+}
+
+// TestLaunchRunsRangesAtOnce launches two groups at width 2 whose first
+// group waits for the second: only a launch that runs its two ranges at
+// once completes it.
+func TestLaunchRunsRangesAtOnce(t *testing.T) {
+	second := make(chan struct{})
+	k := Kernel{Name: "pair", Run: func(g int) {
+		if g == 1 {
+			close(second)
+			return
+		}
+		select {
+		case <-second:
+		case <-time.After(10 * time.Second):
+			panic("group 1 did not run beside group 0")
+		}
+	}}
+	atWidth(2, func() {
+		e := sim.NewEngine()
+		g := New(e, testModel())
+		e.Spawn("host", func(p *sim.Proc) { g.Launch(p, k, 2) })
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestLaunchPanicWaitsForEveryGroup panics in group 5 of a launch at
+// several widths. The groups after it in its range must not run, as in a
+// loop in group order; every other range must still run each of its groups
+// once before the launch returns, and the engine must report the panic
+// under the launching process's name.
+func TestLaunchPanicWaitsForEveryGroup(t *testing.T) {
+	const groups, bad = 64, 5
+	for _, width := range []int{1, 2, 4} {
+		first := groups / width // the panicking range is [0, first)
+		var runs [groups]atomic.Int32
+		var returned atomic.Bool
+		var late atomic.Int32
+		failing := make(chan struct{})
+		k := Kernel{Name: "boom", Run: func(g int) {
+			if g == bad {
+				close(failing)
+				panic("group 5 failed")
+			}
+			if g >= first {
+				// The other ranges run only once group 5 fails, and
+				// slowly, so they are still running when its range ends.
+				<-failing
+				time.Sleep(50 * time.Microsecond)
+			}
+			if returned.Load() {
+				late.Add(1)
+			}
+			runs[g].Add(1)
+		}}
+		var err error
+		atWidth(width, func() {
+			e := sim.NewEngine()
+			g := New(e, testModel())
+			e.Spawn("launcher", func(p *sim.Proc) {
+				defer returned.Store(true)
+				g.Launch(p, k, groups)
+			})
+			err = e.Run()
+		})
+		if err == nil || !strings.Contains(err.Error(), `process "launcher" panicked: group 5 failed`) {
+			t.Fatalf("width %d: engine error %v, want the panic under the process's name", width, err)
+		}
+		if n := late.Load(); n > 0 {
+			t.Errorf("width %d: %d groups ran after the launch returned", width, n)
+		}
+		for i := range runs {
+			want := int32(1)
+			if i >= bad && i < first {
+				want = 0
+			}
+			if n := runs[i].Load(); n != want {
+				t.Errorf("width %d: group %d ran %d times, want %d", width, i, n, want)
 			}
 		}
 	}

@@ -139,6 +139,8 @@ type (
 	// GPUModel describes a GPU's sustained characteristics.
 	GPUModel = gpu.Model
 	// Kernel describes one GPU dispatch: cost model plus functional body.
+	// As in OpenCL, the body may run concurrently for distinct groups of
+	// one launch, so groups must not share written state.
 	Kernel = gpu.Kernel
 	// Breakdown accumulates the execution-time breakdown of a run.
 	Breakdown = trace.Breakdown
