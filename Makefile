@@ -17,9 +17,10 @@
 #   make bench-serve  multi-tenant saturation sweep -> BENCH_serve.json
 #   make bench-affinity  data-affinity scheduler A/B -> BENCH_affinity.json
 #   make bench-sim    DES-engine dispatch microbenchmarks (ns/event + allocs),
-#                     the streamed-move pump's (ns and allocs per stream) and
-#                     the functional kernels' (HotSpot tile, GEMM launch,
-#                     SpMV blocks) at -cpu 1,2
+#                     the streamed-move pump's (ns and allocs per stream),
+#                     affinity placement's (ns per pick on a 32x32 and a
+#                     64x64 grid) and the functional kernels' (HotSpot tile,
+#                     GEMM launch, SpMV blocks) at -cpu 1,2
 #   make bench-check  committed-artifact gate: regenerate the paper-scale perf
 #                     profile and sweeps (race detector on) and require the
 #                     committed BENCH_*.json bytes
@@ -65,6 +66,8 @@ fuzz:
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzParseScenario$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzScenarioRun$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/taskgraph -run '^$$' -fuzz '^FuzzGraphAdd$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/taskgraph -run '^$$' -fuzz '^FuzzAffinityPickMatchesRescan$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/topo -run '^$$' -fuzz '^FuzzBuildSpec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzFileHash$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzChromeTrace$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzTokensMatchChan$$' -fuzztime $(FUZZTIME)
@@ -200,13 +203,16 @@ bench-affinity:
 
 # DES-engine microbenchmarks: per-event cost of both dispatch paths (proc
 # resumption vs inline callback vs same-instant fan-out) with allocation
-# counts, then the functional kernels at one and two CPUs (a launch spreads
-# its workgroups over GOMAXPROCS goroutines). Wall-clock numbers stay out
+# counts, the streamed move, affinity placement on two grid sizes (its cost
+# per pick should barely grow with the ready set), then the functional
+# kernels at one and two CPUs (a launch spreads its workgroups over
+# GOMAXPROCS goroutines). Wall-clock numbers stay out
 # of the committed artifacts, which record each run's deterministic event,
 # callback and process counts.
 bench-sim:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/sim/
 	$(GO) test -bench=StreamedMove -benchmem -run=^$$ ./internal/core/
+	$(GO) test -bench=AffinityPick -benchmem -run=^$$ ./internal/taskgraph/
 	$(GO) test -bench=StencilStepFunctional -benchmem -cpu 1,2 -run=^$$ ./internal/apps/hotspot/
 	$(GO) test -bench=TileKernelFunctional -benchmem -cpu 1,2 -run=^$$ ./internal/apps/gemm/
 	$(GO) test -bench=ExecBlocksFunctional -benchmem -cpu 1,2 -run=^$$ ./internal/apps/spmv/

@@ -236,6 +236,19 @@ func (o *options) validate() error {
 	if o.affinity != "on" && o.affinity != "off" {
 		return fmt.Errorf("-affinity %q: want on or off", o.affinity)
 	}
+	for _, c := range []struct {
+		flag, want string
+		ok         bool
+	}{
+		{"iters", "want 0 (the app's default) or more", o.iters >= 0},
+		{"nnz", "want at least 1 non-zero per row", o.nnz >= 1},
+		{"cache-share", "want a fraction of the node in [0, 1] (0 = default 0.5)",
+			o.cacheShare >= 0 && o.cacheShare <= 1},
+	} {
+		if !c.ok {
+			return fmt.Errorf("%s: %s", o.set[c.flag], c.want)
+		}
+	}
 	if o.faults != "" {
 		plan, err := northup.ParseFaults(o.faults)
 		if err != nil {

@@ -133,6 +133,13 @@ func TestValidateRefusesIgnoredFlags(t *testing.T) {
 		{"-app gemm -faults seed=7,offline=1/gpu:0:2", "-faults"},
 		{"-app hotspot -faults seed=7,offline=1/gpu:0:2", "-faults"},
 		{"-app gemm -affinity maybe", "-affinity"},
+		{"-app hotspot -iters -3", "-iters -3"},
+		{"-app spmv -iters -1", "-iters -1"},
+		{"-app spmv -nnz -4", "-nnz -4"},
+		{"-app spmv -nnz 0", "-nnz 0"},
+		{"-app spmv -cache -cache-share -1", "-cache-share -1"},
+		{"-app spmv -cache -cache-share 5", "-cache-share 5"},
+		{"-app spmv -cache -cache-share NaN", "-cache-share NaN"},
 	} {
 		o, err := parseFlags(strings.Fields(tc.args))
 		if err != nil {
@@ -158,6 +165,8 @@ func TestValidateAcceptsHonouredFlags(t *testing.T) {
 		"-app hotspot -n 256 -steal -chunk 64 -iters 2 -faults seed=7,offline=1/gpu:0:2",
 		"-app hotspot -preset inmemory -iters 3",
 		"-app spmv -n 65536 -iters 4 -nnz 8 -cache -prefetch -cache-mib 4 -cache-share 0.25",
+		"-app spmv -nnz 1 -iters 0 -cache -cache-share 1",
+		"-app hotspot -iters 0 -cache -cache-share 0",
 		"-app spmv -affinity on -iters 2",
 		"-app spmv -preset inmemory -nnz 8",
 		"-app gemm -affinity off -dram-mib 32 -storage-mib 512",

@@ -46,17 +46,18 @@ func (cfg *Config) setDefaults() error {
 	if cfg.N <= 0 {
 		return fmt.Errorf("spmv: N=%d invalid", cfg.N)
 	}
-	if cfg.AvgNNZ <= 0 {
-		cfg.AvgNNZ = 16
-	}
-	if cfg.Chunks <= 0 {
-		cfg.Chunks = 4
-	}
-	if cfg.Depth <= 0 {
-		cfg.Depth = 2
-	}
-	if cfg.Iters <= 0 {
-		cfg.Iters = 1
+	// Zero means the default; a negative value is refused, not read as it.
+	for _, f := range []struct {
+		name string
+		v    *int
+		def  int
+	}{{"AvgNNZ", &cfg.AvgNNZ, 16}, {"Chunks", &cfg.Chunks, 4}, {"Depth", &cfg.Depth, 2}, {"Iters", &cfg.Iters, 1}} {
+		switch {
+		case *f.v < 0:
+			return fmt.Errorf("spmv: %s=%d invalid (0 means the default, %d)", f.name, *f.v, f.def)
+		case *f.v == 0:
+			*f.v = f.def
+		}
 	}
 	return nil
 }

@@ -279,6 +279,23 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := RunInMemory(rt, Config{N: 100}); err == nil {
 		t.Fatal("in-memory baseline ran on storage tree")
 	}
+	for _, tc := range []struct {
+		cfg  Config
+		name string
+	}{
+		{Config{N: 100, AvgNNZ: -4}, "AvgNNZ=-4"},
+		{Config{N: 100, Chunks: -1}, "Chunks=-1"},
+		{Config{N: 100, Depth: -2}, "Depth=-2"},
+		{Config{N: 100, Iters: -3}, "Iters=-3"},
+	} {
+		if err := tc.cfg.setDefaults(); err == nil || !strings.Contains(err.Error(), tc.name) {
+			t.Errorf("%+v: err = %v, want a refusal naming %s", tc.cfg, err, tc.name)
+		}
+	}
+	cfg := Config{N: 100}
+	if err := cfg.setDefaults(); err != nil || cfg.AvgNNZ != 16 || cfg.Chunks != 4 || cfg.Depth != 2 || cfg.Iters != 1 {
+		t.Fatalf("zero fields: err %v, defaults %+v", err, cfg)
+	}
 }
 
 // TestRefusesRowPtrOverflow asks for 1<<20 rows of about 3000 non-zeros,

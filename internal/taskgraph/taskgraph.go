@@ -12,10 +12,11 @@
 // whose data is already close, the placement heuristic of XKaapi-style
 // affinity scheduling. Compute estimates come from a sched.ProfileScheduler
 // learned online (or warm-started from an exported profile), so the scorer
-// improves as the run progresses. Move prices are cached per task and
-// recomputed only when the runtime's residency watch reports that one of
-// the task's read extents entered or left the staging cache, so a pick
-// costs one pass over the ready list, not a cache probe per input.
+// improves as the run progresses. The ready tasks wait in a heap ordered
+// by price, and a task is repriced only when it is readied or the
+// runtime's residency watch reports that one of its read extents entered
+// or left the staging cache, so a pick reprices just those tasks and then
+// reads only the tasks tied at the lowest price, not the whole ready list.
 //
 // Everything is deterministic: candidate scanning, scoring, and
 // tie-breaking depend only on graph order and simulation state, so repeated
@@ -24,6 +25,7 @@ package taskgraph
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -478,33 +480,27 @@ func (r *run) runStealing() {
 	r.st.Pops, r.st.Steals = sched.TotalStats(queues)
 }
 
-// runAffinity is the residency-aware policy: a shared ready list each idle
-// worker prices in one pass, picking the candidate with the lowest
-// estimated compute + bytes-to-move price. Ties break toward the task
-// overlapping the worker's previous inputs (locality bias), then the
-// lowest task ID, so the schedule is a pure function of graph order and
-// cache state: the pick is the minimum of (price, -overlap, id), whatever
-// order the ready list is in. The ready list is attached at the placement
-// node as its work queue, which the node's queue-depth gauge reads.
+// runAffinity is the residency-aware policy: each idle worker takes the
+// ready task with the lowest estimated compute + bytes-to-move price. Ties
+// break toward the task overlapping the worker's previous inputs (locality
+// bias), then the lowest task ID, so the schedule is a pure function of
+// graph order and cache state: the pick is the minimum of (price,
+// -overlap, id). The ready tasks wait in prices' heap, attached at the
+// placement node as its work queue, which the node's queue-depth gauge
+// reads.
 func (r *run) runAffinity() {
 	p := newPrices(r)
 	detach := r.c.Runtime().WatchResidency(r.node, p.watch)
 	defer detach()
-
-	rl := &readyList{ids: make([]int, 0, len(r.g.tasks))}
-	detachReady := r.c.Runtime().AttachQueues(r.node, rl)
+	detachReady := r.c.Runtime().AttachQueues(r.node, p)
 	defer detachReady()
 	last := make([]*Task, r.workers) // each worker's previous task
-	r.work(func(_, id int) { rl.ids = append(rl.ids, id) }, func(w int) (int, string, int64, bool) {
-		ready := rl.ids
-		if len(ready) == 0 {
+	r.work(func(_, id int) { p.push(id) }, func(w int) (int, string, int64, bool) {
+		if p.Len() == 0 {
 			return 0, "", 0, false
 		}
-		best := p.pick(ready, last[w])
-		id := ready[best]
-		ready[best] = ready[len(ready)-1]
-		rl.ids = ready[:len(ready)-1]
-		saved := p.resident[id]
+		id := p.pick(last[w])
+		_, saved := p.move(id)
 		r.st.AffinityPicks++
 		r.st.SavedBytes += saved
 		last[w] = r.g.tasks[id]
@@ -512,49 +508,81 @@ func (r *run) runAffinity() {
 	})
 }
 
-// readyList is affinity placement's shared ready list: the IDs of the
-// ready tasks no worker has taken, in no particular order. It is the
-// policy's work queue on the tree (a sched.Monitor).
-type readyList struct{ ids []int }
-
-// Name names the list in queue reports.
-func (l *readyList) Name() string { return "tg-ready" }
-
-// Len returns the number of ready tasks not yet placed.
-func (l *readyList) Len() int { return len(l.ids) }
-
-// prices is affinity placement's cache of each task's move price: the
-// seconds to fetch the read bytes missing at the placement node, and the
-// bytes already resident there. A price depends only on which of the
-// task's exact read extents the node's staging cache holds (and whether
-// their sources are released), so a task is repriced only after the
-// residency watch reports a change to one of those extents.
+// prices is affinity placement's ready set: an indexed binary min-heap of
+// the ready tasks on (price, ID), where a task's price is the profile's
+// compute estimate plus its move price, the seconds to fetch the read
+// bytes missing at the placement node. A move price depends only on which
+// of the task's exact read extents the node's staging cache holds (and
+// whether their sources are released), so without a profile a ready task
+// is queued for repricing only when it is readied or the residency watch
+// reports a change to one of those extents, and the next pick reprices
+// the queued tasks and restores their heap order. It is the policy's work
+// queue on the tree (a sched.Monitor).
 type prices struct {
-	r        *run
-	moveSec  []float64
-	resident []int64
-	fresh    []bool // false: never priced, or a read extent changed since
+	r     *run
+	tasks []priced // per task
+	heap  []int32  // the ready task IDs, ordered by less
+	// queue holds the ready tasks whose price is stale. A pick empties it
+	// before choosing, and its tie walk reuses the array.
+	queue []int32
+}
+
+// priced is one task's entry in prices.
+type priced struct {
+	price  float64 // the heap key
+	pos    int32   // index in heap; -1 before the task is ready and once it is placed
+	queued bool    // in queue: price is stale
 }
 
 func newPrices(r *run) *prices {
 	n := len(r.g.tasks)
-	return &prices{r: r, moveSec: make([]float64, n), resident: make([]int64, n), fresh: make([]bool, n)}
+	p := &prices{r: r, tasks: make([]priced, n), heap: make([]int32, 0, n), queue: make([]int32, 0, n)}
+	for i := range p.tasks {
+		p.tasks[i].pos = -1
+	}
+	return p
 }
 
-// watch is the residency watch: it marks the readers of k's extent for
-// repricing.
+// Name names the ready set in queue reports.
+func (p *prices) Name() string { return "tg-ready" }
+
+// Len returns the number of ready tasks not yet placed.
+func (p *prices) Len() int { return len(p.heap) }
+
+// push adds a readied task to the heap. It has no price yet, so it sorts
+// last until the next pick gives it its first.
+func (p *prices) push(id int) {
+	t := &p.tasks[id]
+	t.price, t.pos = math.Inf(1), int32(len(p.heap))
+	p.heap = append(p.heap, int32(id))
+	p.up(int(t.pos))
+	p.stale(id)
+}
+
+// watch is the residency watch: it queues the ready readers of k's extent
+// for repricing. It runs inside the cache change, so it prices nothing.
 func (p *prices) watch(k cache.Key) {
-	p.r.g.readers(k.Src, k.Off, k.Len, func(id int) { p.fresh[id] = false })
+	p.r.g.readers(k.Src, k.Off, k.Len, func(id int) {
+		if p.tasks[id].pos >= 0 {
+			p.stale(id)
+		}
+	})
 }
 
-// reprice recomputes one task's price from scratch: how many of its input
-// bytes need no edge crossing right now (extents of higher-level sources
-// staged, or in flight, in the node's cache) and the fetch time of the
-// rest. The sum runs over the reads in declaration order, so the price is
-// bit for bit the one a full rescan would give.
-func (p *prices) reprice(id int) {
-	var resident int64
-	var moveSec float64
+// stale queues a ready task for repricing at the next pick.
+func (p *prices) stale(id int) {
+	if t := &p.tasks[id]; !t.queued {
+		t.queued = true
+		p.queue = append(p.queue, int32(id))
+	}
+}
+
+// move prices one task's reads anew: how many of its input bytes
+// need no edge crossing right now (extents of higher-level sources staged,
+// or in flight, in the node's cache) and the fetch time of the rest. The
+// sum runs over the reads in declaration order, so the price is bit for
+// bit the one a full rescan gives.
+func (p *prices) move(id int) (moveSec float64, resident int64) {
 	rt, node := p.r.c.Runtime(), p.r.node
 	for _, ex := range p.r.g.tasks[id].Reads {
 		if ex.Buf == nil || ex.Len <= 0 || ex.Buf.Node() == node {
@@ -564,42 +592,142 @@ func (p *prices) reprice(id int) {
 		resident += res
 		moveSec += fetchSeconds(ex.Buf, node, ex.Len-res)
 	}
-	p.moveSec[id], p.resident[id], p.fresh[id] = moveSec, resident, true
+	return moveSec, resident
 }
 
-// pick returns the index in ready of the task to place next: the lowest
-// compute + move price, then the most read bytes shared with last, then
-// the lowest ID. The overlap is only computed between tied prices.
-func (p *prices) pick(ready []int, last *Task) int {
-	best, bestAffin, affinKnown := -1, int64(0), false
-	var bestScore float64
-	for i, id := range ready {
-		if !p.fresh[id] {
-			p.reprice(id)
-		}
+// reprice recomputes one task's price: the profile's compute estimate (0
+// without one, or while the task's kind has too few samples) plus its
+// move price.
+func (p *prices) reprice(id int) {
+	var computeSec float64
+	if prof := p.r.o.Profile; prof != nil {
 		t := p.r.g.tasks[id]
-		var computeSec float64
-		if prof := p.r.o.Profile; prof != nil {
-			if pt, ok := prof.Predict(t.Kind, t.Cost); ok {
-				computeSec = pt.Seconds()
-			}
-		}
-		s := computeSec + p.moveSec[id]
-		if best < 0 || s < bestScore {
-			best, bestScore, affinKnown = i, s, false
-			continue
-		}
-		if s != bestScore {
-			continue
-		}
-		if !affinKnown {
-			bestAffin, affinKnown = readOverlap(p.r.g.tasks[ready[best]], last), true
-		}
-		if affin := readOverlap(t, last); affin > bestAffin || affin == bestAffin && id < ready[best] {
-			best, bestAffin = i, affin
+		if pt, ok := prof.Predict(t.Kind, t.Cost); ok {
+			computeSec = pt.Seconds()
 		}
 	}
-	return best
+	moveSec, _ := p.move(id)
+	t := &p.tasks[id]
+	t.price, t.queued = computeSec+moveSec, false
+}
+
+// settle brings every heap key up to date before a pick. Without a
+// profile it reprices the queued tasks and moves each to its place. With
+// one, every task completed since the last pick refitted its kind's
+// compute model, so every ready task is repriced and the heap rebuilt:
+// such a pick costs O(ready), as the linear scan did.
+func (p *prices) settle() {
+	if p.r.o.Profile != nil {
+		for _, id := range p.heap {
+			p.reprice(int(id))
+		}
+		for i := len(p.heap)/2 - 1; i >= 0; i-- {
+			p.down(i)
+		}
+	} else {
+		for _, id := range p.queue {
+			p.reprice(int(id))
+			p.fix(int(p.tasks[id].pos))
+		}
+	}
+	p.queue = p.queue[:0]
+}
+
+// pick removes and returns the task to place next: the lowest price, then
+// the most read bytes shared with last, then the lowest ID. The entries
+// at the lowest price form a subtree of the heap that holds its root, so
+// the tie walk visits only that subtree and computes overlaps only for
+// its entries; without a previous task, or without a tie, the root wins.
+func (p *prices) pick(last *Task) int {
+	p.settle()
+	best := p.heap[0]
+	if last != nil {
+		low := p.tasks[best].price
+		ties := append(p.queue, 0) // heap positions priced low
+		for k := 0; k < len(ties); k++ {
+			for c := 2*ties[k] + 1; c <= 2*ties[k]+2 && int(c) < len(p.heap); c++ {
+				if p.tasks[p.heap[c]].price == low {
+					ties = append(ties, c)
+				}
+			}
+		}
+		if len(ties) > 1 {
+			bestAffin := int64(-1)
+			for _, i := range ties {
+				id := p.heap[i]
+				if affin := readOverlap(p.r.g.tasks[id], last); affin > bestAffin || affin == bestAffin && id < best {
+					best, bestAffin = id, affin
+				}
+			}
+		}
+	}
+	p.remove(best)
+	return int(best)
+}
+
+// less orders the heap by (price, ID).
+func (p *prices) less(a, b int32) bool {
+	pa, pb := p.tasks[a].price, p.tasks[b].price
+	return pa < pb || pa == pb && a < b
+}
+
+// swap exchanges two heap positions and records the tasks' new ones.
+func (p *prices) swap(i, j int) {
+	h := p.heap
+	h[i], h[j] = h[j], h[i]
+	p.tasks[h[i]].pos, p.tasks[h[j]].pos = int32(i), int32(j)
+}
+
+// up moves the entry at position i toward the root past every parent it
+// orders before.
+func (p *prices) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !p.less(p.heap[i], p.heap[parent]) {
+			return
+		}
+		p.swap(i, parent)
+		i = parent
+	}
+}
+
+// down moves the entry at position i toward the leaves past every child
+// that orders before it, and reports whether it moved.
+func (p *prices) down(i int) bool {
+	start, n := i, len(p.heap)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && p.less(p.heap[c+1], p.heap[c]) {
+			c++
+		}
+		if !p.less(p.heap[c], p.heap[i]) {
+			break
+		}
+		p.swap(i, c)
+		i = c
+	}
+	return i > start
+}
+
+// fix restores the heap order after the key at position i changed.
+func (p *prices) fix(i int) {
+	if !p.down(i) {
+		p.up(i)
+	}
+}
+
+// remove takes a task out of the heap.
+func (p *prices) remove(id int32) {
+	i, n := int(p.tasks[id].pos), len(p.heap)-1
+	p.swap(i, n)
+	p.heap = p.heap[:n]
+	p.tasks[id].pos = -1
+	if i < n {
+		p.fix(i)
+	}
 }
 
 // readOverlap sums the bytes t's reads share with last's (0 without a

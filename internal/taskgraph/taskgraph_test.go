@@ -391,33 +391,41 @@ func FuzzGraphAdd(f *testing.F) {
 	})
 }
 
-// BenchmarkAffinityPick runs a 32x32 GEMM-shaped grid under affinity
-// placement with a staging cache of half the 64 shards: task (i, j) reads
-// row shard i of A and column shard j of B through the cache. It reports
-// the host cost of one whole graph run, building the graph included, and
-// per pick.
+// BenchmarkAffinityPick runs GEMM-shaped grids under affinity placement
+// with a staging cache of half the grid's shards: task (i, j) reads row
+// shard i of A and column shard j of B through the cache, and every task
+// is ready at once. Each sub-benchmark reports the host cost of one whole
+// graph run, building the graph included, and per pick; a pick that
+// scans the ready list costs more per pick on the larger grid.
 func BenchmarkAffinityPick(b *testing.B) {
-	const dim, shard = 32, 1 << 20
+	for _, dim := range []int{32, 64} {
+		b.Run(fmt.Sprintf("grid=%dx%d", dim, dim), func(b *testing.B) { benchAffinityGrid(b, dim) })
+	}
+}
+
+// benchAffinityGrid times one dim x dim grid run per iteration.
+func benchAffinityGrid(b *testing.B, dim int) {
+	const shard = 1 << 20
 	b.ReportAllocs()
 	for it := 0; it < b.N; it++ {
 		b.StopTimer()
 		e := sim.NewEngine()
-		tree := topo.APU(e, topo.APUConfig{Storage: topo.SSD, StorageMiB: 128, DRAMMiB: 64})
+		tree := topo.APU(e, topo.APUConfig{Storage: topo.SSD, StorageMiB: 4 * int64(dim), DRAMMiB: 2 * int64(dim)})
 		opts := core.DefaultOptions()
 		opts.Phantom = true
-		opts.Cache = core.CacheOptions{Enabled: true, CapacityBytes: dim * shard}
+		opts.Cache = core.CacheOptions{Enabled: true, CapacityBytes: int64(dim) * shard}
 		rt := core.NewRuntime(e, tree, opts)
 		root := tree.Root()
 		dram := root.Children[0]
-		fa, err := rt.CreateInput(root, "A", dim*shard, nil)
+		fa, err := rt.CreateInput(root, "A", int64(dim)*shard, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		fb, err := rt.CreateInput(root, "B", dim*shard, nil)
+		fb, err := rt.CreateInput(root, "B", int64(dim)*shard, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		fc, err := rt.CreateInput(root, "C", dim*dim*4096, nil)
+		fc, err := rt.CreateInput(root, "C", int64(dim*dim)*4096, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -552,10 +560,11 @@ func rescanAffinity(r *run) {
 // of recurring 1 MiB and 512 KiB extents of two storage sources through
 // the staging cache, writes that chain some tasks, bodies that now and
 // then prefetch an extent or overwrite a source extent they never
-// declared — runs it under
-// affinity placement with the given policy, and returns everything the
-// run decided: execution order, statistics, makespan and cache counters.
-func randomPlacement(t *testing.T, seed int64, policy func(*run)) string {
+// declared — runs it under affinity placement with the given policy, and
+// returns everything the run decided: execution order, statistics,
+// makespan and cache counters. The graph has size to 5*size/2-1 tasks,
+// on 1 to min(size/4, 8) workers.
+func randomPlacement(t *testing.T, seed int64, size int, policy func(*run)) string {
 	t.Helper()
 	state := uint64(seed)*2654435761 + 99991
 	next := func(mod int) int {
@@ -585,14 +594,14 @@ func randomPlacement(t *testing.T, seed int64, policy func(*run)) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := Options{Workers: 1 + next(4), Affinity: true, Node: dram}
+	o := Options{Workers: 1 + next(min(size/4, 8)), Affinity: true, Node: dram}
 	if next(2) == 0 {
 		o.Profile = sched.NewProfileScheduler()
 	}
 
 	g := New()
 	var order []int
-	for i, n := 0, 16+next(24); i < n; i++ {
+	for i, n := 0, size+next(size*3/2); i < n; i++ {
 		var reads []Extent
 		for k := 1 + next(3); k > 0; k-- {
 			ln := int64(1 << 20)
@@ -655,16 +664,18 @@ func randomPlacement(t *testing.T, seed int64, policy func(*run)) string {
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
-	return fmt.Sprintf("order=%v stats=%+v elapsed=%d cache=%+v", order, *st, stats.Elapsed, rt.CacheStats())
+	return fmt.Sprintf("profiled=%v order=%v stats=%+v elapsed=%d cache=%+v",
+		o.Profile != nil, order, *st, stats.Elapsed, rt.CacheStats())
 }
 
 // TestIncrementalPlacementMatchesRescan holds the cached scorer to the
-// full rescan on random graphs, cache sizes, worker counts and profiles:
-// the two must make the same picks, so everything downstream is equal.
+// full rescan on random graphs of 16 to 39 tasks, cache sizes, worker
+// counts and profiles: the two must make the same picks, so everything
+// downstream is equal.
 func TestIncrementalPlacementMatchesRescan(t *testing.T) {
 	f := func(seed int64) bool {
-		got := randomPlacement(t, seed, (*run).runAffinity)
-		want := randomPlacement(t, seed, rescanAffinity)
+		got := randomPlacement(t, seed, 16, (*run).runAffinity)
+		want := randomPlacement(t, seed, 16, rescanAffinity)
 		if got != want {
 			t.Logf("seed %d:\n cached %s\n rescan %s", seed, got, want)
 		}
@@ -673,4 +684,26 @@ func TestIncrementalPlacementMatchesRescan(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzAffinityPickMatchesRescan holds the heap pick to the full rescan on
+// random graphs of up to several hundred tasks on up to 8 workers, with
+// and without a profile (randomPlacement draws one for about half the
+// seeds; the seed corpus has both). At that size the heap is several
+// levels deep and a tie at the lowest price spans its subtrees. Both runs
+// must decide everything alike.
+func FuzzAffinityPickMatchesRescan(f *testing.F) {
+	for _, c := range []struct {
+		seed int64
+		size uint8
+	}{{1, 0}, {2, 48}, {3, 112}, {4, 184}, {5, 250}, {6, 90}} {
+		f.Add(c.seed, c.size)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, size uint8) {
+		n := 16 + int(size)
+		got := randomPlacement(t, seed, n, (*run).runAffinity)
+		if want := randomPlacement(t, seed, n, rescanAffinity); got != want {
+			t.Fatalf("seed %d size %d:\n heap   %s\n rescan %s", seed, n, got, want)
+		}
+	})
 }

@@ -3,6 +3,7 @@ package topo
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 
 	"repro/internal/device"
 	"repro/internal/gpu"
@@ -109,10 +110,29 @@ func BuildSpec(e *sim.Engine, s *Spec) (*Tree, error) {
 	if rootName == "" {
 		return nil, fmt.Errorf("topo: spec %q: no root node", s.Name)
 	}
-	for parent := range children {
-		if _, ok := byName[parent]; !ok {
-			return nil, fmt.Errorf("topo: spec %q: parent %q does not exist", s.Name, parent)
+	for _, n := range s.Nodes {
+		if _, ok := byName[n.Parent]; n.Parent != "" && !ok {
+			return nil, fmt.Errorf("topo: spec %q: parent %q does not exist", s.Name, n.Parent)
 		}
+	}
+	// The tree is built from the root down, so a node on a parent cycle
+	// (its own parent, or nodes that parent each other) would be left out.
+	reached := map[string]bool{rootName: true}
+	for frontier := []string{rootName}; len(frontier) > 0; frontier = frontier[1:] {
+		for _, c := range children[frontier[0]] {
+			reached[c] = true
+			frontier = append(frontier, c)
+		}
+	}
+	if len(reached) < len(s.Nodes) {
+		var lost []string
+		for _, n := range s.Nodes {
+			if !reached[n.Name] {
+				lost = append(lost, fmt.Sprintf("%q", n.Name))
+			}
+		}
+		return nil, fmt.Errorf("topo: spec %q: no path from root %q to %s (their parents form a cycle)",
+			s.Name, rootName, strings.Join(lost, ", "))
 	}
 
 	b := NewBuilder(e)

@@ -70,3 +70,35 @@ func TestAsymmetricSpecShape(t *testing.T) {
 		t.Fatal("asymmetric example has symmetric leaf depths")
 	}
 }
+
+// FuzzBuildSpec feeds arbitrary bytes, seeded with the shipped specs, to
+// ParseSpec and BuildSpec: whenever both succeed, every spec node must be
+// a node of the tree.
+func FuzzBuildSpec(f *testing.F) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "specs", "*.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, name := range files {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(selfParentSpec))
+	f.Add([]byte(parentCycleSpec))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := ParseSpec(data)
+		if err != nil {
+			return
+		}
+		tree, err := BuildSpec(sim.NewEngine(), spec)
+		if err != nil {
+			return
+		}
+		if tree.NumNodes() != len(spec.Nodes) {
+			t.Fatalf("spec of %d nodes built a tree of %d", len(spec.Nodes), tree.NumNodes())
+		}
+	})
+}

@@ -205,14 +205,17 @@ func TestSpecErrors(t *testing.T) {
 	cases := []struct {
 		name string
 		json string
+		want string // a part of the error, if it must name something
 	}{
-		{"empty", `{"name":"x","nodes":[]}`},
-		{"two roots", `{"nodes":[{"name":"a","device":"dram","capacity_mib":1},{"name":"b","device":"dram","capacity_mib":1}]}`},
-		{"bad device", `{"nodes":[{"name":"a","device":"floppy","capacity_mib":1}]}`},
-		{"bad proc", `{"nodes":[{"name":"a","device":"dram","capacity_mib":1,"procs":["tpu"]}]}`},
-		{"dangling parent", `{"nodes":[{"name":"a","device":"dram","capacity_mib":1,"procs":["cpu"]},{"name":"b","parent":"zz","device":"dram","capacity_mib":1}]}`},
-		{"duplicate", `{"nodes":[{"name":"a","device":"dram","capacity_mib":1},{"name":"a","parent":"a","device":"dram","capacity_mib":1}]}`},
-		{"zero capacity", `{"nodes":[{"name":"a","device":"dram","capacity_mib":0,"procs":["cpu"]}]}`},
+		{"empty", `{"name":"x","nodes":[]}`, ""},
+		{"two roots", `{"nodes":[{"name":"a","device":"dram","capacity_mib":1},{"name":"b","device":"dram","capacity_mib":1}]}`, ""},
+		{"bad device", `{"nodes":[{"name":"a","device":"floppy","capacity_mib":1}]}`, ""},
+		{"bad proc", `{"nodes":[{"name":"a","device":"dram","capacity_mib":1,"procs":["tpu"]}]}`, ""},
+		{"dangling parent", `{"nodes":[{"name":"a","device":"dram","capacity_mib":1,"procs":["cpu"]},{"name":"b","parent":"zz","device":"dram","capacity_mib":1}]}`, ""},
+		{"duplicate", `{"nodes":[{"name":"a","device":"dram","capacity_mib":1},{"name":"a","parent":"a","device":"dram","capacity_mib":1}]}`, ""},
+		{"zero capacity", `{"nodes":[{"name":"a","device":"dram","capacity_mib":0,"procs":["cpu"]}]}`, ""},
+		{"self parent", selfParentSpec, `no path from root "a" to "b" (`},
+		{"parent cycle", parentCycleSpec, `no path from root "a" to "b", "c" (`},
 	}
 	for _, c := range cases {
 		s, err := ParseSpec([]byte(c.json))
@@ -221,9 +224,23 @@ func TestSpecErrors(t *testing.T) {
 		}
 		if _, err := BuildSpec(sim.NewEngine(), s); err == nil {
 			t.Errorf("%s: invalid spec accepted", c.name)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not name %s", c.name, err, c.want)
 		}
 	}
 }
+
+// Two specs whose nodes the root cannot reach: "b" parented to itself,
+// and "b" and "c" parenting each other.
+const (
+	selfParentSpec = `{"nodes":[{"name":"a","device":"ssd","capacity_mib":64},
+		{"name":"d","parent":"a","device":"dram","capacity_mib":8,"procs":["cpu"]},
+		{"name":"b","parent":"b","device":"dram","capacity_mib":8}]}`
+	parentCycleSpec = `{"nodes":[{"name":"a","device":"ssd","capacity_mib":64},
+		{"name":"d","parent":"a","device":"dram","capacity_mib":8,"procs":["cpu"]},
+		{"name":"b","parent":"c","device":"dram","capacity_mib":8},
+		{"name":"c","parent":"b","device":"dram","capacity_mib":8}]}`
+)
 
 func TestQueueReportAndSubtreeLoad(t *testing.T) {
 	tree := buildFig2(t)
