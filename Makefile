@@ -18,6 +18,8 @@
 #   make bench-affinity  data-affinity scheduler A/B -> BENCH_affinity.json
 #   make bench-sim    DES-engine dispatch microbenchmarks (ns/event + allocs),
 #                     the streamed-move pump's (ns and allocs per stream),
+#                     the blocking move's (ns and allocs per move, for
+#                     each of its four shapes),
 #                     affinity placement's (ns per pick on a 32x32 and a
 #                     64x64 grid) and the functional kernels' (HotSpot tile,
 #                     GEMM launch, SpMV blocks) at -cpu 1,2
@@ -203,15 +205,16 @@ bench-affinity:
 
 # DES-engine microbenchmarks: per-event cost of both dispatch paths (proc
 # resumption vs inline callback vs same-instant fan-out) with allocation
-# counts, the streamed move, affinity placement on two grid sizes (its cost
-# per pick should barely grow with the ready set), then the functional
-# kernels at one and two CPUs (a launch spreads its workgroups over
-# GOMAXPROCS goroutines). Wall-clock numbers stay out
+# counts, the streamed move, the blocking move in each shape (1-D file to
+# DRAM and DRAM to GPU, strided 2-D, transposing), affinity placement on
+# two grid sizes (its cost per pick should barely grow with the ready
+# set), then the functional kernels at one and two CPUs (a launch spreads
+# its workgroups over GOMAXPROCS goroutines). Wall-clock numbers stay out
 # of the committed artifacts, which record each run's deterministic event,
 # callback and process counts.
 bench-sim:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/sim/
-	$(GO) test -bench=StreamedMove -benchmem -run=^$$ ./internal/core/
+	$(GO) test -bench='StreamedMove|BlockingMove' -benchmem -run=^$$ ./internal/core/
 	$(GO) test -bench=AffinityPick -benchmem -run=^$$ ./internal/taskgraph/
 	$(GO) test -bench=StencilStepFunctional -benchmem -cpu 1,2 -run=^$$ ./internal/apps/hotspot/
 	$(GO) test -bench=TileKernelFunctional -benchmem -cpu 1,2 -run=^$$ ./internal/apps/gemm/
@@ -252,6 +255,7 @@ identity:
 	  run streamed -app hotspot -n 256 -preset discrete -streamed; \
 	  run cache-prefetch -app spmv -n 65536 -iters 4 -cache -prefetch; \
 	  run faults -app gemm -n 256 -faults seed=42,rate=0.05; \
+	  run gemm-discrete-faults -app gemm -n 512 -chunk 128 -preset discrete -faults seed=42,rate=0.05; \
 	  run steal-sampled -app hotspot -n 2048 -steal -phantom -sample-tick-ms 1; \
 	  run affinity-sampled -app gemm -n 1024 -chunk 128 -phantom -cache -affinity on -sample-tick-ms 1; \
 	  run cache-saturated -app spmv -n 262144 -iters 3 -cache -cache-share 1 -affinity on; \

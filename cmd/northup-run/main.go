@@ -244,6 +244,13 @@ func (o *options) validate() error {
 		{"nnz", "want at least 1 non-zero per row", o.nnz >= 1},
 		{"cache-share", "want a fraction of the node in [0, 1] (0 = default 0.5)",
 			o.cacheShare >= 0 && o.cacheShare <= 1},
+		{"storage-mib", "want at least 1 MiB", o.storageMiB >= 1},
+		{"dram-mib", "want at least 1 MiB", o.dramMiB >= 1},
+		{"cache-mib", "want 0 (-cache-share of the node) or more", o.cacheMiB >= 0},
+		{"subchunks", "want 0 (the adaptive sizer) or more", o.subchunks >= 0},
+		{"retries", "want 0 (the default policy) or more", o.retries >= 0},
+		{"trace-events", "want 0 (the default ring) or more", o.traceEvents >= 0},
+		{"sample-tick-ms", "want 0 (off) or more", o.sampleTickMS >= 0},
 	} {
 		if !c.ok {
 			return fmt.Errorf("%s: %s", o.set[c.flag], c.want)

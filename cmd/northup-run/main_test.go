@@ -140,6 +140,15 @@ func TestValidateRefusesIgnoredFlags(t *testing.T) {
 		{"-app spmv -cache -cache-share -1", "-cache-share -1"},
 		{"-app spmv -cache -cache-share 5", "-cache-share 5"},
 		{"-app spmv -cache -cache-share NaN", "-cache-share NaN"},
+		{"-app gemm -storage-mib 0", "-storage-mib 0"},
+		{"-app gemm -storage-mib -1", "-storage-mib -1"},
+		{"-app gemm -dram-mib 0", "-dram-mib 0"},
+		{"-app gemm -dram-mib -1", "-dram-mib -1"},
+		{"-app spmv -cache -cache-mib -5", "-cache-mib -5"},
+		{"-app gemm -streamed -subchunks -3", "-subchunks -3"},
+		{"-app gemm -faults seed=1,rate=0.05 -retries -2", "-retries -2"},
+		{"-app gemm -trace-out t.json -trace-events -4", "-trace-events -4"},
+		{"-app gemm -metrics-out m.json -sample-tick-ms -2", "-sample-tick-ms -2"},
 	} {
 		o, err := parseFlags(strings.Fields(tc.args))
 		if err != nil {

@@ -121,8 +121,8 @@ type Runtime struct {
 	streamInflight int64
 	streams        *streamState
 
-	// scratch recycles the file-to-file staging buffers of moveOnce,
-	// asyncMove and move2DOnce, so retries and hot loops stop re-allocating.
+	// scratch recycles the file-to-file staging buffers of moveOnce and
+	// asyncMove, so retries and hot loops stop re-allocating.
 	scratch [][]byte
 
 	// watches hear residency changes at one node each (WatchResidency).

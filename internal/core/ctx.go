@@ -395,20 +395,13 @@ func (c *Ctx) LaunchKernel(k gpu.Kernel, groups int) (sim.Time, error) {
 // RunCPU executes fn functionally and charges one CPU core for the roofline
 // time of (flops, bytes), accounted as CPU compute.
 func (c *Ctx) RunCPU(flops, bytes float64, fn func()) (sim.Time, error) {
-	return c.runThroughput(proc.CPU, trace.CPUCompute, flops, bytes, fn)
+	return c.runThroughput(proc.CPU, false, trace.CPUCompute, trace.TrackCPU, spanCPU, flops, bytes, fn)
 }
 
 // RunCPUParallel executes fn functionally and occupies every CPU core for
 // the data-parallel roofline time (an OpenMP-style parallel region).
 func (c *Ctx) RunCPUParallel(flops, bytes float64, fn func()) (sim.Time, error) {
-	m := throughputAt(c.node, proc.CPU)
-	if m == nil {
-		return 0, fmt.Errorf("core: no %v at or above %v", proc.CPU, c.node)
-	}
-	t := m.RunParallel(c.p, flops, bytes, fn)
-	c.rt.chargeSpan(c.p, trace.Lane{Node: c.node.ID, Track: trace.TrackCPU},
-		trace.CPUCompute, spanCPU, c.p.Now()-t, c.p.Now(), int64(bytes))
-	return t, nil
+	return c.runThroughput(proc.CPU, true, trace.CPUCompute, trace.TrackCPU, spanCPU, flops, bytes, fn)
 }
 
 // RunPIM executes fn functionally on the in-memory processor at or above
@@ -416,40 +409,28 @@ func (c *Ctx) RunCPUParallel(flops, bytes float64, fn func()) (sim.Time, error) 
 // the memory's internal bandwidth. Running at the data's own node is the
 // point: no move_data to a leaf is needed.
 func (c *Ctx) RunPIM(flops, bytes float64, fn func()) (sim.Time, error) {
-	m := throughputAt(c.node, proc.PIM)
-	if m == nil {
-		return 0, fmt.Errorf("core: no %v at or above %v", proc.PIM, c.node)
-	}
-	t := m.RunParallel(c.p, flops, bytes, fn)
-	c.rt.chargeSpan(c.p, trace.Lane{Node: c.node.ID, Track: trace.TrackPIM},
-		trace.PIMCompute, spanPIM, c.p.Now()-t, c.p.Now(), int64(bytes))
-	return t, nil
+	return c.runThroughput(proc.PIM, true, trace.PIMCompute, trace.TrackPIM, spanPIM, flops, bytes, fn)
 }
 
-func (c *Ctx) runThroughput(k proc.Kind, cat trace.Category, flops, bytes float64, fn func()) (sim.Time, error) {
+// runThroughput runs fn on the kind-k throughput processor of the current
+// node's branch, on one core or data-parallel over all of them, and
+// charges the roofline time to cat as a span named span on the node's
+// track lane.
+func (c *Ctx) runThroughput(k proc.Kind, parallel bool, cat trace.Category, track, span string,
+	flops, bytes float64, fn func()) (sim.Time, error) {
 	m := throughputAt(c.node, k)
 	if m == nil {
 		return 0, fmt.Errorf("core: no %v at or above %v", k, c.node)
 	}
-	t := m.Run(c.p, flops, bytes, fn)
-	track, name := computeTrack(cat)
-	c.rt.chargeSpan(c.p, trace.Lane{Node: c.node.ID, Track: track},
-		cat, name, c.p.Now()-t, c.p.Now(), int64(bytes))
-	return t, nil
-}
-
-// computeTrack maps a compute category to its lane track and span name.
-func computeTrack(cat trace.Category) (track, name string) {
-	switch cat {
-	case trace.GPUCompute:
-		return trace.TrackGPU, spanKernel
-	case trace.PIMCompute:
-		return trace.TrackPIM, spanPIM
-	case trace.FPGACompute:
-		return trace.TrackFPGA, spanFPGA
-	default:
-		return trace.TrackCPU, spanCPU
+	var t sim.Time
+	if parallel {
+		t = m.RunParallel(c.p, flops, bytes, fn)
+	} else {
+		t = m.Run(c.p, flops, bytes, fn)
 	}
+	c.rt.chargeSpan(c.p, trace.Lane{Node: c.node.ID, Track: track},
+		cat, span, c.p.Now()-t, c.p.Now(), int64(bytes))
+	return t, nil
 }
 
 // ChargeTask accounts d of compute in category cat that a proc-less worker

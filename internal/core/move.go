@@ -7,6 +7,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/trace"
+	"repro/internal/view"
 	"repro/internal/xfer"
 )
 
@@ -24,28 +25,57 @@ func (rt *Runtime) MoveData(p *sim.Proc, dst *Buffer, src *Buffer, dstOff, srcOf
 	if err := checkMove(dst, src, dstOff, srcOff, n); err != nil {
 		return err
 	}
+	return rt.move(p, dst, src, dstOff, srcOff, flat(n, "move_data", spanMove))
+}
+
+// block is the shape of one blocking move: rows rows of row bytes, each
+// row a stride after the last on its side. A transposing move is one row
+// holding its whole tRows x tCols float32 matrix (both zero for every
+// other move). what labels the move's retries and errors, span its charge.
+type block struct {
+	rows, row            int64
+	dstStride, srcStride int64
+	tRows, tCols         int
+	what, span           string
+}
+
+// flat is the shape of n contiguous bytes: one row whose strides are its
+// length, so it pays no per-row descriptor cost.
+func flat(n int64, what, span string) *block {
+	return &block{rows: 1, row: n, dstStride: n, srcStride: n, what: what, span: span}
+}
+
+// move is the prelude of every blocking move, run once the method has
+// checked its shape: the destination check, then for a non-empty block
+// one invalidation of the written span, bookkeeping, and the attempts
+// under the retry policy. Invalidation runs once, outside the retry loop:
+// cached copies of the written range must vanish whether or not the move
+// needs re-attempts, and a retried move must not double-count them.
+func (rt *Runtime) move(p *sim.Proc, dst, src *Buffer, dstOff, srcOff int64, b *block) error {
 	if err := rt.checkMoveDst(dst); err != nil {
 		return err
 	}
-	if n == 0 {
+	if b.rows*b.row == 0 {
 		return nil
 	}
-	// Invalidate once, outside the retry loop: cached copies of the written
-	// range must vanish whether or not the move needs re-attempts, and a
-	// retried move must not double-count invalidations.
-	rt.invalidateRange(p, dst, dstOff, n)
+	rt.invalidateRange(p, dst, dstOff, (b.rows-1)*b.dstStride+b.row)
 	rt.chargeOverhead(p)
-	return rt.withRetry(p, "move_data", func() error {
-		return rt.moveOnce(p, dst, src, dstOff, srcOff, n)
+	return rt.withRetry(p, b.what, func() error {
+		return rt.moveOnce(p, dst, src, dstOff, srcOff, b)
 	})
 }
 
-// moveOnce is one attempt of MoveData: the fault check, then the dispatch
-// of Listing 4. A file access is its device charge followed by the copy
-// (storage.File's ReadAt is Charge then Peek, WriteAt is Charge then
-// Preload); phantom mode charges the same and skips the copies. asyncMove
-// is the same attempt on engine callbacks, charge for charge.
-func (rt *Runtime) moveOnce(p *sim.Proc, dst *Buffer, src *Buffer, dstOff, srcOff, n int64) error {
+// moveOnce is one attempt of a blocking move: the fault check, then the
+// dispatch of Listing 4 row by row. The whole block is one injectable
+// unit: a fault aborts the attempt and the retry re-issues every row, as a
+// failed scatter/gather DMA is re-queued whole. A file row is one I/O
+// request, its device charge followed by the copy (storage.File's ReadAt
+// is Charge then Peek, WriteAt is Charge then Preload), so discontiguous
+// layouts pay per-row latency and seeks; phantom mode charges the same and
+// skips the copies. A memory-to-memory block is one link transfer.
+// asyncMove is the one-row attempt on engine callbacks, charge for charge.
+func (rt *Runtime) moveOnce(p *sim.Proc, dst *Buffer, src *Buffer, dstOff, srcOff int64, b *block) error {
+	n := b.rows * b.row
 	if err := rt.faultTransfer(p, src, dst, n); err != nil {
 		return err
 	}
@@ -56,8 +86,11 @@ func (rt *Runtime) moveOnce(p *sim.Proc, dst *Buffer, src *Buffer, dstOff, srcOf
 	switch {
 	case src.file != nil && dst.file == nil:
 		cat = trace.IO
-		if err = src.file.Charge(p, device.Read, srcOff, n); err == nil && copies {
-			err = src.file.Peek(dst.data[dstOff:dstOff+n], srcOff)
+		for r := int64(0); r < b.rows && err == nil; r++ {
+			s, d := srcOff+r*b.srcStride, dstOff+r*b.dstStride
+			if err = src.file.Charge(p, device.Read, s, b.row); err == nil && copies {
+				err = src.file.Peek(dst.data[d:d+b.row], s)
+			}
 		}
 		if err == nil && dst.node.Kind() == device.KindGPUMem {
 			// GPUDirect-style path: the storage read lands in device memory
@@ -69,32 +102,59 @@ func (rt *Runtime) moveOnce(p *sim.Proc, dst *Buffer, src *Buffer, dstOff, srcOf
 		if src.node.Kind() == device.KindGPUMem {
 			rt.pcie.Transfer(p, src.node.Mem, nil, n)
 		}
-		if err = dst.file.Charge(p, device.Write, dstOff, n); err == nil && copies {
-			err = dst.file.Preload(src.data[srcOff:srcOff+n], dstOff)
+		for r := int64(0); r < b.rows && err == nil; r++ {
+			s, d := srcOff+r*b.srcStride, dstOff+r*b.dstStride
+			if err = dst.file.Charge(p, device.Write, d, b.row); err == nil && copies {
+				err = dst.file.Preload(src.data[s:s+b.row], d)
+			}
 		}
 	case src.file != nil && dst.file != nil:
 		cat = trace.IO
 		var tmp []byte
 		if copies {
-			tmp = rt.getScratch(n)
+			tmp = rt.getScratch(b.row)
 		}
-		if err = src.file.Charge(p, device.Read, srcOff, n); err == nil && copies {
-			err = src.file.Peek(tmp, srcOff)
-		}
-		if err == nil {
-			if err = dst.file.Charge(p, device.Write, dstOff, n); err == nil && copies {
-				err = dst.file.Preload(tmp, dstOff)
+		for r := int64(0); r < b.rows && err == nil; r++ {
+			s, d := srcOff+r*b.srcStride, dstOff+r*b.dstStride
+			if err = src.file.Charge(p, device.Read, s, b.row); err == nil && copies {
+				err = src.file.Peek(tmp, s)
+			}
+			if err == nil {
+				err = dst.file.Charge(p, device.Write, d, b.row)
+			}
+			if err == nil && copies {
+				err = dst.file.Preload(tmp, d)
 			}
 		}
 		rt.putScratch(tmp)
 	default: // memory to memory
 		cat = trace.Transfer
-		if copies {
-			copy(dst.data[dstOff:dstOff+n], src.data[srcOff:srcOff+n])
+		switch {
+		case !copies: // phantom mode charges the block without copying it
+		case b.tRows > 0:
+			err = xfer.TransposeF32(view.F32(dst.data[dstOff:dstOff+n]),
+				view.F32(src.data[srcOff:srcOff+n]), b.tRows, b.tCols)
+		default:
+			err = xfer.Copy2D(dst.data, dstOff, b.dstStride, src.data, srcOff, b.srcStride,
+				int(b.rows), int(b.row))
 		}
-		rt.link(src, dst).Transfer(p, src.node.Mem, dst.node.Mem, n)
+		if err == nil {
+			rt.link(src, dst).Transfer(p, src.node.Mem, dst.node.Mem, n)
+			switch {
+			case b.tRows > 0:
+				// §VI's layout transform: one reorganization pass over the
+				// block at the destination.
+				dst.node.Mem.Access(p, device.Write, dstOff, n)
+			case b.srcStride != b.row || b.dstStride != b.row:
+				// Non-contiguous layouts pay a per-row descriptor cost on
+				// the DMA path — the reason §VI's layout transformation wins
+				// once data is reused enough.
+				p.Sleep(sim.Time(b.rows) *
+					max(src.node.Mem.Profile().Latency, dst.node.Mem.Profile().Latency))
+			}
+		}
 	}
-	rt.chargeSpan(p, moveLane(cat, dst, src), cat, spanMove, start, p.Now(), n)
+	rt.chargeSpan(p, moveLane(cat, dst, src), cat, b.span, start, p.Now(), n)
 	return err
 }
 
@@ -334,11 +394,9 @@ func (m *asyncMove) retry() {
 
 // MoveData2D copies a rows x rowBytes block with independent strides on
 // each side — the dCopyBlockH2D/D2H pattern of the paper's Listing 2,
-// subsumed into the unified interface.
-//
-// Strided file accesses are issued row by row (each row is one I/O request,
-// so discontiguous layouts pay per-row latency and seeks); strided
-// memory-to-memory copies use one DMA transfer for the whole block.
+// subsumed into the unified interface. Strided file accesses are issued
+// row by row; strided memory-to-memory copies use one DMA transfer for the
+// whole block (see moveOnce).
 func (rt *Runtime) MoveData2D(p *sim.Proc, dst *Buffer, src *Buffer,
 	dstOff, dstStride, srcOff, srcStride int64, rows int, rowBytes int) error {
 	if rows < 0 || rowBytes < 0 {
@@ -359,95 +417,8 @@ func (rt *Runtime) MoveData2D(p *sim.Proc, dst *Buffer, src *Buffer,
 		dstOff+int64(rows-1)*dstStride, srcOff+int64(rows-1)*srcStride, int64(rowBytes)); err != nil {
 		return err
 	}
-	if err := rt.checkMoveDst(dst); err != nil {
-		return err
-	}
-	rt.invalidateRange(p, dst, dstOff, int64(rows-1)*dstStride+int64(rowBytes))
-	rt.chargeOverhead(p)
-	return rt.withRetry(p, "move_data_2d", func() error {
-		return rt.move2DOnce(p, dst, src, dstOff, dstStride, srcOff, srcStride, rows, rowBytes)
-	})
-}
-
-// move2DOnce is one attempt of MoveData2D. The whole block is one
-// injectable unit: a fault aborts the attempt and the retry re-issues every
-// row, which matches how a failed scatter/gather DMA is re-queued whole.
-// Like moveOnce's, a file row is its charge then its copy, and phantom
-// mode skips the copies.
-func (rt *Runtime) move2DOnce(p *sim.Proc, dst *Buffer, src *Buffer,
-	dstOff, dstStride, srcOff, srcStride int64, rows int, rowBytes int) error {
-	if err := rt.faultTransfer(p, src, dst, int64(rows)*int64(rowBytes)); err != nil {
-		return err
-	}
-	copies := !rt.opts.Phantom
-	start := p.Now()
-	row := int64(rowBytes)
-	var cat trace.Category
-	var err error
-	switch {
-	case src.file != nil && dst.file == nil:
-		cat = trace.IO
-		for r := int64(0); r < int64(rows) && err == nil; r++ {
-			s, d := srcOff+r*srcStride, dstOff+r*dstStride
-			if err = src.file.Charge(p, device.Read, s, row); err == nil && copies {
-				err = src.file.Peek(dst.data[d:d+row], s)
-			}
-		}
-		if err == nil && dst.node.Kind() == device.KindGPUMem {
-			// The GPUDirect-style crossing, as in moveOnce.
-			rt.pcie.Transfer(p, nil, dst.node.Mem, int64(rows)*row)
-		}
-	case src.file == nil && dst.file != nil:
-		cat = trace.IO
-		if src.node.Kind() == device.KindGPUMem {
-			rt.pcie.Transfer(p, src.node.Mem, nil, int64(rows)*row)
-		}
-		for r := int64(0); r < int64(rows) && err == nil; r++ {
-			s, d := srcOff+r*srcStride, dstOff+r*dstStride
-			if err = dst.file.Charge(p, device.Write, d, row); err == nil && copies {
-				err = dst.file.Preload(src.data[s:s+row], d)
-			}
-		}
-	case src.file != nil && dst.file != nil:
-		cat = trace.IO
-		var tmp []byte
-		if copies {
-			tmp = rt.getScratch(row)
-		}
-		for r := int64(0); r < int64(rows) && err == nil; r++ {
-			s, d := srcOff+r*srcStride, dstOff+r*dstStride
-			if err = src.file.Charge(p, device.Read, s, row); err == nil && copies {
-				err = src.file.Peek(tmp, s)
-			}
-			if err == nil {
-				err = dst.file.Charge(p, device.Write, d, row)
-			}
-			if err == nil && copies {
-				err = dst.file.Preload(tmp, d)
-			}
-		}
-		rt.putScratch(tmp)
-	default:
-		cat = trace.Transfer
-		if copies {
-			err = xfer.Copy2D(dst.data, dstOff, dstStride, src.data, srcOff, srcStride, rows, rowBytes)
-		}
-		if err == nil {
-			rt.link(src, dst).Transfer(p, src.node.Mem, dst.node.Mem, int64(rows)*row)
-			// Non-contiguous layouts pay a per-row descriptor cost on the
-			// DMA path — the reason §VI's layout transformation wins once
-			// data is reused enough.
-			if srcStride != row || dstStride != row {
-				per := src.node.Mem.Profile().Latency
-				if l := dst.node.Mem.Profile().Latency; l > per {
-					per = l
-				}
-				p.Sleep(sim.Time(rows) * per)
-			}
-		}
-	}
-	rt.chargeSpan(p, moveLane(cat, dst, src), cat, spanMove2D, start, p.Now(), int64(rows)*row)
-	return err
+	return rt.move(p, dst, src, dstOff, srcOff, &block{rows: int64(rows), row: int64(rowBytes),
+		dstStride: dstStride, srcStride: srcStride, what: "move_data_2d", span: spanMove2D})
 }
 
 // link selects the interconnect for a memory-to-memory move: PCIe when a

@@ -128,3 +128,64 @@ func TestMove2DRandomRectangles(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkBlockingMove times one blocking move of each shape from one
+// proc on the phantom discrete tree, so it measures the runtime's own cost
+// per move — checks, bookkeeping, the Listing 4 dispatch, device and link
+// charges — not payload copies: 1-D file to DRAM and DRAM to GPU memory,
+// a strided 2-D block in DRAM, and a transposing DRAM to DRAM move.
+func BenchmarkBlockingMove(b *testing.B) {
+	const n = 1 << 20
+	const rows, row = 64, 8 << 10
+	for _, bc := range []struct {
+		name     string
+		src, dst func(rt *Runtime) *topo.Node
+		move     func(c *Ctx, dst, src *Buffer) error
+	}{
+		{"file-dram", rootNode, dramNode, func(c *Ctx, dst, src *Buffer) error {
+			return c.MoveData(dst, src, 0, 0, n)
+		}},
+		{"dram-gpu", dramNode, gpuLeaf, func(c *Ctx, dst, src *Buffer) error {
+			return c.MoveData(dst, src, 0, 0, n)
+		}},
+		{"strided-2d", dramNode, dramNode, func(c *Ctx, dst, src *Buffer) error {
+			return c.MoveData2D(dst, src, 0, row, 0, 2*row, rows, row)
+		}},
+		{"transpose", dramNode, dramNode, func(c *Ctx, dst, src *Buffer) error {
+			return c.MoveDataTransposeF32(dst, src, 0, 0, 512, 512)
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			e := sim.NewEngine()
+			tree := topo.Discrete(e, topo.DiscreteConfig{Storage: topo.SSD,
+				StorageMiB: 64, DRAMMiB: 64, GPUMemMiB: 32})
+			opts := DefaultOptions()
+			opts.Phantom = true
+			rt := NewRuntime(e, tree, opts)
+			b.ReportAllocs()
+			_, err := rt.Run("bench", func(c *Ctx) error {
+				src, err := c.AllocAt(bc.src(rt), n)
+				if err != nil {
+					return err
+				}
+				dst, err := c.AllocAt(bc.dst(rt), n)
+				if err != nil {
+					return err
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := bc.move(c, dst, src); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
+func rootNode(rt *Runtime) *topo.Node { return rt.tree.Root() }
+func dramNode(rt *Runtime) *topo.Node { return rt.tree.Root().Children[0] }

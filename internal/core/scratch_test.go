@@ -35,7 +35,7 @@ func TestFileToFileMoveUsesScratchPool(t *testing.T) {
 		runtime.GC()
 		runtime.ReadMemStats(&m0)
 		for i := 0; i < rounds; i++ {
-			if err := rt.moveOnce(c.p, dst, src, 0, 0, n); err != nil {
+			if err := rt.moveOnce(c.p, dst, src, 0, 0, flat(n, "move_data", spanMove)); err != nil {
 				return err
 			}
 		}

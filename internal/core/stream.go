@@ -54,10 +54,11 @@ import (
 type StreamOptions struct {
 	// SubChunks fixes the number of sub-chunks. 0 means adaptive: the sizer
 	// balances per-hop service times from the device/link profiles
-	// (stream.Size) and degenerates to 1 when splitting cannot help.
+	// (stream.Size) and degenerates to 1 when splitting cannot help. A
+	// negative count is refused.
 	SubChunks int
 	// Depth is the number of staging slots per intermediate node. 0 means 2
-	// (double buffering).
+	// (double buffering); a negative depth is refused.
 	Depth int
 	// OnChunk, when set, is invoked at the destination node as each
 	// sub-chunk lands (index i, payload range [off, off+n) relative to the
@@ -303,6 +304,12 @@ func streamPlan(hops []stream.Hop, n int64, o StreamOptions) stream.Plan {
 // src.node and dst.node. The caller has validated buffer ranges and the
 // ancestor/descendant relationship.
 func (rt *Runtime) moveDataStreamed(c *Ctx, dst, src *Buffer, dstOff, srcOff, n int64, o StreamOptions) error {
+	if o.SubChunks < 0 {
+		return fmt.Errorf("core: streamed move with StreamOptions.SubChunks %d: want 0 (adaptive) or more", o.SubChunks)
+	}
+	if o.Depth < 0 {
+		return fmt.Errorf("core: streamed move with StreamOptions.Depth %d: want 0 (double buffering) or more", o.Depth)
+	}
 	if err := rt.checkMoveDst(dst); err != nil {
 		return err
 	}

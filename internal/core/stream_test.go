@@ -489,6 +489,53 @@ func TestStreamedRejectsBadEndpoints(t *testing.T) {
 	}
 }
 
+// TestStreamedRefusesNegativeOptions: a negative SubChunks or Depth is
+// refused by name in both directions, before anything moves, while zero
+// keeps meaning the default (the adaptive sizer, double buffering).
+func TestStreamedRefusesNegativeOptions(t *testing.T) {
+	const n = 1 << 20
+	_, rt := newDiscreteRuntime(t)
+	stats, err := rt.Run("bad-options", func(c *Ctx) error {
+		src, err := c.rt.CreateInput(rt.Tree().Root(), "in", n, streamPattern(n))
+		if err != nil {
+			return err
+		}
+		leaf, err := c.AllocAt(gpuLeaf(rt), n)
+		if err != nil {
+			return err
+		}
+		for _, tc := range []struct {
+			o    StreamOptions
+			want string
+		}{
+			{StreamOptions{SubChunks: -3}, "StreamOptions.SubChunks -3"},
+			{StreamOptions{Depth: -1}, "StreamOptions.Depth -1"},
+			{StreamOptions{SubChunks: 4, Depth: -2}, "StreamOptions.Depth -2"},
+		} {
+			down := c.MoveDataDownStreamed(leaf, src, 0, 0, n, tc.o)
+			up := c.MoveDataUpStreamed(src, leaf, 0, 0, n, tc.o)
+			for _, err := range []error{down, up} {
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%+v: err = %v, want one naming %s", tc.o, err, tc.want)
+				}
+			}
+		}
+		if rt.StreamStats().Streams != 0 {
+			t.Errorf("refused streams counted: %+v", rt.StreamStats())
+		}
+		return c.MoveDataDownStreamed(leaf, src, 0, 0, n, StreamOptions{})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ss := rt.StreamStats(); ss.Streams != 1 || ss.HopMoves < 2 {
+		t.Fatalf("zero options did not run the default stream: %+v", ss)
+	}
+	if stats.Breakdown.Busy(trace.IO) == 0 {
+		t.Fatal("default stream moved nothing")
+	}
+}
+
 var errStreamTest = &streamTestError{}
 
 type streamTestError struct{}

@@ -3,11 +3,7 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/device"
 	"repro/internal/sim"
-	"repro/internal/trace"
-	"repro/internal/view"
-	"repro/internal/xfer"
 )
 
 // This file implements the paper's §VI "Data Layout" extension: "when data
@@ -38,29 +34,7 @@ func (rt *Runtime) MoveDataTransposeF32(p *sim.Proc, dst, src *Buffer, dstOff, s
 	if rows <= 0 || cols <= 0 {
 		return fmt.Errorf("core: transforming move of %dx%d block", rows, cols)
 	}
-	if err := rt.checkMoveDst(dst); err != nil {
-		return err
-	}
-	rt.invalidateRange(p, dst, dstOff, n)
-	rt.chargeOverhead(p)
-	return rt.withRetry(p, "move_data_transpose", func() error {
-		if err := rt.faultTransfer(p, src, dst, n); err != nil {
-			return err
-		}
-		start := p.Now()
-		if !rt.opts.Phantom {
-			sv := view.F32(src.data[srcOff : srcOff+n])
-			dv := view.F32(dst.data[dstOff : dstOff+n])
-			if err := xfer.TransposeF32(dv, sv, rows, cols); err != nil {
-				return err
-			}
-		}
-		// Normal migration cost...
-		rt.link(src, dst).Transfer(p, src.node.Mem, dst.node.Mem, n)
-		// ...plus the reorganization pass at the destination.
-		dst.node.Mem.Access(p, device.Write, dstOff, n)
-		rt.chargeSpan(p, trace.Lane{Node: dst.node.ID, Track: trace.TrackXfer},
-			trace.Transfer, spanTranspose, start, p.Now(), n)
-		return nil
-	})
+	b := flat(n, "move_data_transpose", spanTranspose)
+	b.tRows, b.tCols = rows, cols
+	return rt.move(p, dst, src, dstOff, srcOff, b)
 }

@@ -3,6 +3,7 @@ package topo
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/device"
@@ -33,7 +34,8 @@ type NodeSpec struct {
 	Device string `json:"device"`
 	// CapacityMiB is the device capacity.
 	CapacityMiB int64 `json:"capacity_mib"`
-	// ReadMBps/WriteMBps override bandwidth for "ssd" (the §V-D sweep).
+	// ReadMBps/WriteMBps override bandwidth for "ssd" (the §V-D sweep); 0
+	// keeps the default, and other devices refuse them.
 	ReadMBps  float64 `json:"read_mbps,omitempty"`
 	WriteMBps float64 `json:"write_mbps,omitempty"`
 	// Procs lists processors to attach: "apu-gpu", "discrete-gpu", "cpu",
@@ -60,6 +62,10 @@ func profileFor(n NodeSpec) (device.Profile, error) {
 	if capacity <= 0 {
 		return device.Profile{}, fmt.Errorf("topo: node %q: capacity %d MiB invalid", n.Name, n.CapacityMiB)
 	}
+	if n.Device != "ssd" && (n.ReadMBps != 0 || n.WriteMBps != 0) {
+		return device.Profile{}, fmt.Errorf("topo: node %q: read_mbps and write_mbps apply to \"ssd\" only, not %q",
+			n.Name, n.Device)
+	}
 	switch n.Device {
 	case "hdd":
 		return device.HDDProfile(capacity), nil
@@ -71,7 +77,14 @@ func profileFor(n NodeSpec) (device.Profile, error) {
 		if w == 0 {
 			w = 600
 		}
-		return device.SSDProfile(capacity, r, w), nil
+		p := device.SSDProfile(capacity, r, w)
+		// A bandwidth of zero or less, or one that overflows, would make
+		// every transfer free (sim.TransferTime).
+		if !(p.ReadBW > 0 && p.WriteBW > 0) || math.IsInf(p.ReadBW+p.WriteBW, 1) {
+			return device.Profile{}, fmt.Errorf("topo: node %q: read_mbps %g, write_mbps %g: want positive, finite bandwidths (0 = default)",
+				n.Name, n.ReadMBps, n.WriteMBps)
+		}
+		return p, nil
 	case "nvm":
 		return device.NVMProfile(capacity), nil
 	case "dram":

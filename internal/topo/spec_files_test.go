@@ -1,10 +1,12 @@
 package topo
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/device"
 	"repro/internal/sim"
 )
 
@@ -73,7 +75,8 @@ func TestAsymmetricSpecShape(t *testing.T) {
 
 // FuzzBuildSpec feeds arbitrary bytes, seeded with the shipped specs, to
 // ParseSpec and BuildSpec: whenever both succeed, every spec node must be
-// a node of the tree.
+// a node of the tree, and every SSD must have a positive, finite read and
+// write bandwidth.
 func FuzzBuildSpec(f *testing.F) {
 	files, err := filepath.Glob(filepath.Join("..", "..", "specs", "*.json"))
 	if err != nil {
@@ -99,6 +102,13 @@ func FuzzBuildSpec(f *testing.F) {
 		}
 		if tree.NumNodes() != len(spec.Nodes) {
 			t.Fatalf("spec of %d nodes built a tree of %d", len(spec.Nodes), tree.NumNodes())
+		}
+		for id := 0; id < tree.NumNodes(); id++ {
+			p := tree.Node(id).Mem.Profile()
+			if p.Kind == device.KindSSD && !(p.ReadBW > 0 && p.WriteBW > 0 &&
+				!math.IsInf(p.ReadBW, 1) && !math.IsInf(p.WriteBW, 1)) {
+				t.Fatalf("ssd node %d built with read %g, write %g B/s", id, p.ReadBW, p.WriteBW)
+			}
 		}
 	})
 }

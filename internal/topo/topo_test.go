@@ -216,6 +216,14 @@ func TestSpecErrors(t *testing.T) {
 		{"zero capacity", `{"nodes":[{"name":"a","device":"dram","capacity_mib":0,"procs":["cpu"]}]}`, ""},
 		{"self parent", selfParentSpec, `no path from root "a" to "b" (`},
 		{"parent cycle", parentCycleSpec, `no path from root "a" to "b", "c" (`},
+		{"bandwidth off ssd", `{"nodes":[{"name":"disk","device":"hdd","capacity_mib":1024,"read_mbps":5000},
+			{"name":"d","parent":"disk","device":"dram","capacity_mib":16,"procs":["cpu"]}]}`, `node "disk"`},
+		{"negative ssd bandwidth", `{"nodes":[{"name":"disk","device":"ssd","capacity_mib":1024,"read_mbps":-1400},
+			{"name":"d","parent":"disk","device":"dram","capacity_mib":16,"procs":["cpu"]}]}`, `node "disk"`},
+		{"negative ssd write bandwidth", `{"nodes":[{"name":"disk","device":"ssd","capacity_mib":1024,"write_mbps":-1},
+			{"name":"d","parent":"disk","device":"dram","capacity_mib":16,"procs":["cpu"]}]}`, `node "disk"`},
+		{"overflowing ssd bandwidth", `{"nodes":[{"name":"disk","device":"ssd","capacity_mib":1024,"read_mbps":1e308},
+			{"name":"d","parent":"disk","device":"dram","capacity_mib":16,"procs":["cpu"]}]}`, `node "disk"`},
 	}
 	for _, c := range cases {
 		s, err := ParseSpec([]byte(c.json))
