@@ -76,6 +76,7 @@ fuzz:
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzEventQueueMatchesHeap$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/workload -run '^$$' -fuzz '^FuzzSparseMatchesRand$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/journey -run '^$$' -fuzz '^FuzzJourneySegments$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzMoveRanges$$' -fuzztime $(FUZZTIME)
 
 # The benchmark harness is its own module (benchmark/go.mod), so the root
 # `go test ./...` skips it, yet it compiles against the runtime's public
@@ -260,6 +261,10 @@ identity:
 	  run affinity-sampled -app gemm -n 1024 -chunk 128 -phantom -cache -affinity on -sample-tick-ms 1; \
 	  run cache-saturated -app spmv -n 262144 -iters 3 -cache -cache-share 1 -affinity on; \
 	  run cache-saturated-discrete -app spmv -n 1048576 -iters 3 -phantom -cache -cache-share 1 -prefetch -preset discrete; \
+	  run gemm-inmemory -app gemm -n 512 -preset inmemory; \
+	  run hotspot-inmemory -app hotspot -n 512 -preset inmemory; \
+	  run spmv-inmemory -app spmv -n 65536 -preset inmemory; \
+	  run hotspot-asymmetric -app hotspot -spec $(CURDIR)/specs/asymmetric.json; \
 	  for sc in specs/scenarios/*; do \
 	    dir=$$out/serve/$$(basename $$sc); mkdir -p $$dir; \
 	    (cd $$dir && $$bin/northup-serve -scenario $(CURDIR)/$$sc -journeys -format json \

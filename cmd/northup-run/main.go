@@ -369,12 +369,8 @@ func main() {
 			printTaskStats(ts)
 			break
 		}
-		if o.schedule() == schedInMemory {
-			res, err = northup.GEMMInMemory(rt, northup.GEMMConfig{N: n, Seed: 1})
-		} else {
-			res, err = northup.GEMMNorthup(rt, northup.GEMMConfig{N: n, Seed: 1, ShardDim: o.chunk,
-				Streamed: o.streamed, StreamOpts: northup.StreamOptions{SubChunks: o.subchunks}})
-		}
+		res, err = northup.GEMMNorthup(rt, northup.GEMMConfig{N: n, Seed: 1, ShardDim: o.chunk,
+			Streamed: o.streamed, StreamOpts: northup.StreamOptions{SubChunks: o.subchunks}})
 		if err != nil {
 			fatal(err)
 		}
@@ -393,14 +389,8 @@ func main() {
 				n, res.ChunkDim, iters, res.Pops, res.Steals, res.TasksByGPU, res.TasksByCPU, res.Failovers)
 			break
 		}
-		cfg := northup.HotSpotConfig{N: n, Seed: 1, ChunkDim: o.chunk, Iters: iters,
-			Streamed: o.streamed, StreamOpts: northup.StreamOptions{SubChunks: o.subchunks}}
-		var res *northup.HotSpotResult
-		if o.schedule() == schedInMemory {
-			res, err = northup.HotSpotInMemory(rt, cfg)
-		} else {
-			res, err = northup.HotSpotNorthup(rt, cfg)
-		}
+		res, err := northup.HotSpotNorthup(rt, northup.HotSpotConfig{N: n, Seed: 1, ChunkDim: o.chunk,
+			Iters: iters, Streamed: o.streamed, StreamOpts: northup.StreamOptions{SubChunks: o.subchunks}})
 		if err != nil {
 			fatal(err)
 		}
@@ -425,11 +415,7 @@ func main() {
 			printTaskStats(ts)
 			break
 		}
-		if o.schedule() == schedInMemory {
-			res, err = northup.SpMVInMemory(rt, cfg)
-		} else {
-			res, err = northup.SpMVNorthup(rt, cfg)
-		}
+		res, err = northup.SpMVNorthup(rt, cfg)
 		if err != nil {
 			fatal(err)
 		}

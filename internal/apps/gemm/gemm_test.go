@@ -2,6 +2,7 @@ package gemm
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -179,7 +180,7 @@ func TestInMemoryBaseline(t *testing.T) {
 	e := sim.NewEngine()
 	rt := core.NewRuntime(e, topo.InMemory(e, 16), core.DefaultOptions())
 	cfg := Config{N: 128, Seed: 17}
-	res, err := RunInMemory(rt, cfg)
+	res, err := RunNorthup(rt, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func TestOutOfCoreSlowerThanInMemory(t *testing.T) {
 	cfg := Config{N: 256, Seed: 11}
 	e := sim.NewEngine()
 	rtIM := core.NewRuntime(e, topo.InMemory(e, 16), core.DefaultOptions())
-	im, err := RunInMemory(rtIM, cfg)
+	im, err := RunNorthup(rtIM, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,9 +223,37 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := RunNorthup(rt, Config{N: 0}); err == nil {
 		t.Fatal("zero N accepted")
 	}
-	// In-memory on a storage-rooted tree must be rejected.
-	if _, err := RunInMemory(rt, Config{N: 128}); err == nil {
-		t.Fatal("in-memory baseline ran on storage tree")
+	// A field the run would ignore, or misread as its default, is refused
+	// by name before anything is charged: on a memory root every
+	// out-of-core field, on any root StreamOpts without Streamed and a
+	// negative Depth.
+	streamOpts := core.StreamOptions{SubChunks: 8}
+	for _, tc := range []struct {
+		cfg      Config
+		inMemory bool
+		want     string
+	}{
+		{Config{N: 128, ShardDim: 64}, true, "Config.ShardDim"},
+		{Config{N: 128, Depth: 3}, true, "Config.Depth"},
+		{Config{N: 128, Sequential: true}, true, "Config.Sequential"},
+		{Config{N: 128, StageB: true}, true, "Config.StageB"},
+		{Config{N: 128, Streamed: true, StreamOpts: streamOpts}, true, "Config.Streamed"},
+		{Config{N: 128, StreamOpts: streamOpts}, true, "Config.StreamOpts"},
+		{Config{N: 128, StreamOpts: streamOpts}, false, "Config.StreamOpts"},
+		{Config{N: 128, Depth: -3}, false, "Depth=-3"},
+	} {
+		rt := newOutOfCoreRuntime(true)
+		if tc.inMemory {
+			e := sim.NewEngine()
+			rt = core.NewRuntime(e, topo.InMemory(e, 16), core.DefaultOptions())
+		}
+		_, err := RunNorthup(rt, tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v in-memory=%v: err = %v, want a refusal naming %s", tc.cfg, tc.inMemory, err, tc.want)
+		}
+		if now := rt.Engine().Now(); now != 0 {
+			t.Errorf("%+v in-memory=%v: refused at %v, after charges", tc.cfg, tc.inMemory, now)
+		}
 	}
 }
 

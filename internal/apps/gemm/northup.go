@@ -47,7 +47,14 @@ func (cfg *Config) setDefaults() error {
 	if cfg.N <= 0 || cfg.N%TileDim != 0 {
 		return fmt.Errorf("gemm: N=%d must be a positive multiple of %d", cfg.N, TileDim)
 	}
-	if cfg.Depth <= 0 {
+	if !cfg.Streamed && !cfg.StreamOpts.IsZero() {
+		return fmt.Errorf("gemm: Config.StreamOpts tunes streamed moves; set Config.Streamed or leave it zero")
+	}
+	// Zero means the default; a negative value is refused, not read as it.
+	switch {
+	case cfg.Depth < 0:
+		return fmt.Errorf("gemm: Depth=%d invalid (0 means the default, 2)", cfg.Depth)
+	case cfg.Depth == 0:
 		cfg.Depth = 2
 	}
 	return nil
@@ -94,13 +101,17 @@ func ChooseShardDim(cfg Config, rows int, free int64) (int, error) {
 	return 0, fmt.Errorf("gemm: no shard size fits %d free bytes for N=%d", free, n)
 }
 
-// RunNorthup executes out-of-core GEMM on the runtime's tree. The tree root
-// must be a storage node holding the inputs; the algorithm follows §IV-A:
-// row and column shards move to the staging level, a row shard is reused
-// across all column shards of its row of C blocks, and on 3-level trees the
-// shard product is further decomposed into k-panels accumulated in GPU
-// device memory.
+// RunNorthup executes GEMM's recursive schedule on the runtime's tree. On
+// a memory root it is the recursion's leaf case, the in-memory baseline:
+// one kernel over the whole resident matrices. On a storage root holding
+// the inputs it follows §IV-A: row and column shards move to the staging
+// level, a row shard is reused across all column shards of its row of C
+// blocks, and on 3-level trees the shard product is further decomposed into
+// k-panels accumulated in GPU device memory.
 func RunNorthup(rt *core.Runtime, cfg Config) (*Result, error) {
+	if rt.Tree().Root().Store == nil {
+		return runInMemory(rt, cfg)
+	}
 	var reserved int64
 	if cfg.StageB {
 		reserved = int64(cfg.N) * int64(cfg.N) * 4
@@ -361,16 +372,24 @@ func AssembleBlockMajor(blocks []float32, n, s int) []float32 {
 	return out
 }
 
-// RunInMemory executes the paper's in-memory baseline: inputs already
+// runInMemory executes the paper's in-memory baseline: inputs already
 // resident in a DRAM-only "tree" large enough for the whole working set,
 // one kernel over the full matrices, no I/O in the measured region (§V-B).
-func RunInMemory(rt *core.Runtime, cfg Config) (*Result, error) {
+// It refuses the out-of-core fields, which it would ignore, before
+// setDefaults fills Depth.
+func runInMemory(rt *core.Runtime, cfg Config) (*Result, error) {
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{{"ShardDim", cfg.ShardDim != 0}, {"Depth", cfg.Depth != 0}, {"Sequential", cfg.Sequential},
+		{"StageB", cfg.StageB}, {"Streamed", cfg.Streamed}} {
+		if f.set {
+			return nil, fmt.Errorf("gemm: the in-memory baseline on memory root %v does not read Config.%s",
+				rt.Tree().Root(), f.name)
+		}
+	}
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
-	}
-	rootNode := rt.Tree().Root()
-	if rootNode.Store != nil {
-		return nil, fmt.Errorf("gemm: in-memory baseline needs a DRAM root (got %v)", rootNode)
 	}
 	n := cfg.N
 	elems := int64(n) * int64(n)

@@ -2,6 +2,7 @@ package hotspot
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -171,7 +172,7 @@ func TestInMemoryMatchesGlobalReference(t *testing.T) {
 	e := sim.NewEngine()
 	rt := core.NewRuntime(e, topo.InMemory(e, 16), core.DefaultOptions())
 	cfg := Config{N: 64, Seed: 3, Iters: 5}
-	res, err := RunInMemory(rt, cfg)
+	res, err := RunNorthup(rt, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +233,44 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := RunNorthup(rt, Config{N: 64, ChunkDim: 24}); err == nil {
 		t.Fatal("invalid chunk accepted")
 	}
-	if _, err := RunInMemory(rt, Config{N: 64}); err == nil {
-		t.Fatal("in-memory baseline ran on storage tree")
+	// A field the run would ignore, or misread as its default, is refused
+	// by name before anything is charged: on a memory root every
+	// out-of-core field, on any root StreamOpts without Streamed, a
+	// negative count and an unknown policy.
+	streamOpts := core.StreamOptions{SubChunks: 8}
+	for _, tc := range []struct {
+		cfg      Config
+		inMemory bool
+		want     string
+	}{
+		{Config{N: 64, ChunkDim: 32}, true, "Config.ChunkDim"},
+		{Config{N: 64, Depth: 3}, true, "Config.Depth"},
+		{Config{N: 64, Streamed: true, StreamOpts: streamOpts}, true, "Config.Streamed"},
+		{Config{N: 64, Policy: StaticPartition}, true, "Config.Policy"},
+		{Config{N: 64, StreamOpts: streamOpts}, true, "Config.StreamOpts"},
+		{Config{N: 64, StreamOpts: streamOpts}, false, "Config.StreamOpts"},
+		{Config{N: 64, Iters: -5}, false, "Iters=-5"},
+		{Config{N: 64, Depth: -1}, false, "Depth=-1"},
+		{Config{N: 64, Passes: -2}, false, "Passes=-2"},
+		{Config{N: 64, Passes: -2}, true, "Passes=-2"},
+		{Config{N: 64, ChunkDim: -128}, false, "ChunkDim=-128"},
+		{Config{N: 64, Policy: 7}, false, "Policy=7"},
+	} {
+		rt := newHotspotRuntime(true, 8)
+		if tc.inMemory {
+			e := sim.NewEngine()
+			rt = core.NewRuntime(e, topo.InMemory(e, 16), core.DefaultOptions())
+		}
+		_, err := RunNorthup(rt, tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v in-memory=%v: err = %v, want a refusal naming %s", tc.cfg, tc.inMemory, err, tc.want)
+		}
+		if now := rt.Engine().Now(); now != 0 {
+			t.Errorf("%+v in-memory=%v: refused at %v, after charges", tc.cfg, tc.inMemory, now)
+		}
+	}
+	cfg := Config{N: 64}
+	if err := cfg.setDefaults(); err != nil || cfg.Iters != 60 || cfg.Passes != 1 || cfg.Depth != 1 {
+		t.Fatalf("zero fields: err %v, defaults %+v", err, cfg)
 	}
 }

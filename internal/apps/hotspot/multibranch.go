@@ -1,7 +1,5 @@
 package hotspot
 
-import "repro/internal/core"
-
 // This file names the branch policies of the asymmetric, multi-branch trees
 // of the paper's Figure 2: a storage root with several staging children,
 // each with its own processor. §V-E: "The system is subject to load
@@ -14,17 +12,19 @@ import "repro/internal/core"
 // the root node); each branch's pipeline pops the next chunk, pulls it into
 // its own staging memory, computes on its own processor, and writes the
 // result back (runChunked). Faster branches naturally take more chunks.
+// Config.Policy picks how the queue is filled; Result.ChunksByBranch counts
+// what each branch ran.
 
 // BranchPolicy selects how chunks are assigned to subtrees.
 type BranchPolicy int
 
 const (
+	// DynamicQueue lets branches pop chunks from a shared root queue as
+	// they finish: the tree-supported balancing of §V-E, and the default.
+	DynamicQueue BranchPolicy = iota
 	// StaticPartition splits chunks evenly across branches up front: the
 	// imbalance-prone baseline.
-	StaticPartition BranchPolicy = iota
-	// DynamicQueue lets branches pop chunks from a shared root queue as
-	// they finish: the tree-supported balancing of §V-E.
-	DynamicQueue
+	StaticPartition
 )
 
 // String names the policy.
@@ -33,35 +33,4 @@ func (p BranchPolicy) String() string {
 		return "static"
 	}
 	return "dynamic"
-}
-
-// MultiBranchConfig parameterizes a multi-branch stencil run.
-type MultiBranchConfig struct {
-	N        int
-	Seed     int64
-	ChunkDim int
-	Iters    int
-	Policy   BranchPolicy
-}
-
-// MultiBranchResult reports the run and the per-branch chunk counts.
-type MultiBranchResult struct {
-	Temp           []float32
-	Stats          core.RunStats
-	ChunksByBranch []int
-}
-
-// RunMultiBranch executes one RunNorthup pass with chunks spread across all
-// of the root's staging branches under cfg.Policy. Each branch must be a
-// memory node with a GPU at or one level below it (the branch node itself
-// may be the leaf). The result is identical to the single-branch blocked
-// execution regardless of policy or branch count. A branch that fails (a
-// chunk it cannot stage, a missing processor) fails the run.
-func RunMultiBranch(rt *core.Runtime, cfg MultiBranchConfig) (*MultiBranchResult, error) {
-	r, byBranch, err := runChunked(rt, Config{N: cfg.N, Seed: cfg.Seed, ChunkDim: cfg.ChunkDim, Iters: cfg.Iters},
-		cfg.Policy, launchSteps, false)
-	if err != nil {
-		return nil, err
-	}
-	return &MultiBranchResult{Temp: r.Temp, Stats: r.Stats, ChunksByBranch: byBranch}, nil
 }

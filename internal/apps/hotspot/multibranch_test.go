@@ -34,9 +34,9 @@ func newMultiBranchRuntime(phantom bool, fast []bool, dramMiB int64) *core.Runti
 
 func TestMultiBranchMatchesReference(t *testing.T) {
 	for _, policy := range []BranchPolicy{StaticPartition, DynamicQueue} {
-		cfg := MultiBranchConfig{N: 64, Seed: 8, ChunkDim: 16, Iters: 3, Policy: policy}
+		cfg := Config{N: 64, Seed: 8, ChunkDim: 16, Iters: 3, Policy: policy}
 		rt := newMultiBranchRuntime(false, []bool{false, true}, 8)
-		res, err := RunMultiBranch(rt, cfg)
+		res, err := RunNorthup(rt, cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", policy, err)
 		}
@@ -62,12 +62,12 @@ func TestDynamicQueueBalancesAsymmetricBranches(t *testing.T) {
 	// One integrated-GPU branch, one discrete-GPU branch: the fast branch
 	// must take more chunks under the dynamic policy, and the dynamic
 	// policy must beat the static even split.
-	cfg := MultiBranchConfig{N: 4096, ChunkDim: 512, Iters: 30}
-	run := func(policy BranchPolicy) *MultiBranchResult {
+	cfg := Config{N: 4096, ChunkDim: 512, Iters: 30}
+	run := func(policy BranchPolicy) *Result {
 		cfg := cfg
 		cfg.Policy = policy
 		rt := newMultiBranchRuntime(true, []bool{false, true}, 16)
-		res, err := RunMultiBranch(rt, cfg)
+		res, err := RunNorthup(rt, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,9 +89,9 @@ func TestDynamicQueueBalancesAsymmetricBranches(t *testing.T) {
 }
 
 func TestMultiBranchSymmetricSplitsEvenly(t *testing.T) {
-	cfg := MultiBranchConfig{N: 1024, ChunkDim: 256, Iters: 8, Policy: DynamicQueue}
+	cfg := Config{N: 1024, ChunkDim: 256, Iters: 8, Policy: DynamicQueue}
 	rt := newMultiBranchRuntime(true, []bool{false, false}, 8)
-	res, err := RunMultiBranch(rt, cfg)
+	res, err := RunNorthup(rt, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestMultiBranchSymmetricSplitsEvenly(t *testing.T) {
 
 func TestMultiBranchValidation(t *testing.T) {
 	rt := newMultiBranchRuntime(true, []bool{false}, 8)
-	if _, err := RunMultiBranch(rt, MultiBranchConfig{N: 100, ChunkDim: 30}); err == nil {
+	if _, err := RunNorthup(rt, Config{N: 100, ChunkDim: 30}); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }
@@ -140,8 +140,8 @@ func TestMultiBranchReachesGPUBelowBranch(t *testing.T) {
 			t.Fatal(err)
 		}
 		rt := core.NewRuntime(e, tree, core.DefaultOptions())
-		cfg := MultiBranchConfig{N: 256, Seed: 3, ChunkDim: 64, Iters: 3, Policy: policy}
-		res, err := RunMultiBranch(rt, cfg)
+		cfg := Config{N: 256, Seed: 3, ChunkDim: 64, Iters: 3, Policy: policy}
+		res, err := RunNorthup(rt, cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", policy, err)
 		}
@@ -168,7 +168,7 @@ func TestMultiBranchReportsBranchFailure(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.Phantom = true
 	rt := core.NewRuntime(e, tree, opts)
-	res, err := RunMultiBranch(rt, MultiBranchConfig{N: 1024, ChunkDim: 512, Policy: StaticPartition})
+	res, err := RunNorthup(rt, Config{N: 1024, ChunkDim: 512, Policy: StaticPartition})
 	if err == nil {
 		t.Fatalf("run with an unstageable branch succeeded (chunks by branch %v)", res.ChunksByBranch)
 	}
@@ -231,14 +231,14 @@ func TestAsymmetricTreeRunsEveryBranch(t *testing.T) {
 			return r.Temp, nil
 		}},
 		{"multibranch-static", true, func(rt *core.Runtime) ([]float32, error) {
-			r, err := RunMultiBranch(rt, MultiBranchConfig{N: n, Seed: seed, ChunkDim: d, Iters: iters, Policy: StaticPartition})
+			r, err := RunNorthup(rt, Config{N: n, Seed: seed, ChunkDim: d, Iters: iters, Policy: StaticPartition})
 			if err != nil {
 				return nil, err
 			}
 			return r.Temp, nil
 		}},
 		{"multibranch-dynamic", true, func(rt *core.Runtime) ([]float32, error) {
-			r, err := RunMultiBranch(rt, MultiBranchConfig{N: n, Seed: seed, ChunkDim: d, Iters: iters, Policy: DynamicQueue})
+			r, err := RunNorthup(rt, Config{N: n, Seed: seed, ChunkDim: d, Iters: iters, Policy: DynamicQueue})
 			if err != nil {
 				return nil, err
 			}

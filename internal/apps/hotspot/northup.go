@@ -36,20 +36,36 @@ type Config struct {
 	Streamed bool
 	// StreamOpts tunes the streamed moves (zero value = adaptive sizing).
 	StreamOpts core.StreamOptions
+	// Policy assigns chunks to the root's staging branches when it has
+	// several (Figure 2's asymmetric tree); the zero value is DynamicQueue.
+	Policy BranchPolicy
 }
 
 func (cfg *Config) setDefaults() error {
 	if cfg.N <= 0 || cfg.N%BlockDim != 0 {
 		return fmt.Errorf("hotspot: N=%d must be a positive multiple of %d", cfg.N, BlockDim)
 	}
-	if cfg.Iters <= 0 {
-		cfg.Iters = 60
+	if !cfg.Streamed && !cfg.StreamOpts.IsZero() {
+		return fmt.Errorf("hotspot: Config.StreamOpts tunes streamed moves; set Config.Streamed or leave it zero")
 	}
-	if cfg.Passes <= 0 {
-		cfg.Passes = 1
+	if cfg.Policy != DynamicQueue && cfg.Policy != StaticPartition {
+		return fmt.Errorf("hotspot: Policy=%d invalid (want DynamicQueue or StaticPartition)", cfg.Policy)
 	}
-	if cfg.Depth <= 0 {
-		cfg.Depth = 1
+	if cfg.ChunkDim < 0 {
+		return fmt.Errorf("hotspot: ChunkDim=%d invalid (0 derives it from the staging capacity)", cfg.ChunkDim)
+	}
+	// Zero means the default; a negative value is refused, not read as it.
+	for _, f := range []struct {
+		name string
+		v    *int
+		def  int
+	}{{"Iters", &cfg.Iters, 60}, {"Passes", &cfg.Passes, 1}, {"Depth", &cfg.Depth, 1}} {
+		switch {
+		case *f.v < 0:
+			return fmt.Errorf("hotspot: %s=%d invalid (0 means the default, %d)", f.name, *f.v, f.def)
+		case *f.v == 0:
+			*f.v = f.def
+		}
 	}
 	return nil
 }
@@ -62,6 +78,9 @@ type Result struct {
 	Stats core.RunStats
 	// ChunkDim is the blocking actually used.
 	ChunkDim int
+	// ChunksByBranch counts the chunks each staging branch of the root ran,
+	// summed over passes (nil for the in-memory baseline).
+	ChunksByBranch []int
 }
 
 // chooseChunkDim picks the largest chunk edge (multiple of BlockDim,
@@ -104,47 +123,54 @@ func TileKernelFor(blk *Block, d int) (gpu.Kernel, int) {
 	return kern, groups
 }
 
-// RunNorthup executes the out-of-core thermal simulation per §IV-B: the
-// grid lives chunk-major on the storage root (the one-time preprocessing),
-// each pass pipelines chunks through the staging level, runs Iters stencil
-// steps on the GPU with pass-start border vectors, writes results back, and
-// regenerates the border file for the next pass from chunk edges. A root
-// with several staging branches (Figure 2's asymmetric tree) spreads the
-// chunks over all of them through one shared root queue.
+// RunNorthup executes the thermal simulation's recursive schedule on the
+// runtime's tree. On a memory root it is the recursion's leaf case, the
+// in-memory baseline: Iters*Passes kernel launches over the whole resident
+// grid. On a storage root it runs out of core per §IV-B: the grid lives
+// chunk-major on the root (the one-time preprocessing), each pass pipelines
+// chunks through the staging level, runs Iters stencil steps on the GPU
+// with pass-start border vectors, writes results back, and regenerates the
+// border file for the next pass from chunk edges. A root with several
+// staging branches (Figure 2's asymmetric tree) spreads the chunks over all
+// of them under cfg.Policy. The result is identical to the single-branch
+// blocked execution whatever the policy or branch count; a branch that
+// fails (a chunk it cannot stage, a missing processor) fails the run.
 func RunNorthup(rt *core.Runtime, cfg Config) (*Result, error) {
-	res, _, err := runChunked(rt, cfg, DynamicQueue, launchSteps, false)
-	return res, err
+	if rt.Tree().Root().Store == nil {
+		return runInMemory(rt, cfg)
+	}
+	return runChunked(rt, cfg, launchSteps, false)
 }
 
 // runChunked is the shared out-of-core skeleton: preprocessing, the
 // load / compute / store pipeline over chunks, border regeneration between
 // passes, and result assembly. RunNorthup plugs in the kernel-launch
 // step; RunSteal the queue-based CPU+GPU scheduler; RunProfiled the
-// profile-guided processor choice; RunMultiBranch the branch policy.
+// profile-guided processor choice.
 //
 // Every staging branch of the root runs one pipeline, which takes its
 // chunks from Listing 1's root work queue whenever its staging frees up:
 // one shared deque under DynamicQueue, one pre-filled deque per branch
-// under StaticPartition. A single branch runs inline, with chunks in
-// order. The second result counts the chunks each branch ran.
+// under StaticPartition (cfg.Policy). A single branch runs inline, with
+// chunks in order. Result.ChunksByBranch counts the chunks each branch ran.
 //
 // Before anything is staged, every branch's compute leaf must have a GPU,
 // and a CPU too when the step needs one.
-func runChunked(rt *core.Runtime, cfg Config, policy BranchPolicy, step chunkStep, needCPU bool) (*Result, []int, error) {
+func runChunked(rt *core.Runtime, cfg Config, step chunkStep, needCPU bool) (*Result, error) {
 	if err := cfg.setDefaults(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	root := rt.Tree().Root()
 	if root.Store == nil {
-		return nil, nil, fmt.Errorf("hotspot: tree root %v is not storage", root)
+		return nil, fmt.Errorf("hotspot: tree root %v is not storage", root)
 	}
 	branches := root.Children
 	if len(branches) == 0 {
-		return nil, nil, fmt.Errorf("hotspot: no staging branches under the root")
+		return nil, fmt.Errorf("hotspot: no staging branches under the root")
 	}
 	for _, b := range branches {
 		if err := checkLeaf(b, needCPU); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	n := cfg.N
@@ -158,11 +184,11 @@ func runChunked(rt *core.Runtime, cfg Config, policy BranchPolicy, step chunkSte
 		}
 		var err error
 		if d, err = chooseChunkDim(n, cfg.Depth, len(branches), free); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	if n%d != 0 || d%BlockDim != 0 {
-		return nil, nil, fmt.Errorf("hotspot: chunk %d invalid for N=%d", d, n)
+		return nil, fmt.Errorf("hotspot: chunk %d invalid for N=%d", d, n)
 	}
 	p := newProblem(rt, cfg, d, step)
 	chunks, chunkBytes, borderBytes := p.chunks, p.chunkBytes, p.borderBytes
@@ -172,21 +198,21 @@ func runChunked(rt *core.Runtime, cfg Config, policy BranchPolicy, step chunkSte
 	fT := [2]*core.Buffer{}
 	var err error
 	if fT[0], err = rt.CreateInput(root, "hs-temp-0", p.gridBytes, temp); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if fT[1], err = rt.CreateInput(root, "hs-temp-1", p.gridBytes, nil); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	fP, err := rt.CreateInput(root, "hs-power", p.gridBytes, power)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	fB := [2]*core.Buffer{}
 	if fB[0], err = rt.CreateInput(root, "hs-border-0", int64(chunks)*borderBytes, border); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if fB[1], err = rt.CreateInput(root, "hs-border-1", int64(chunks)*borderBytes, nil); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	// slots[bi*chunks+i] is what branch bi's pipeline item i staged: a
@@ -202,7 +228,7 @@ func runChunked(rt *core.Runtime, cfg Config, policy BranchPolicy, step chunkSte
 		for pass := 0; pass < cfg.Passes; pass++ {
 			src, dst := fT[pass%2], fT[(pass+1)%2]
 			bSrc, bDst := fB[pass%2], fB[(pass+1)%2]
-			queues := rootQueues(chunks, len(branches), policy)
+			queues := rootQueues(chunks, len(branches), cfg.Policy)
 			detach := root.AttachQueues(queues...)
 			// A branch prefetches its next chunk only from a queue it owns:
 			// the head of a shared queue may go to another branch.
@@ -297,16 +323,16 @@ func runChunked(rt *core.Runtime, cfg Config, policy BranchPolicy, step chunkSte
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
-	res := &Result{Stats: stats, ChunkDim: d}
+	res := &Result{Stats: stats, ChunkDim: d, ChunksByBranch: byBranch}
 	if p.functional {
 		if res.Temp, err = p.readBack(fT[cfg.Passes%2]); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	return res, byBranch, nil
+	return res, nil
 }
 
 // rootQueues fills one pass's root work queue, as the node monitors the
@@ -465,15 +491,23 @@ func unpackBorders(b []float32, d, cb, ci int) Borders {
 	return out
 }
 
-// RunInMemory executes the in-memory baseline: the whole grid resident in
-// DRAM, Iters kernel launches, no I/O in the measured region.
-func RunInMemory(rt *core.Runtime, cfg Config) (*Result, error) {
+// runInMemory executes the in-memory baseline: the whole grid resident in
+// DRAM, Iters*Passes kernel launches, no I/O in the measured region. It
+// refuses the out-of-core fields, which it would ignore, before
+// setDefaults fills Depth.
+func runInMemory(rt *core.Runtime, cfg Config) (*Result, error) {
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{{"ChunkDim", cfg.ChunkDim != 0}, {"Depth", cfg.Depth != 0}, {"Streamed", cfg.Streamed},
+		{"Policy", cfg.Policy != DynamicQueue}} {
+		if f.set {
+			return nil, fmt.Errorf("hotspot: the in-memory baseline on memory root %v does not read Config.%s",
+				rt.Tree().Root(), f.name)
+		}
+	}
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
-	}
-	rootNode := rt.Tree().Root()
-	if rootNode.Store != nil {
-		return nil, fmt.Errorf("hotspot: in-memory baseline needs a DRAM root (got %v)", rootNode)
 	}
 	n := cfg.N
 	gridBytes := int64(n) * int64(n) * 4

@@ -84,7 +84,7 @@ func RunProfiledWarm(rt *core.Runtime, cfg Config, warm *sched.ProfileScheduler)
 			return nil
 		})
 	}
-	r, _, err := runChunked(rt, cfg, DynamicQueue, step, true)
+	r, err := runChunked(rt, cfg, step, true)
 	if err != nil {
 		return nil, err
 	}

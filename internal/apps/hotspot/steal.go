@@ -62,11 +62,18 @@ func (cfg *StealConfig) setDefaults() error {
 		cfg.ChunkDim > 0 && (cfg.M%cfg.ChunkDim != 0 || cfg.ChunkDim%BlockDim != 0) {
 		return fmt.Errorf("hotspot: invalid steal config M=%d chunk=%d", cfg.M, cfg.ChunkDim)
 	}
-	if cfg.Iters <= 0 {
-		cfg.Iters = 60
-	}
-	if cfg.GPUQueues <= 0 {
-		cfg.GPUQueues = 32
+	// Zero means the default; a negative value is refused, not read as it.
+	for _, f := range []struct {
+		name string
+		v    *int
+		def  int
+	}{{"Iters", &cfg.Iters, 60}, {"GPUQueues", &cfg.GPUQueues, 32}} {
+		switch {
+		case *f.v < 0:
+			return fmt.Errorf("hotspot: StealConfig.%s=%d invalid (0 means the default, %d)", f.name, *f.v, f.def)
+		case *f.v == 0:
+			*f.v = f.def
+		}
 	}
 	return nil
 }
@@ -102,7 +109,7 @@ func RunSteal(rt *core.Runtime, cfg StealConfig) (*StealResult, error) {
 	step := func(lc *core.Ctx, blk *Block, d, _ int) error {
 		return stealCompute(lc, blk, d, cfg, res)
 	}
-	r, _, err := runChunked(rt, inner, DynamicQueue, step, cfg.Mode == CPUGPU)
+	r, err := runChunked(rt, inner, step, cfg.Mode == CPUGPU)
 	if err != nil {
 		return nil, err
 	}

@@ -246,6 +246,27 @@ func TestStealConfigValidation(t *testing.T) {
 	if _, err := RunSteal(rt, StealConfig{M: 100, ChunkDim: 30}); err == nil {
 		t.Fatal("invalid config accepted")
 	}
+	// Zero means the default; a negative count is refused by name.
+	for _, tc := range []struct {
+		cfg  StealConfig
+		want string
+	}{
+		{StealConfig{M: 256, Iters: -1}, "Iters=-1"},
+		{StealConfig{M: 256, GPUQueues: -4}, "GPUQueues=-4"},
+	} {
+		rt := newStealRuntime(true, true)
+		_, err := RunSteal(rt, tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: err = %v, want a refusal naming %s", tc.cfg, err, tc.want)
+		}
+		if now := rt.Engine().Now(); now != 0 {
+			t.Errorf("%+v: refused at %v, after charges", tc.cfg, now)
+		}
+	}
+	cfg := StealConfig{M: 256}
+	if err := cfg.setDefaults(); err != nil || cfg.Iters != 60 || cfg.GPUQueues != 32 {
+		t.Fatalf("zero fields: err %v, defaults %+v", err, cfg)
+	}
 }
 
 // TestStealWorkersAreCallbacks guards that the leaf balancer's workers run

@@ -43,7 +43,13 @@ func (cfg *Config) setDefaults() error {
 	if cfg.N <= 0 {
 		return fmt.Errorf("oocsort: N=%d invalid", cfg.N)
 	}
-	if cfg.MergeBlockKeys <= 0 {
+	// Zero means the default; a negative value is refused, not read as it.
+	switch {
+	case cfg.ChunkKeys < 0:
+		return fmt.Errorf("oocsort: ChunkKeys=%d invalid (0 derives it from the staging capacity)", cfg.ChunkKeys)
+	case cfg.MergeBlockKeys < 0:
+		return fmt.Errorf("oocsort: MergeBlockKeys=%d invalid (0 means the default, %d)", cfg.MergeBlockKeys, 64<<10)
+	case cfg.MergeBlockKeys == 0:
 		cfg.MergeBlockKeys = 64 << 10
 	}
 	return nil

@@ -111,6 +111,27 @@ func TestSortValidation(t *testing.T) {
 	if _, err := Run(rt, Config{N: 0}); err == nil {
 		t.Fatal("zero N accepted")
 	}
+	// Zero means the default; a negative size is refused by name.
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{N: 1000, ChunkKeys: -5}, "ChunkKeys=-5"},
+		{Config{N: 1000, MergeBlockKeys: -1}, "MergeBlockKeys=-1"},
+	} {
+		rt := newSortRuntime(true, 64)
+		_, err := Run(rt, tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: err = %v, want a refusal naming %s", tc.cfg, err, tc.want)
+		}
+		if now := rt.Engine().Now(); now != 0 {
+			t.Errorf("%+v: refused at %v, after charges", tc.cfg, now)
+		}
+	}
+	cfg := Config{N: 1000}
+	if err := cfg.setDefaults(); err != nil || cfg.ChunkKeys != 0 || cfg.MergeBlockKeys != 64<<10 {
+		t.Fatalf("zero fields: err %v, defaults %+v", err, cfg)
+	}
 }
 
 // BenchmarkSortPaperScale sorts a working set eight times the 2 GiB staging

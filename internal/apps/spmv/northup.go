@@ -127,13 +127,18 @@ func Kernel(blocks []RowBlock, rowPtr []int32, col []int32, val, x, y []float32)
 	return kern
 }
 
-// RunNorthup executes out-of-core SpMV per §IV-C: row_ptr, col_id and data
-// live on the storage root; the dense vectors are resident at the fastest
-// feasible level (the paper's requirement that "the fastest memory has to
-// be big enough to hold the vector"); shards of rows stream through the
-// hierarchy, splitting recursively when a shard's non-zeros exceed the next
-// level's capacity.
+// RunNorthup executes SpMV's recursive schedule on the runtime's tree. On a
+// memory root it is the recursion's leaf case, the in-memory baseline: CPU
+// binning plus one kernel dispatch over the resident matrix. On a storage
+// root it runs out of core per §IV-C: row_ptr, col_id and data live on the
+// root; the dense vectors are resident at the fastest feasible level (the
+// paper's requirement that "the fastest memory has to be big enough to hold
+// the vector"); shards of rows stream through the hierarchy, splitting
+// recursively when a shard's non-zeros exceed the next level's capacity.
 func RunNorthup(rt *core.Runtime, cfg Config) (*Result, error) {
+	if rt.Tree().Root().Store == nil {
+		return runInMemory(rt, cfg)
+	}
 	p, err := newProblem(rt, cfg)
 	if err != nil {
 		return nil, err
@@ -189,15 +194,22 @@ func RunNorthup(rt *core.Runtime, cfg Config) (*Result, error) {
 	return p.result(stats)
 }
 
-// RunInMemory executes the in-memory baseline: matrix and vectors resident
-// in DRAM, CPU binning plus one kernel dispatch, no I/O measured.
-func RunInMemory(rt *core.Runtime, cfg Config) (*Result, error) {
+// runInMemory executes the in-memory baseline: matrix and vectors resident
+// in DRAM, CPU binning plus one kernel dispatch, no I/O measured. It
+// refuses the out-of-core fields, which it would ignore, before
+// setDefaults fills them.
+func runInMemory(rt *core.Runtime, cfg Config) (*Result, error) {
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{{"Chunks", cfg.Chunks != 0}, {"Depth", cfg.Depth != 0}, {"Iters", cfg.Iters > 1}} {
+		if f.set {
+			return nil, fmt.Errorf("spmv: the in-memory baseline on memory root %v does not read Config.%s",
+				rt.Tree().Root(), f.name)
+		}
+	}
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
-	}
-	rootNode := rt.Tree().Root()
-	if rootNode.Store != nil {
-		return nil, fmt.Errorf("spmv: in-memory baseline needs a DRAM root (got %v)", rootNode)
 	}
 	n := cfg.N
 	functional := !rt.Phantom()

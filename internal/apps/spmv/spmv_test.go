@@ -244,7 +244,7 @@ func TestInMemoryBaseline(t *testing.T) {
 	e := sim.NewEngine()
 	rt := core.NewRuntime(e, topo.InMemory(e, 64), core.DefaultOptions())
 	cfg := Config{N: 2000, AvgNNZ: 8, Kind: workload.SparseUniform, Seed: 4}
-	res, err := RunInMemory(rt, cfg)
+	res, err := RunNorthup(rt, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,9 +276,6 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := RunNorthup(rt, Config{N: 0}); err == nil {
 		t.Fatal("zero N accepted")
 	}
-	if _, err := RunInMemory(rt, Config{N: 100}); err == nil {
-		t.Fatal("in-memory baseline ran on storage tree")
-	}
 	for _, tc := range []struct {
 		cfg  Config
 		name string
@@ -296,6 +293,32 @@ func TestConfigValidation(t *testing.T) {
 	if err := cfg.setDefaults(); err != nil || cfg.AvgNNZ != 16 || cfg.Chunks != 4 || cfg.Depth != 2 || cfg.Iters != 1 {
 		t.Fatalf("zero fields: err %v, defaults %+v", err, cfg)
 	}
+	// On a memory root each out-of-core field is refused by name before
+	// anything is charged; one pass, the baseline's, may be named.
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{N: 100, Chunks: 16}, "Config.Chunks"},
+		{Config{N: 100, Depth: 4}, "Config.Depth"},
+		{Config{N: 100, Iters: 5}, "Config.Iters"},
+		{Config{N: 100, Iters: 1}, ""},
+	} {
+		e := sim.NewEngine()
+		opts := core.DefaultOptions()
+		opts.Phantom = true
+		rt := core.NewRuntime(e, topo.InMemory(e, 16), opts)
+		_, err := RunNorthup(rt, tc.cfg)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%+v: %v", tc.cfg, err)
+		case tc.want == "":
+		case err == nil || !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%+v: err = %v, want a refusal naming %s", tc.cfg, err, tc.want)
+		case rt.Engine().Now() != 0:
+			t.Errorf("%+v: refused at %v, after charges", tc.cfg, rt.Engine().Now())
+		}
+	}
 }
 
 // TestRefusesRowPtrOverflow asks for 1<<20 rows of about 3000 non-zeros,
@@ -311,7 +334,7 @@ func TestRefusesRowPtrOverflow(t *testing.T) {
 	}{
 		{"northup", false, func(rt *core.Runtime) error { _, err := RunNorthup(rt, cfg); return err }},
 		{"tasks", false, func(rt *core.Runtime) error { _, _, err := RunTasks(rt, cfg, taskgraph.Options{}); return err }},
-		{"in-memory", true, func(rt *core.Runtime) error { _, err := RunInMemory(rt, cfg); return err }},
+		{"in-memory", true, func(rt *core.Runtime) error { _, err := RunNorthup(rt, cfg); return err }},
 	} {
 		for _, phantom := range []bool{true, false} {
 			e := sim.NewEngine()

@@ -151,9 +151,9 @@ func (rt *Runtime) moveDataDownCached(p *sim.Proc, at, child *topo.Node, src *Bu
 	if src.released {
 		return nil, fmt.Errorf("core: cached move_data_down from released buffer")
 	}
-	if n <= 0 || srcOff < 0 || srcOff+n > src.size {
-		return nil, fmt.Errorf("core: cached move_data_down range [%d,%d) outside buffer of %d bytes",
-			srcOff, srcOff+n, src.size)
+	if n <= 0 || srcOff < 0 || n > src.size-srcOff {
+		return nil, fmt.Errorf("core: cached move_data_down range srcOff=%d n=%d outside buffer of %d bytes",
+			srcOff, n, src.size)
 	}
 	nc := rt.cacheAt(child)
 	if nc == nil {
@@ -308,7 +308,7 @@ func (rt *Runtime) prefetchDown(p *sim.Proc, at, child *topo.Node, src *Buffer, 
 	if src == nil || src.released || src.node != at || child.Parent != at {
 		return
 	}
-	if n <= 0 || srcOff < 0 || srcOff+n > src.size {
+	if n <= 0 || srcOff < 0 || n > src.size-srcOff {
 		return
 	}
 	nc := rt.cacheAt(child)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/device"
 	"repro/internal/sim"
@@ -408,14 +409,21 @@ func (rt *Runtime) MoveData2D(p *sim.Proc, dst *Buffer, src *Buffer,
 	if dstStride < 0 || srcStride < 0 {
 		return fmt.Errorf("core: move2d with negative stride")
 	}
-	// Check the first and last rows; with non-negative strides every other
-	// row lies between them.
+	if int64(rows) > math.MaxInt64/int64(rowBytes) {
+		return fmt.Errorf("core: move2d of rows=%d x rowBytes=%d overflows int64 bytes", rows, rowBytes)
+	}
+	// Check the first row, then that the last fits the room left after it;
+	// with non-negative strides every other row lies between them. The
+	// division keeps (rows-1)*stride from overflowing.
 	if err := checkMove(dst, src, dstOff, srcOff, int64(rowBytes)); err != nil {
 		return err
 	}
-	if err := checkMove(dst, src,
-		dstOff+int64(rows-1)*dstStride, srcOff+int64(rows-1)*srcStride, int64(rowBytes)); err != nil {
-		return err
+	last := int64(rows - 1)
+	if dstStride > 0 && last > (dst.size-dstOff-int64(rowBytes))/dstStride {
+		return fmt.Errorf("core: move2d with dstStride=%d puts row %d past buffer of %d bytes", dstStride, last, dst.size)
+	}
+	if srcStride > 0 && last > (src.size-srcOff-int64(rowBytes))/srcStride {
+		return fmt.Errorf("core: move2d with srcStride=%d puts row %d past buffer of %d bytes", srcStride, last, src.size)
 	}
 	return rt.move(p, dst, src, dstOff, srcOff, &block{rows: int64(rows), row: int64(rowBytes),
 		dstStride: dstStride, srcStride: srcStride, what: "move_data_2d", span: spanMove2D})
@@ -482,13 +490,14 @@ func checkMove(dst, src *Buffer, dstOff, srcOff, n int64) error {
 	if n < 0 {
 		return fmt.Errorf("core: move of %d bytes", n)
 	}
-	if srcOff < 0 || srcOff+n > src.size {
-		return fmt.Errorf("core: move source range [%d,%d) outside buffer of %d bytes",
-			srcOff, srcOff+n, src.size)
+	// Compared as n > size-off, which cannot overflow as off+n can.
+	if srcOff < 0 || n > src.size-srcOff {
+		return fmt.Errorf("core: move source range srcOff=%d n=%d outside buffer of %d bytes",
+			srcOff, n, src.size)
 	}
-	if dstOff < 0 || dstOff+n > dst.size {
-		return fmt.Errorf("core: move destination range [%d,%d) outside buffer of %d bytes",
-			dstOff, dstOff+n, dst.size)
+	if dstOff < 0 || n > dst.size-dstOff {
+		return fmt.Errorf("core: move destination range dstOff=%d n=%d outside buffer of %d bytes",
+			dstOff, n, dst.size)
 	}
 	return nil
 }

@@ -67,6 +67,12 @@ type StreamOptions struct {
 	OnChunk func(sub *Ctx, i int, off, n int64) error
 }
 
+// IsZero reports whether o sets nothing: an app refuses set options on a
+// run that makes no streamed move.
+func (o StreamOptions) IsZero() bool {
+	return o.SubChunks == 0 && o.Depth == 0 && o.OnChunk == nil
+}
+
 const (
 	defaultStreamDepth = 2
 	// The adaptive sizer searches up to streamMaxChunks sub-chunks and

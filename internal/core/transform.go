@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/sim"
 )
@@ -23,6 +24,12 @@ import (
 // (cols x rows, row-major — i.e. column-major layout of the original).
 // Both buffers must live on memory-kind nodes.
 func (rt *Runtime) MoveDataTransposeF32(p *sim.Proc, dst, src *Buffer, dstOff, srcOff int64, rows, cols int) error {
+	if rows <= 0 || cols <= 0 {
+		return fmt.Errorf("core: transforming move of %dx%d block", rows, cols)
+	}
+	if int64(rows) > math.MaxInt64/4/int64(cols) {
+		return fmt.Errorf("core: transforming move of rows=%d x cols=%d float32s overflows int64 bytes", rows, cols)
+	}
 	n := int64(rows) * int64(cols) * 4
 	if err := checkMove(dst, src, dstOff, srcOff, n); err != nil {
 		return err
@@ -30,9 +37,6 @@ func (rt *Runtime) MoveDataTransposeF32(p *sim.Proc, dst, src *Buffer, dstOff, s
 	if src.file != nil || dst.file != nil {
 		return fmt.Errorf("core: transforming move requires memory endpoints (got %v -> %v)",
 			src.node, dst.node)
-	}
-	if rows <= 0 || cols <= 0 {
-		return fmt.Errorf("core: transforming move of %dx%d block", rows, cols)
 	}
 	b := flat(n, "move_data_transpose", spanTranspose)
 	b.tRows, b.tCols = rows, cols

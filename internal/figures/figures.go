@@ -184,11 +184,11 @@ func runApp(app App, store Storage, rt *core.Runtime, o Options) (Measurement, e
 	var err error
 	switch app {
 	case GEMM:
-		stats, err = runGEMM(rt, store, o)
+		stats, err = runGEMM(rt, o)
 	case HotSpot:
 		stats, err = runHotSpot(rt, store, o)
 	case SpMV:
-		stats, err = runSpMV(rt, store, o)
+		stats, err = runSpMV(rt, o)
 	}
 	if err != nil {
 		return Measurement{}, fmt.Errorf("figures: %v on %v: %w", app, store, err)

@@ -64,11 +64,11 @@ func PerfSuite(o Options) (*PerfProfile, error) {
 		var stats core.RunStats
 		switch app {
 		case GEMM:
-			stats, err = runGEMM(rt, SSD, o)
+			stats, err = runGEMM(rt, o)
 		case HotSpot:
 			stats, err = runHotSpot(rt, SSD, o)
 		case SpMV:
-			stats, err = runSpMV(rt, SSD, o)
+			stats, err = runSpMV(rt, o)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("figures: perf suite: %v: %w", app, err)

@@ -17,16 +17,8 @@ import (
 const hotspotIters = 60
 
 // runGEMM runs dense matrix multiply at this scale.
-func runGEMM(rt *core.Runtime, store Storage, o Options) (core.RunStats, error) {
-	cfg := gemm.Config{N: o.denseN(), Seed: 1}
-	if store == InMemory {
-		res, err := gemm.RunInMemory(rt, cfg)
-		if err != nil {
-			return core.RunStats{}, err
-		}
-		return res.Stats, nil
-	}
-	res, err := gemm.RunNorthup(rt, cfg)
+func runGEMM(rt *core.Runtime, o Options) (core.RunStats, error) {
+	res, err := gemm.RunNorthup(rt, gemm.Config{N: o.denseN(), Seed: 1})
 	if err != nil {
 		return core.RunStats{}, err
 	}
@@ -36,14 +28,9 @@ func runGEMM(rt *core.Runtime, store Storage, o Options) (core.RunStats, error) 
 // runHotSpot runs the thermal stencil at this scale.
 func runHotSpot(rt *core.Runtime, store Storage, o Options) (core.RunStats, error) {
 	cfg := hotspot.Config{N: o.denseN(), Seed: 2, Iters: hotspotIters}
-	if store == InMemory {
-		res, err := hotspot.RunInMemory(rt, cfg)
-		if err != nil {
-			return core.RunStats{}, err
-		}
-		return res.Stats, nil
+	if store != InMemory {
+		cfg.ChunkDim = paperHotChunk / o.Scale
 	}
-	cfg.ChunkDim = paperHotChunk / o.Scale
 	res, err := hotspot.RunNorthup(rt, cfg)
 	if err != nil {
 		return core.RunStats{}, err
@@ -52,24 +39,16 @@ func runHotSpot(rt *core.Runtime, store Storage, o Options) (core.RunStats, erro
 }
 
 // runSpMV runs CSR-Adaptive at this scale. The paper's inputs come from
-// the Florida collection ("16 million rows ... divided into four chunks");
-// the substitute is a uniform synthetic matrix of the same scale.
-func runSpMV(rt *core.Runtime, store Storage, o Options) (core.RunStats, error) {
-	cfg := spmv.Config{
+// the Florida collection ("16 million rows ... divided into four chunks",
+// spmv.Config's default); the substitute is a uniform synthetic matrix of
+// the same scale.
+func runSpMV(rt *core.Runtime, o Options) (core.RunStats, error) {
+	res, err := spmv.RunNorthup(rt, spmv.Config{
 		N:      o.spmvRows(),
 		AvgNNZ: paperSpmvNNZ,
 		Kind:   workload.SparseUniform,
 		Seed:   3,
-		Chunks: 4,
-	}
-	if store == InMemory {
-		res, err := spmv.RunInMemory(rt, cfg)
-		if err != nil {
-			return core.RunStats{}, err
-		}
-		return res.Stats, nil
-	}
-	res, err := spmv.RunNorthup(rt, cfg)
+	})
 	if err != nil {
 		return core.RunStats{}, err
 	}

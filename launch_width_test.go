@@ -167,7 +167,7 @@ func widthCases() []widthCase {
 			tree := topo.MultiBranch(e, topo.MultiBranchConfig{Storage: topo.SSD, StorageMiB: 512,
 				BranchDRAMMiB: []int64{8, 8}, FastBranches: []bool{false, true}})
 			rt, rec := tracedRuntime(e, tree)
-			res, err := hotspot.RunMultiBranch(rt, hotspot.MultiBranchConfig{
+			res, err := hotspot.RunNorthup(rt, hotspot.Config{
 				N: 128, Seed: 8, ChunkDim: 32, Iters: 3, Policy: hotspot.DynamicQueue})
 			if err != nil {
 				t.Fatal(err)

@@ -22,11 +22,10 @@ type (
 	GEMMResult = gemm.Result
 )
 
-// GEMM entry points: the Northup out-of-core run and the in-memory
-// baseline it is normalized against.
+// GEMM entry points. GEMMNorthup runs the in-memory baseline on a memory
+// root and the out-of-core recursion on a storage root.
 var (
-	GEMMNorthup  = gemm.RunNorthup
-	GEMMInMemory = gemm.RunInMemory
+	GEMMNorthup = gemm.RunNorthup
 	// GEMMReference is the host oracle: C = A(n x k) * B(k x m).
 	GEMMReference = gemm.Reference
 )
@@ -43,38 +42,34 @@ type (
 	StealResult = hotspot.StealResult
 	// StealMode selects GPU-only or CPU+GPU leaf execution.
 	StealMode = hotspot.StealMode
-	// MultiBranchConfig parameterizes chunk scheduling across several
-	// staging subtrees (asymmetric trees, Figure 2).
-	MultiBranchConfig = hotspot.MultiBranchConfig
-	// MultiBranchResult reports per-branch chunk counts.
-	MultiBranchResult = hotspot.MultiBranchResult
-	// BranchPolicy selects static or dynamic chunk-to-subtree assignment.
+	// BranchPolicy selects static or dynamic chunk-to-subtree assignment
+	// (HotSpotConfig.Policy, on asymmetric trees; build one with
+	// MultiBranch).
 	BranchPolicy = hotspot.BranchPolicy
 )
 
 // Branch policies for multi-branch runs.
 const (
+	// DynamicQueue balances subtrees through a shared root work queue (the
+	// default).
+	DynamicQueue = hotspot.DynamicQueue
 	// StaticPartition splits chunks evenly across subtrees up front.
 	StaticPartition = hotspot.StaticPartition
-	// DynamicQueue balances subtrees through a shared root work queue.
-	DynamicQueue = hotspot.DynamicQueue
 )
 
 // HotSpotProfiledResult extends HotSpotResult with the §III-E mapping
 // decisions.
 type HotSpotProfiledResult = hotspot.ProfiledResult
 
-// HotSpot entry points.
+// HotSpot entry points. HotSpotNorthup runs the in-memory baseline on a
+// memory root, and on a storage root spreads its chunks over every staging
+// subtree under HotSpotConfig.Policy.
 var (
-	HotSpotNorthup  = hotspot.RunNorthup
-	HotSpotInMemory = hotspot.RunInMemory
+	HotSpotNorthup = hotspot.RunNorthup
 	// HotSpotSteal runs the queue-based CPU+GPU work-stealing variant.
 	HotSpotSteal = hotspot.RunSteal
 	// HotSpotProfiled runs with profile-guided chunk placement (§III-E).
 	HotSpotProfiled = hotspot.RunProfiled
-	// HotSpotMultiBranch schedules chunks across the root's staging
-	// subtrees (asymmetric trees; build one with MultiBranch).
-	HotSpotMultiBranch = hotspot.RunMultiBranch
 	// HotSpotReference advances the full grid by global Jacobi steps.
 	HotSpotReference = hotspot.Reference
 	// HotSpotReferenceBlocked is the blocked-semantics oracle matching
@@ -102,10 +97,10 @@ type (
 	SparseKind = workload.SparseKind
 )
 
-// SpMV entry points.
+// SpMV entry points. SpMVNorthup runs the in-memory baseline on a memory
+// root and the out-of-core recursion on a storage root.
 var (
-	SpMVNorthup  = spmv.RunNorthup
-	SpMVInMemory = spmv.RunInMemory
+	SpMVNorthup = spmv.RunNorthup
 	// SpMVReference is the host oracle: y = A x.
 	SpMVReference = spmv.Reference
 )

@@ -247,8 +247,7 @@ var (
 )
 
 // TopoMultiBranchConfig parameterizes the asymmetric multi-subtree
-// topology (distinct from the application-level MultiBranchConfig in this
-// package, which schedules chunks over it).
+// topology.
 type TopoMultiBranchConfig = topo.MultiBranchConfig
 
 // Storage choices for the standard topologies.

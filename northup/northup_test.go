@@ -186,7 +186,7 @@ func TestExtendedSurface(t *testing.T) {
 			Storage: northup.SSD, StorageMiB: 64,
 			BranchDRAMMiB: []int64{4, 4}, FastBranches: []bool{false, true}})
 		rt := northup.NewRuntime(e, tree, northup.DefaultOptions())
-		res, err := northup.HotSpotMultiBranch(rt, northup.MultiBranchConfig{
+		res, err := northup.HotSpotNorthup(rt, northup.HotSpotConfig{
 			N: 64, Seed: 3, ChunkDim: 16, Iters: 2, Policy: northup.DynamicQueue})
 		if err != nil {
 			t.Fatal(err)

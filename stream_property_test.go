@@ -58,7 +58,12 @@ func runStreamCase(t *testing.T, cc streamCase, streamed bool) ([]byte, core.Str
 		opts.Faults = fault.New(e, fault.Config{Seed: 2000 + cc.seed, TransferFailRate: cc.faultRate})
 	}
 	rt := core.NewRuntime(e, tree, opts)
-	so := core.StreamOptions{SubChunks: cc.subChunks}
+	// Only the streamed run sets stream options: the monolithic run makes
+	// no streamed move, and the apps refuse options it would ignore.
+	var so core.StreamOptions
+	if streamed {
+		so.SubChunks = cc.subChunks
+	}
 
 	var out []byte
 	var err error
