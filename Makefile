@@ -264,6 +264,7 @@ identity:
 	  run gemm-inmemory -app gemm -n 512 -preset inmemory; \
 	  run hotspot-inmemory -app hotspot -n 512 -preset inmemory; \
 	  run spmv-inmemory -app spmv -n 65536 -preset inmemory; \
+	  run spmv-discrete -app spmv -n 65536 -iters 2 -preset discrete; \
 	  run hotspot-asymmetric -app hotspot -spec $(CURDIR)/specs/asymmetric.json; \
 	  for sc in specs/scenarios/*; do \
 	    dir=$$out/serve/$$(basename $$sc); mkdir -p $$dir; \

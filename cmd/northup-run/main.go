@@ -77,6 +77,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"repro/northup"
@@ -230,6 +231,9 @@ var flagRules = []struct {
 		"it sizes a -preset topology's staging level; -spec sets its own and -preset inmemory has none")},
 }
 
+// maxCacheMiB is the largest -cache-mib whose byte count fits in int64.
+const maxCacheMiB = math.MaxInt64 >> 20
+
 // validate refuses values no run accepts and every flag the run would
 // silently ignore, naming the flag.
 func (o *options) validate() error {
@@ -240,13 +244,15 @@ func (o *options) validate() error {
 		flag, want string
 		ok         bool
 	}{
+		{"chunk", "want 0 (derive it from the staging capacity) or more", o.chunk >= 0},
 		{"iters", "want 0 (the app's default) or more", o.iters >= 0},
 		{"nnz", "want at least 1 non-zero per row", o.nnz >= 1},
 		{"cache-share", "want a fraction of the node in [0, 1] (0 = default 0.5)",
 			o.cacheShare >= 0 && o.cacheShare <= 1},
 		{"storage-mib", "want at least 1 MiB", o.storageMiB >= 1},
 		{"dram-mib", "want at least 1 MiB", o.dramMiB >= 1},
-		{"cache-mib", "want 0 (-cache-share of the node) or more", o.cacheMiB >= 0},
+		{"cache-mib", fmt.Sprintf("want 0 (-cache-share of the node) to %d, the most MiB an int64 byte count holds",
+			maxCacheMiB), o.cacheMiB >= 0 && o.cacheMiB <= maxCacheMiB},
 		{"subchunks", "want 0 (the adaptive sizer) or more", o.subchunks >= 0},
 		{"retries", "want 0 (the default policy) or more", o.retries >= 0},
 		{"trace-events", "want 0 (the default ring) or more", o.traceEvents >= 0},

@@ -260,3 +260,60 @@ func TestOneTaskAffinityGraphRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateRefusesNegativeChunk: a -chunk below 0 is refused naming the
+// flag, not the library field it would reach (hotspot's ChunkDim, gemm's
+// shard, the steal config's chunk); 0 still derives it.
+func TestValidateRefusesNegativeChunk(t *testing.T) {
+	for _, args := range []string{
+		"-app hotspot -chunk -128",
+		"-app gemm -chunk -128",
+		"-app hotspot -steal -chunk -128",
+		"-app gemm -affinity on -chunk -1",
+	} {
+		o, err := parseFlags(strings.Fields(args))
+		if err != nil {
+			t.Fatalf("%s: parse: %v", args, err)
+		}
+		err = o.validate()
+		if err == nil || !strings.HasPrefix(err.Error(), "-chunk -") {
+			t.Errorf("%s: err = %v, want a refusal naming -chunk", args, err)
+		}
+	}
+	o, err := parseFlags(strings.Fields("-app hotspot -chunk 0"))
+	if err == nil {
+		err = o.validate()
+	}
+	if err != nil {
+		t.Errorf("-chunk 0: %v", err)
+	}
+}
+
+// TestValidateRefusesOverflowingCacheMiB: a -cache-mib whose bytes do not
+// fit in int64 is refused naming the flag, where the shift to bytes used to
+// wrap it to another capacity; the largest size that fits passes.
+func TestValidateRefusesOverflowingCacheMiB(t *testing.T) {
+	for _, tc := range []struct {
+		mib    string
+		refuse bool
+	}{
+		{"9000000000000", true},
+		{"8796093022208", true},
+		{"9223372036854775807", true},
+		{"8796093022207", false},
+		{"0", false},
+	} {
+		args := "-app spmv -n 65536 -iters 2 -phantom -cache -cache-mib " + tc.mib
+		o, err := parseFlags(strings.Fields(args))
+		if err != nil {
+			t.Fatalf("%s: parse: %v", args, err)
+		}
+		err = o.validate()
+		switch {
+		case tc.refuse && (err == nil || !strings.HasPrefix(err.Error(), "-cache-mib "+tc.mib+":")):
+			t.Errorf("%s: err = %v, want a refusal naming -cache-mib", args, err)
+		case !tc.refuse && err != nil:
+			t.Errorf("%s: refused: %v", args, err)
+		}
+	}
+}

@@ -11,14 +11,16 @@
 // With -cache the outline is followed by each memory node's staging-cache
 // capacity and policy, as a runtime with that configuration would run it.
 // The cache flags follow northup-run's rules: -cache-share lies in [0, 1],
-// -cache-mib is 0 or more, and -cache-mib, -cache-share and -prefetch need
-// -cache, which -dot does not print; a refusal names the flag and exits 1.
+// -cache-mib is 0 or more and its bytes fit in int64, and -cache-mib,
+// -cache-share and -prefetch need -cache, which -dot does not print; a
+// refusal names the flag and exits 1.
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"repro/northup"
@@ -58,6 +60,9 @@ func parseFlags(args []string) (*options, error) {
 	return o, nil
 }
 
+// maxCacheMiB is the largest -cache-mib whose byte count fits in int64.
+const maxCacheMiB = math.MaxInt64 >> 20
+
 // validate refuses, naming the flag, a cache size no runtime accepts and a
 // cache flag that would be ignored: one given without -cache, and -cache
 // with -dot.
@@ -65,8 +70,9 @@ func (o *options) validate() error {
 	if !(o.cacheShare >= 0 && o.cacheShare <= 1) { // NaN too
 		return fmt.Errorf("%s: want a fraction of the node in [0, 1] (0 = default 0.5)", o.set["cache-share"])
 	}
-	if o.cacheMiB < 0 {
-		return fmt.Errorf("%s: want 0 (-cache-share of the node) or more", o.set["cache-mib"])
+	if o.cacheMiB < 0 || o.cacheMiB > maxCacheMiB {
+		return fmt.Errorf("%s: want 0 (-cache-share of the node) to %d, the most MiB an int64 byte count holds",
+			o.set["cache-mib"], maxCacheMiB)
 	}
 	for _, name := range []string{"cache-mib", "cache-share", "prefetch"} {
 		if arg, ok := o.set[name]; ok && !o.cache {

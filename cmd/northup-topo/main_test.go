@@ -58,3 +58,32 @@ func TestValidateAcceptsCacheFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateRefusesOverflowingCacheMiB: a -cache-mib whose bytes do not
+// fit in int64 is refused naming the flag, where the shift to bytes used to
+// wrap it to another capacity; the largest size that fits passes.
+func TestValidateRefusesOverflowingCacheMiB(t *testing.T) {
+	for _, tc := range []struct {
+		mib    string
+		refuse bool
+	}{
+		{"9000000000000", true},
+		{"8796093022208", true},
+		{"9223372036854775807", true},
+		{"8796093022207", false},
+		{"0", false},
+	} {
+		args := "-preset apu -cache -cache-mib " + tc.mib
+		o, err := parseFlags(strings.Fields(args))
+		if err != nil {
+			t.Fatalf("%s: parse: %v", args, err)
+		}
+		err = o.validate()
+		switch {
+		case tc.refuse && (err == nil || !strings.HasPrefix(err.Error(), "-cache-mib "+tc.mib+":")):
+			t.Errorf("%s: err = %v, want a refusal naming -cache-mib", args, err)
+		case !tc.refuse && err != nil:
+			t.Errorf("%s: refused: %v", args, err)
+		}
+	}
+}

@@ -121,22 +121,3 @@ func TileKernel(C, A, B []float32, n, k, m int, accumulate bool) (gpu.Kernel, in
 	}
 	return kern, groups
 }
-
-// PreshardB reorders B (n x n row-major) into column-shard-major layout:
-// shard j holds rows 0..n of columns [j*S, (j+1)*S), stored row-major and
-// contiguously at offset j*n*S. This is the paper's one-time preprocessing
-// that makes every out-of-core read sequential (§V-B).
-func PreshardB(B []float32, n, S int) []float32 {
-	if n%S != 0 {
-		panic(fmt.Sprintf("gemm: shard width %d does not divide %d", S, n))
-	}
-	shards := n / S
-	out := make([]float32, n*n)
-	for j := 0; j < shards; j++ {
-		base := j * n * S
-		for r := 0; r < n; r++ {
-			copy(out[base+r*S:base+(r+1)*S], B[r*n+j*S:r*n+(j+1)*S])
-		}
-	}
-	return out
-}

@@ -82,22 +82,6 @@ func TestTileKernelAccumulates(t *testing.T) {
 	}
 }
 
-func TestPreshardBLayout(t *testing.T) {
-	const n, s = 8, 4
-	B := workload.Dense(n, n, 5)
-	pre := PreshardB(B, n, s)
-	// Shard j, row r, col c == B[r][j*s+c].
-	for j := 0; j < n/s; j++ {
-		for r := 0; r < n; r++ {
-			for c := 0; c < s; c++ {
-				if pre[j*n*s+r*s+c] != B[r*n+j*s+c] {
-					t.Fatalf("preshard mismatch at j=%d r=%d c=%d", j, r, c)
-				}
-			}
-		}
-	}
-}
-
 // newOutOfCoreRuntime builds a 2-level SSD topology whose DRAM is too small
 // for the whole working set, forcing chunked execution.
 func newOutOfCoreRuntime(phantom bool) *core.Runtime {

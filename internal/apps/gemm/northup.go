@@ -134,8 +134,9 @@ func RunNorthup(rt *core.Runtime, cfg Config) (*Result, error) {
 
 // RunRows runs RunNorthup's schedule in c over blockRows block rows of C,
 // on files the caller created on the storage root: fa holds those rows of
-// A (blockRows*ShardDim x N, row-major), fb all of B presharded by ShardDim
-// (PreshardB), and fc receives the C blocks, block-major. cfg.ShardDim must
+// A (blockRows*ShardDim x N, row-major), fb all of B presharded into N x
+// ShardDim column shards (view.ToTiles), and fc receives the C blocks as
+// ShardDim x ShardDim tiles (view.FromTiles reads them). cfg.ShardDim must
 // be set (ChooseShardDim picks one). A cluster machine computes its strip
 // of C through it.
 func RunRows(c *core.Ctx, cfg Config, blockRows int, fa, fb, fc *core.Buffer) error {
@@ -280,27 +281,14 @@ func (p *problem) multiplyShard(c *core.Ctx, aBuf, bBuf, cBuf *core.Buffer, n, k
 	// Two panel slots implement the paper's stream overlap at the leaf
 	// (§III-C: "overlapping computation and communications (i.e.,
 	// OpenCL/CUDA streams)"): while the kernel consumes slot panel%2 the PCIe
-	// link fills the other.
-	var gA, gB [2]*core.Buffer
-	for s := 0; s < 2; s++ {
-		if gA[s], err = c.AllocAt(child, int64(n)*int64(kp)*4); err != nil {
-			return err
-		}
-		if gB[s], err = c.AllocAt(child, int64(kp)*int64(m)*4); err != nil {
-			return err
-		}
-	}
-	gC, err := c.AllocAt(child, int64(n)*int64(m)*4)
-	if err != nil {
+	// link fills the other. The set is gA0, gB0, gA1, gB1, then gC.
+	aBytes, bBytes := int64(n)*int64(kp)*4, int64(kp)*int64(m)*4
+	var g [5]*core.Buffer
+	if err := c.SetupBuffers(child, g[:], aBytes, bBytes, aBytes, bBytes, int64(n)*int64(m)*4); err != nil {
 		return err
 	}
-	defer func() {
-		for s := 0; s < 2; s++ {
-			c.Release(gA[s])
-			c.Release(gB[s])
-		}
-		c.Release(gC)
-	}()
+	defer c.ReleaseAll(g[:])
+	gA, gB, gC := [2]*core.Buffer{g[0], g[2]}, [2]*core.Buffer{g[1], g[3]}, g[4]
 	panels := k / kp
 	err = c.Pipeline(panels, 2,
 		func(sub *core.Ctx, panel int) error { // stream the panel pair down
@@ -355,23 +343,6 @@ func choosePanelDepth(n, k, m int, free int64) (int, error) {
 	return 0, fmt.Errorf("gemm: no k-panel fits %d free bytes (n=%d k=%d m=%d)", free, n, k, m)
 }
 
-// AssembleBlockMajor converts the block-major C file layout (block (i,j) of
-// s x s stored contiguously) back to a row-major n x n matrix.
-func AssembleBlockMajor(blocks []float32, n, s int) []float32 {
-	cb := n / s
-	out := make([]float32, n*n)
-	for bi := 0; bi < cb; bi++ {
-		for bj := 0; bj < cb; bj++ {
-			base := (bi*cb + bj) * s * s
-			for r := 0; r < s; r++ {
-				row := (bi*s + r) * n
-				copy(out[row+bj*s:row+(bj+1)*s], blocks[base+r*s:base+(r+1)*s])
-			}
-		}
-	}
-	return out
-}
-
 // runInMemory executes the paper's in-memory baseline: inputs already
 // resident in a DRAM-only "tree" large enough for the whole working set,
 // one kernel over the full matrices, no I/O in the measured region (§V-B).
@@ -397,18 +368,11 @@ func runInMemory(rt *core.Runtime, cfg Config) (*Result, error) {
 
 	var res *Result
 	stats, err := rt.Run("gemm-inmemory", func(c *core.Ctx) error {
-		a, err := c.Alloc(elems * 4)
-		if err != nil {
+		var bufs [3]*core.Buffer
+		if err := c.SetupBuffers(c.Node(), bufs[:], elems*4, elems*4, elems*4); err != nil {
 			return err
 		}
-		b, err := c.Alloc(elems * 4)
-		if err != nil {
-			return err
-		}
-		cc, err := c.Alloc(elems * 4)
-		if err != nil {
-			return err
-		}
+		a, b, cc := bufs[0], bufs[1], bufs[2]
 		var cv, av, bv []float32
 		if functional {
 			// Inputs appear in memory outside the measured region.

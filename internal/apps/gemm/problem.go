@@ -63,12 +63,12 @@ func newProblem(rt *core.Runtime, cfg Config, reserved int64) (*problem, error) 
 	p := layout(rt, cfg, dram, s, n/s)
 
 	// Inputs resident on storage. B is presharded (the paper's one-time
-	// preprocessing); in phantom mode only the file extents exist.
+	// preprocessing): column shard j, n x s, is stored row-major and
+	// contiguously. In phantom mode only the file extents exist.
 	var aData, bPre []float32
 	if p.functional {
 		aData = workload.Dense(n, n, cfg.Seed)
-		b := workload.Dense(n, n, cfg.Seed+1)
-		bPre = PreshardB(b, n, s)
+		bPre = view.ToTiles(workload.Dense(n, n, cfg.Seed+1), n, n, n, s)
 	}
 	root := rt.Tree().Root()
 	if p.fa, err = rt.CreateInput(root, "gemm-A", p.elems*4, view.F32Bytes(aData)); err != nil {
@@ -122,7 +122,7 @@ func (p *problem) result(stats core.RunStats) (*Result, error) {
 		if err := p.fc.File().Peek(view.F32Bytes(blocks), 0); err != nil {
 			return nil, err
 		}
-		res.C = AssembleBlockMajor(blocks, p.n, p.s)
+		res.C = view.FromTiles(blocks, p.n, p.n, p.s, p.s)
 	}
 	return res, nil
 }

@@ -211,6 +211,28 @@ func TestNorthup3LevelMatchesReference(t *testing.T) {
 	}
 }
 
+// TestFailedGPUChunkSetReleases: a chunk whose GPU buffer set does not fit
+// device memory fails the run, and the part of the set already reserved
+// there is released. A 384x384 chunk plane is 589,824 bytes, so 1 MiB of
+// GPU memory holds one of the set's four buffers, not two.
+func TestFailedGPUChunkSetReleases(t *testing.T) {
+	e := sim.NewEngine()
+	tree := topo.Discrete(e, topo.DiscreteConfig{Storage: topo.SSD,
+		StorageMiB: 256, DRAMMiB: 64, GPUMemMiB: 1})
+	opts := core.DefaultOptions()
+	opts.Phantom = true
+	rt := core.NewRuntime(e, tree, opts)
+	_, err := RunNorthup(rt, Config{N: 768, ChunkDim: 384, Iters: 1})
+	gpuMem := tree.Root().Children[0].Children[0]
+	if err == nil || !strings.Contains(err.Error(), "alloc on "+gpuMem.String()) ||
+		!strings.Contains(err.Error(), "need 589824 bytes") {
+		t.Fatalf("err = %v, want the second 589824-byte buffer on %v refused", err, gpuMem)
+	}
+	if got := gpuMem.Mem.Used(); got != 0 {
+		t.Fatalf("%v holds %d bytes after the failed chunk set, want 0", gpuMem, got)
+	}
+}
+
 func TestAutoChunkRespectsCapacity(t *testing.T) {
 	// A 256x256 grid (256 KiB per plane) with a 256 KiB staging buffer
 	// must subdivide.

@@ -408,37 +408,6 @@ func writePackedColumn(sub *core.Ctx, bDst, tin *core.Buffer, d int, functional 
 	return sub.MoveData(bDst, vec, fileOff, 0, int64(d)*4)
 }
 
-// toChunkMajor reorders a row-major n x n grid into chunk-major layout
-// (chunk (bi,bj) of d x d stored contiguously, row-major within the chunk).
-func toChunkMajor(g []float32, n, d int) []float32 {
-	cb := n / d
-	out := make([]float32, n*n)
-	for bi := 0; bi < cb; bi++ {
-		for bj := 0; bj < cb; bj++ {
-			base := (bi*cb + bj) * d * d
-			for r := 0; r < d; r++ {
-				copy(out[base+r*d:base+(r+1)*d], g[(bi*d+r)*n+bj*d:(bi*d+r)*n+(bj+1)*d])
-			}
-		}
-	}
-	return out
-}
-
-// fromChunkMajor inverts toChunkMajor.
-func fromChunkMajor(g []float32, n, d int) []float32 {
-	cb := n / d
-	out := make([]float32, n*n)
-	for bi := 0; bi < cb; bi++ {
-		for bj := 0; bj < cb; bj++ {
-			base := (bi*cb + bj) * d * d
-			for r := 0; r < d; r++ {
-				copy(out[(bi*d+r)*n+bj*d:(bi*d+r)*n+(bj+1)*d], g[base+r*d:base+(r+1)*d])
-			}
-		}
-	}
-	return out
-}
-
 // packAllBorders builds the initial border file content from the row-major
 // grid: for each chunk, four d-vectors (N, S, W, E), zeros where the chunk
 // touches the grid edge.
@@ -515,18 +484,11 @@ func runInMemory(rt *core.Runtime, cfg Config) (*Result, error) {
 
 	var res *Result
 	stats, err := rt.Run("hotspot-inmemory", func(c *core.Ctx) error {
-		tin, err := c.Alloc(gridBytes)
-		if err != nil {
+		var bufs [3]*core.Buffer
+		if err := c.SetupBuffers(c.Node(), bufs[:], gridBytes, gridBytes, gridBytes); err != nil {
 			return err
 		}
-		tout, err := c.Alloc(gridBytes)
-		if err != nil {
-			return err
-		}
-		pow, err := c.Alloc(gridBytes)
-		if err != nil {
-			return err
-		}
+		tin, tout, pow := bufs[0], bufs[1], bufs[2]
 		var blk *Block
 		if functional {
 			grid := workload.HotSpotGrid(n, cfg.Seed)

@@ -69,39 +69,14 @@ func (p *problem) inputs() (temp, power, border []byte) {
 		return nil, nil, nil
 	}
 	grid := workload.HotSpotGrid(p.n, p.seed)
-	return view.F32Bytes(toChunkMajor(grid.Temp, p.n, p.d)),
-		view.F32Bytes(toChunkMajor(grid.Power, p.n, p.d)),
+	return view.F32Bytes(view.ToTiles(grid.Temp, p.n, p.n, p.d, p.d)),
+		view.F32Bytes(view.ToTiles(grid.Power, p.n, p.n, p.d, p.d)),
 		view.F32Bytes(packAllBorders(grid.Temp, p.n, p.d))
 }
 
 // chunkBufs are one chunk's buffers at one node: the temperature in and
 // out grids, the power map and the packed borders.
 type chunkBufs struct{ tin, tout, pow, bord *core.Buffer }
-
-// allocChunk allocates all four of a chunk's buffers at node.
-func (p *problem) allocChunk(c *core.Ctx, node *topo.Node) (chunkBufs, error) {
-	var b chunkBufs
-	var err error
-	if b.tin, err = c.AllocAt(node, p.chunkBytes); err != nil {
-		return b, err
-	}
-	if b.tout, err = c.AllocAt(node, p.chunkBytes); err != nil {
-		return b, err
-	}
-	if b.pow, err = c.AllocAt(node, p.chunkBytes); err != nil {
-		return b, err
-	}
-	b.bord, err = c.AllocAt(node, p.borderBytes)
-	return b, err
-}
-
-// release frees buffers from allocChunk.
-func (b chunkBufs) release(c *core.Ctx) {
-	c.Release(b.tin)
-	c.Release(b.tout)
-	c.Release(b.pow)
-	c.Release(b.bord)
-}
 
 // moveDown and moveUp move n bytes between adjacent levels, through the
 // streaming transfer engine when the problem is streamed.
@@ -178,11 +153,12 @@ func (p *problem) computeChunk(dc *core.Ctx, b chunkBufs, ci int) error {
 	}
 
 	// Stage the chunk into the leaf's (GPU device) memory.
-	g, err := p.allocChunk(dc, leaf)
-	if err != nil {
+	var set [4]*core.Buffer
+	if err := dc.SetupBuffers(leaf, set[:], p.chunkBytes, p.chunkBytes, p.chunkBytes, p.borderBytes); err != nil {
 		return err
 	}
-	defer g.release(dc)
+	defer dc.ReleaseAll(set[:])
+	g := chunkBufs{set[0], set[1], set[2], set[3]}
 	if err := p.moveDown(dc, g.tin, b.tin, 0, 0, p.chunkBytes); err != nil {
 		return err
 	}
@@ -192,8 +168,7 @@ func (p *problem) computeChunk(dc *core.Ctx, b chunkBufs, ci int) error {
 	if err := p.moveDown(dc, g.bord, b.bord, 0, 0, p.borderBytes); err != nil {
 		return err
 	}
-	err = dc.Descend(leaf, func(lc *core.Ctx) error { return run(lc, g) })
-	if err != nil {
+	if err := dc.Descend(leaf, func(lc *core.Ctx) error { return run(lc, g) }); err != nil {
 		return err
 	}
 	return p.moveUp(dc, b.tin, g.tin, 0, 0, p.chunkBytes)
@@ -206,5 +181,5 @@ func (p *problem) readBack(f *core.Buffer) ([]float32, error) {
 	if err := f.File().Peek(view.F32Bytes(grid), 0); err != nil {
 		return nil, err
 	}
-	return fromChunkMajor(grid, p.n, p.d), nil
+	return view.FromTiles(grid, p.n, p.n, p.d, p.d), nil
 }

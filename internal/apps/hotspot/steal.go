@@ -30,12 +30,15 @@ const (
 	CPUGPU
 )
 
-// String names the mode.
+// String names the mode, and an unknown one by its value.
 func (m StealMode) String() string {
-	if m == GPUOnly {
+	switch m {
+	case GPUOnly:
 		return "gpu-only"
+	case CPUGPU:
+		return "cpu+gpu"
 	}
-	return "cpu+gpu"
+	return fmt.Sprintf("StealMode(%d)", int(m))
 }
 
 // CPUThreads is the number of CPU worker threads (one per APU core).
@@ -61,6 +64,9 @@ func (cfg *StealConfig) setDefaults() error {
 	if cfg.M <= 0 || cfg.ChunkDim < 0 ||
 		cfg.ChunkDim > 0 && (cfg.M%cfg.ChunkDim != 0 || cfg.ChunkDim%BlockDim != 0) {
 		return fmt.Errorf("hotspot: invalid steal config M=%d chunk=%d", cfg.M, cfg.ChunkDim)
+	}
+	if cfg.Mode != GPUOnly && cfg.Mode != CPUGPU {
+		return fmt.Errorf("hotspot: StealConfig.Mode=%v invalid (want GPUOnly or CPUGPU)", cfg.Mode)
 	}
 	// Zero means the default; a negative value is refused, not read as it.
 	for _, f := range []struct {

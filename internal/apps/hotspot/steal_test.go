@@ -269,6 +269,26 @@ func TestStealConfigValidation(t *testing.T) {
 	}
 }
 
+// TestUnknownStealModeRefused: a Mode other than GPUOnly and CPUGPU is
+// refused by name before anything is charged, where it used to run as
+// GPUOnly while printing as "cpu+gpu", and it prints as its value.
+func TestUnknownStealModeRefused(t *testing.T) {
+	rt := newStealRuntime(true, true)
+	_, err := RunSteal(rt, StealConfig{M: 512, ChunkDim: 256, Iters: 3, Mode: 7})
+	if err == nil || !strings.Contains(err.Error(), "StealConfig.Mode=StealMode(7)") {
+		t.Errorf("Mode 7: err = %v, want a refusal naming StealConfig.Mode", err)
+	}
+	if now := rt.Engine().Now(); now != 0 {
+		t.Errorf("Mode 7 refused at %v, after charges", now)
+	}
+	for m, want := range map[StealMode]string{GPUOnly: "gpu-only", CPUGPU: "cpu+gpu",
+		7: "StealMode(7)", -1: "StealMode(-1)"} {
+		if got := m.String(); got != want {
+			t.Errorf("StealMode(%d).String() = %q, want %q", int(m), got, want)
+		}
+	}
+}
+
 // TestStealWorkersAreCallbacks guards that the leaf balancer's workers run
 // as engine callbacks, not procs: the proc count does not grow with the
 // queue count, and every executed row costs at least one callback.

@@ -30,8 +30,9 @@ type Config struct {
 	// Matrix supplies an explicit input (e.g. parsed from a University of
 	// Florida collection file via workload.ParseMatrixMarket) instead of
 	// the synthetic generator. Requires a square matrix and a functional
-	// (non-phantom) runtime; N, AvgNNZ, Kind and Seed are then ignored for
-	// matrix generation.
+	// (non-phantom) runtime. The generator's fields are then refused: N
+	// other than 0 or the matrix's row count, AvgNNZ other than 0 and a
+	// Kind other than SparseUniform, the zero value. Seed still seeds x.
 	Matrix *workload.CSR
 }
 
@@ -40,6 +41,14 @@ func (cfg *Config) setDefaults() error {
 		if cfg.Matrix.NRows != cfg.Matrix.NCols {
 			return fmt.Errorf("spmv: provided matrix is %dx%d; square required",
 				cfg.Matrix.NRows, cfg.Matrix.NCols)
+		}
+		switch {
+		case cfg.N != 0 && cfg.N != cfg.Matrix.NRows:
+			return fmt.Errorf("spmv: Config.N=%d differs from the provided matrix's %d rows", cfg.N, cfg.Matrix.NRows)
+		case cfg.AvgNNZ != 0:
+			return fmt.Errorf("spmv: Config.AvgNNZ=%d sizes the generator; the provided matrix replaces it", cfg.AvgNNZ)
+		case cfg.Kind != workload.SparseUniform:
+			return fmt.Errorf("spmv: Config.Kind=%v selects the generator; the provided matrix replaces it", cfg.Kind)
 		}
 		cfg.N = cfg.Matrix.NRows
 	}
@@ -222,10 +231,9 @@ func runInMemory(rt *core.Runtime, cfg Config) (*Result, error) {
 	var res *Result
 	stats, err := rt.Run("spmv-inmemory", func(c *core.Ctx) error {
 		// Buffers exist (capacity accounting) but inputs appear untimed.
-		for _, size := range []int64{int64(n+1) * 4, nnz * 4, nnz * 4, int64(n) * 4, int64(n) * 4} {
-			if _, err := c.Alloc(size); err != nil {
-				return err
-			}
+		var bufs [5]*core.Buffer
+		if err := c.SetupBuffers(c.Node(), bufs[:], int64(n+1)*4, nnz*4, nnz*4, int64(n)*4, int64(n)*4); err != nil {
+			return err
 		}
 		var blocks []RowBlock
 		if _, err := c.RunCPU(BinFlopsPerRow*float64(n), BinBytesPerRow*float64(n),

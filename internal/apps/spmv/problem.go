@@ -285,28 +285,12 @@ func (p *problem) shardStep(c *core.Ctx, sh shardRange, s shardBufs, v vectors) 
 		// 3-level path: shard data and a y segment move to the child level.
 		child := dc.Children()[0]
 		_, nnzBytes := p.nnzExtent(sh)
-		gRow, err := dc.AllocAt(child, int64(rows+1)*4)
-		if err != nil {
+		var g [4]*core.Buffer
+		if err := dc.SetupBuffers(child, g[:], int64(rows+1)*4, nnzBytes, nnzBytes, int64(rows)*4); err != nil {
 			return err
 		}
-		gCol, err := dc.AllocAt(child, nnzBytes)
-		if err != nil {
-			return err
-		}
-		gVal, err := dc.AllocAt(child, nnzBytes)
-		if err != nil {
-			return err
-		}
-		gY, err := dc.AllocAt(child, int64(rows)*4)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			dc.Release(gRow)
-			dc.Release(gCol)
-			dc.Release(gVal)
-			dc.Release(gY)
-		}()
+		defer dc.ReleaseAll(g[:])
+		gRow, gCol, gVal, gY := g[0], g[1], g[2], g[3]
 		if err := dc.MoveDataDown(gRow, s.row, 0, 0, int64(rows+1)*4); err != nil {
 			return err
 		}
@@ -316,7 +300,7 @@ func (p *problem) shardStep(c *core.Ctx, sh shardRange, s shardBufs, v vectors) 
 		if err := dc.MoveDataDown(gVal, s.val, 0, 0, nnzBytes); err != nil {
 			return err
 		}
-		err = dc.Descend(child, func(lc *core.Ctx) error {
+		err := dc.Descend(child, func(lc *core.Ctx) error {
 			var y []float32
 			if p.functional {
 				y = view.F32(gY.Bytes())

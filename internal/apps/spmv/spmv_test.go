@@ -472,6 +472,51 @@ func TestProvidedMatrixMarketInput(t *testing.T) {
 	}
 }
 
+// TestProvidedMatrixRefusesGeneratorFields: with a provided matrix the
+// generator's fields would be ignored (N: 100 ran all 4096 rows, AvgNNZ and
+// Kind changed nothing), so each is refused by name on both roots before
+// anything is charged. N equal to the row count and Seed, which seeds x,
+// still run.
+func TestProvidedMatrixRefusesGeneratorFields(t *testing.T) {
+	m, err := workload.NewSparse(workload.SparseUniform, 4096, 16, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, inMemory := range []bool{false, true} {
+		newRT := func() *core.Runtime {
+			if !inMemory {
+				return newSpmvRuntime(false, 0)
+			}
+			e := sim.NewEngine()
+			return core.NewRuntime(e, topo.InMemory(e, 64), core.DefaultOptions())
+		}
+		for _, tc := range []struct {
+			cfg  Config
+			want string
+		}{
+			{Config{Matrix: m, N: 100}, "Config.N=100"},
+			{Config{Matrix: m, AvgNNZ: 64}, "Config.AvgNNZ=64"},
+			{Config{Matrix: m, Kind: workload.SparsePowerLaw}, "Config.Kind=powerlaw"},
+		} {
+			rt := newRT()
+			_, err := RunNorthup(rt, tc.cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("in-memory %v, %s: err = %v, want a refusal naming it", inMemory, tc.want, err)
+			}
+			if now := rt.Engine().Now(); now != 0 {
+				t.Errorf("in-memory %v, %s: refused at %v, after charges", inMemory, tc.want, now)
+			}
+		}
+		res, err := RunNorthup(newRT(), Config{Matrix: m, N: 4096, Seed: 9})
+		if err != nil {
+			t.Fatalf("in-memory %v, N equal to the row count: %v", inMemory, err)
+		}
+		if want := Reference(m, workload.Vector(4096, 10)); !almostEqual(res.Y, want, 16) {
+			t.Errorf("in-memory %v: provided-matrix result differs from the reference", inMemory)
+		}
+	}
+}
+
 // TestRefusesRootWithoutOneStagingChild runs on the committed asymmetric
 // spec, whose root has two staging children, and on a storage root that is
 // itself the leaf. The schedule stages through exactly one child, so it

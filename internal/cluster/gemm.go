@@ -79,7 +79,7 @@ func DistributedGEMM(cl *Cluster, cfg GEMMConfig) (*GEMMResult, error) {
 	var aData, bPre []float32
 	if functional {
 		aData = workload.Dense(n, n, cfg.Seed)
-		bPre = gemm.PreshardB(workload.Dense(n, n, cfg.Seed+1), n, s)
+		bPre = view.ToTiles(workload.Dense(n, n, cfg.Seed+1), n, n, n, s)
 	}
 	rootTree := root.Tree.Root()
 	fA, err := root.RT.CreateInput(rootTree, "dist-A", elems*4, view.F32Bytes(aData))
@@ -166,7 +166,7 @@ func DistributedGEMM(cl *Cluster, cfg GEMMConfig) (*GEMMResult, error) {
 		if err := fC.File().Peek(view.F32Bytes(blocks), 0); err != nil {
 			return nil, err
 		}
-		res.C = gemm.AssembleBlockMajor(blocks, n, s)
+		res.C = view.FromTiles(blocks, n, n, s, s)
 	}
 	return res, nil
 }

@@ -158,3 +158,87 @@ func TestBufferFreedTwicePanics(t *testing.T) {
 	}()
 	_ = rt.freeBuffer(b)
 }
+
+// TestSetupBuffersAllOrNothing: SetupBuffers reserves its set at the node
+// in order and ReleaseAll gives every byte back. When the k-th size does
+// not fit, AllocAt's error comes back as it was made, the k buffers before
+// it are released and the slice cleared, so Used() is where it started.
+func TestSetupBuffersAllOrNothing(t *testing.T) {
+	_, rt := newAPURuntime(t)
+	dram := rt.tree.Node(1)
+	sizes := []int64{1000, 64, 4096, 100}
+	_, err := rt.Run("setup", func(c *Ctx) error {
+		used := dram.Mem.Used()
+		var bufs [4]*Buffer
+		if err := c.SetupBuffers(dram, bufs[:], sizes...); err != nil {
+			return err
+		}
+		for i, b := range bufs {
+			if b.Node() != dram || b.Size() != sizes[i] {
+				t.Errorf("buffer %d: %d bytes on %v, want %d on %v", i, b.Size(), b.Node(), sizes[i], dram)
+			}
+			if i > 0 && b.ID() <= bufs[i-1].ID() {
+				t.Errorf("buffer %d (id %d) allocated before buffer %d (id %d)", i, b.ID(), i-1, bufs[i-1].ID())
+			}
+		}
+		c.ReleaseAll(bufs[:])
+		for i, b := range bufs {
+			if !b.released {
+				t.Errorf("ReleaseAll left buffer %d live", i)
+			}
+		}
+		if got := dram.Mem.Used(); got != used {
+			t.Errorf("after ReleaseAll Used() = %d, want %d", got, used)
+		}
+
+		free := dram.Mem.Free()
+		for k := range sizes {
+			tooBig := append([]int64(nil), sizes...)
+			tooBig[k] = free + 1
+			var held int64
+			for _, s := range sizes[:k] {
+				held += reservedBytes(s)
+			}
+			err := c.SetupBuffers(dram, bufs[:], tooBig...)
+			var ce *device.ErrCapacity
+			if !errors.As(err, &ce) || !strings.HasPrefix(err.Error(), "core: alloc on "+dram.String()+": ") {
+				t.Errorf("size %d too big: err = %v, want AllocAt's *device.ErrCapacity", k, err)
+			} else if ce.Need != reservedBytes(free+1) || ce.Free != free-held {
+				t.Errorf("size %d too big: ErrCapacity{Need: %d, Free: %d}, want {%d, %d}",
+					k, ce.Need, ce.Free, reservedBytes(free+1), free-held)
+			}
+			if got := dram.Mem.Used(); got != used {
+				t.Errorf("size %d too big: Used() = %d after the failed set, want %d", k, got, used)
+			}
+			if bufs != [4]*Buffer{} {
+				t.Errorf("size %d too big: the failed set left %v in the slice", k, bufs)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSetupBuffersCountsMustMatch: a set given more or fewer sizes than
+// buffers is a caller's bug and panics before anything is reserved.
+func TestSetupBuffersCountsMustMatch(t *testing.T) {
+	_, rt := newAPURuntime(t)
+	dram := rt.tree.Node(1)
+	_, err := rt.Run("mismatch", func(c *Ctx) error {
+		defer func() {
+			if recover() == nil {
+				t.Error("3 buffers with 2 sizes did not panic")
+			}
+			if got := dram.Mem.Used(); got != 0 {
+				t.Errorf("the refused set reserved %d bytes", got)
+			}
+		}()
+		var bufs [3]*Buffer
+		return c.SetupBuffers(dram, bufs[:], 64, 64)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -9,13 +9,14 @@
 //
 //	func step(c *core.Ctx, bufs map[int]*core.Buffer) error {
 //		if c.IsLeaf() {
-//			return compute(c, bufs)          // computation at leaf nodes
+//			return compute(c, bufs)           // computation at leaf nodes
 //		}
 //		for each chunk (m, n) {
-//			setupBuffers(c, ...)             // alloc at the child level
-//			c.MoveDataDown(...)              // chunk to the child
-//			c.Descend(child, step)           // northup_spawn(step(...))
-//			c.MoveDataUp(...)                // result back to this level
+//			c.SetupBuffers(child, chunk, ...) // alloc at the child level
+//			c.MoveDataDown(...)               // chunk to the child
+//			c.Descend(child, step)            // northup_spawn(step(...))
+//			c.MoveDataUp(...)                 // result back to this level
+//			c.ReleaseAll(chunk)               // release at the child level
 //		}
 //	}
 //

@@ -50,8 +50,8 @@ func (c *Ctx) Alloc(size int64) (*Buffer, error) {
 	return c.rt.AllocAt(c.p, c.node, size)
 }
 
-// AllocAt reserves a buffer on an arbitrary node (setup_buffers typically
-// allocates at a child before moving data down to it).
+// AllocAt reserves a buffer on an arbitrary node (SetupBuffers reserves a
+// whole set at a child before data moves down to it).
 func (c *Ctx) AllocAt(node *topo.Node, size int64) (*Buffer, error) {
 	return c.rt.AllocAt(c.p, node, size)
 }
@@ -59,6 +59,36 @@ func (c *Ctx) AllocAt(node *topo.Node, size int64) (*Buffer, error) {
 // Release frees a buffer. Releasing nil or releasing twice returns an
 // error; the buffer is freed only on a nil return.
 func (c *Ctx) Release(b *Buffer) error { return c.rt.Release(c.p, b) }
+
+// SetupBuffers is Listing 3's setup_buffers: it reserves bufs[i] of
+// sizes[i] bytes at node through AllocAt, in order. The set is all or
+// nothing: when an allocation fails, the buffers already reserved are
+// released in order, bufs is cleared, and that AllocAt error is returned.
+// bufs is the caller's (usually a local array), so a chunk loop that sets
+// up its buffers allocates no slice.
+func (c *Ctx) SetupBuffers(node *topo.Node, bufs []*Buffer, sizes ...int64) error {
+	if len(bufs) != len(sizes) {
+		panic(fmt.Sprintf("core: SetupBuffers of %d buffers given %d sizes", len(bufs), len(sizes)))
+	}
+	for i, size := range sizes {
+		b, err := c.AllocAt(node, size)
+		if err != nil {
+			c.ReleaseAll(bufs[:i])
+			clear(bufs)
+			return err
+		}
+		bufs[i] = b
+	}
+	return nil
+}
+
+// ReleaseAll releases the buffers in order, as the release of a set from
+// SetupBuffers; like a deferred Release, it ignores each one's error.
+func (c *Ctx) ReleaseAll(bufs []*Buffer) {
+	for _, b := range bufs {
+		c.Release(b)
+	}
+}
 
 // MoveData is the unified move between any two buffers (Table I).
 func (c *Ctx) MoveData(dst, src *Buffer, dstOff, srcOff, n int64) error {

@@ -1,4 +1,5 @@
-// Package view reinterprets raw byte buffers as typed element slices.
+// Package view reinterprets raw byte buffers as typed element slices, and
+// lays matrices out as contiguous tiles for the files chunks are read from.
 //
 // Northup's unified data-management interface is deliberately untyped: the
 // paper uses void pointers and lets each operation decide how to interpret
